@@ -1,5 +1,10 @@
 """Estimator front-ends: graph-fused, lasso, row-group l1/l2, univariate fused.
 
+Each model is a thin front-end to :func:`solver.solve`: the graph-fused,
+lasso (an edgeless graph) and univariate fused (a graph over the covariates,
+solved as one row) models pass a fusion operator for the smoothed penalty,
+and the l1/l2 model passes its exact rowwise proximal map.
+
 Every fit entry point centers X and Y internally (column means removed) and
 stores the means on the result, so predictions for new data can be formed as
 (X_new - x_mean) @ B_hat + y_mean. Models carry no intercept.
@@ -8,23 +13,14 @@ stores the means on the result, so predictions for new data can be formed as
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from .errors import NumericError
 from .graph import EdgeWeightFn, TaskGraph, sign
 from .smoothing import FusionOperator
-from .solver import (
-    Solution,
-    SolverConfig,
-    largest_eigenvalue,
-    lipschitz_upper,
-    prox_grad_fit,
-    three_sequence_minimize,
-    _quadratic_loss_fn,
-)
-
-VALID_MODEL_KINDS = ("gflasso", "lasso", "group_l1l2", "fused_univariate")
+from .solver import Solution, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -102,6 +98,42 @@ def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGr
     return total
 
 
+def _fit(
+    kind: str,
+    X: np.ndarray,
+    Y: np.ndarray,
+    graph: TaskGraph,
+    spec: PenaltySpec,
+    config: SolverConfig | None,
+    prox: Callable[[np.ndarray, float], np.ndarray] | None = None,
+    penalty: Callable[[np.ndarray], float] | None = None,
+) -> FitResult:
+    # Centers, solves and records the means. Without ``prox`` the penalty is
+    # the fusion operator of ``graph`` and ``spec``; a 1-d Y lays the model
+    # out as one row whose graph spans the covariates.
+    t0 = time.perf_counter()
+    Xc, x_mean = center_columns(X)
+    Yc, y_mean = center_columns(Y)
+    rows = Yc.ndim == 1
+    n_nodes = Xc.shape[1] if rows else Yc.shape[1]
+    if graph.node_count != n_nodes:
+        raise ValueError(f"graph has {graph.node_count} nodes but the model needs {n_nodes}")
+    op = None
+    if prox is None:
+        n_inputs = 1 if rows else Xc.shape[1]
+        op = FusionOperator.from_graph(graph, lam=spec.lam, gamma=spec.gamma, n_inputs=n_inputs, tau=spec.tau)
+    solution = solve(Xc, Yc, config or SolverConfig(), op=op, prox=prox, penalty=penalty)
+    return FitResult(
+        solution=solution,
+        model_kind=kind,
+        penalty=spec,
+        graph_summary=(graph.node_count, graph.n_edges, graph.threshold),
+        x_mean=x_mean,
+        y_mean=np.atleast_1d(y_mean),
+        runtime_s=time.perf_counter() - t0,
+    )
+
+
 def fit_gflasso(
     X: np.ndarray,
     Y: np.ndarray,
@@ -110,41 +142,13 @@ def fit_gflasso(
     config: SolverConfig | None = None,
 ) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
-    t0 = time.perf_counter()
-    Xc, x_mean = center_columns(X)
-    Yc, y_mean = center_columns(Y)
-    if graph.node_count != Yc.shape[1]:
-        raise ValueError(f"graph has {graph.node_count} nodes but Y has {Yc.shape[1]} columns")
-    op = FusionOperator.from_graph(graph, lam=spec.lam, gamma=spec.gamma, n_inputs=Xc.shape[1], tau=spec.tau)
-    solution = prox_grad_fit(Xc, Yc, op, config)
-    return FitResult(
-        solution=solution,
-        model_kind="gflasso",
-        penalty=spec,
-        graph_summary=(graph.node_count, graph.n_edges, graph.threshold),
-        x_mean=x_mean,
-        y_mean=y_mean,
-        runtime_s=time.perf_counter() - t0,
-    )
+    return _fit("gflasso", X, Y, graph, spec, config)
 
 
 def fit_lasso(X: np.ndarray, Y: np.ndarray, spec: PenaltySpec, config: SolverConfig | None = None) -> FitResult:
     """Entrywise-l1 multi-task fit; the edgeless special case of the fused model."""
-    t0 = time.perf_counter()
-    Xc, x_mean = center_columns(X)
-    Yc, y_mean = center_columns(Y)
-    empty = TaskGraph(node_count=Yc.shape[1])
-    op = FusionOperator.from_graph(empty, lam=spec.lam, gamma=0.0, n_inputs=Xc.shape[1], tau=spec.tau)
-    solution = prox_grad_fit(Xc, Yc, op, config)
-    return FitResult(
-        solution=solution,
-        model_kind="lasso",
-        penalty=PenaltySpec(lam=spec.lam, gamma=0.0, tau=spec.tau),
-        graph_summary=(empty.node_count, 0, None),
-        x_mean=x_mean,
-        y_mean=y_mean,
-        runtime_s=time.perf_counter() - t0,
-    )
+    empty = TaskGraph(node_count=np.shape(Y)[1])
+    return _fit("lasso", X, Y, empty, PenaltySpec(lam=spec.lam, gamma=0.0, tau=spec.tau), config)
 
 
 def _group_row_prox(V: np.ndarray, threshold: float) -> np.ndarray:
@@ -157,75 +161,21 @@ def _group_row_prox(V: np.ndarray, threshold: float) -> np.ndarray:
 
 
 def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfig | None = None) -> FitResult:
-    """Row-grouped l1/l2 multi-task fit via an accelerated proximal iteration.
+    """Row-grouped l1/l2 multi-task fit.
 
-    The penalty lam * sum_j ||beta_row_j||_2 has an exact proximal step, so no
-    smoothing is involved; momentum follows the usual FISTA recursion.
+    The penalty lam * sum_j ||beta_row_j||_2 has an exact proximal step (a
+    rowwise shrink), so it runs unsmoothed in the composite form of the
+    shared accelerated loop.
     """
-    if lam < 0:
-        raise ValueError("lam must be non-negative")
-    config = config or SolverConfig()
-    t0 = time.perf_counter()
-    Xc, x_mean = center_columns(X)
-    Yc, y_mean = center_columns(Y)
-    j, k = Xc.shape[1], Yc.shape[1]
-    XtX = Xc.T @ Xc
-    XtY = Xc.T @ Yc
-    loss = _quadratic_loss_fn(XtX, XtY, float(np.vdot(Yc, Yc)))
-    L = largest_eigenvalue(XtX)
-    if L <= 0:
-        raise ValueError("X^T X has no positive eigenvalue; nothing to fit")
+    spec = PenaltySpec(lam=lam, gamma=0.0)
 
-    def objective(B: np.ndarray) -> float:
-        return loss(B) + lam * float(np.linalg.norm(B, axis=1).sum())
+    def prox(V: np.ndarray, step: float) -> np.ndarray:
+        return _group_row_prox(V, lam * step)
 
-    B = np.zeros((j, k))
-    V = B
-    t_mom = 1.0
-    f_prev: float | None = None
-    iters = config.max_iters
-    converged = False
-    trace: list[tuple[float, float, float]] | None = [] if config.record_trace else None
-    for t in range(config.max_iters):
-        G = XtX @ V - XtY
-        B_next = _group_row_prox(V - G / L, lam / L)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
-        V = B_next + ((t_mom - 1.0) / t_next) * (B_next - B)
-        B, t_mom = B_next, t_next
-        f_t = objective(B)
-        if not np.isfinite(f_t):
-            raise NumericError(f"objective became non-finite at iteration {t}")
-        if trace is not None:
-            trace.append((f_t, f_t, float(np.linalg.norm(G))))
-        if f_prev is not None and abs(f_t - f_prev) < config.rel_obj_tol * max(abs(f_prev), 1e-12):
-            iters = t + 1
-            converged = True
-            break
-        f_prev = f_t
+    def penalty(B: np.ndarray) -> float:
+        return lam * float(np.linalg.norm(B, axis=1).sum())
 
-    resid = Yc - Xc @ B
-    exact = 0.5 * float(np.vdot(resid, resid)) + lam * float(np.linalg.norm(B, axis=1).sum())
-    solution = Solution(
-        B_hat=B,
-        objective_exact=exact,
-        objective_smooth=exact,
-        iterations=iters,
-        converged=converged,
-        lipschitz_used=L,
-        mu_used=0.0,
-        trace=tuple(trace) if trace is not None else None,
-        runtime_total_s=time.perf_counter() - t0,
-        runtime_periter_s=(time.perf_counter() - t0) / max(iters, 1),
-    )
-    return FitResult(
-        solution=solution,
-        model_kind="group_l1l2",
-        penalty=PenaltySpec(lam=lam, gamma=0.0),
-        graph_summary=(k, 0, None),
-        x_mean=x_mean,
-        y_mean=y_mean,
-        runtime_s=time.perf_counter() - t0,
-    )
+    return _fit("group_l1l2", X, Y, TaskGraph(node_count=np.shape(Y)[1]), spec, config, prox, penalty)
 
 
 def fit_fused_univariate(
@@ -243,63 +193,5 @@ def fit_fused_univariate(
     operator and loop drive this model; a chain graph with unit weights
     reproduces the classic adjacent-difference fused penalty.
     """
-    config = config or SolverConfig()
-    t0 = time.perf_counter()
-    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise ValueError(f"sample counts differ: X has {X.shape[0]}, y has {y.shape[0]}")
-    if input_graph.node_count != X.shape[1]:
-        raise ValueError(f"input graph has {input_graph.node_count} nodes but X has {X.shape[1]} columns")
-    Xc, x_mean = center_columns(X)
-    y_mean = float(y.mean())
-    yc = y - y_mean
-
-    op = FusionOperator.from_graph(input_graph, lam=lam, gamma=gamma, n_inputs=1, tau=tau)
-    XtX = Xc.T @ Xc
-    Xty_row = (Xc.T @ yc)[None, :]
-    ynorm2 = float(np.vdot(yc, yc))
-    lam_max = largest_eigenvalue(XtX)
-    mu = config.resolve_mu(op.gap_constant())
-    L = lipschitz_upper(Xc, op, mu, degrees=op.degrees(), lam_max=lam_max)
-
-    def loss(W: np.ndarray) -> float:
-        return 0.5 * (ynorm2 - 2.0 * float(np.vdot(W, Xty_row)) + float(np.vdot(W, W @ XtX)))
-
-    def grad(W: np.ndarray) -> np.ndarray:
-        return W @ XtX - Xty_row + op.smoothed_penalty_gradient(W, mu)
-
-    def f_exact(W: np.ndarray) -> float:
-        return loss(W) + op.penalty_exact(W)
-
-    def f_smooth(W: np.ndarray) -> float:
-        return loss(W) + op.smoothed_penalty(W, mu)
-
-    W, iters, converged, trace = three_sequence_minimize(
-        grad, f_exact, f_smooth, (1, X.shape[1]), L, config.rel_obj_tol, config.max_iters, config.record_trace
-    )
-    beta = W.ravel()
-    resid = yc - Xc @ beta
-    exact = 0.5 * float(np.vdot(resid, resid)) + op.penalty_exact(W)
-    smooth = 0.5 * float(np.vdot(resid, resid)) + op.smoothed_penalty(W, mu)
-    solution = Solution(
-        B_hat=beta[:, None],
-        objective_exact=exact,
-        objective_smooth=smooth,
-        iterations=iters,
-        converged=converged,
-        lipschitz_used=L,
-        mu_used=mu,
-        trace=tuple(trace) if trace is not None else None,
-        runtime_total_s=time.perf_counter() - t0,
-        runtime_periter_s=(time.perf_counter() - t0) / max(iters, 1),
-    )
-    return FitResult(
-        solution=solution,
-        model_kind="fused_univariate",
-        penalty=PenaltySpec(lam=lam, gamma=gamma, tau=tau),
-        graph_summary=(input_graph.node_count, input_graph.n_edges, input_graph.threshold),
-        x_mean=x_mean,
-        y_mean=np.array([y_mean]),
-        runtime_s=time.perf_counter() - t0,
-    )
+    return _fit("fused_univariate", X, y, input_graph, PenaltySpec(lam=lam, gamma=gamma, tau=tau), config)

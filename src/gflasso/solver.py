@@ -1,21 +1,24 @@
-"""Accelerated first-order solvers for the smoothed objective.
+"""The accelerated first-order solver core and the subgradient baseline.
 
-The main entry point :func:`prox_grad_fit` minimizes
-
-    (1/2) ||Y - X B||_F^2 + f_mu(B)
-
-with the three-sequence accelerated scheme: a gradient point W, a descent
-iterate B, and a weighted running gradient aggregate Z. Per iteration t:
+:func:`solve` minimizes (1/2) ||Y - X B||_F^2 plus a penalty, working from
+the moments X^T X and X^T Y (:class:`Moments`) so that the per-iteration
+cost is independent of the sample count. Every model in :mod:`.models` is a
+front-end to it. The loop is the three-sequence accelerated scheme: a
+gradient point W, a descent iterate B, and a weighted running gradient
+aggregate Z. Per iteration t:
 
     1. g_t = grad(W^t)
     2. B^t = W^t - g_t / L
     3. Z^t = -(1/L) * sum_{i<=t} ((i+1)/2) * g_i    (kept as one running sum)
     4. W^{t+1} = ((t+1) B^t + 2 Z^t) / (t+3)
 
+The fusion penalty ||B C||_1 enters through its smooth surrogate f_mu. A
+penalty with an exact proximal map (the row-grouped l1/l2 norm) instead
+enters through that map in steps 2 and 3, the composite form of the scheme
+(Nesterov 2013, "Gradient methods for minimizing composite functions").
+
 The stopping rule watches the relative change of the EXACT (non-smoothed)
 objective at B^t, so the reported optimum certifies the original problem.
-The quadratic part of the objective is evaluated through precomputed X^T X
-and X^T Y, keeping the per-iteration cost independent of the sample count.
 
 A plain subgradient method with step c / sqrt(t+1) is included as the
 baseline with the slower O(1/eps^2) rate.
@@ -24,13 +27,13 @@ baseline with the slower O(1/eps^2) rate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import NumericError
-from .smoothing import FusionOperator, gap_constant, operator_norm_bound
+from .smoothing import FusionOperator
 
 _REL_DENOM_FLOOR = 1e-12
 
@@ -116,45 +119,54 @@ def largest_eigenvalue(M: np.ndarray, tol: float = 1e-8, max_iters: int = 100000
     return lam
 
 
-def lipschitz_upper(
-    X: np.ndarray,
-    op: FusionOperator,
-    mu: float,
-    degrees: np.ndarray | None = None,
-    lam_max: float | None = None,
-) -> float:
+@dataclass(frozen=True)
+class Moments:
+    """The sample moments of one centered data split, built once per fit.
+
+    Holds X^T X, X^T Y, ||Y||_F^2 and lam_max(X^T X); every later loss and
+    gradient evaluation reads these, so its cost is free of the sample count.
+    A 1-d response gives the row layout of the univariate fused model: the
+    coefficients are one 1 x J row W, X^T Y is stored as that row, and the
+    Gram product is W X^T X instead of X^T X B.
+    """
+
+    XtX: np.ndarray
+    XtY: np.ndarray
+    ynorm2: float
+    lam_max: float
+    rows: bool = False
+
+    @classmethod
+    def from_data(cls, X: np.ndarray, Y: np.ndarray) -> "Moments":
+        X = np.asarray(X, dtype=float)
+        Y = np.asarray(Y, dtype=float)
+        if X.ndim != 2 or Y.ndim not in (1, 2) or X.shape[0] != Y.shape[0]:
+            raise ValueError(f"incompatible shapes X {X.shape}, Y {Y.shape}")
+        XtX = X.T @ X
+        rows = Y.ndim == 1
+        XtY = (X.T @ Y)[None, :] if rows else X.T @ Y
+        return cls(XtX, XtY, float(np.vdot(Y, Y)), largest_eigenvalue(XtX), rows)
+
+    @property
+    def gram(self) -> Callable[[np.ndarray], np.ndarray]:
+        """The Gram product B -> X^T X B (W -> W X^T X in the row layout)."""
+        return self.XtX.__rmatmul__ if self.rows else self.XtX.__matmul__
+
+    def loss_fn(self) -> Callable[[np.ndarray], float]:
+        """B -> (1/2) ||Y - X B||_F^2, evaluated through the moments."""
+        gram, XtY, ynorm2 = self.gram, self.XtY, self.ynorm2
+
+        def loss(B: np.ndarray) -> float:
+            return 0.5 * (ynorm2 - 2.0 * float(np.vdot(B, XtY)) + float(np.vdot(B, gram(B))))
+
+        return loss
+
+
+def lipschitz_upper(op: FusionOperator, mu: float, lam_max: float) -> float:
     """Upper bound lam_max(X^T X) + (lam^2 + 2 gamma^2 max_k d_k) / mu on the gradient Lipschitz constant."""
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    if lam_max is None:
-        X = np.asarray(X, dtype=float)
-        lam_max = largest_eigenvalue(X.T @ X)
-    if degrees is None:
-        degrees = op.degrees()
-    return float(lam_max) + operator_norm_bound(op.lam, op.gamma, degrees) ** 2 / mu
-
-
-def smooth_objective_gradient(
-    X: np.ndarray,
-    Y: np.ndarray,
-    op: FusionOperator,
-    B: np.ndarray,
-    mu: float,
-    XtX: np.ndarray | None = None,
-    XtY: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient X^T X B - X^T Y + Gamma*(A*) of the smoothed objective."""
-    if XtX is None or XtY is None:
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        if X.shape[0] != Y.shape[0]:
-            raise ValueError(f"sample counts differ: X has {X.shape[0]}, Y has {Y.shape[0]}")
-        XtX = X.T @ X if XtX is None else XtX
-        XtY = X.T @ Y if XtY is None else XtY
-    B = np.asarray(B, dtype=float)
-    if B.shape != (XtX.shape[0], XtY.shape[1]):
-        raise ValueError(f"B has shape {B.shape}, expected {(XtX.shape[0], XtY.shape[1])}")
-    return XtX @ B - XtY + op.smoothed_penalty_gradient(B, mu)
+    return float(lam_max) + op.norm_bound() ** 2 / mu
 
 
 def three_sequence_minimize(
@@ -166,12 +178,16 @@ def three_sequence_minimize(
     rel_obj_tol: float,
     max_iters: int,
     record_trace: bool = False,
+    prox: Callable[[np.ndarray, float], np.ndarray] | None = None,
 ):
     """Run the three-sequence accelerated loop from W^0 = 0.
 
     Returns (B, iterations, converged, trace). ``trace`` is None unless
     requested. The running aggregate keeps Z in O(J K) memory instead of
-    storing per-iteration gradients.
+    storing per-iteration gradients. With ``prox(V, s)``, the proximal map
+    of s times a non-smooth penalty, the loop runs in its composite form:
+    B and Z become prox(W - g/L, 1/L) and prox(-S/L, A_t/L), where S is the
+    weighted gradient sum and A_t = (t+1)(t+2)/4 the sum of its weights.
     """
     if lipschitz <= 0:
         raise ValueError(f"Lipschitz bound must be positive, got {lipschitz}")
@@ -185,6 +201,9 @@ def three_sequence_minimize(
         B = W - g / lipschitz
         weighted_grad_sum += (0.5 * (t + 1)) * g
         Z = -weighted_grad_sum / lipschitz
+        if prox is not None:
+            B = prox(B, 1.0 / lipschitz)
+            Z = prox(Z, (t + 1.0) * (t + 2.0) / (4.0 * lipschitz))
         W = ((t + 1.0) * B + 2.0 * Z) / (t + 3.0)
         f_t = f_exact(B)
         if not np.isfinite(f_t):
@@ -197,12 +216,73 @@ def three_sequence_minimize(
     return B, max_iters, False, trace
 
 
-def _quadratic_loss_fn(XtX: np.ndarray, XtY: np.ndarray, ynorm2: float) -> Callable[[np.ndarray], float]:
-    # (1/2)||Y - X B||_F^2 through precomputed moments; cost is sample-size free.
-    def loss(B: np.ndarray) -> float:
-        return 0.5 * (ynorm2 - 2.0 * float(np.vdot(B, XtY)) + float(np.vdot(B, XtX @ B)))
+def solve(
+    X: np.ndarray,
+    Y: np.ndarray,
+    config: SolverConfig,
+    op: FusionOperator | None = None,
+    prox: Callable[[np.ndarray, float], np.ndarray] | None = None,
+    penalty: Callable[[np.ndarray], float] | None = None,
+) -> Solution:
+    """Minimize (1/2) ||Y - X B||_F^2 plus a penalty; the core behind every model.
 
-    return loss
+    With ``op`` the penalty is ||B C||_1, replaced in the loop by its smooth
+    surrogate with mu from ``config``. Without it, ``penalty`` is handled
+    exactly through its proximal map ``prox`` and no smoothing is involved.
+    ``X`` and ``Y`` are expected column-centered; a 1-d ``Y`` selects the
+    row layout (see :class:`Moments`) and still returns B_hat as a J x 1 column.
+    """
+    t_start = time.perf_counter()
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    m = Moments.from_data(X, Y)
+    gram, XtY, loss = m.gram, m.XtY, m.loss_fn()
+    if op is None:
+        mu, L, smooth_penalty = 0.0, m.lam_max, penalty
+
+        def grad(W: np.ndarray) -> np.ndarray:
+            return gram(W) - XtY
+
+    else:
+        if (op.n_inputs, op.n_tasks) != XtY.shape:
+            raise ValueError(f"operator built for {op.n_inputs} x {op.n_tasks} coefficients, data needs {XtY.shape}")
+        mu = config.resolve_mu(op.gap_constant())
+        L = lipschitz_upper(op, mu, m.lam_max)
+        penalty = op.penalty_exact
+
+        def smooth_penalty(B: np.ndarray) -> float:
+            return op.smoothed_penalty(B, mu)
+
+        def grad(W: np.ndarray) -> np.ndarray:
+            return gram(W) - XtY + op.smoothed_penalty_gradient(W, mu)
+
+    def f_exact(B: np.ndarray) -> float:
+        return loss(B) + penalty(B)
+
+    def f_smooth(B: np.ndarray) -> float:
+        return loss(B) + smooth_penalty(B)
+
+    t_loop = time.perf_counter()
+    B, iters, converged, trace = three_sequence_minimize(
+        grad, f_exact, f_smooth, XtY.shape, L, config.rel_obj_tol, config.max_iters, config.record_trace, prox
+    )
+    t_end = time.perf_counter()
+
+    coef = B[0] if m.rows else B
+    resid = Y - X @ coef
+    half_rss = 0.5 * float(np.vdot(resid, resid))
+    return Solution(
+        B_hat=coef.reshape(X.shape[1], -1),
+        objective_exact=half_rss + penalty(B),
+        objective_smooth=half_rss + smooth_penalty(B),
+        iterations=iters,
+        converged=converged,
+        lipschitz_used=L,
+        mu_used=mu,
+        trace=tuple(trace) if trace is not None else None,
+        runtime_total_s=t_end - t_start,
+        runtime_periter_s=(t_end - t_loop) / max(iters, 1),
+    )
 
 
 def prox_grad_fit(X: np.ndarray, Y: np.ndarray, op: FusionOperator, config: SolverConfig | None = None) -> Solution:
@@ -212,55 +292,7 @@ def prox_grad_fit(X: np.ndarray, Y: np.ndarray, op: FusionOperator, config: Solv
     reported through ``Solution.converged`` rather than raised: long runs at
     tight tolerances still produce usable iterates.
     """
-    config = config or SolverConfig()
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ValueError(f"incompatible shapes X {X.shape}, Y {Y.shape}")
-    if Y.shape[1] != op.n_tasks or X.shape[1] != op.n_inputs:
-        raise ValueError(
-            f"operator built for {op.n_inputs} inputs x {op.n_tasks} tasks, data has {X.shape[1]} x {Y.shape[1]}"
-        )
-
-    t_start = time.perf_counter()
-    XtX = X.T @ X
-    XtY = X.T @ Y
-    ynorm2 = float(np.vdot(Y, Y))
-    lam_max = largest_eigenvalue(XtX)
-    mu = config.resolve_mu(op.gap_constant())
-    L = lipschitz_upper(X, op, mu, degrees=op.degrees(), lam_max=lam_max)
-    loss = _quadratic_loss_fn(XtX, XtY, ynorm2)
-
-    def grad(W: np.ndarray) -> np.ndarray:
-        return XtX @ W - XtY + op.smoothed_penalty_gradient(W, mu)
-
-    def f_exact(B: np.ndarray) -> float:
-        return loss(B) + op.penalty_exact(B)
-
-    def f_smooth(B: np.ndarray) -> float:
-        return loss(B) + op.smoothed_penalty(B, mu)
-
-    t_loop = time.perf_counter()
-    B, iters, converged, trace = three_sequence_minimize(
-        grad, f_exact, f_smooth, (op.n_inputs, op.n_tasks), L, config.rel_obj_tol, config.max_iters, config.record_trace
-    )
-    t_end = time.perf_counter()
-
-    resid = Y - X @ B
-    exact = 0.5 * float(np.vdot(resid, resid)) + op.penalty_exact(B)
-    smooth = 0.5 * float(np.vdot(resid, resid)) + op.smoothed_penalty(B, mu)
-    return Solution(
-        B_hat=B,
-        objective_exact=exact,
-        objective_smooth=smooth,
-        iterations=iters,
-        converged=converged,
-        lipschitz_used=L,
-        mu_used=mu,
-        trace=tuple(trace) if trace is not None else None,
-        runtime_total_s=t_end - t_start,
-        runtime_periter_s=(t_end - t_loop) / max(iters, 1),
-    )
+    return solve(X, Y, config or SolverConfig(), op=op)
 
 
 def subgradient_fit(
@@ -279,16 +311,13 @@ def subgradient_fit(
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     t_start = time.perf_counter()
-    XtX = X.T @ X
-    XtY = X.T @ Y
-    ynorm2 = float(np.vdot(Y, Y))
-    lam_max = largest_eigenvalue(XtX)
+    m = Moments.from_data(X, Y)
+    gram, XtY, loss = m.gram, m.XtY, m.loss_fn()
     if step_schedule is None:
-        c = 1.0 / lam_max if lam_max > 0 else 1.0
+        c = 1.0 / m.lam_max if m.lam_max > 0 else 1.0
 
         def step_schedule(t: int) -> float:
             return c / np.sqrt(t + 1.0)
-    loss = _quadratic_loss_fn(XtX, XtY, ynorm2)
 
     B = np.zeros((op.n_inputs, op.n_tasks))
     best_B = B.copy()
@@ -296,7 +325,7 @@ def subgradient_fit(
     trace: list[tuple[float, float, float]] | None = [] if record_trace else None
     t_loop = time.perf_counter()
     for t in range(max_iters):
-        g = XtX @ B - XtY + op.adjoint(np.sign(op.apply(B)))
+        g = gram(B) - XtY + op.adjoint(np.sign(op.apply(B)))
         B = B - step_schedule(t) * g
         f_t = loss(B) + op.penalty_exact(B)
         if not np.isfinite(f_t):
@@ -316,7 +345,7 @@ def subgradient_fit(
         objective_smooth=exact,
         iterations=max_iters,
         converged=True,
-        lipschitz_used=lam_max,
+        lipschitz_used=m.lam_max,
         mu_used=0.0,
         trace=tuple(trace) if trace is not None else None,
         runtime_total_s=t_end - t_start,

@@ -39,6 +39,19 @@ def dense_fusion_matrix(n_tasks: int, edges, lam: float, gamma: float) -> np.nda
     return C
 
 
+def smooth_objective_gradient(X, Y, op, B, mu, XtX=None, XtY=None) -> np.ndarray:
+    """Gradient X^T X B - X^T Y + Gamma*(A*) of the smoothed objective.
+
+    Unlike the rest of this module it calls the library's operator for the
+    penalty part: the tests use it to check that gradient end to end.
+    """
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    XtX = X.T @ X if XtX is None else XtX
+    XtY = X.T @ Y if XtY is None else XtY
+    return XtX @ B - XtY + op.smoothed_penalty_gradient(B, mu)
+
+
 def objective_dense(X, Y, B, C) -> float:
     resid = Y - X @ B
     return 0.5 * float(np.vdot(resid, resid)) + float(np.abs(B @ C).sum())

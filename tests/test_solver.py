@@ -10,12 +10,11 @@ from gflasso.solver import (
     largest_eigenvalue,
     lipschitz_upper,
     prox_grad_fit,
-    smooth_objective_gradient,
     subgradient_fit,
     write_trace_csv,
 )
 
-from oracles import dense_fusion_matrix, ista_lasso, objective_dense, subgradient_dense
+from oracles import dense_fusion_matrix, ista_lasso, objective_dense, smooth_objective_gradient, subgradient_dense
 
 
 def centered_problem(seed, n=20, j=4, k=2, noise=0.1):
@@ -58,13 +57,13 @@ class TestLipschitzUpper:
         X, _ = centered_problem(1)
         op = empty_operator(4, 2)
         lm = largest_eigenvalue(X.T @ X)
-        assert lipschitz_upper(X, op, mu=0.5) == pytest.approx(lm, rel=1e-8)
+        assert lipschitz_upper(op, mu=0.5, lam_max=lm) == pytest.approx(lm, rel=1e-8)
 
     def test_arithmetic(self):
         # lam=1, gamma=2, max degree 0.5, mu=0.1, lam_max=3 -> 3 + 5/0.1 = 53
         g = TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5)))
         op = FusionOperator.from_graph(g, lam=1.0, gamma=2.0, n_inputs=2)
-        assert lipschitz_upper(None, op, mu=0.1, lam_max=3.0) == pytest.approx(53.0)
+        assert lipschitz_upper(op, mu=0.1, lam_max=3.0) == pytest.approx(53.0)
 
     def test_gradient_lipschitz_inequality(self):
         rng = np.random.default_rng(2)
@@ -73,7 +72,7 @@ class TestLipschitzUpper:
         op = FusionOperator.from_graph(g, lam=0.4, gamma=0.7, n_inputs=5)
         mu = 0.05
         XtX, XtY = X.T @ X, X.T @ Y
-        L = lipschitz_upper(X, op, mu=mu)
+        L = lipschitz_upper(op, mu, largest_eigenvalue(XtX))
         for _ in range(100):
             B1 = rng.standard_normal((5, 3))
             B2 = rng.standard_normal((5, 3))
