@@ -47,7 +47,7 @@ def write_matrix_csv(path, M: np.ndarray, header: list[str]) -> None:
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Parse a matrix CSV; malformed cells are reported with row and column."""
+    """Parse a matrix CSV; malformed or non-finite cells are reported with row and column."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
     if not lines:
@@ -70,7 +70,12 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
             raise
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.array(rows, dtype=float), header
+    M = np.array(rows, dtype=float)
+    bad = np.argwhere(~np.isfinite(M))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"{path}: non-finite cell at row {i + 2}, column {j + 1}: {lines[i + 1].split(',')[j]!r}")
+    return M, header
 
 
 def default_headers(prefix: str, count: int) -> list[str]:

@@ -1,8 +1,9 @@
-"""Correlation graphs over output tasks and their incidence structure.
+"""Correlation graphs over output tasks.
 
 A task graph connects pairs of output variables whose sample correlation is
-strong; edge weights keep the signed correlation. The graph is consumed by
-the fusion penalty through a signed, weighted vertex-edge incidence matrix.
+strong; edge weights keep the signed correlation. The fusion penalty reads
+the graph through :class:`smoothing.FusionOperator`, which holds its signed,
+weighted vertex-edge incidence structure as edge arrays.
 """
 
 from __future__ import annotations
@@ -130,31 +131,6 @@ def chain_graph(n_nodes: int, weight: float = 1.0) -> TaskGraph:
     """Chain 1-2-3-...-n with constant edge weight (classic fused-lasso layout)."""
     edges = tuple((j, j + 1, weight) for j in range(1, n_nodes))
     return TaskGraph(node_count=n_nodes, edges=edges)
-
-
-def incidence_matrix(graph: TaskGraph, tau: EdgeWeightFn = abs) -> np.ndarray:
-    """Signed, weighted vertex-edge incidence matrix H of shape (K, |E|).
-
-    Column e for edge (m, l, r) holds tau(r) at row m and -sign(r) * tau(r)
-    at row l, zero elsewhere, so that column e of B @ H equals
-    tau(r) * (beta_m - sign(r) * beta_l) column-wise.
-    """
-    H = np.zeros((graph.node_count, graph.n_edges))
-    for e, (m, l, r) in enumerate(graph.edges):
-        w = tau(r)
-        H[m - 1, e] = w
-        H[l - 1, e] = -sign(r) * w
-    return H
-
-
-def weighted_degrees(graph: TaskGraph, tau: EdgeWeightFn = abs) -> np.ndarray:
-    """Per-node sum of squared edge weights, d_k = sum over incident e of tau(r_e)^2."""
-    d = np.zeros(graph.node_count)
-    for m, l, r in graph.edges:
-        w2 = tau(r) ** 2
-        d[m - 1] += w2
-        d[l - 1] += w2
-    return d
 
 
 def save_edge_list(graph: TaskGraph, path) -> None:

@@ -99,14 +99,8 @@ def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGr
 
 
 def _fit(
-    kind: str,
-    X: np.ndarray,
-    Y: np.ndarray,
-    graph: TaskGraph,
-    spec: PenaltySpec,
-    config: SolverConfig | None,
-    prox: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    penalty: Callable[[np.ndarray], float] | None = None,
+    kind: str, X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig | None,
+    prox: Callable[[np.ndarray, float], np.ndarray] | None = None, penalty: Callable[[np.ndarray], float] | None = None,
 ) -> FitResult:
     # Centers, solves and records the means. Without ``prox`` the penalty is
     # the fusion operator of ``graph`` and ``spec``; a 1-d Y lays the model
@@ -135,11 +129,7 @@ def _fit(
 
 
 def fit_gflasso(
-    X: np.ndarray,
-    Y: np.ndarray,
-    graph: TaskGraph,
-    spec: PenaltySpec,
-    config: SolverConfig | None = None,
+    X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig | None = None
 ) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
     return _fit("gflasso", X, Y, graph, spec, config)
@@ -149,15 +139,6 @@ def fit_lasso(X: np.ndarray, Y: np.ndarray, spec: PenaltySpec, config: SolverCon
     """Entrywise-l1 multi-task fit; the edgeless special case of the fused model."""
     empty = TaskGraph(node_count=np.shape(Y)[1])
     return _fit("lasso", X, Y, empty, PenaltySpec(lam=spec.lam, gamma=0.0, tau=spec.tau), config)
-
-
-def _group_row_prox(V: np.ndarray, threshold: float) -> np.ndarray:
-    # rowwise shrink: row <- max(0, 1 - threshold/||row||) * row
-    norms = np.linalg.norm(V, axis=1)
-    scale = np.zeros_like(norms)
-    nz = norms > 0
-    scale[nz] = np.maximum(0.0, 1.0 - threshold / norms[nz])
-    return V * scale[:, None]
 
 
 def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfig | None = None) -> FitResult:
@@ -170,7 +151,12 @@ def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfi
     spec = PenaltySpec(lam=lam, gamma=0.0)
 
     def prox(V: np.ndarray, step: float) -> np.ndarray:
-        return _group_row_prox(V, lam * step)
+        # rowwise shrink: row <- max(0, 1 - lam * step / ||row||) * row
+        norms = np.linalg.norm(V, axis=1)
+        scale = np.zeros_like(norms)
+        nz = norms > 0
+        scale[nz] = np.maximum(0.0, 1.0 - lam * step / norms[nz])
+        return V * scale[:, None]
 
     def penalty(B: np.ndarray) -> float:
         return lam * float(np.linalg.norm(B, axis=1).sum())
@@ -179,13 +165,8 @@ def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfi
 
 
 def fit_fused_univariate(
-    X: np.ndarray,
-    y: np.ndarray,
-    input_graph: TaskGraph,
-    lam: float,
-    gamma: float,
-    config: SolverConfig | None = None,
-    tau: EdgeWeightFn = abs,
+    X: np.ndarray, y: np.ndarray, input_graph: TaskGraph, lam: float, gamma: float,
+    config: SolverConfig | None = None, tau: EdgeWeightFn = abs,
 ) -> FitResult:
     """Univariate-response fused fit with the fusion graph over the covariates.
 

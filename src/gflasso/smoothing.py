@@ -8,9 +8,8 @@ dual gives a max over auxiliary matrices A with ||A||_inf <= 1; subtracting
 most mu * D with D = J * (K + |E|) / 2. The maximizing A has the closed form
 clamp(B C / mu), which makes both the smoothed value and its gradient cheap.
 
-Nothing here materializes C densely except :meth:`FusionOperator.dense_matrix`,
-which exists for test oracles; the hot path works on the edge arrays, keeping
-the per-application cost at O(J*K + J*|E|).
+Nothing here materializes C densely; the operator works on the edge arrays,
+keeping the per-application cost at O(J*K + J*|E|).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def gap_constant(n_inputs: int, n_tasks: int, n_edges: int) -> float:
 def operator_norm_bound(lam: float, gamma: float, degrees: np.ndarray) -> float:
     """Upper bound sqrt(lam^2 + 2 * gamma^2 * max_k d_k) on the operator norm of B -> B C.
 
-    ``degrees`` is the weighted-degree vector from :func:`graph.weighted_degrees`;
+    ``degrees`` is the weighted-degree vector from :meth:`FusionOperator.degrees`;
     with no edges the bound reduces to lam.
     """
     if lam < 0 or gamma < 0:
@@ -185,13 +184,3 @@ class FusionOperator:
     def gap_constant(self) -> float:
         """D = J (K + |E|) / 2 for this operator's shape."""
         return gap_constant(self.n_inputs, self.n_tasks, self.n_edges)
-
-    def dense_matrix(self) -> np.ndarray:
-        """Materialize C = (lam * I, gam * H) densely. Test-oracle path only."""
-        C = np.zeros((self.n_tasks, self.width))
-        C[:, : self.n_tasks] = self.lam * np.eye(self.n_tasks)
-        for e in range(self.n_edges):
-            w = self.gamma * self.edge_weight[e]
-            C[self.edge_m[e], self.n_tasks + e] = w
-            C[self.edge_l[e], self.n_tasks + e] = -self.edge_sign[e] * w
-        return C

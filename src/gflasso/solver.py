@@ -1,23 +1,21 @@
-"""The accelerated first-order solver core and the subgradient baseline.
+"""The accelerated solver core behind every model, and a subgradient baseline.
 
-:func:`solve` minimizes (1/2) ||Y - X B||_F^2 plus a penalty, working from
-the moments X^T X and X^T Y (:class:`Moments`) so that the per-iteration
-cost is independent of the sample count. Every model in :mod:`.models` is a
-front-end to it. The loop is the three-sequence accelerated scheme: a
-gradient point W, a descent iterate B, and a weighted running gradient
-aggregate Z. Per iteration t:
+:func:`solve` minimizes (1/2) ||Y - X B||_F^2 plus a penalty through the
+moments X^T X and X^T Y (:class:`Moments`), so the per-iteration cost is
+independent of the sample count. Its loop is the three-sequence accelerated
+scheme: a gradient point W, a descent iterate B, and a weighted running
+gradient aggregate Z. Per iteration t:
 
     1. g_t = grad(W^t)
     2. B^t = W^t - g_t / L
     3. Z^t = -(1/L) * sum_{i<=t} ((i+1)/2) * g_i    (kept as one running sum)
     4. W^{t+1} = ((t+1) B^t + 2 Z^t) / (t+3)
 
-The fusion penalty ||B C||_1 enters through its smooth surrogate f_mu. A
-penalty with an exact proximal map (the row-grouped l1/l2 norm) instead
-enters through that map in steps 2 and 3, the composite form of the scheme
-(Nesterov 2013, "Gradient methods for minimizing composite functions").
-
-The stopping rule watches the relative change of the EXACT (non-smoothed)
+The fusion penalty ||B C||_1 enters the gradient through its smooth
+surrogate f_mu. A penalty with an exact proximal map (the row-grouped l1/l2
+norm) enters steps 2 and 3 through that map instead: the composite form of
+the scheme (Nesterov 2013, "Gradient methods for minimizing composite
+functions"). The stopping rule watches the relative change of the EXACT
 objective at B^t, so the reported optimum certifies the original problem.
 
 A plain subgradient method with step c / sqrt(t+1) is included as the
@@ -92,31 +90,14 @@ class Solution:
     runtime_periter_s: float = 0.0
 
 
-def largest_eigenvalue(M: np.ndarray, tol: float = 1e-8, max_iters: int = 100000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Starts from the normalized all-ones vector (deterministic) and stops when
-    the Rayleigh quotient changes by less than ``tol`` relatively.
-    """
+def largest_eigenvalue(M: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix, exact to rounding (LAPACK eigvalsh)."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise NumericError("matrix contains non-finite entries")
-    n = M.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(max_iters):
-        w = M @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam_new = float(v @ (M @ v))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), _REL_DENOM_FLOOR):
-            return lam_new
-        lam = lam_new
-    return lam
+    return float(np.linalg.eigvalsh(M)[-1])
 
 
 @dataclass(frozen=True)
@@ -244,8 +225,6 @@ def solve(
             return gram(W) - XtY
 
     else:
-        if (op.n_inputs, op.n_tasks) != XtY.shape:
-            raise ValueError(f"operator built for {op.n_inputs} x {op.n_tasks} coefficients, data needs {XtY.shape}")
         mu = config.resolve_mu(op.gap_constant())
         L = lipschitz_upper(op, mu, m.lam_max)
         penalty = op.penalty_exact

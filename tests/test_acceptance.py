@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import gflasso
 from gflasso.cli import main
 from gflasso.evaluate import ExperimentConfig, roc_curve, run_replicates
 from gflasso.graph import TaskGraph, build_correlation_graph
@@ -24,7 +25,7 @@ from gflasso.simulate import SimulationSpec, gen_coefficients, gen_genotypes, ge
 from gflasso.smoothing import FusionOperator, gap_constant, operator_norm_bound
 from gflasso.solver import SolverConfig, iteration_bound, largest_eigenvalue, prox_grad_fit, subgradient_fit
 
-from oracles import ista_lasso, tiny_instances
+from oracles import dense_fusion_matrix, ista_lasso, tiny_instances
 
 # frozen oracle values (tests/oracles.py, 1e7 subgradient steps per instance)
 SUBGRAD_OBJ = (
@@ -60,7 +61,7 @@ def _random_operator(rng):
     lam = float(rng.uniform(0.0, 2.0))
     gamma = float(rng.uniform(0.0, 2.0))
     n_inputs = int(rng.integers(1, 9))
-    return FusionOperator.from_graph(g, lam=lam, gamma=gamma, n_inputs=n_inputs)
+    return FusionOperator.from_graph(g, lam=lam, gamma=gamma, n_inputs=n_inputs), g
 
 
 def test_c01_smoothing_gap_bound():
@@ -68,7 +69,7 @@ def test_c01_smoothing_gap_bound():
     t0 = time.perf_counter()
     worst = 0.0
     for _ in range(200):
-        op = _random_operator(rng)
+        op, _ = _random_operator(rng)
         B = float(rng.uniform(0.2, 5.0)) * rng.standard_normal((op.n_inputs, op.n_tasks))
         mu = float(10.0 ** rng.uniform(-5, 0))
         gap = op.penalty_exact(B) - op.smoothed_penalty(B, mu)
@@ -127,10 +128,9 @@ def test_c03_operator_norm_bound():
     rng = np.random.default_rng(303)
     t0 = time.perf_counter()
     for _ in range(100):
-        op = _random_operator(rng)
-        C = op.dense_matrix()
-        # power iteration on C C^T gives sigma_max(C)^2
-        sigma_max = float(np.sqrt(largest_eigenvalue(C @ C.T)))
+        op, g = _random_operator(rng)
+        C = dense_fusion_matrix(g.node_count, g.edges, op.lam, op.gamma)
+        sigma_max = float(np.linalg.svd(C, compute_uv=False)[0])
         bound = operator_norm_bound(op.lam, op.gamma, op.degrees())
         assert sigma_max <= bound + 1e-9
     elapsed = time.perf_counter() - t0
@@ -312,6 +312,9 @@ def test_c07_per_iteration_cost_independent_of_sample_count():
     # shared runners otherwise swamps the comparison
     t0 = time.perf_counter()
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    # the child imports the package from where this process did, installed or not
+    src = os.path.dirname(os.path.dirname(gflasso.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _TIMING_SCRIPT], capture_output=True, text=True, env=env, timeout=280)
     assert proc.returncode == 0, proc.stderr
     small, large = (float(v) for v in proc.stdout.split())

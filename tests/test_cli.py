@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import gflasso
 from gflasso.cli import main
 from gflasso.fileio import read_matrix_csv, sha256_file
 from gflasso.graph import build_correlation_graph
@@ -98,17 +99,18 @@ class TestFitCommand:
         assert recomputed == pytest.approx(doc["objective"], abs=1e-8)
 
     def test_non_numeric_cell_reports_position(self, tmp_path, capsys):
-        x = tmp_path / "X.csv"
         y = tmp_path / "Y.csv"
-        x.write_text("x1,x2\n1.0,2.0\n3.0,oops\n")
         y.write_text("y1\n0.5\n-0.5\n")
-        out = tmp_path / "out"
-        out.mkdir()
-        code = main(["fit", "--method", "lasso", "--x", str(x), "--y", str(y), "--out-dir", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "row 3" in err and "column 2" in err
-        assert not (out / "B_hat.csv").exists()
+        for i, cell in enumerate(("oops", "nan", "inf", "-inf")):
+            x = tmp_path / f"X{i}.csv"
+            x.write_text(f"x1,x2\n1.0,2.0\n3.0,{cell}\n")
+            out = tmp_path / f"out{i}"
+            out.mkdir()
+            code = main(["fit", "--method", "lasso", "--x", str(x), "--y", str(y), "--out-dir", str(out)])
+            assert code == 2, cell
+            err = capsys.readouterr().err
+            assert "row 3" in err and "column 2" in err and str(x) in err, err
+            assert not (out / "B_hat.csv").exists()
 
     def test_max_iters_exit_code(self, data_dir, tmp_path):
         out = tmp_path / "slow"
@@ -237,9 +239,13 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "sim"
         out.mkdir()
+        # the child imports the package from where this process did, installed or not
+        src = os.path.dirname(os.path.dirname(gflasso.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "gflasso.cli", "simulate", "--out-dir", str(out), "--seed", "1"],
             capture_output=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert (out / "X.csv").exists()

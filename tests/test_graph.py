@@ -6,13 +6,12 @@ from gflasso.graph import (
     TaskGraph,
     build_correlation_graph,
     chain_graph,
-    incidence_matrix,
     load_edge_list,
     pearson,
     save_edge_list,
-    weighted_degrees,
 )
 from gflasso.simulate import SimulationSpec, simulate_dataset
+from gflasso.smoothing import FusionOperator
 
 from oracles import pearson_two_pass
 
@@ -111,6 +110,16 @@ class TestTaskGraphValidation:
     def test_threshold_invariant(self):
         with pytest.raises(ValueError):
             TaskGraph(3, ((1, 2, 0.5),), threshold=0.6)
+
+
+def incidence_matrix(g):
+    # with lam = 0 and gamma = 1 the operator maps the identity to C = (0, H)
+    k = g.node_count
+    return FusionOperator.from_graph(g, lam=0.0, gamma=1.0, n_inputs=k).apply(np.eye(k))[:, k:]
+
+
+def weighted_degrees(g):
+    return FusionOperator.from_graph(g, lam=0.0, gamma=0.0, n_inputs=1).degrees()
 
 
 class TestIncidenceMatrix:

@@ -41,6 +41,8 @@ class TestLargestEigenvalue:
         X = rng.standard_normal((30, 8))
         M = X.T @ X
         assert largest_eigenvalue(M) == pytest.approx(float(np.linalg.eigvalsh(M).max()), rel=1e-7)
+        # planted: the all-ones vector spans the eigenspace of the smaller eigenvalue 1, not of 36
+        assert largest_eigenvalue(np.array([[18.5, -17.5], [-17.5, 18.5]])) == pytest.approx(36.0, rel=1e-12)
 
     def test_zero_matrix(self):
         assert largest_eigenvalue(np.zeros((4, 4))) == 0.0
