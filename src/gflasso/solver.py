@@ -119,8 +119,7 @@ class Moments:
 
     @classmethod
     def from_data(cls, X: np.ndarray, Y: np.ndarray) -> "Moments":
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
+        """Moments of float arrays X (N x J) and Y (N x K, or N for the row layout)."""
         if X.ndim != 2 or Y.ndim not in (1, 2) or X.shape[0] != Y.shape[0]:
             raise ValueError(f"incompatible shapes X {X.shape}, Y {Y.shape}")
         XtX = X.T @ X
@@ -130,7 +129,10 @@ class Moments:
 
     @property
     def gram(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The Gram product B -> X^T X B (W -> W X^T X in the row layout)."""
+        """The Gram product B -> X^T X B (W -> W X^T X in the row layout).
+
+        A bound ndarray method: the layout is picked once, and a call adds no Python frame.
+        """
         return self.XtX.__rmatmul__ if self.rows else self.XtX.__matmul__
 
     def loss_fn(self) -> Callable[[np.ndarray], float]:
