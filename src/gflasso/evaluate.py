@@ -70,15 +70,6 @@ def roc_curve(B_hat: np.ndarray, B_true: np.ndarray) -> RocCurve:
     return RocCurve(points=tuple(points), auc=auc)
 
 
-def roc_csv_text(curves: dict[str, RocCurve]) -> str:
-    """Plot-ready CSV of one or more labeled ROC curves: columns x,y,series."""
-    lines = ["x,y,series"]
-    for label, curve in curves.items():
-        for fpr, tpr in curve.points:
-            lines.append(f"{fpr:.17g},{tpr:.17g},{label}")
-    return "\n".join(lines) + "\n"
-
-
 def prediction_error(fit: FitResult, X_test: np.ndarray, Y_test: np.ndarray) -> float:
     """Mean squared error over all test entries, using the centered-model prediction."""
     X_test = np.asarray(X_test, dtype=float)

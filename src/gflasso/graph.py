@@ -108,6 +108,10 @@ def build_correlation_graph(Y: np.ndarray, rho: float) -> TaskGraph:
     TaskGraph
         Edges in lexicographic (m, l) order with the signed correlation as
         the edge weight.
+
+    All K (K - 1) / 2 correlations come from one product of the centered Y
+    with itself; each agrees with :func:`pearson` to rounding, including
+    its snap to +-1.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -118,12 +122,18 @@ def build_correlation_graph(Y: np.ndarray, rho: float) -> TaskGraph:
     for col in range(k):
         if n >= 2 and np.ptp(Y[:, col]) == 0.0:
             raise DegenerateInputError(f"output column {col + 1} is constant")
-    edges = []
-    for m in range(k - 1):
-        for l in range(m + 1, k):
-            r = pearson(Y[:, m], Y[:, l])
-            if abs(r) > rho:
-                edges.append((m + 1, l + 1, r))
+    if k < 2:
+        return TaskGraph(node_count=k, threshold=rho)
+    if n < 2:
+        raise DegenerateInputError("need at least 2 observations for a correlation")
+    Yc = Y - Y.mean(axis=0)
+    S = Yc.T @ Yc
+    R = S / np.sqrt(np.outer(np.diag(S), np.diag(S)))
+    R = np.where(np.abs(R) >= 1.0 - _UNIT_SNAP, np.sign(R), R)
+    m, l = np.triu_indices(k, 1)
+    r = R[m, l]
+    keep = np.abs(r) > rho
+    edges = zip((m[keep] + 1).tolist(), (l[keep] + 1).tolist(), r[keep].tolist())
     return TaskGraph(node_count=k, edges=tuple(edges), threshold=rho)
 
 

@@ -188,13 +188,3 @@ def save_dataset(directory, dataset: Dataset) -> None:
     )
     write_json(os.path.join(directory, "spec.json"), dataset.spec.to_json_dict())
 
-
-def load_dataset(directory) -> Dataset:
-    """Read back a dataset written by :func:`save_dataset`."""
-    from .fileio import read_json, read_matrix_csv
-
-    spec = SimulationSpec.from_json_dict(read_json(os.path.join(directory, "spec.json")))
-    X, _ = read_matrix_csv(os.path.join(directory, "X.csv"))
-    Y, _ = read_matrix_csv(os.path.join(directory, "Y.csv"))
-    B, _ = read_matrix_csv(os.path.join(directory, "B_true.csv"))
-    return Dataset(X=X, Y=Y, truth=GroundTruth(B_true=B), spec=spec)

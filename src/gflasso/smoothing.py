@@ -8,8 +8,14 @@ dual gives a max over auxiliary matrices A with ||A||_inf <= 1; subtracting
 most mu * D with D = J * (K + |E|) / 2. The maximizing A has the closed form
 clamp(B C / mu), which makes both the smoothed value and its gradient cheap.
 
-Nothing here materializes C densely; the operator works on the edge arrays,
-keeping the per-application cost at O(J*K + J*|E|).
+The operator holds C in one of two forms, chosen by its own shape alone.
+When K <= J it builds the dense K x (K + |E|) matrix C once, so apply, adjoint
+and the exact penalty are single BLAS products (B C, A C^T). The rule keeps C
+no larger than the J x (K + |E|) auxiliary matrix every iteration already
+holds. When K > J (the 1 x J row layout of the univariate fused model is the
+common case) a dense C would outweigh the products it replaces, so the
+operator works on the edge arrays instead: column gathers for B C and one
+``np.bincount`` scatter for A C^T, at O(J*K + J*|E|) per application.
 """
 
 from __future__ import annotations
@@ -62,7 +68,9 @@ class FusionOperator:
 
     Maps (J, K) coefficient matrices to (J, K + |E|); the first K columns are
     lam * B and column K + e is gam * tau_e * (B[:, m_e] - sign_e * B[:, l_e]).
-    Edge structure is stored as flat arrays so applications cost O(J * |E|).
+    Edge structure is stored as flat arrays. On construction the operator
+    builds what its representation needs (see the module docstring): the
+    dense C when K <= J, else the gather and scatter indices of the adjoint.
     """
 
     lam: float
@@ -79,6 +87,25 @@ class FusionOperator:
             raise ValueError("lam and gamma must be non-negative")
         if self.n_inputs < 1 or self.n_tasks < 1:
             raise ValueError("n_inputs and n_tasks must be >= 1")
+        k, n_edges = self.n_tasks, self.n_edges
+        node = np.arange(k)
+        edge = np.arange(k, k + n_edges)
+        coef = self.gamma * self.edge_weight
+        if k <= self.n_inputs:
+            C = np.zeros((k, k + n_edges))
+            C[node, node] = self.lam
+            C[self.edge_m, edge] = coef
+            C[self.edge_l, edge] = -self.edge_sign * coef
+            object.__setattr__(self, "_C", C)
+            return
+        # A C^T as one bincount over a J x (K + 2|E|) array: column i of A,
+        # times weight i, is added to node i of the same row, for i over the
+        # K diagonal columns, then each edge at its m end, then at its l end.
+        object.__setattr__(self, "_C", None)
+        object.__setattr__(self, "_gather", np.concatenate((node, edge, edge)))
+        object.__setattr__(self, "_weight", np.concatenate((np.full(k, self.lam), coef, -self.edge_sign * coef)))
+        nodes = np.concatenate((node, self.edge_m, self.edge_l))
+        object.__setattr__(self, "_scatter", (k * np.arange(self.n_inputs)[:, None] + nodes).ravel())
 
     @classmethod
     def from_graph(
@@ -121,9 +148,16 @@ class FusionOperator:
             raise ValueError(f"coefficient matrix must have shape {(self.n_inputs, self.n_tasks)}, got {B.shape}")
         return B
 
+    @property
+    def dense(self) -> bool:
+        """Whether C is held as a dense matrix, which is exactly when K <= J."""
+        return self._C is not None
+
     def apply(self, B: np.ndarray) -> np.ndarray:
         """Gamma(B) = B C, shape (J, K + |E|)."""
         B = self._check_coef(B)
+        if self._C is not None:
+            return B @ self._C
         out = np.empty((B.shape[0], self.width))
         out[:, : self.n_tasks] = self.lam * B
         if self.n_edges:
@@ -135,23 +169,26 @@ class FusionOperator:
     def adjoint(self, A: np.ndarray) -> np.ndarray:
         """Gamma*(A) = A C^T, mapping (J, K + |E|) back to (J, K)."""
         A = np.asarray(A, dtype=float)
-        if A.ndim != 2 or A.shape[1] != self.width:
-            raise ValueError(f"auxiliary matrix must have {self.width} columns, got shape {A.shape}")
-        out = self.lam * A[:, : self.n_tasks]
-        if self.n_edges:
-            scaled = (self.gamma * self.edge_weight) * A[:, self.n_tasks :]
-            np.add.at(out, (slice(None), self.edge_m), scaled)
-            np.subtract.at(out, (slice(None), self.edge_l), self.edge_sign * scaled)
-        return out
+        if A.shape != (self.n_inputs, self.width):
+            raise ValueError(f"auxiliary matrix must have shape {(self.n_inputs, self.width)}, got {A.shape}")
+        if self._C is not None:
+            return A @ self._C.T
+        weights = (A[:, self._gather] * self._weight).ravel()
+        return np.bincount(self._scatter, weights, self.n_inputs * self.n_tasks).reshape(self.n_inputs, self.n_tasks)
 
     def aux_optimum(self, B: np.ndarray, mu: float) -> np.ndarray:
         """Maximizer A* = clamp(B C / mu) of <A, B C> - (mu/2) ||A||_F^2 over ||A||_inf <= 1."""
         mu = _check_mu(mu)
-        return shrink(self.apply(B) / mu)
+        G = self.apply(B)
+        np.divide(G, mu, out=G)
+        return np.clip(G, -1.0, 1.0, out=G)
 
     def penalty_exact(self, B: np.ndarray) -> float:
-        """The non-smooth penalty value ||B C||_1, summed directly from the edge list."""
+        """The non-smooth penalty value ||B C||_1."""
         B = self._check_coef(B)
+        if self._C is not None:
+            G = B @ self._C
+            return float(np.abs(G, out=G).sum())
         total = self.lam * float(np.abs(B).sum())
         if self.n_edges:
             diffs = B[:, self.edge_m] - self.edge_sign * B[:, self.edge_l]
@@ -171,11 +208,8 @@ class FusionOperator:
 
     def degrees(self) -> np.ndarray:
         """Weighted degree vector d_k = sum of squared edge weights incident on k."""
-        d = np.zeros(self.n_tasks)
-        if self.n_edges:
-            np.add.at(d, self.edge_m, self.edge_weight**2)
-            np.add.at(d, self.edge_l, self.edge_weight**2)
-        return d
+        w2 = self.edge_weight**2
+        return np.bincount(np.concatenate((self.edge_m, self.edge_l)), np.concatenate((w2, w2)), self.n_tasks)
 
     def norm_bound(self) -> float:
         """sqrt(lam^2 + 2 gamma^2 max_k d_k), an upper bound on sigma_max(C)."""

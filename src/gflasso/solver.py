@@ -235,7 +235,10 @@ def solve(
             return op.smoothed_penalty(B, mu)
 
         def grad(W: np.ndarray) -> np.ndarray:
-            return gram(W) - XtY + op.smoothed_penalty_gradient(W, mu)
+            g = gram(W)
+            g -= XtY
+            g += op.smoothed_penalty_gradient(W, mu)
+            return g
 
     def f_exact(B: np.ndarray) -> float:
         return loss(B) + penalty(B)
@@ -288,6 +291,8 @@ def subgradient_fit(
 
     The default schedule is c / sqrt(t+1) with c = 1 / lam_max(X^T X); the
     subgradient of the penalty is Gamma*(sign(Gamma(B))) with sign(0) = 0.
+    There is no stopping test: the method always runs ``max_iters`` steps and
+    reports ``converged=False``, since nothing certifies the best iterate.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -325,7 +330,7 @@ def subgradient_fit(
         objective_exact=exact,
         objective_smooth=exact,
         iterations=max_iters,
-        converged=True,
+        converged=False,
         lipschitz_used=m.lam_max,
         mu_used=0.0,
         trace=tuple(trace) if trace is not None else None,

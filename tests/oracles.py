@@ -9,6 +9,8 @@ to regenerate those constants.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -50,6 +52,27 @@ def smooth_objective_gradient(X, Y, op, B, mu, XtX=None, XtY=None) -> np.ndarray
     XtX = X.T @ X if XtX is None else XtX
     XtY = X.T @ Y if XtY is None else XtY
     return XtX @ B - XtY + op.smoothed_penalty_gradient(B, mu)
+
+
+def roc_csv_text(curves) -> str:
+    """Plot-ready CSV of one or more labeled ROC curves: columns x,y,series."""
+    lines = ["x,y,series"]
+    for label, curve in curves.items():
+        for fpr, tpr in curve.points:
+            lines.append(f"{fpr:.17g},{tpr:.17g},{label}")
+    return "\n".join(lines) + "\n"
+
+
+def load_dataset(directory):
+    """Read back a dataset written by ``simulate.save_dataset``, through the library's CSV reader."""
+    from gflasso.fileio import read_json, read_matrix_csv
+    from gflasso.simulate import Dataset, GroundTruth, SimulationSpec
+
+    spec = SimulationSpec.from_json_dict(read_json(os.path.join(directory, "spec.json")))
+    X, _ = read_matrix_csv(os.path.join(directory, "X.csv"))
+    Y, _ = read_matrix_csv(os.path.join(directory, "Y.csv"))
+    B, _ = read_matrix_csv(os.path.join(directory, "B_true.csv"))
+    return Dataset(X=X, Y=Y, truth=GroundTruth(B_true=B), spec=spec)
 
 
 def objective_dense(X, Y, B, C) -> float:

@@ -240,7 +240,7 @@ class TestBenchmark:
 
 
 def test_roc_csv_text():
-    from gflasso.evaluate import roc_csv_text
+    from oracles import roc_csv_text
 
     rng = np.random.default_rng(8)
     B_true = (rng.random((6, 4)) < 0.4).astype(float)

@@ -65,6 +65,16 @@ class TestBuildCorrelationGraph:
                     expected.add((m + 1, l + 1))
         assert {(m, l) for m, l, _ in g.edges} == expected
 
+    def test_weights_match_pairwise_pearson(self):
+        # every pair of a 45-output Y clears rho = 0, so every weight is checked
+        spec = SimulationSpec(n_samples=200, n_inputs=100, n_outputs=45, seed=5, group_sizes=(15, 15, 15))
+        Y = simulate_dataset(spec).Y
+        g = build_correlation_graph(Y, 0.0)
+        pairs = [(m, l) for m in range(1, 46) for l in range(m + 1, 46)]
+        assert [(m, l) for m, l, _ in g.edges] == [p for p in pairs if pearson(Y[:, p[0] - 1], Y[:, p[1] - 1]) != 0.0]
+        for m, l, r in g.edges:
+            assert abs(r - pearson(Y[:, m - 1], Y[:, l - 1])) <= 1e-12
+
     def test_constant_column_rejected(self):
         Y = np.ones((10, 2))
         Y[:, 0] = np.arange(10.0)

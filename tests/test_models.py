@@ -162,6 +162,29 @@ class TestFitFusedUnivariate:
         c_star = float(z @ yc / (z @ z))
         assert np.abs(b - c_star).max() <= 1e-3
 
+    def test_rows_of_orthonormal_gflasso_fit(self):
+        # With centered orthonormal designs both objectives separate: a
+        # gflasso fit over K tasks (K <= J: dense C) is J univariate fused
+        # fits over K covariates (1 x K rows: edge arrays), one per row of
+        # Z = X^T Y, up to the constant (1/2) ||Y - X Z||^2. Both see the
+        # same Lipschitz bound, so over a fixed iteration count the joint
+        # iterates are the stacked row iterates up to rounding.
+        rng = np.random.default_rng(23)
+        n, j, k = 30, 6, 4
+        X = np.linalg.qr(center_columns(rng.standard_normal((n, j)))[0])[0]
+        Xf = np.linalg.qr(center_columns(rng.standard_normal((n, k)))[0])[0]
+        Y = X @ (rng.standard_normal((j, k)) * (rng.random((j, k)) < 0.6)) + 0.2 * rng.standard_normal((n, k))
+        Yc = center_columns(Y)[0]
+        Z = X.T @ Yc
+        g = TaskGraph(k, ((1, 2, 0.8), (1, 3, -0.6), (2, 4, 0.5)))
+        config = SolverConfig(rel_obj_tol=1e-300, max_iters=500)
+        joint = fit_gflasso(X, Y, g, PenaltySpec(lam=0.2, gamma=0.3), config).solution
+        rows = [fit_fused_univariate(Xf, Xf @ z, g, lam=0.2, gamma=0.3, config=config).solution for z in Z]
+        assert [joint.iterations] + [r.iterations for r in rows] == [500] * (j + 1)
+        assert np.abs(joint.B_hat - np.vstack([r.B_hat[:, 0] for r in rows])).max() <= 1e-10
+        offset = 0.5 * float(np.vdot(Yc - X @ Z, Yc - X @ Z))
+        assert joint.objective_exact == pytest.approx(offset + sum(r.objective_exact for r in rows), rel=1e-12)
+
     def test_rejects_mismatched_graph(self):
         X = np.random.default_rng(0).standard_normal((10, 4))
         with pytest.raises(ValueError):

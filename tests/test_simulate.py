@@ -152,7 +152,9 @@ class TestPipeline:
 
 
 def test_dataset_save_load_roundtrip(tmp_path):
-    from gflasso.simulate import load_dataset, save_dataset
+    from gflasso.simulate import save_dataset
+
+    from oracles import load_dataset
 
     ds = simulate_dataset(SimulationSpec(seed=31))
     save_dataset(tmp_path, ds)

@@ -236,3 +236,63 @@ class TestConstants:
             C = dense_fusion_matrix(5, g.edges, 0.5, 1.0)
             ratios.append(float(np.linalg.svd(C, compute_uv=False)[0]) / op.norm_bound())
         assert ratios and max(ratios) <= 1.0 + 1e-12 and min(ratios) > 0.5
+
+
+# (label, J, K, edge probability, lam, gamma): the operator keeps a dense C
+# exactly when K <= J and works on the edge arrays otherwise.
+REPRESENTATION_CASES = [
+    ("dense", 6, 4, 0.6, 0.7, 1.3),
+    ("dense_square", 5, 5, 0.5, 0.4, 0.9),
+    ("edges", 3, 7, 0.5, 0.7, 1.3),
+    ("edges_row_layout", 1, 8, 0.4, 0.5, 2.0),
+    ("dense_edgeless", 5, 3, 0.0, 0.8, 1.1),
+    ("edges_edgeless", 2, 5, 0.0, 0.8, 1.1),
+    ("dense_lam_zero", 6, 4, 0.6, 0.0, 1.3),
+    ("edges_lam_zero", 2, 6, 0.6, 0.0, 1.3),
+    ("dense_gamma_zero", 6, 4, 0.6, 0.7, 0.0),
+    ("edges_gamma_zero", 1, 6, 0.6, 0.7, 0.0),
+]
+
+
+@pytest.mark.parametrize("label,J,K,edge_prob,lam,gamma", REPRESENTATION_CASES, ids=[c[0] for c in REPRESENTATION_CASES])
+class TestBothRepresentations:
+    def _setup(self, label, J, K, edge_prob, lam, gamma):
+        rng = np.random.default_rng(sum(map(ord, label)))
+        g = random_graph(rng, K, edge_prob)
+        if label == "edges_row_layout":
+            # a random graph, not a chain: some node must touch an edge that skips a neighbour
+            assert any(l - m > 1 for m, l, _ in g.edges)
+        op = FusionOperator.from_graph(g, lam=lam, gamma=gamma, n_inputs=J)
+        assert op.dense == label.startswith("dense")
+        return rng, g, op, dense_fusion_matrix(K, g.edges, lam, gamma)
+
+    def test_apply_matches_oracle(self, label, J, K, edge_prob, lam, gamma):
+        rng, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)
+        B = rng.standard_normal((J, K))
+        assert op.apply(B).shape == (J, C.shape[1])
+        assert np.allclose(op.apply(B), B @ C, rtol=0.0, atol=1e-12)
+
+    def test_adjoint_matches_oracle(self, label, J, K, edge_prob, lam, gamma):
+        rng, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)
+        A = rng.standard_normal((J, C.shape[1]))
+        B = rng.standard_normal((J, K))
+        assert np.allclose(op.adjoint(A), A @ C.T, rtol=0.0, atol=1e-12)
+        # <B C, A> = <B, A C^T>
+        assert np.vdot(op.apply(B), A) == pytest.approx(np.vdot(B, op.adjoint(A)), rel=1e-12, abs=1e-12)
+
+    def test_penalty_exact_matches_oracle(self, label, J, K, edge_prob, lam, gamma):
+        rng, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)
+        B = rng.standard_normal((J, K))
+        assert op.penalty_exact(B) == pytest.approx(float(np.abs(B @ C).sum()), rel=1e-12, abs=1e-12)
+
+    def test_degrees_match_oracle(self, label, J, K, edge_prob, lam, gamma):
+        _, g, op, _ = self._setup(label, J, K, edge_prob, lam, gamma)
+        H = dense_fusion_matrix(K, g.edges, 0.0, 1.0)[:, K:]
+        assert np.allclose(op.degrees(), (H**2).sum(axis=1), rtol=1e-12, atol=0.0)
+
+    def test_shape_is_checked(self, label, J, K, edge_prob, lam, gamma):
+        _, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)
+        with pytest.raises(ValueError):
+            op.apply(np.zeros((J + 1, K)))
+        with pytest.raises(ValueError):
+            op.adjoint(np.zeros((J + 1, C.shape[1])))

@@ -259,6 +259,15 @@ class TestSubgradientFit:
         sg = subgradient_fit(X, Y, op, max_iters=1000000)
         assert sg.objective_exact == pytest.approx(pg.objective_exact, rel=1e-3)
 
+    def test_never_claims_convergence(self):
+        # no stopping test: a capped run is not a certified optimum
+        X, Y = centered_problem(21)
+        g = TaskGraph(2, ((1, 2, 0.7),))
+        op = FusionOperator.from_graph(g, lam=0.3, gamma=0.3, n_inputs=4)
+        sol = subgradient_fit(X, Y, op, max_iters=3)
+        assert sol.iterations == 3
+        assert sol.converged is False
+
     def test_solution_is_best_iterate_on_exact_objective(self):
         X, Y = centered_problem(20, n=10, j=3, k=2)
         g = TaskGraph(2, ((1, 2, -0.8),))
