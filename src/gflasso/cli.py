@@ -55,13 +55,6 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip() != "")
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GFLASSO_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _require_out_dir(path: str) -> None:
     if not os.path.isdir(path):
         raise ValueError(f"output directory does not exist: {path}")
@@ -291,9 +284,8 @@ def cmd_report(ns: argparse.Namespace) -> int:
         lambda_grid=ns.lambdas,
         gamma_grid=ns.gammas,
         solver=SolverConfig(mu=ns.mu, rel_obj_tol=ns.tol, max_iters=ns.max_iters),
-        include_timing=ns.timing,
     )
-    report = run_replicates(config, max_workers=ns.threads)
+    report = run_replicates(config)
     write_json(os.path.join(ns.out_dir, "report.json"), report.to_json_dict())
     _write_manifest(ns.out_dir, "report", config.to_json_dict(), inputs=[], outputs=["report.json"])
     return EXIT_OK
@@ -386,8 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--holdout", type=int, default=30)
     p_rep.add_argument("--lambdas", type=_float_list, default=DEFAULT_GRID)
     p_rep.add_argument("--gammas", type=_float_list, default=DEFAULT_GRID)
-    p_rep.add_argument("--timing", action="store_true", help="include wall-clock stats (breaks byte-identical reruns)")
-    p_rep.add_argument("--threads", type=int, default=_default_threads(), help="replicate worker cap (env GFLASSO_THREADS)")
+    # Ignored: replicates run serially. Kept parseable only because the
+    # perfbench report_paper workload still passes --threads 1.
+    p_rep.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p_rep.add_argument("--mu", type=float, default=1e-4)
     p_rep.add_argument("--tol", type=float, default=1e-6)
     p_rep.add_argument("--max-iters", type=int, default=50000)

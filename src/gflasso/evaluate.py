@@ -10,14 +10,13 @@ coefficients plus prediction error on an independent test set.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from .errors import DegenerateInputError
-from .graph import EdgeWeightFn, TaskGraph, build_correlation_graph
+from .graph import TaskGraph, build_correlation_graph
 from .models import FitResult, PenaltySpec, fit_gflasso, fit_group_l1l2, fit_lasso
 from .simulate import SimulationSpec, replicate_seed, simulate_dataset, simulate_test_set
 from .smoothing import FusionOperator
@@ -55,19 +54,18 @@ def roc_curve(B_hat: np.ndarray, B_true: np.ndarray) -> RocCurve:
     if n_neg == 0:
         raise DegenerateInputError("true support covers everything; ROC is undefined")
 
-    points: list[tuple[float, float]] = [(0.0, 0.0)]
-    for theta in np.unique(scores)[::-1]:
-        pred = scores > theta
-        tpr = float((pred & truth).sum()) / n_pos
-        fpr = float((pred & ~truth).sum()) / n_neg
-        if (fpr, tpr) != points[-1]:
-            points.append((fpr, tpr))
-    if points[-1] != (1.0, 1.0):
-        points.append((1.0, 1.0))
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+    # One descending sort; the curve takes the cumulative counts at the end
+    # of each tie block, i.e. at every threshold just below a distinct score.
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    tp = np.cumsum(truth[order])
+    fp = np.arange(1, tp.size + 1) - tp
+    ends = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    xs = np.append(0, fp[ends]) / n_neg
+    ys = np.append(0, tp[ends]) / n_pos
+    points = tuple(zip(xs.tolist(), ys.tolist()))
     auc = float(np.trapezoid(ys, xs))
-    return RocCurve(points=tuple(points), auc=auc)
+    return RocCurve(points=points, auc=auc)
 
 
 def prediction_error(fit: FitResult, X_test: np.ndarray, Y_test: np.ndarray) -> float:
@@ -90,12 +88,11 @@ def _fit_method(
     lam: float,
     gamma: float,
     config: SolverConfig,
-    tau: EdgeWeightFn = abs,
 ) -> FitResult:
     if method == "gflasso":
         if graph is None:
             raise ValueError("gflasso needs a task graph")
-        return fit_gflasso(X, Y, graph, PenaltySpec(lam=lam, gamma=gamma, tau=tau), config)
+        return fit_gflasso(X, Y, graph, PenaltySpec(lam=lam, gamma=gamma), config)
     if method == "lasso":
         return fit_lasso(X, Y, PenaltySpec(lam=lam), config)
     if method == "l1l2":
@@ -119,7 +116,6 @@ def select_regularization(
     grid: list[tuple[float, float]],
     holdout: int,
     config: SolverConfig | None = None,
-    tau: EdgeWeightFn = abs,
 ) -> SelectionResult:
     """Pick (lam, gamma) by validation MSE on a deterministic tail holdout.
 
@@ -142,7 +138,7 @@ def select_regularization(
     for lam, gamma in grid:
         row: dict = {"lambda": float(lam), "gamma": float(gamma)}
         try:
-            fit = _fit_method(method, X_tr, Y_tr, graph, lam, gamma, config, tau)
+            fit = _fit_method(method, X_tr, Y_tr, graph, lam, gamma, config)
             row["val_mse"] = prediction_error(fit, X_val, Y_val)
             row["iterations"] = fit.solution.iterations
             row["converged"] = fit.solution.converged
@@ -154,7 +150,7 @@ def select_regularization(
     if not ok:
         raise ValueError("every grid point failed during selection")
     best = min(ok, key=lambda row: (row["val_mse"], -row["lambda"], -row["gamma"]))
-    final = _fit_method(method, X, Y, graph, best["lambda"], best["gamma"], config, tau)
+    final = _fit_method(method, X, Y, graph, best["lambda"], best["gamma"], config)
     return SelectionResult(lam=best["lambda"], gamma=best["gamma"], table=tuple(table), fit=final)
 
 
@@ -169,7 +165,17 @@ class ExperimentConfig:
     lambda_grid: tuple[float, ...] = DEFAULT_GRID
     gamma_grid: tuple[float, ...] = DEFAULT_GRID
     solver: SolverConfig = field(default_factory=SolverConfig)
-    include_timing: bool = False
+
+    def __post_init__(self) -> None:
+        unknown = [m for m in self.methods if m not in METHODS]
+        if not self.methods or unknown:
+            raise ValueError(f"methods must be a non-empty subset of {METHODS}, got {','.join(self.methods)!r}")
+        if not 0 < self.holdout < self.sim.n_samples:
+            raise ValueError(f"holdout must be in (0, {self.sim.n_samples}), got {self.holdout}")
+        if self.test_n < 1:
+            raise ValueError(f"test_n must be >= 1, got {self.test_n}")
+        if self.n_replicates < 1:
+            raise ValueError(f"n_replicates must be >= 1, got {self.n_replicates}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,25 +227,7 @@ class ExperimentReport:
                 "auc": self._stats(self.method_values(m, "auc")),
                 "test_mse": self._stats(self.method_values(m, "test_mse")),
             }
-            if self.config.include_timing:
-                methods_summary[m]["timing"] = {
-                    "fit_s": self._stats(self.method_values(m, "fit_s")),
-                    "periter_s": self._stats(self.method_values(m, "periter_s")),
-                }
-        replicates = []
-        for rep in self.replicates:
-            entry = {
-                "replicate": rep["replicate"],
-                "seed": rep["seed"],
-                "n_edges": rep["n_edges"],
-                "methods": {},
-            }
-            for m, vals in rep["methods"].items():
-                keep = {"lambda", "gamma", "auc", "test_mse", "iterations", "converged"}
-                if self.config.include_timing:
-                    keep |= {"fit_s", "periter_s"}
-                entry["methods"][m] = {k: vals[k] for k in sorted(keep) if k in vals}
-            replicates.append(entry)
+        replicates = [{**rep, "methods": {m: dict(v) for m, v in rep["methods"].items()}} for rep in self.replicates]
         return {
             "config": self.config.to_json_dict(),
             "methods": methods_summary,
@@ -271,28 +259,15 @@ def _run_one_replicate(config: ExperimentConfig, r: int) -> tuple[dict, list[dic
                 "test_mse": prediction_error(sel.fit, X_test, Y_test),
                 "iterations": sel.fit.solution.iterations,
                 "converged": sel.fit.solution.converged,
-                "fit_s": sel.fit.runtime_s,
-                "periter_s": sel.fit.solution.runtime_periter_s,
             }
         except (ValueError, ArithmeticError) as exc:
             failures.append({"replicate": r, "method": method, "error": str(exc)})
     return rep, failures
 
 
-def run_replicates(config: ExperimentConfig, max_workers: int = 1) -> ExperimentReport:
-    """Run the multi-replicate experiment; deterministic given the config.
-
-    Replicates are independent (each derives its own seed), so they may run
-    on a small thread pool; results are aggregated in replicate order.
-    """
-    if config.n_replicates < 1:
-        raise ValueError("n_replicates must be >= 1")
-    results: list[tuple[dict, list[dict]]]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda r: _run_one_replicate(config, r), range(config.n_replicates)))
-    else:
-        results = [_run_one_replicate(config, r) for r in range(config.n_replicates)]
+def run_replicates(config: ExperimentConfig) -> ExperimentReport:
+    """Run the multi-replicate experiment serially; deterministic given the config."""
+    results = [_run_one_replicate(config, r) for r in range(config.n_replicates)]
     replicates = tuple(rep for rep, _ in results)
     failures = tuple(f for _, fs in results for f in fs)
     return ExperimentReport(config=config, replicates=replicates, failures=failures)

@@ -10,15 +10,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError
-
-# Edge weight function tau: correlation -> non-negative fusion weight.
-# Must be non-negative and non-decreasing in |r|; the default is tau(r) = |r|.
-EdgeWeightFn = Callable[[float], float]
 
 
 def sign(r: float) -> float:
@@ -137,9 +132,9 @@ def build_correlation_graph(Y: np.ndarray, rho: float) -> TaskGraph:
     return TaskGraph(node_count=k, edges=tuple(edges), threshold=rho)
 
 
-def chain_graph(n_nodes: int, weight: float = 1.0) -> TaskGraph:
-    """Chain 1-2-3-...-n with constant edge weight (classic fused-lasso layout)."""
-    edges = tuple((j, j + 1, weight) for j in range(1, n_nodes))
+def chain_graph(n_nodes: int) -> TaskGraph:
+    """Chain 1-2-3-...-n with unit edge weights (classic fused-lasso layout)."""
+    edges = tuple((j, j + 1, 1.0) for j in range(1, n_nodes))
     return TaskGraph(node_count=n_nodes, edges=edges)
 
 
@@ -152,11 +147,8 @@ def save_edge_list(graph: TaskGraph, path) -> None:
             writer.writerow([m, l, format(r, ".17g")])
 
 
-def load_edge_list(path, node_count: int | None = None) -> TaskGraph:
-    """Read a graph written by :func:`save_edge_list`.
-
-    If ``node_count`` is omitted it is taken as the largest node index seen.
-    """
+def load_edge_list(path, node_count: int) -> TaskGraph:
+    """Read a graph written by :func:`save_edge_list` over ``node_count`` nodes."""
     edges: list[tuple[int, int, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -171,6 +163,4 @@ def load_edge_list(path, node_count: int | None = None) -> TaskGraph:
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: malformed edge at line {i}: {row}") from exc
             edges.append((m, l, r))
-    if node_count is None:
-        node_count = max((l for _, l, _ in edges), default=1)
     return TaskGraph(node_count=node_count, edges=tuple(edges))

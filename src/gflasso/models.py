@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import EdgeWeightFn, TaskGraph, sign
+from .graph import TaskGraph, sign
 from .smoothing import FusionOperator
 from .solver import Solution, SolverConfig, solve
 
@@ -29,7 +29,6 @@ class PenaltySpec:
 
     lam: float
     gamma: float = 0.0
-    tau: EdgeWeightFn = abs
 
     def __post_init__(self) -> None:
         if self.lam < 0 or self.gamma < 0:
@@ -94,7 +93,7 @@ def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGr
     resid = Y - X @ B
     total = 0.5 * float(np.vdot(resid, resid)) + spec.lam * float(np.abs(B).sum())
     for m, l, r in graph.edges:
-        total += spec.gamma * spec.tau(r) * float(np.abs(B[:, m - 1] - sign(r) * B[:, l - 1]).sum())
+        total += spec.gamma * abs(r) * float(np.abs(B[:, m - 1] - sign(r) * B[:, l - 1]).sum())
     return total
 
 
@@ -115,7 +114,7 @@ def _fit(
     op = None
     if prox is None:
         n_inputs = 1 if rows else Xc.shape[1]
-        op = FusionOperator.from_graph(graph, lam=spec.lam, gamma=spec.gamma, n_inputs=n_inputs, tau=spec.tau)
+        op = FusionOperator.from_graph(graph, lam=spec.lam, gamma=spec.gamma, n_inputs=n_inputs)
     solution = solve(Xc, Yc, config or SolverConfig(), op=op, prox=prox, penalty=penalty)
     return FitResult(
         solution=solution,
@@ -138,7 +137,7 @@ def fit_gflasso(
 def fit_lasso(X: np.ndarray, Y: np.ndarray, spec: PenaltySpec, config: SolverConfig | None = None) -> FitResult:
     """Entrywise-l1 multi-task fit; the edgeless special case of the fused model."""
     empty = TaskGraph(node_count=np.shape(Y)[1])
-    return _fit("lasso", X, Y, empty, PenaltySpec(lam=spec.lam, gamma=0.0, tau=spec.tau), config)
+    return _fit("lasso", X, Y, empty, PenaltySpec(lam=spec.lam), config)
 
 
 def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfig | None = None) -> FitResult:
@@ -165,8 +164,7 @@ def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfi
 
 
 def fit_fused_univariate(
-    X: np.ndarray, y: np.ndarray, input_graph: TaskGraph, lam: float, gamma: float,
-    config: SolverConfig | None = None, tau: EdgeWeightFn = abs,
+    X: np.ndarray, y: np.ndarray, input_graph: TaskGraph, lam: float, gamma: float, config: SolverConfig | None = None
 ) -> FitResult:
     """Univariate-response fused fit with the fusion graph over the covariates.
 
@@ -175,4 +173,4 @@ def fit_fused_univariate(
     reproduces the classic adjacent-difference fused penalty.
     """
     y = np.asarray(y, dtype=float).ravel()
-    return _fit("fused_univariate", X, y, input_graph, PenaltySpec(lam=lam, gamma=gamma, tau=tau), config)
+    return _fit("fused_univariate", X, y, input_graph, PenaltySpec(lam=lam, gamma=gamma), config)

@@ -1,6 +1,6 @@
 """Smooth approximation of the combined l1 + graph-fusion penalty.
 
-The penalty lam * ||B||_1 + gam * sum_e tau(r_e) * sum_j |b_jm - sign(r_e) b_jl|
+The penalty lam * ||B||_1 + gam * sum_e |r_e| * sum_j |b_jm - sign(r_e) b_jl|
 equals ||B C||_1 for the block operator C = (lam * I, gam * H), with H the
 signed incidence matrix of the task graph. Writing the l1 norm through its
 dual gives a max over auxiliary matrices A with ||A||_inf <= 1; subtracting
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import EdgeWeightFn, TaskGraph, sign
+from .graph import TaskGraph
 
 
 def shrink(x):
@@ -67,7 +67,7 @@ class FusionOperator:
     """The linear map B -> B C with C = (lam * I, gam * H), plus its adjoint.
 
     Maps (J, K) coefficient matrices to (J, K + |E|); the first K columns are
-    lam * B and column K + e is gam * tau_e * (B[:, m_e] - sign_e * B[:, l_e]).
+    lam * B and column K + e is gam * |r_e| * (B[:, m_e] - sign(r_e) * B[:, l_e]).
     Edge structure is stored as flat arrays. On construction the operator
     builds what its representation needs (see the module docstring): the
     dense C when K <= J, else the gather and scatter indices of the adjoint.
@@ -108,29 +108,19 @@ class FusionOperator:
         object.__setattr__(self, "_scatter", (k * np.arange(self.n_inputs)[:, None] + nodes).ravel())
 
     @classmethod
-    def from_graph(
-        cls,
-        graph: TaskGraph,
-        lam: float,
-        gamma: float,
-        n_inputs: int,
-        tau: EdgeWeightFn = abs,
-    ) -> "FusionOperator":
-        m = np.array([e[0] - 1 for e in graph.edges], dtype=np.intp)
-        l = np.array([e[1] - 1 for e in graph.edges], dtype=np.intp)
-        w = np.array([tau(e[2]) for e in graph.edges], dtype=float)
-        s = np.array([sign(e[2]) for e in graph.edges], dtype=float)
-        if np.any(w < 0):
-            raise ValueError("tau must be non-negative")
+    def from_graph(cls, graph: TaskGraph, lam: float, gamma: float, n_inputs: int) -> "FusionOperator":
+        """Operator of ``graph``: edge weight |r| and sign -1 if r < 0 else +1."""
+        edges = np.array(graph.edges, dtype=float).reshape(-1, 3)
+        r = edges[:, 2]
         return cls(
             lam=float(lam),
             gamma=float(gamma),
             n_inputs=int(n_inputs),
             n_tasks=graph.node_count,
-            edge_m=m,
-            edge_l=l,
-            edge_weight=w,
-            edge_sign=s,
+            edge_m=edges[:, 0].astype(np.intp) - 1,
+            edge_l=edges[:, 1].astype(np.intp) - 1,
+            edge_weight=np.abs(r),
+            edge_sign=np.where(r < 0, -1.0, 1.0),
         )
 
     @property

@@ -283,13 +283,12 @@ def subgradient_fit(
     X: np.ndarray,
     Y: np.ndarray,
     op: FusionOperator,
-    step_schedule: Callable[[int], float] | None = None,
     max_iters: int = 100000,
     record_trace: bool = False,
 ) -> Solution:
     """Subgradient baseline on the exact objective, tracking the best iterate.
 
-    The default schedule is c / sqrt(t+1) with c = 1 / lam_max(X^T X); the
+    The step is c / sqrt(t+1) with c = 1 / lam_max(X^T X); the
     subgradient of the penalty is Gamma*(sign(Gamma(B))) with sign(0) = 0.
     There is no stopping test: the method always runs ``max_iters`` steps and
     reports ``converged=False``, since nothing certifies the best iterate.
@@ -299,12 +298,7 @@ def subgradient_fit(
     t_start = time.perf_counter()
     m = Moments.from_data(X, Y)
     gram, XtY, loss = m.gram, m.XtY, m.loss_fn()
-    if step_schedule is None:
-        c = 1.0 / m.lam_max if m.lam_max > 0 else 1.0
-
-        def step_schedule(t: int) -> float:
-            return c / np.sqrt(t + 1.0)
-
+    c = 1.0 / m.lam_max if m.lam_max > 0 else 1.0
     B = np.zeros((op.n_inputs, op.n_tasks))
     best_B = B.copy()
     best_f = loss(B) + op.penalty_exact(B)
@@ -312,7 +306,7 @@ def subgradient_fit(
     t_loop = time.perf_counter()
     for t in range(max_iters):
         g = gram(B) - XtY + op.adjoint(np.sign(op.apply(B)))
-        B = B - step_schedule(t) * g
+        B = B - c / np.sqrt(t + 1.0) * g
         f_t = loss(B) + op.penalty_exact(B)
         if not np.isfinite(f_t):
             raise NumericError(f"objective became non-finite at iteration {t}")

@@ -220,6 +220,28 @@ def concordance_auc(scores: np.ndarray, truth: np.ndarray) -> float:
     return wins / (len(pos) * len(neg))
 
 
+def roc_points_threshold_loop(scores: np.ndarray, truth: np.ndarray):
+    """ROC points and trapezoidal AUC by one full threshold pass per distinct score.
+
+    An entry is called relevant when its score strictly exceeds the
+    threshold; points start at (0, 0), skip repeats and end at (1, 1).
+    """
+    n_pos = int(truth.sum())
+    n_neg = truth.size - n_pos
+    points = [(0.0, 0.0)]
+    for theta in np.unique(scores)[::-1]:
+        pred = scores > theta
+        tpr = float((pred & truth).sum()) / n_pos
+        fpr = float((pred & ~truth).sum()) / n_neg
+        if (fpr, tpr) != points[-1]:
+            points.append((fpr, tpr))
+    if points[-1] != (1.0, 1.0):
+        points.append((1.0, 1.0))
+    xs = np.array([p[0] for p in points])
+    ys = np.array([p[1] for p in points])
+    return tuple(points), float(np.trapezoid(ys, xs))
+
+
 # ---------------------------------------------------------------------------
 # Frozen-value generation for the tiny-instance optimum oracles.
 # ---------------------------------------------------------------------------

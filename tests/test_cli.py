@@ -8,7 +8,7 @@ import pytest
 
 import gflasso
 from gflasso.cli import main
-from gflasso.fileio import read_matrix_csv, sha256_file
+from gflasso.fileio import read_matrix_csv, sha256_file, write_matrix_csv
 from gflasso.graph import build_correlation_graph
 from gflasso.models import PenaltySpec, center_columns, objective_gflasso
 
@@ -233,6 +233,79 @@ class TestReportCommand:
         doc = json.loads((outs[0] / "report.json").read_text())
         assert set(doc["methods"]) == {"gflasso", "lasso"}
         assert doc["replicates"][0]["methods"]["lasso"]["auc"] > 0
+
+
+TINY_REPORT = ["--n-samples", "40", "--n-inputs", "15", "--n-outputs", "6", "--group-sizes", "3,3",
+               "--inputs-per-group", "3,3", "--replicates", "2", "--test-n", "15", "--holdout", "10",
+               "--lambdas", "0.1,1", "--gammas", "0.5", "--methods", "gflasso,lasso",
+               "--mu", "1e-3", "--tol", "1e-5", "--max-iters", "2000"]
+
+
+class TestReportArguments:
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--methods", "lassoo", "'lassoo'"),
+            ("--methods", ",", "got ''"),
+            ("--holdout", "100", "holdout must be in (0, 100), got 100"),
+            ("--holdout", "0", "holdout must be in (0, 100), got 0"),
+            ("--test-n", "0", "test_n must be >= 1, got 0"),
+            ("--replicates", "0", "n_replicates must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_value_exits_2_without_report(self, tmp_path, capsys, flag, value, message):
+        assert main(["report", "--out-dir", str(tmp_path), flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_threads_flag_is_accepted_and_changes_nothing(self, tmp_path):
+        # perfbench's report_paper workload passes --threads 1
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            out.mkdir()
+            assert main(["report", "--out-dir", str(out), "--threads", threads, *TINY_REPORT]) == 0
+        for name in ("report.json", "manifest.json"):
+            assert read_bytes(tmp_path / "t1" / name) == read_bytes(tmp_path / "t2" / name)
+
+
+class TestSchemas:
+    def test_artifacts_validate(self, tmp_path):
+        jsonschema = pytest.importorskip("jsonschema")
+        referencing = pytest.importorskip("referencing")
+        from referencing.jsonschema import DRAFT7
+
+        schema_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "schemas")
+        schemas = {}
+        for name in ("fit", "cv", "report"):
+            with open(os.path.join(schema_dir, f"{name}.schema.json")) as fh:
+                schemas[name] = json.load(fh)
+        # cv.schema.json refers to fit.schema.json by relative name; resolve it locally
+        registry = referencing.Registry().with_resources(
+            (f"{name}.schema.json", DRAFT7.create_resource(doc)) for name, doc in schemas.items()
+        )
+
+        def check(kind, path):
+            jsonschema.Draft7Validator(schemas[kind], registry=registry).validate(json.loads(path.read_text()))
+
+        run_simulate(tmp_path, seed=5, extra=["--n-samples", "40", "--n-inputs", "12", "--n-outputs", "4",
+                                              "--group-sizes", "2,2", "--inputs-per-group", "3,3"])
+        X, Y = str(tmp_path / "X.csv"), str(tmp_path / "Y.csv")
+        y1 = str(tmp_path / "y1.csv")
+        write_matrix_csv(y1, read_matrix_csv(Y)[0][:, :1], ["y1"])
+        for method, y in (("gflasso", Y), ("l1l2", Y), ("fused", y1)):
+            out = tmp_path / f"fit_{method}"
+            out.mkdir()
+            assert main(["fit", "--method", method, "--x", X, "--y", y, "--out-dir", str(out), *FAST]) == 0
+            check("fit", out / "fit.json")
+        out = tmp_path / "cv"
+        out.mkdir()
+        assert main(["cv", "--method", "gflasso", "--x", X, "--y", Y, "--out-dir", str(out),
+                     "--lambdas", "0.1,1", "--gammas", "0.5", "--holdout", "10", *FAST]) == 0
+        check("cv", out / "cv.json")
+        out = tmp_path / "report"
+        out.mkdir()
+        assert main(["report", "--out-dir", str(out), *TINY_REPORT]) == 0
+        check("report", out / "report.json")
 
 
 class TestEntryPoint:

@@ -19,7 +19,7 @@ from gflasso.models import PenaltySpec, fit_lasso
 from gflasso.simulate import SimulationSpec, simulate_dataset
 from gflasso.solver import SolverConfig
 
-from oracles import concordance_auc
+from oracles import concordance_auc, roc_points_threshold_loop
 
 FAST_SOLVER = SolverConfig(mu=1e-3, rel_obj_tol=1e-5, max_iters=3000)
 
@@ -66,6 +66,20 @@ class TestRocCurve:
         assert all(a <= b + 1e-15 for a, b in zip(tprs, tprs[1:]))
         assert all(a <= b + 1e-15 for a, b in zip(fprs, fprs[1:]))
         assert curve.auc == pytest.approx(np.trapezoid(tprs, fprs))
+
+    def test_matches_threshold_loop_with_ties(self):
+        # rounding and zeroed entries make many tie blocks, including at zero
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            shape = (int(rng.integers(1, 12)), int(rng.integers(2, 12)))
+            truth = rng.random(shape) < rng.uniform(0.05, 0.6)
+            truth.flat[0], truth.flat[-1] = True, False
+            B_hat = np.round(rng.standard_normal(shape), int(rng.integers(0, 3)))
+            B_hat[rng.random(shape) < 0.3] = 0.0
+            curve = roc_curve(B_hat, truth.astype(float))
+            points, auc = roc_points_threshold_loop(np.abs(B_hat).ravel(), truth.ravel())
+            assert curve.points == points, seed
+            assert curve.auc == auc, seed
 
     def test_degenerate_supports_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -179,12 +193,6 @@ class TestRunReplicates:
         b = run_replicates(config).to_json_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_thread_pool_matches_serial(self):
-        config = tiny_experiment(seed=5, replicates=3)
-        serial = run_replicates(config, max_workers=1).to_json_dict()
-        threaded = run_replicates(config, max_workers=2).to_json_dict()
-        assert json.dumps(serial, sort_keys=True) == json.dumps(threaded, sort_keys=True)
-
     def test_empty_graph_makes_methods_agree(self):
         config = tiny_experiment(seed=1, rho=0.99, replicates=2)
         report = run_replicates(config)
@@ -197,10 +205,7 @@ class TestRunReplicates:
         report = run_replicates(tiny_experiment(seed=2))
         doc = report.to_json_dict()
         assert "timing" not in doc["methods"]["lasso"]
-        assert "fit_s" not in doc["replicates"][0]["methods"]["lasso"]
-        with_timing = dataclasses.replace(tiny_experiment(seed=2), include_timing=True)
-        doc2 = run_replicates(with_timing).to_json_dict()
-        assert "timing" in doc2["methods"]["lasso"]
+        assert not {"fit_s", "periter_s"} & set(doc["replicates"][0]["methods"]["lasso"])
 
 
 class TestBenchmark:
