@@ -10,6 +10,7 @@ files are written atomically so failures leave no partial outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,6 +25,8 @@ from .evaluate import (
     DEFAULT_GRID,
     ExperimentConfig,
     benchmark_csv_text,
+    fit_method,
+    method_grid,
     run_benchmark,
     run_replicates,
     select_regularization,
@@ -37,7 +40,7 @@ from .fileio import (
     write_matrix_csv,
 )
 from .graph import build_correlation_graph, chain_graph, load_edge_list, save_edge_list
-from .models import PenaltySpec, fit_fused_univariate, fit_gflasso, fit_group_l1l2, fit_lasso
+from .models import FitResult, fit_fused_univariate
 from .simulate import SimulationSpec, save_dataset, simulate_dataset
 from .solver import SolverConfig, write_trace_csv
 
@@ -77,6 +80,7 @@ def _write_manifest(out_dir: str, command: str, args: dict, inputs: list[str], o
 
 
 def _solver_config(ns: argparse.Namespace) -> SolverConfig:
+    # bench and report have no --accuracy or --trace
     return SolverConfig(
         mu=ns.mu,
         accuracy=getattr(ns, "accuracy", None),
@@ -86,30 +90,56 @@ def _solver_config(ns: argparse.Namespace) -> SolverConfig:
     )
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
+def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int = 50000, accuracy: bool = True) -> None:
     p.add_argument("--mu", type=float, default=1e-4, help="smoothing parameter (default 1e-4)")
-    p.add_argument(
-        "--accuracy",
-        type=float,
-        default=None,
-        help="target accuracy eps; when set, mu = eps / (2 D) overrides --mu",
-    )
+    if accuracy:
+        p.add_argument(
+            "--accuracy",
+            type=float,
+            default=None,
+            help="target accuracy eps; when set, mu = eps / (2 D) overrides --mu",
+        )
     p.add_argument("--tol", type=float, default=1e-6, help="relative objective-change stopping tolerance")
-    p.add_argument("--max-iters", type=int, default=50000)
+    p.add_argument("--max-iters", type=int, default=max_iters)
+
+
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    # each dest is the name of a SimulationSpec field; _sim_spec relies on it
+    p.add_argument("--n-samples", type=int, default=100)
+    p.add_argument("--n-inputs", type=int, default=30)
+    p.add_argument("--n-outputs", type=int, default=10)
+    p.add_argument("--signal", type=float, default=0.8, help="value of every non-zero true coefficient")
+    p.add_argument("--noise-sd", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--group-sizes", type=_int_list, default=(3, 3, 4))
+    p.add_argument("--inputs-per-group", type=_int_list, default=(3, 4, 4))
+
+
+def _sim_spec(ns: argparse.Namespace) -> SimulationSpec:
+    return SimulationSpec(**{f.name: getattr(ns, f.name) for f in dataclasses.fields(SimulationSpec)})
+
+
+def _write_b_hat(out_dir: str, fit: FitResult) -> None:
+    B = fit.solution.B_hat
+    write_matrix_csv(os.path.join(out_dir, "B_hat.csv"), B, default_headers("y", B.shape[1]))
+
+
+def _fit_args(ns: argparse.Namespace) -> dict:
+    """The manifest args that fit and cv share."""
+    return {
+        "method": ns.method,
+        "x": os.path.abspath(ns.x),
+        "y": os.path.abspath(ns.y),
+        "rho": ns.rho,
+        "mu": ns.mu,
+        "accuracy": ns.accuracy,
+        "tol": ns.tol,
+        "max_iters": ns.max_iters,
+    }
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
-    _require_out_dir(ns.out_dir)
-    spec = SimulationSpec(
-        n_samples=ns.n_samples,
-        n_inputs=ns.n_inputs,
-        n_outputs=ns.n_outputs,
-        signal=ns.signal,
-        noise_sd=ns.noise_sd,
-        seed=ns.seed,
-        group_sizes=ns.group_sizes,
-        inputs_per_group=ns.inputs_per_group,
-    )
+    spec = _sim_spec(ns)
     ds = simulate_dataset(spec)
     save_dataset(ns.out_dir, ds)
     _write_manifest(
@@ -131,19 +161,13 @@ def _load_xy(ns: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_fit(ns: argparse.Namespace) -> int:
-    _require_out_dir(ns.out_dir)
     X, Y = _load_xy(ns)
     config = _solver_config(ns)
     outputs = ["B_hat.csv", "fit.json"]
-    graph = None
-    if ns.method == "gflasso":
-        graph = build_correlation_graph(Y, ns.rho)
-        fit = fit_gflasso(X, Y, graph, PenaltySpec(lam=ns.lam, gamma=ns.gamma), config)
-    elif ns.method == "lasso":
-        fit = fit_lasso(X, Y, PenaltySpec(lam=ns.lam), config)
-    elif ns.method == "l1l2":
-        fit = fit_group_l1l2(X, Y, ns.lam, config)
-    else:  # fused
+    graph = build_correlation_graph(Y, ns.rho) if ns.method == "gflasso" else None
+    if ns.method != "fused":
+        fit = fit_method(ns.method, X, Y, graph, ns.lam, ns.gamma, config)
+    else:
         if Y.shape[1] != 1:
             raise ValueError(f"method=fused needs a single-column response, got {Y.shape[1]} columns")
         if ns.input_graph is not None:
@@ -152,11 +176,7 @@ def cmd_fit(ns: argparse.Namespace) -> int:
             input_graph = chain_graph(X.shape[1])
         fit = fit_fused_univariate(X, Y[:, 0], input_graph, ns.lam, ns.gamma, config)
 
-    write_matrix_csv(
-        os.path.join(ns.out_dir, "B_hat.csv"),
-        fit.solution.B_hat,
-        default_headers("y", fit.solution.B_hat.shape[1]),
-    )
+    _write_b_hat(ns.out_dir, fit)
     write_json(os.path.join(ns.out_dir, "fit.json"), fit.to_json_dict())
     if graph is not None:
         save_edge_list(graph, os.path.join(ns.out_dir, "graph.csv"))
@@ -165,16 +185,9 @@ def cmd_fit(ns: argparse.Namespace) -> int:
         write_trace_csv(fit.solution, os.path.join(ns.out_dir, "trace.csv"))
         outputs.append("trace.csv")
     args = {
-        "method": ns.method,
-        "x": os.path.abspath(ns.x),
-        "y": os.path.abspath(ns.y),
-        "rho": ns.rho,
+        **_fit_args(ns),
         "lambda": ns.lam,
         "gamma": ns.gamma,
-        "mu": ns.mu,
-        "accuracy": ns.accuracy,
-        "tol": ns.tol,
-        "max_iters": ns.max_iters,
         "input_graph": os.path.abspath(ns.input_graph) if ns.input_graph else None,
         "trace": ns.trace,
     }
@@ -184,16 +197,10 @@ def cmd_fit(ns: argparse.Namespace) -> int:
 
 
 def cmd_cv(ns: argparse.Namespace) -> int:
-    _require_out_dir(ns.out_dir)
     X, Y = _load_xy(ns)
-    if ns.holdout >= X.shape[0]:
-        raise ValueError(f"holdout {ns.holdout} must be smaller than the sample count {X.shape[0]}")
     config = _solver_config(ns)
     graph = build_correlation_graph(Y, ns.rho) if ns.method == "gflasso" else None
-    if ns.method == "gflasso":
-        grid = [(l, g) for l in ns.lambdas for g in ns.gammas]
-    else:
-        grid = [(l, 0.0) for l in ns.lambdas]
+    grid = method_grid(ns.method, ns.lambdas, ns.gammas)
     sel = select_regularization(X, Y, graph, ns.method, grid, ns.holdout, config)
     cv_doc = {
         "method": ns.method,
@@ -203,79 +210,35 @@ def cmd_cv(ns: argparse.Namespace) -> int:
         "final_fit": sel.fit.to_json_dict(),
     }
     write_json(os.path.join(ns.out_dir, "cv.json"), cv_doc)
-    write_matrix_csv(
-        os.path.join(ns.out_dir, "B_hat.csv"),
-        sel.fit.solution.B_hat,
-        default_headers("y", sel.fit.solution.B_hat.shape[1]),
-    )
-    args = {
-        "method": ns.method,
-        "x": os.path.abspath(ns.x),
-        "y": os.path.abspath(ns.y),
-        "rho": ns.rho,
-        "lambdas": list(ns.lambdas),
-        "gammas": list(ns.gammas),
-        "holdout": ns.holdout,
-        "mu": ns.mu,
-        "accuracy": ns.accuracy,
-        "tol": ns.tol,
-        "max_iters": ns.max_iters,
-    }
+    _write_b_hat(ns.out_dir, sel.fit)
+    args = {**_fit_args(ns), "lambdas": list(ns.lambdas), "gammas": list(ns.gammas), "holdout": ns.holdout}
     _write_manifest(ns.out_dir, "cv", args, inputs=[ns.x, ns.y], outputs=["cv.json", "B_hat.csv"])
     return EXIT_OK if sel.fit.solution.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
-    _require_out_dir(ns.out_dir)
     methods = tuple(m.strip() for m in ns.methods.split(",") if m.strip())
-    config = SolverConfig(mu=ns.mu, rel_obj_tol=ns.tol, max_iters=ns.max_iters)
-    rows = run_benchmark(
-        ns.axis,
-        list(ns.values),
-        n_samples=ns.n_samples,
-        n_inputs=ns.n_inputs,
-        n_outputs=ns.n_outputs,
-        rho=ns.rho,
-        lam=ns.lam,
-        gamma=ns.gamma,
-        methods=methods,
-        config=config,
-        seed=ns.seed,
-    )
+    # the problem settings the sweep holds fixed, by their run_benchmark and manifest name
+    fixed = {name: getattr(ns, name) for name in ("n_samples", "n_inputs", "n_outputs", "rho", "gamma", "seed")}
+    rows = run_benchmark(ns.axis, list(ns.values), lam=ns.lam, methods=methods, config=_solver_config(ns), **fixed)
     atomic_write_text(os.path.join(ns.out_dir, "bench.csv"), benchmark_csv_text(rows))
     args = {
         "axis": ns.axis,
         "values": list(ns.values),
-        "n_samples": ns.n_samples,
-        "n_inputs": ns.n_inputs,
-        "n_outputs": ns.n_outputs,
-        "rho": ns.rho,
+        **fixed,
         "lambda": ns.lam,
-        "gamma": ns.gamma,
         "methods": list(methods),
         "mu": ns.mu,
         "tol": ns.tol,
         "max_iters": ns.max_iters,
-        "seed": ns.seed,
     }
     _write_manifest(ns.out_dir, "bench", args, inputs=[], outputs=["bench.csv"])
     return EXIT_OK
 
 
 def cmd_report(ns: argparse.Namespace) -> int:
-    _require_out_dir(ns.out_dir)
-    sim = SimulationSpec(
-        n_samples=ns.n_samples,
-        n_inputs=ns.n_inputs,
-        n_outputs=ns.n_outputs,
-        signal=ns.signal,
-        noise_sd=ns.noise_sd,
-        seed=ns.seed,
-        group_sizes=ns.group_sizes,
-        inputs_per_group=ns.inputs_per_group,
-    )
     config = ExperimentConfig(
-        sim=sim,
+        sim=_sim_spec(ns),
         rho=ns.rho,
         methods=tuple(m.strip() for m in ns.methods.split(",") if m.strip()),
         n_replicates=ns.replicates,
@@ -283,7 +246,7 @@ def cmd_report(ns: argparse.Namespace) -> int:
         holdout=ns.holdout,
         lambda_grid=ns.lambdas,
         gamma_grid=ns.gammas,
-        solver=SolverConfig(mu=ns.mu, rel_obj_tol=ns.tol, max_iters=ns.max_iters),
+        solver=_solver_config(ns),
     )
     report = run_replicates(config)
     write_json(os.path.join(ns.out_dir, "report.json"), report.to_json_dict())
@@ -298,14 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset (X.csv, Y.csv, B_true.csv, spec.json)")
     p_sim.add_argument("--out-dir", required=True)
-    p_sim.add_argument("--n-samples", type=int, default=100)
-    p_sim.add_argument("--n-inputs", type=int, default=30)
-    p_sim.add_argument("--n-outputs", type=int, default=10)
-    p_sim.add_argument("--signal", type=float, default=0.8, help="value of every non-zero true coefficient")
-    p_sim.add_argument("--noise-sd", type=float, default=1.0)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--group-sizes", type=_int_list, default=(3, 3, 4))
-    p_sim.add_argument("--inputs-per-group", type=_int_list, default=(3, 4, 4))
+    _add_sim_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit one model to X.csv/Y.csv and write B_hat.csv + fit.json")
@@ -340,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--lambdas", type=_float_list, default=DEFAULT_GRID)
     p_cv.add_argument("--gammas", type=_float_list, default=DEFAULT_GRID)
     p_cv.add_argument("--holdout", type=int, default=30, help="validation rows taken from the end")
-    p_cv.set_defaults(trace=False)
     _add_solver_flags(p_cv)
     p_cv.set_defaults(func=cmd_cv)
 
@@ -356,21 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--gamma", type=float, default=0.1)
     p_bench.add_argument("--methods", default="proxgrad", help="comma-separated: proxgrad,subgrad")
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--mu", type=float, default=1e-4)
-    p_bench.add_argument("--tol", type=float, default=1e-6)
-    p_bench.add_argument("--max-iters", type=int, default=2000)
+    _add_solver_flags(p_bench, max_iters=2000, accuracy=False)
     p_bench.set_defaults(func=cmd_bench)
 
     p_rep = sub.add_parser("report", help="multi-replicate simulate/select/fit/score experiment; writes report.json")
     p_rep.add_argument("--out-dir", required=True)
-    p_rep.add_argument("--n-samples", type=int, default=100)
-    p_rep.add_argument("--n-inputs", type=int, default=30)
-    p_rep.add_argument("--n-outputs", type=int, default=10)
-    p_rep.add_argument("--signal", type=float, default=0.8)
-    p_rep.add_argument("--noise-sd", type=float, default=1.0)
-    p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--group-sizes", type=_int_list, default=(3, 3, 4))
-    p_rep.add_argument("--inputs-per-group", type=_int_list, default=(3, 4, 4))
+    _add_sim_flags(p_rep)
     p_rep.add_argument("--rho", type=float, default=0.1)
     p_rep.add_argument("--methods", default="gflasso,lasso,l1l2")
     p_rep.add_argument("--replicates", type=int, default=10)
@@ -381,9 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Ignored: replicates run serially. Kept parseable only because the
     # perfbench report_paper workload still passes --threads 1.
     p_rep.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    p_rep.add_argument("--mu", type=float, default=1e-4)
-    p_rep.add_argument("--tol", type=float, default=1e-6)
-    p_rep.add_argument("--max-iters", type=int, default=50000)
+    _add_solver_flags(p_rep, accuracy=False)
     p_rep.set_defaults(func=cmd_report)
 
     return parser
@@ -396,6 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
+        _require_out_dir(ns.out_dir)
         return ns.func(ns)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

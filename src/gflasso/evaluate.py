@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .graph import TaskGraph, build_correlation_graph
-from .models import FitResult, PenaltySpec, fit_gflasso, fit_group_l1l2, fit_lasso
+from .models import FitResult, PenaltySpec, center_columns, fit_gflasso, fit_group_l1l2, fit_lasso
 from .simulate import SimulationSpec, replicate_seed, simulate_dataset, simulate_test_set
 from .smoothing import FusionOperator
 from .solver import SolverConfig, subgradient_fit
@@ -80,7 +80,7 @@ def prediction_error(fit: FitResult, X_test: np.ndarray, Y_test: np.ndarray) -> 
     return float(np.mean((Y_test - pred) ** 2))
 
 
-def _fit_method(
+def fit_method(
     method: str,
     X: np.ndarray,
     Y: np.ndarray,
@@ -89,6 +89,7 @@ def _fit_method(
     gamma: float,
     config: SolverConfig,
 ) -> FitResult:
+    """Fit one of :data:`METHODS` at (lam, gamma); lasso and l1/l2 ignore gamma and the graph."""
     if method == "gflasso":
         if graph is None:
             raise ValueError("gflasso needs a task graph")
@@ -98,6 +99,13 @@ def _fit_method(
     if method == "l1l2":
         return fit_group_l1l2(X, Y, lam, config)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+
+
+def method_grid(method: str, lambdas, gammas) -> list[tuple[float, float]]:
+    """The (lam, gamma) points a method is selected over: gflasso crosses both axes, the others take gamma = 0."""
+    if method == "gflasso":
+        return list(product(lambdas, gammas))
+    return [(lam, 0.0) for lam in lambdas]
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,7 @@ def select_regularization(
     for lam, gamma in grid:
         row: dict = {"lambda": float(lam), "gamma": float(gamma)}
         try:
-            fit = _fit_method(method, X_tr, Y_tr, graph, lam, gamma, config)
+            fit = fit_method(method, X_tr, Y_tr, graph, lam, gamma, config)
             row["val_mse"] = prediction_error(fit, X_val, Y_val)
             row["iterations"] = fit.solution.iterations
             row["converged"] = fit.solution.converged
@@ -150,7 +158,7 @@ def select_regularization(
     if not ok:
         raise ValueError("every grid point failed during selection")
     best = min(ok, key=lambda row: (row["val_mse"], -row["lambda"], -row["gamma"]))
-    final = _fit_method(method, X, Y, graph, best["lambda"], best["gamma"], config)
+    final = fit_method(method, X, Y, graph, best["lambda"], best["gamma"], config)
     return SelectionResult(lam=best["lambda"], gamma=best["gamma"], table=tuple(table), fit=final)
 
 
@@ -227,12 +235,11 @@ class ExperimentReport:
                 "auc": self._stats(self.method_values(m, "auc")),
                 "test_mse": self._stats(self.method_values(m, "test_mse")),
             }
-        replicates = [{**rep, "methods": {m: dict(v) for m, v in rep["methods"].items()}} for rep in self.replicates]
         return {
             "config": self.config.to_json_dict(),
             "methods": methods_summary,
             "wins_vs_lasso": {m: self.wins_vs_lasso(m) for m in self.config.methods if m != "lasso"},
-            "replicates": replicates,
+            "replicates": list(self.replicates),
             "failures": list(self.failures),
         }
 
@@ -246,10 +253,7 @@ def _run_one_replicate(config: ExperimentConfig, r: int) -> tuple[dict, list[dic
     rep: dict = {"replicate": r, "seed": seed_r, "n_edges": graph.n_edges, "methods": {}}
     failures: list[dict] = []
     for method in config.methods:
-        if method == "gflasso":
-            grid = [(l, g) for l, g in product(config.lambda_grid, config.gamma_grid)]
-        else:
-            grid = [(l, 0.0) for l in config.lambda_grid]
+        grid = method_grid(method, config.lambda_grid, config.gamma_grid)
         try:
             sel = select_regularization(ds.X, ds.Y, graph, method, grid, config.holdout, config.solver)
             rep["methods"][method] = {
@@ -336,8 +340,8 @@ def run_benchmark(
                 fit = fit_gflasso(ds.X, ds.Y, graph, PenaltySpec(lam=lam, gamma=gamma), config)
                 sol = fit.solution
             else:
-                Xc = ds.X - ds.X.mean(axis=0)
-                Yc = ds.Y - ds.Y.mean(axis=0)
+                Xc, _ = center_columns(ds.X)
+                Yc, _ = center_columns(ds.Y)
                 op = FusionOperator.from_graph(graph, lam=lam, gamma=gamma, n_inputs=j)
                 sol = subgradient_fit(Xc, Yc, op, max_iters=config.max_iters)
             rows.append(

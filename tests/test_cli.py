@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import gflasso
-from gflasso.cli import main
+from gflasso.cli import build_parser, main
 from gflasso.fileio import read_matrix_csv, sha256_file, write_matrix_csv
 from gflasso.graph import build_correlation_graph
 from gflasso.models import PenaltySpec, center_columns, objective_gflasso
@@ -306,6 +307,106 @@ class TestSchemas:
         out.mkdir()
         assert main(["report", "--out-dir", str(out), *TINY_REPORT]) == 0
         check("report", out / "report.json")
+
+
+GRID = (0.001, 0.0027825594022071257, 0.007742636826811269, 0.021544346900318832, 0.059948425031894084,
+        0.1668100537200059, 0.46415888336127775, 1.2915496650148828, 3.593813663804626, 10.0)
+SIM_FLAGS = [
+    ("--n-samples", 100, "int", None, False),
+    ("--n-inputs", 30, "int", None, False),
+    ("--n-outputs", 10, "int", None, False),
+    ("--signal", 0.8, "float", None, False),
+    ("--noise-sd", 1.0, "float", None, False),
+    ("--seed", 0, "int", None, False),
+    ("--group-sizes", (3, 3, 4), "_int_list", None, False),
+    ("--inputs-per-group", (3, 4, 4), "_int_list", None, False),
+]
+# (option strings, default, type name, choices, required) per subcommand in declaration order, as at the
+# last change to the flag set; the shared flag groups must add or drop nothing
+FLAG_INVENTORY = {
+    "simulate": [("--out-dir", None, None, None, True), *SIM_FLAGS],
+    "fit": [
+        ("--method", None, None, ("gflasso", "lasso", "l1l2", "fused"), True),
+        ("--x", None, None, None, True),
+        ("--y", None, None, None, True),
+        ("--out-dir", None, None, None, True),
+        ("--rho", 0.1, "float", None, False),
+        ("--lambda", 0.1, "float", None, False),
+        ("--gamma", 0.1, "float", None, False),
+        ("--input-graph", None, None, None, False),
+        ("--trace", False, None, None, False),
+        ("--mu", 0.0001, "float", None, False),
+        ("--accuracy", None, "float", None, False),
+        ("--tol", 1e-06, "float", None, False),
+        ("--max-iters", 50000, "int", None, False),
+    ],
+    "cv": [
+        ("--method", None, None, ("gflasso", "lasso", "l1l2"), True),
+        ("--x", None, None, None, True),
+        ("--y", None, None, None, True),
+        ("--out-dir", None, None, None, True),
+        ("--rho", 0.1, "float", None, False),
+        ("--lambdas", GRID, "_float_list", None, False),
+        ("--gammas", GRID, "_float_list", None, False),
+        ("--holdout", 30, "int", None, False),
+        ("--mu", 0.0001, "float", None, False),
+        ("--accuracy", None, "float", None, False),
+        ("--tol", 1e-06, "float", None, False),
+        ("--max-iters", 50000, "int", None, False),
+    ],
+    "bench": [
+        ("--axis", None, None, ("J", "N", "K", "rho"), True),
+        ("--values", None, "_float_list", None, True),
+        ("--out-dir", None, None, None, True),
+        ("--n-samples", 200, "int", None, False),
+        ("--n-inputs", 100, "int", None, False),
+        ("--n-outputs", 20, "int", None, False),
+        ("--rho", 0.5, "float", None, False),
+        ("--lambda", 0.1, "float", None, False),
+        ("--gamma", 0.1, "float", None, False),
+        ("--methods", "proxgrad", None, None, False),
+        ("--seed", 0, "int", None, False),
+        ("--mu", 0.0001, "float", None, False),
+        ("--tol", 1e-06, "float", None, False),
+        ("--max-iters", 2000, "int", None, False),
+    ],
+    "report": [
+        ("--out-dir", None, None, None, True),
+        *SIM_FLAGS,
+        ("--rho", 0.1, "float", None, False),
+        ("--methods", "gflasso,lasso,l1l2", None, None, False),
+        ("--replicates", 10, "int", None, False),
+        ("--test-n", 50, "int", None, False),
+        ("--holdout", 30, "int", None, False),
+        ("--lambdas", GRID, "_float_list", None, False),
+        ("--gammas", GRID, "_float_list", None, False),
+        ("--threads", None, "int", None, False),
+        ("--mu", 0.0001, "float", None, False),
+        ("--tol", 1e-06, "float", None, False),
+        ("--max-iters", 50000, "int", None, False),
+    ],
+}
+
+
+class TestFlagInventory:
+    @staticmethod
+    def subcommands():
+        parser = build_parser()
+        return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_every_subcommand_keeps_its_flags(self):
+        seen = {}
+        for name, sub in self.subcommands().items():
+            seen[name] = [
+                ("/".join(a.option_strings), a.default, a.type and a.type.__name__, a.choices, a.required)
+                for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+        assert seen == FLAG_INVENTORY
+
+    def test_threads_stays_hidden(self):
+        threads = [a for a in self.subcommands()["report"]._actions if "--threads" in a.option_strings]
+        assert threads[0].help == argparse.SUPPRESS
 
 
 class TestEntryPoint:
