@@ -10,7 +10,7 @@ a synthetic-data benchmark harness, and a CLI round out the package.
 __version__ = "0.1.0"
 
 from .errors import DegenerateInputError, NumericError
-from .graph import TaskGraph, build_correlation_graph, chain_graph, pearson
+from .graph import TaskGraph, build_correlation_graph, chain_graph
 from .models import (
     FitResult,
     PenaltySpec,
@@ -30,7 +30,6 @@ __all__ = [
     "TaskGraph",
     "build_correlation_graph",
     "chain_graph",
-    "pearson",
     "FitResult",
     "PenaltySpec",
     "fit_fused_univariate",

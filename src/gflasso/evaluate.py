@@ -89,15 +89,19 @@ def fit_method(
     gamma: float,
     config: SolverConfig,
 ) -> FitResult:
-    """Fit one of :data:`METHODS` at (lam, gamma); lasso and l1/l2 ignore gamma and the graph."""
+    """Fit one of :data:`METHODS` at (lam, gamma); lasso and l1/l2 ignore gamma and the graph.
+
+    Both weights are validated for every method, so a bad gamma is refused even where it is unused.
+    """
+    spec = PenaltySpec(lam=lam, gamma=gamma)
     if method == "gflasso":
         if graph is None:
             raise ValueError("gflasso needs a task graph")
-        return fit_gflasso(X, Y, graph, PenaltySpec(lam=lam, gamma=gamma), config)
+        return fit_gflasso(X, Y, graph, spec, config)
     if method == "lasso":
-        return fit_lasso(X, Y, PenaltySpec(lam=lam), config)
+        return fit_lasso(X, Y, spec, config)
     if method == "l1l2":
-        return fit_group_l1l2(X, Y, lam, config)
+        return fit_group_l1l2(X, Y, spec.lam, config)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -184,6 +188,11 @@ class ExperimentConfig:
             raise ValueError(f"test_n must be >= 1, got {self.test_n}")
         if self.n_replicates < 1:
             raise ValueError(f"n_replicates must be >= 1, got {self.n_replicates}")
+        if not self.lambda_grid or ("gflasso" in self.methods and not self.gamma_grid):
+            raise ValueError("the lambda grid, and the gamma grid when gflasso is selected, must be non-empty")
+        bad = [v for v in (*self.lambda_grid, *self.gamma_grid) if not 0 <= v < np.inf]
+        if bad:
+            raise ValueError(f"grid values must be finite and non-negative, got {bad[0]}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -318,10 +327,12 @@ def run_benchmark(
     """
     if axis not in BENCH_AXES:
         raise ValueError(f"axis must be one of {BENCH_AXES}, got {axis!r}")
+    if not values:
+        raise ValueError("the sweep needs at least one axis value")
+    unknown = [m for m in methods if m not in ("proxgrad", "subgrad")]
+    if not methods or unknown:
+        raise ValueError(f"bench methods must be a non-empty subset of proxgrad,subgrad, got {','.join(methods)!r}")
     config = config or SolverConfig()
-    for m in methods:
-        if m not in ("proxgrad", "subgrad"):
-            raise ValueError(f"unknown bench method {m!r}")
     rows: list[dict] = []
     for value in values:
         n, j, k, r = n_samples, n_inputs, n_outputs, rho

@@ -83,7 +83,8 @@ def default_headers(prefix: str, count: int) -> list[str]:
 
 
 def json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinite value raises ValueError instead of being written."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> None:

@@ -59,35 +59,6 @@ class TaskGraph:
 _UNIT_SNAP = 4 * np.finfo(float).eps
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Sample Pearson correlation between two vectors.
-
-    Values within a few ulp of +-1 are snapped to exactly +-1, so exactly
-    collinear inputs report 1.0 rather than 1 minus rounding noise.
-
-    Raises
-    ------
-    DegenerateInputError
-        If either vector is constant (zero variance) or shorter than 2.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 2:
-        raise DegenerateInputError("need at least 2 observations for a correlation")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(np.dot(xc, xc))
-    syy = float(np.dot(yc, yc))
-    if sxx == 0.0 or syy == 0.0:
-        raise DegenerateInputError("constant vector has no defined correlation")
-    r = float(np.dot(xc, yc)) / float(np.sqrt(sxx * syy))
-    if abs(r) >= 1.0 - _UNIT_SNAP:
-        return 1.0 if r > 0 else -1.0
-    return r
-
-
 def build_correlation_graph(Y: np.ndarray, rho: float) -> TaskGraph:
     """Connect output pairs whose absolute correlation strictly exceeds rho.
 
@@ -105,8 +76,8 @@ def build_correlation_graph(Y: np.ndarray, rho: float) -> TaskGraph:
         the edge weight.
 
     All K (K - 1) / 2 correlations come from one product of the centered Y
-    with itself; each agrees with :func:`pearson` to rounding, including
-    its snap to +-1.
+    with itself. Values within a few ulp of +-1 are snapped to exactly +-1,
+    so exactly collinear outputs report 1.0 rather than 1 minus rounding noise.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:

@@ -31,8 +31,8 @@ class PenaltySpec:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.lam < 0 or self.gamma < 0:
-            raise ValueError("lam and gamma must be non-negative")
+        if not (0 <= self.lam < np.inf and 0 <= self.gamma < np.inf):
+            raise ValueError(f"lam and gamma must be finite and non-negative, got lam={self.lam}, gamma={self.gamma}")
 
 
 @dataclass(frozen=True)

@@ -56,10 +56,10 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if min(self.n_samples, self.n_inputs, self.n_outputs) < 1:
             raise ValueError("n_samples, n_inputs, n_outputs must be >= 1")
-        if not self.signal > 0:
-            raise ValueError("signal must be positive")
-        if self.noise_sd < 0:
-            raise ValueError("noise_sd must be non-negative")
+        if not 0 < self.signal < np.inf:
+            raise ValueError(f"signal must be positive and finite, got {self.signal}")
+        if not 0 <= self.noise_sd < np.inf:
+            raise ValueError(f"noise_sd must be finite and non-negative, got {self.noise_sd}")
         if sum(self.group_sizes) != self.n_outputs:
             raise ValueError(f"group sizes {self.group_sizes} must sum to n_outputs={self.n_outputs}")
         if len(self.inputs_per_group) != len(self.group_sizes):
@@ -77,28 +77,10 @@ class SimulationSpec:
         d["inputs_per_group"] = list(self.inputs_per_group)
         return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SimulationSpec":
-        return cls(
-            n_samples=int(d["n_samples"]),
-            n_inputs=int(d["n_inputs"]),
-            n_outputs=int(d["n_outputs"]),
-            signal=float(d["signal"]),
-            noise_sd=float(d["noise_sd"]),
-            seed=int(d["seed"]),
-            group_sizes=tuple(int(g) for g in d["group_sizes"]),
-            inputs_per_group=tuple(int(g) for g in d["inputs_per_group"]),
-        )
-
 
 @dataclass(frozen=True)
 class GroundTruth:
     B_true: np.ndarray
-
-    @property
-    def support(self) -> set[tuple[int, int]]:
-        rows, cols = np.nonzero(self.B_true)
-        return set(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)

@@ -175,15 +175,8 @@ class FusionOperator:
 
     def penalty_exact(self, B: np.ndarray) -> float:
         """The non-smooth penalty value ||B C||_1."""
-        B = self._check_coef(B)
-        if self._C is not None:
-            G = B @ self._C
-            return float(np.abs(G, out=G).sum())
-        total = self.lam * float(np.abs(B).sum())
-        if self.n_edges:
-            diffs = B[:, self.edge_m] - self.edge_sign * B[:, self.edge_l]
-            total += self.gamma * float((np.abs(diffs) * self.edge_weight).sum())
-        return total
+        G = self.apply(B)
+        return float(np.abs(G, out=G).sum())
 
     def smoothed_penalty(self, B: np.ndarray, mu: float) -> float:
         """Smooth lower bound f_mu(B) = <A*, B C> - (mu/2) ||A*||_F^2."""

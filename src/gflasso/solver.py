@@ -51,12 +51,13 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.accuracy is None and not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.accuracy is not None and not self.accuracy > 0:
-            raise ValueError(f"accuracy must be positive, got {self.accuracy}")
-        if not self.rel_obj_tol > 0:
-            raise ValueError("rel_obj_tol must be positive")
+        # mu is checked for finiteness even when accuracy overrides it, so no setting can be NaN or infinite
+        if not np.isfinite(self.mu) or (self.accuracy is None and not self.mu > 0):
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if self.accuracy is not None and not 0 < self.accuracy < np.inf:
+            raise ValueError(f"accuracy must be positive and finite, got {self.accuracy}")
+        if not 0 < self.rel_obj_tol < np.inf:
+            raise ValueError(f"rel_obj_tol must be positive and finite, got {self.rel_obj_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 

@@ -27,6 +27,37 @@ def pearson_two_pass(x, y) -> float:
     return sxy / np.sqrt(sxx * syy)
 
 
+_UNIT_SNAP = 4 * np.finfo(float).eps
+
+
+def pearson(x, y) -> float:
+    """Sample Pearson correlation between two vectors, from numpy dot products.
+
+    Values within a few ulp of +-1 are snapped to exactly +-1, as in
+    ``graph.build_correlation_graph``, so exactly collinear inputs report
+    1.0 rather than 1 minus rounding noise. A constant vector or one shorter
+    than 2 raises ``DegenerateInputError``.
+    """
+    from gflasso.errors import DegenerateInputError
+
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"length mismatch: {x.shape[0]} vs {y.shape[0]}")
+    if x.shape[0] < 2:
+        raise DegenerateInputError("need at least 2 observations for a correlation")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    sxx = float(np.dot(xc, xc))
+    syy = float(np.dot(yc, yc))
+    if sxx == 0.0 or syy == 0.0:
+        raise DegenerateInputError("constant vector has no defined correlation")
+    r = float(np.dot(xc, yc)) / float(np.sqrt(sxx * syy))
+    if abs(r) >= 1.0 - _UNIT_SNAP:
+        return 1.0 if r > 0 else -1.0
+    return r
+
+
 def dense_fusion_matrix(n_tasks: int, edges, lam: float, gamma: float) -> np.ndarray:
     """Assemble C = (lam I, gamma H) entry by entry from the edge definition."""
     k = n_tasks
@@ -63,12 +94,34 @@ def roc_csv_text(curves) -> str:
     return "\n".join(lines) + "\n"
 
 
+def spec_from_json_dict(d: dict):
+    """Rebuild a ``SimulationSpec`` from its ``to_json_dict`` form (spec.json)."""
+    from gflasso.simulate import SimulationSpec
+
+    return SimulationSpec(
+        n_samples=int(d["n_samples"]),
+        n_inputs=int(d["n_inputs"]),
+        n_outputs=int(d["n_outputs"]),
+        signal=float(d["signal"]),
+        noise_sd=float(d["noise_sd"]),
+        seed=int(d["seed"]),
+        group_sizes=tuple(int(g) for g in d["group_sizes"]),
+        inputs_per_group=tuple(int(g) for g in d["inputs_per_group"]),
+    )
+
+
+def support(B) -> set[tuple[int, int]]:
+    """The (row, column) positions of the non-zero entries of B, 0-based."""
+    rows, cols = np.nonzero(B)
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
 def load_dataset(directory):
     """Read back a dataset written by ``simulate.save_dataset``, through the library's CSV reader."""
     from gflasso.fileio import read_json, read_matrix_csv
-    from gflasso.simulate import Dataset, GroundTruth, SimulationSpec
+    from gflasso.simulate import Dataset, GroundTruth
 
-    spec = SimulationSpec.from_json_dict(read_json(os.path.join(directory, "spec.json")))
+    spec = spec_from_json_dict(read_json(os.path.join(directory, "spec.json")))
     X, _ = read_matrix_csv(os.path.join(directory, "X.csv"))
     Y, _ = read_matrix_csv(os.path.join(directory, "Y.csv"))
     B, _ = read_matrix_csv(os.path.join(directory, "B_true.csv"))

@@ -9,7 +9,7 @@ import pytest
 
 import gflasso
 from gflasso.cli import build_parser, main
-from gflasso.fileio import read_matrix_csv, sha256_file, write_matrix_csv
+from gflasso.fileio import json_text, read_matrix_csv, sha256_file, write_matrix_csv
 from gflasso.graph import build_correlation_graph
 from gflasso.models import PenaltySpec, center_columns, objective_gflasso
 
@@ -204,6 +204,16 @@ class TestCvCommand:
 
 
 class TestBenchCommand:
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--values", "", "at least one axis value"), ("--methods", ",", "got ''")],
+    )
+    def test_empty_sweep_exits_2_without_csv(self, tmp_path, capsys, flag, value, message):
+        args = ["bench", "--axis", "rho", "--values", "0.5", "--out-dir", str(tmp_path), "--max-iters", "5"]
+        assert main([*args, flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_rho_axis_and_header(self, tmp_path):
         out = tmp_path / "bench"
         out.mkdir()
@@ -267,6 +277,64 @@ class TestReportArguments:
             assert main(["report", "--out-dir", str(out), "--threads", threads, *TINY_REPORT]) == 0
         for name in ("report.json", "manifest.json"):
             assert read_bytes(tmp_path / "t1" / name) == read_bytes(tmp_path / "t2" / name)
+
+
+class TestNonFiniteArguments:
+    """A NaN, infinite, negative or empty numeric argument exits 2, names the value and writes nothing."""
+
+    @pytest.fixture(scope="class")
+    def data_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("data")
+        run_simulate(path, seed=3)
+        return path
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--lambda", "nan"], "got lam=nan, gamma=0.1"),
+            (["--lambda", "inf"], "got lam=inf, gamma=0.1"),
+            (["--gamma", "nan"], "got lam=0.1, gamma=nan"),
+            (["--method", "lasso", "--gamma", "inf"], "got lam=0.1, gamma=inf"),
+            (["--mu", "inf"], "mu must be positive and finite, got inf"),
+            (["--mu", "nan", "--accuracy", "1e-3"], "mu must be positive and finite, got nan"),
+            (["--accuracy", "inf"], "accuracy must be positive and finite, got inf"),
+            (["--tol", "nan"], "rel_obj_tol must be positive and finite, got nan"),
+        ],
+    )
+    def test_fit(self, data_dir, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["fit", "--method", "gflasso", "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
+                     "--out-dir", str(out), *FAST, *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--lambdas", ""], "the lambda grid"),
+            (["--lambdas=-1"], "got -1.0"),
+            (["--lambdas", "0.1,inf"], "got inf"),
+            (["--gammas", ""], "the gamma grid when gflasso is selected"),
+            (["--gammas", "nan"], "got nan"),
+            (["--noise-sd", "nan"], "noise_sd must be finite and non-negative, got nan"),
+        ],
+    )
+    def test_report(self, tmp_path, capsys, flags, message):
+        assert main(["report", "--out-dir", str(tmp_path), *TINY_REPORT, *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_simulate(self, tmp_path, capsys):
+        assert run_simulate(tmp_path, extra=["--signal", "inf"]) == 2
+        assert "signal must be positive and finite, got inf" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_text_refuses_non_finite(self, value):
+        with pytest.raises(ValueError):
+            json_text({"x": [1.0, value]})
 
 
 class TestSchemas:

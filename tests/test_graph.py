@@ -7,13 +7,12 @@ from gflasso.graph import (
     build_correlation_graph,
     chain_graph,
     load_edge_list,
-    pearson,
     save_edge_list,
 )
 from gflasso.simulate import SimulationSpec, simulate_dataset
 from gflasso.smoothing import FusionOperator
 
-from oracles import pearson_two_pass
+from oracles import pearson, pearson_two_pass
 
 
 class TestPearson:
