@@ -90,7 +90,7 @@ def _solver_config(ns: argparse.Namespace) -> SolverConfig:
     )
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int = 50000, accuracy: bool = True) -> None:
+def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int, accuracy: bool) -> None:
     p.add_argument("--mu", type=float, default=1e-4, help="smoothing parameter (default 1e-4)")
     if accuracy:
         p.add_argument(
@@ -165,9 +165,7 @@ def cmd_fit(ns: argparse.Namespace) -> int:
     config = _solver_config(ns)
     outputs = ["B_hat.csv", "fit.json"]
     graph = build_correlation_graph(Y, ns.rho) if ns.method == "gflasso" else None
-    if ns.method != "fused":
-        fit = fit_method(ns.method, X, Y, graph, ns.lam, ns.gamma, config)
-    else:
+    if ns.method == "fused":
         if Y.shape[1] != 1:
             raise ValueError(f"method=fused needs a single-column response, got {Y.shape[1]} columns")
         if ns.input_graph is not None:
@@ -175,6 +173,8 @@ def cmd_fit(ns: argparse.Namespace) -> int:
         else:
             input_graph = chain_graph(X.shape[1])
         fit = fit_fused_univariate(X, Y[:, 0], input_graph, ns.lam, ns.gamma, config)
+    else:
+        fit = fit_method(ns.method, X, Y, graph, ns.lam, ns.gamma, config)
 
     _write_b_hat(ns.out_dir, fit)
     write_json(os.path.join(ns.out_dir, "fit.json"), fit.to_json_dict())
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="edge-list CSV (m,l,r) over the covariates for method=fused; default is a chain",
     )
     p_fit.add_argument("--trace", action="store_true", help="also write per-iteration trace.csv")
-    _add_solver_flags(p_fit)
+    _add_solver_flags(p_fit, max_iters=50000, accuracy=True)
     p_fit.set_defaults(func=cmd_fit)
 
     p_cv = sub.add_parser("cv", help="select lambda/gamma on a tail holdout and refit on all samples")
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument("--lambdas", type=_float_list, default=DEFAULT_GRID)
     p_cv.add_argument("--gammas", type=_float_list, default=DEFAULT_GRID)
     p_cv.add_argument("--holdout", type=int, default=30, help="validation rows taken from the end")
-    _add_solver_flags(p_cv)
+    _add_solver_flags(p_cv, max_iters=50000, accuracy=True)
     p_cv.set_defaults(func=cmd_cv)
 
     p_bench = sub.add_parser("bench", help="wall-time scaling sweep along one axis; writes bench.csv")
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Ignored: replicates run serially. Kept parseable only because the
     # perfbench report_paper workload still passes --threads 1.
     p_rep.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    _add_solver_flags(p_rep, accuracy=False)
+    _add_solver_flags(p_rep, max_iters=50000, accuracy=False)
     p_rep.set_defaults(func=cmd_report)
 
     return parser

@@ -105,7 +105,7 @@ def fit_method(
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
-def method_grid(method: str, lambdas, gammas) -> list[tuple[float, float]]:
+def method_grid(method: str, lambdas: tuple[float, ...], gammas: tuple[float, ...]) -> list[tuple[float, float]]:
     """The (lam, gamma) points a method is selected over: gflasso crosses both axes, the others take gamma = 0."""
     if method == "gflasso":
         return list(product(lambdas, gammas))

@@ -83,8 +83,8 @@ class FusionOperator:
     edge_sign: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self) -> None:
-        if self.lam < 0 or self.gamma < 0:
-            raise ValueError("lam and gamma must be non-negative")
+        if not (0 <= self.lam < np.inf and 0 <= self.gamma < np.inf):
+            raise ValueError(f"lam and gamma must be finite and non-negative, got lam={self.lam}, gamma={self.gamma}")
         if self.n_inputs < 1 or self.n_tasks < 1:
             raise ValueError("n_inputs and n_tasks must be >= 1")
         k, n_edges = self.n_tasks, self.n_edges

@@ -326,6 +326,15 @@ class TestNonFiniteArguments:
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("method", ["proxgrad", "subgrad"])
+    def test_bench(self, tmp_path, capsys, method):
+        code = main(["bench", "--axis", "rho", "--values", "0.5", "--methods", method, "--lambda", "nan",
+                     "--n-samples", "30", "--n-inputs", "15", "--n-outputs", "6", "--max-iters", "5",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "got lam=nan, gamma=0.1" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_simulate(self, tmp_path, capsys):
         assert run_simulate(tmp_path, extra=["--signal", "inf"]) == 2
         assert "signal must be positive and finite, got inf" in capsys.readouterr().err
