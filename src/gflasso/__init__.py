@@ -22,7 +22,7 @@ from .models import (
 )
 from .simulate import Dataset, GroundTruth, SimulationSpec, simulate_dataset
 from .smoothing import FusionOperator, gap_constant, operator_norm_bound, shrink
-from .solver import Solution, SolverConfig, iteration_bound, largest_eigenvalue, prox_grad_fit, subgradient_fit
+from .solver import Solution, SolverConfig, largest_eigenvalue, prox_grad_fit, subgradient_fit
 
 __all__ = [
     "DegenerateInputError",
@@ -47,7 +47,6 @@ __all__ = [
     "shrink",
     "Solution",
     "SolverConfig",
-    "iteration_bound",
     "largest_eigenvalue",
     "prox_grad_fit",
     "subgradient_fit",

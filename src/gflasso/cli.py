@@ -2,9 +2,11 @@
 
 Commands: simulate, fit, cv, bench, report. Exit codes: 0 success,
 2 usage or input error, 3 fit stopped at the iteration cap without
-converging, 4 internal numeric error. Every command writes a manifest.json
-recording the resolved arguments, input digests, and artifact paths; all
-files are written atomically so failures leave no partial outputs.
+converging, 4 internal numeric error. Every command renders all of its
+files first, then writes each one atomically, and writes manifest.json
+(the resolved arguments, input digests and artifact names) last. A command
+that fails, also on a non-finite value in a flag its method ignores, writes
+nothing; only an OS error during the writes can leave earlier files behind.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -31,18 +34,11 @@ from .evaluate import (
     run_replicates,
     select_regularization,
 )
-from .fileio import (
-    atomic_write_text,
-    default_headers,
-    read_matrix_csv,
-    sha256_file,
-    write_json,
-    write_matrix_csv,
-)
-from .graph import build_correlation_graph, chain_graph, load_edge_list, save_edge_list
+from .fileio import atomic_write_text, default_headers, json_text, matrix_csv_text, read_matrix_csv, sha256_file
+from .graph import build_correlation_graph, chain_graph, edge_list_text, load_edge_list
 from .models import FitResult, fit_fused_univariate
-from .simulate import SimulationSpec, save_dataset, simulate_dataset
-from .solver import SolverConfig, write_trace_csv
+from .simulate import SimulationSpec, simulate_dataset
+from .solver import SolverConfig, trace_csv_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -67,16 +63,27 @@ def _config_digest(args: dict) -> str:
     return hashlib.sha256(json.dumps(args, sort_keys=True).encode()).hexdigest()
 
 
-def _write_manifest(out_dir: str, command: str, args: dict, inputs: list[str], outputs: list[str]) -> None:
+def _check_finite(args: dict) -> None:
+    """Name the flag of a non-finite float; json_text would refuse it without saying which."""
+    for key, value in args.items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"--{key.replace('_', '-')} must be finite, got {v}")
+
+
+def _write_outputs(out_dir: str, command: str, args: dict, inputs: list[str], artifacts: dict[str, str]) -> None:
+    """Render the manifest over ``{file name: text}``, then write every file atomically, the manifest last."""
+    _check_finite(args)
     manifest = {
         "command": command,
         "version": __version__,
         "args": args,
         "config_digest": _config_digest(args),
         "inputs": {os.path.basename(p): sha256_file(p) for p in inputs},
-        "outputs": sorted(outputs),
+        "outputs": sorted(artifacts),
     }
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    for name, text in {**artifacts, "manifest.json": json_text(manifest)}.items():
+        atomic_write_text(os.path.join(out_dir, name), text)
 
 
 def _solver_config(ns: argparse.Namespace) -> SolverConfig:
@@ -119,9 +126,9 @@ def _sim_spec(ns: argparse.Namespace) -> SimulationSpec:
     return SimulationSpec(**{f.name: getattr(ns, f.name) for f in dataclasses.fields(SimulationSpec)})
 
 
-def _write_b_hat(out_dir: str, fit: FitResult) -> None:
+def _b_hat_text(fit: FitResult) -> str:
     B = fit.solution.B_hat
-    write_matrix_csv(os.path.join(out_dir, "B_hat.csv"), B, default_headers("y", B.shape[1]))
+    return matrix_csv_text(B, default_headers("y", B.shape[1]))
 
 
 def _fit_args(ns: argparse.Namespace) -> dict:
@@ -141,14 +148,13 @@ def _fit_args(ns: argparse.Namespace) -> dict:
 def cmd_simulate(ns: argparse.Namespace) -> int:
     spec = _sim_spec(ns)
     ds = simulate_dataset(spec)
-    save_dataset(ns.out_dir, ds)
-    _write_manifest(
-        ns.out_dir,
-        "simulate",
-        spec.to_json_dict(),
-        inputs=[],
-        outputs=["X.csv", "Y.csv", "B_true.csv", "spec.json"],
-    )
+    artifacts = {
+        "X.csv": matrix_csv_text(ds.X, default_headers("x", spec.n_inputs)),
+        "Y.csv": matrix_csv_text(ds.Y, default_headers("y", spec.n_outputs)),
+        "B_true.csv": matrix_csv_text(ds.truth.B_true, default_headers("y", spec.n_outputs)),
+        "spec.json": json_text(spec.to_json_dict()),
+    }
+    _write_outputs(ns.out_dir, "simulate", spec.to_json_dict(), [], artifacts)
     return EXIT_OK
 
 
@@ -163,7 +169,6 @@ def _load_xy(ns: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
 def cmd_fit(ns: argparse.Namespace) -> int:
     X, Y = _load_xy(ns)
     config = _solver_config(ns)
-    outputs = ["B_hat.csv", "fit.json"]
     graph = build_correlation_graph(Y, ns.rho) if ns.method == "gflasso" else None
     if ns.method == "fused":
         if Y.shape[1] != 1:
@@ -176,14 +181,11 @@ def cmd_fit(ns: argparse.Namespace) -> int:
     else:
         fit = fit_method(ns.method, X, Y, graph, ns.lam, ns.gamma, config)
 
-    _write_b_hat(ns.out_dir, fit)
-    write_json(os.path.join(ns.out_dir, "fit.json"), fit.to_json_dict())
+    artifacts = {"B_hat.csv": _b_hat_text(fit), "fit.json": json_text(fit.to_json_dict())}
     if graph is not None:
-        save_edge_list(graph, os.path.join(ns.out_dir, "graph.csv"))
-        outputs.append("graph.csv")
+        artifacts["graph.csv"] = edge_list_text(graph)
     if ns.trace:
-        write_trace_csv(fit.solution, os.path.join(ns.out_dir, "trace.csv"))
-        outputs.append("trace.csv")
+        artifacts["trace.csv"] = trace_csv_text(fit.solution)
     args = {
         **_fit_args(ns),
         "lambda": ns.lam,
@@ -192,7 +194,7 @@ def cmd_fit(ns: argparse.Namespace) -> int:
         "trace": ns.trace,
     }
     inputs = [ns.x, ns.y] + ([ns.input_graph] if ns.input_graph else [])
-    _write_manifest(ns.out_dir, "fit", args, inputs=inputs, outputs=outputs)
+    _write_outputs(ns.out_dir, "fit", args, inputs, artifacts)
     return EXIT_OK if fit.solution.converged else EXIT_NOT_CONVERGED
 
 
@@ -209,10 +211,9 @@ def cmd_cv(ns: argparse.Namespace) -> int:
         "table": list(sel.table),
         "final_fit": sel.fit.to_json_dict(),
     }
-    write_json(os.path.join(ns.out_dir, "cv.json"), cv_doc)
-    _write_b_hat(ns.out_dir, sel.fit)
+    artifacts = {"cv.json": json_text(cv_doc), "B_hat.csv": _b_hat_text(sel.fit)}
     args = {**_fit_args(ns), "lambdas": list(ns.lambdas), "gammas": list(ns.gammas), "holdout": ns.holdout}
-    _write_manifest(ns.out_dir, "cv", args, inputs=[ns.x, ns.y], outputs=["cv.json", "B_hat.csv"])
+    _write_outputs(ns.out_dir, "cv", args, [ns.x, ns.y], artifacts)
     return EXIT_OK if sel.fit.solution.converged else EXIT_NOT_CONVERGED
 
 
@@ -221,7 +222,6 @@ def cmd_bench(ns: argparse.Namespace) -> int:
     # the problem settings the sweep holds fixed, by their run_benchmark and manifest name
     fixed = {name: getattr(ns, name) for name in ("n_samples", "n_inputs", "n_outputs", "rho", "gamma", "seed")}
     rows = run_benchmark(ns.axis, list(ns.values), lam=ns.lam, methods=methods, config=_solver_config(ns), **fixed)
-    atomic_write_text(os.path.join(ns.out_dir, "bench.csv"), benchmark_csv_text(rows))
     args = {
         "axis": ns.axis,
         "values": list(ns.values),
@@ -232,7 +232,7 @@ def cmd_bench(ns: argparse.Namespace) -> int:
         "tol": ns.tol,
         "max_iters": ns.max_iters,
     }
-    _write_manifest(ns.out_dir, "bench", args, inputs=[], outputs=["bench.csv"])
+    _write_outputs(ns.out_dir, "bench", args, [], {"bench.csv": benchmark_csv_text(rows)})
     return EXIT_OK
 
 
@@ -249,8 +249,7 @@ def cmd_report(ns: argparse.Namespace) -> int:
         solver=_solver_config(ns),
     )
     report = run_replicates(config)
-    write_json(os.path.join(ns.out_dir, "report.json"), report.to_json_dict())
-    _write_manifest(ns.out_dir, "report", config.to_json_dict(), inputs=[], outputs=["report.json"])
+    _write_outputs(ns.out_dir, "report", config.to_json_dict(), [], {"report.json": json_text(report.to_json_dict())})
     return EXIT_OK
 
 

@@ -1,8 +1,9 @@
 """CSV/JSON file formats shared by the library and the CLI.
 
 Matrices are CSV with a header row of column ids and one row per sample,
-written with %.17g so float64 values round-trip exactly. All writes go
-through a temp-file-then-rename so failed commands leave no partial files.
+written with %.17g so float64 values round-trip exactly. This is the only
+module that writes files: every write goes through :func:`atomic_write_text`,
+a temp-file-then-rename, so a failed write leaves no partial file.
 """
 
 from __future__ import annotations
@@ -85,10 +86,6 @@ def default_headers(prefix: str, count: int) -> list[str]:
 def json_text(obj) -> str:
     """Strict JSON: a NaN or infinite value raises ValueError instead of being written."""
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
-
-
-def write_json(path, obj) -> None:
-    atomic_write_text(path, json_text(obj))
 
 
 def read_json(path) -> dict:

@@ -109,17 +109,14 @@ def chain_graph(n_nodes: int) -> TaskGraph:
     return TaskGraph(node_count=n_nodes, edges=edges)
 
 
-def save_edge_list(graph: TaskGraph, path) -> None:
-    """Write the graph as CSV with header m,l,r and 1-based node indices."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "l", "r"])
-        for m, l, r in graph.edges:
-            writer.writerow([m, l, format(r, ".17g")])
+def edge_list_text(graph: TaskGraph) -> str:
+    """The graph as CSV with header m,l,r, 1-based node indices and ``csv.writer``'s CRLF line ends."""
+    rows = ["m,l,r", *(f"{m},{l},{format(r, '.17g')}" for m, l, r in graph.edges)]
+    return "\r\n".join(rows) + "\r\n"
 
 
 def load_edge_list(path, node_count: int) -> TaskGraph:
-    """Read a graph written by :func:`save_edge_list` over ``node_count`` nodes."""
+    """Read an edge list in the :func:`edge_list_text` format over ``node_count`` nodes."""
     edges: list[tuple[int, int, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)

@@ -19,7 +19,6 @@ with idx 0=train genotypes, 1=coefficients, 2=train noise, 3=test genotypes,
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,16 +156,4 @@ def simulate_test_set(spec: SimulationSpec, truth: GroundTruth, n_test: int) -> 
     X = gen_genotypes(n_test, spec.n_inputs, substream_seed(spec.seed, STREAM_TEST_GENOTYPES))
     Y = gen_outputs(X, truth.B_true, spec.noise_sd, substream_seed(spec.seed, STREAM_TEST_NOISE))
     return X, Y
-
-
-def save_dataset(directory, dataset: Dataset) -> None:
-    """Write X.csv, Y.csv, B_true.csv and the spec.json sidecar."""
-    from .fileio import default_headers, write_json, write_matrix_csv
-
-    write_matrix_csv(os.path.join(directory, "X.csv"), dataset.X, default_headers("x", dataset.spec.n_inputs))
-    write_matrix_csv(os.path.join(directory, "Y.csv"), dataset.Y, default_headers("y", dataset.spec.n_outputs))
-    write_matrix_csv(
-        os.path.join(directory, "B_true.csv"), dataset.truth.B_true, default_headers("y", dataset.spec.n_outputs)
-    )
-    write_json(os.path.join(directory, "spec.json"), dataset.spec.to_json_dict())
 

@@ -334,21 +334,9 @@ def subgradient_fit(
     )
 
 
-def iteration_bound(norm_B_star: float, eps: float, D: float, gamma_norm_U: float, lam_max_XtX: float) -> float:
-    """Worst-case iteration count sqrt((4 ||B*||_F^2 / eps) (lam_max + 2 D ||Gamma||_U^2 / eps)).
-
-    Diagnostic only; callers usually estimate ||B*||_F from the returned iterate.
-    """
-    if min(norm_B_star, eps, D, gamma_norm_U, lam_max_XtX) < 0 or eps == 0:
-        raise ValueError("all arguments must be positive (eps strictly)")
-    return float(np.sqrt((4.0 * norm_B_star**2 / eps) * (lam_max_XtX + 2.0 * D * gamma_norm_U**2 / eps)))
-
-
-def write_trace_csv(solution: Solution, path) -> None:
-    """Dump the per-iteration trace as CSV with columns iter,f_exact,f_smooth,grad_norm."""
+def trace_csv_text(solution: Solution) -> str:
+    """The per-iteration trace as CSV with columns iter,f_exact,f_smooth,grad_norm."""
     if solution.trace is None:
         raise ValueError("solution was computed without record_trace")
-    with open(path, "w") as fh:
-        fh.write("iter,f_exact,f_smooth,grad_norm\n")
-        for i, (fe, fs, gn) in enumerate(solution.trace):
-            fh.write(f"{i},{fe:.17g},{fs:.17g},{gn:.17g}\n")
+    rows = (f"{i},{fe:.17g},{fs:.17g},{gn:.17g}\n" for i, (fe, fs, gn) in enumerate(solution.trace))
+    return "iter,f_exact,f_smooth,grad_norm\n" + "".join(rows)

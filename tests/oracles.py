@@ -117,7 +117,7 @@ def support(B) -> set[tuple[int, int]]:
 
 
 def load_dataset(directory):
-    """Read back a dataset written by ``simulate.save_dataset``, through the library's CSV reader."""
+    """Read back a dataset written by ``gflasso simulate``, through the library's CSV reader."""
     from gflasso.fileio import read_json, read_matrix_csv
     from gflasso.simulate import Dataset, GroundTruth
 
@@ -293,6 +293,16 @@ def roc_points_threshold_loop(scores: np.ndarray, truth: np.ndarray):
     xs = np.array([p[0] for p in points])
     ys = np.array([p[1] for p in points])
     return tuple(points), float(np.trapezoid(ys, xs))
+
+
+def iteration_bound(norm_B_star: float, eps: float, D: float, gamma_norm_U: float, lam_max_XtX: float) -> float:
+    """Worst-case iteration count sqrt((4 ||B*||_F^2 / eps) (lam_max + 2 D ||Gamma||_U^2 / eps)).
+
+    The paper's convergence theorem, evaluated with an oracle's ||B*||_F.
+    """
+    if min(norm_B_star, eps, D, gamma_norm_U, lam_max_XtX) < 0 or eps == 0:
+        raise ValueError("all arguments must be positive (eps strictly)")
+    return float(np.sqrt((4.0 * norm_B_star**2 / eps) * (lam_max_XtX + 2.0 * D * gamma_norm_U**2 / eps)))
 
 
 # ---------------------------------------------------------------------------

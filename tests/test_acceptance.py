@@ -23,9 +23,9 @@ from gflasso.graph import TaskGraph, build_correlation_graph
 from gflasso.models import PenaltySpec, fit_fused_univariate, fit_gflasso, fit_lasso
 from gflasso.simulate import SimulationSpec, gen_coefficients, gen_genotypes, gen_outputs, simulate_dataset, substream_seed
 from gflasso.smoothing import FusionOperator, gap_constant, operator_norm_bound
-from gflasso.solver import SolverConfig, iteration_bound, largest_eigenvalue, prox_grad_fit, subgradient_fit
+from gflasso.solver import SolverConfig, largest_eigenvalue, prox_grad_fit, subgradient_fit
 
-from oracles import dense_fusion_matrix, ista_lasso, tiny_instances
+from oracles import dense_fusion_matrix, ista_lasso, iteration_bound, tiny_instances
 
 # frozen oracle values (tests/oracles.py, 1e7 subgradient steps per instance)
 SUBGRAD_OBJ = (

@@ -335,6 +335,32 @@ class TestNonFiniteArguments:
         assert "got lam=nan, gamma=0.1" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "command,method,flags",
+        [
+            ("fit", "lasso", ["--rho", "nan"]),
+            ("fit", "l1l2", ["--rho", "nan"]),
+            ("fit", "fused", ["--rho", "nan"]),
+            ("cv", "lasso", ["--rho", "nan"]),
+            ("cv", "l1l2", ["--rho", "nan"]),
+            ("cv", "lasso", ["--gammas", "nan"]),
+            ("cv", "l1l2", ["--gammas", "0.1,nan"]),
+        ],
+    )
+    def test_flag_the_method_ignores(self, data_dir, tmp_path, capsys, command, method, flags):
+        y = str(data_dir / "Y.csv")
+        if method == "fused":
+            y = str(tmp_path / "y1.csv")
+            write_matrix_csv(y, read_matrix_csv(data_dir / "Y.csv")[0][:, :1], ["y1"])
+        out = tmp_path / "out"
+        out.mkdir()
+        grid = ["--lambdas", "0.1"] if command == "cv" else []
+        code = main([command, "--method", method, "--x", str(data_dir / "X.csv"), "--y", y, "--out-dir", str(out),
+                     *FAST, *grid, *flags])
+        assert code == 2
+        assert f"{flags[0]} must be finite, got nan" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_simulate(self, tmp_path, capsys):
         assert run_simulate(tmp_path, extra=["--signal", "inf"]) == 2
         assert "signal must be positive and finite, got inf" in capsys.readouterr().err
@@ -344,6 +370,51 @@ class TestNonFiniteArguments:
     def test_json_text_refuses_non_finite(self, value):
         with pytest.raises(ValueError):
             json_text({"x": [1.0, value]})
+
+
+SMALL_SIM = ["--n-samples", "40", "--n-inputs", "12", "--n-outputs", "4", "--group-sizes", "2,2",
+             "--inputs-per-group", "3,3"]
+
+
+class TestManifestOutputs:
+    """Each command's out-dir holds exactly the files its manifest lists, plus the manifest."""
+
+    @pytest.fixture(scope="class")
+    def data_dir(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("data")
+        run_simulate(path, seed=5, extra=SMALL_SIM)
+        write_matrix_csv(path / "y1.csv", read_matrix_csv(path / "Y.csv")[0][:, :1], ["y1"])
+        (path / "edges.csv").write_text("m,l,r\n1,2,0.5\n3,7,-0.25\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "case,outputs",
+        [
+            ("simulate", ["B_true.csv", "X.csv", "Y.csv", "spec.json"]),
+            ("fit_gflasso", ["B_hat.csv", "fit.json", "graph.csv", "trace.csv"]),
+            ("fit_fused_input_graph", ["B_hat.csv", "fit.json", "trace.csv"]),
+            ("cv", ["B_hat.csv", "cv.json"]),
+            ("bench", ["bench.csv"]),
+            ("report", ["report.json"]),
+        ],
+    )
+    def test_directory_matches_manifest(self, data_dir, tmp_path, case, outputs):
+        X, Y, y1 = (str(data_dir / name) for name in ("X.csv", "Y.csv", "y1.csv"))
+        argv = {
+            "simulate": ["simulate", *SMALL_SIM],
+            "fit_gflasso": ["fit", "--method", "gflasso", "--x", X, "--y", Y, "--trace", *FAST],
+            "fit_fused_input_graph": ["fit", "--method", "fused", "--x", X, "--y", y1, "--trace",
+                                      "--input-graph", str(data_dir / "edges.csv"), *FAST],
+            "cv": ["cv", "--method", "gflasso", "--x", X, "--y", Y, "--lambdas", "0.1,1", "--gammas", "0.5",
+                   "--holdout", "10", *FAST],
+            "bench": ["bench", "--axis", "rho", "--values", "0.5", "--n-samples", "30", "--n-inputs", "15",
+                      "--n-outputs", "6", "--max-iters", "5"],
+            "report": ["report", *TINY_REPORT],
+        }[case]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == outputs
+        assert set(os.listdir(tmp_path)) == set(manifest["outputs"]) | {"manifest.json"}
 
 
 class TestSchemas:

@@ -154,12 +154,12 @@ class TestPipeline:
 
 
 def test_dataset_save_load_roundtrip(tmp_path):
-    from gflasso.simulate import save_dataset
+    from gflasso.cli import main
 
     from oracles import load_dataset
 
     ds = simulate_dataset(SimulationSpec(seed=31))
-    save_dataset(tmp_path, ds)
+    assert main(["simulate", "--out-dir", str(tmp_path), "--seed", "31"]) == 0
     back = load_dataset(tmp_path)
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.Y, ds.Y)

@@ -6,15 +6,21 @@ from gflasso.graph import TaskGraph
 from gflasso.smoothing import FusionOperator
 from gflasso.solver import (
     SolverConfig,
-    iteration_bound,
     largest_eigenvalue,
     lipschitz_upper,
     prox_grad_fit,
     subgradient_fit,
-    write_trace_csv,
+    trace_csv_text,
 )
 
-from oracles import dense_fusion_matrix, ista_lasso, objective_dense, smooth_objective_gradient, subgradient_dense
+from oracles import (
+    dense_fusion_matrix,
+    ista_lasso,
+    iteration_bound,
+    objective_dense,
+    smooth_objective_gradient,
+    subgradient_dense,
+)
 
 
 def centered_problem(seed, n=20, j=4, k=2, noise=0.1):
@@ -296,13 +302,11 @@ class TestIterationBound:
             iteration_bound(1.0, 0.0, 1.0, 1.0, 1.0)
 
 
-def test_trace_csv_dump(tmp_path):
+def test_trace_csv_dump():
     X, Y = centered_problem(21, n=10, j=3, k=2)
     op = empty_operator(3, 2, lam=0.2)
     sol = prox_grad_fit(X, Y, op, SolverConfig(mu=1e-3, rel_obj_tol=1e-8, max_iters=50, record_trace=True))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(sol, path)
-    lines = path.read_text().splitlines()
+    lines = trace_csv_text(sol).splitlines()
     assert lines[0] == "iter,f_exact,f_smooth,grad_norm"
     assert len(lines) == 1 + sol.iterations
     first = lines[1].split(",")
@@ -314,4 +318,4 @@ def test_trace_requires_recording():
     op = empty_operator(3, 2)
     sol = prox_grad_fit(X, Y, op, SolverConfig(max_iters=5, rel_obj_tol=1e-8))
     with pytest.raises(ValueError):
-        write_trace_csv(sol, "/tmp/never.csv")
+        trace_csv_text(sol)
