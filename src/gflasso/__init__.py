@@ -20,9 +20,9 @@ from .models import (
     fit_lasso,
     objective_gflasso,
 )
-from .simulate import Dataset, GroundTruth, SimulationSpec, simulate_dataset
-from .smoothing import FusionOperator, gap_constant, operator_norm_bound, shrink
-from .solver import Solution, SolverConfig, largest_eigenvalue, prox_grad_fit, subgradient_fit
+from .simulate import Dataset, SimulationSpec, simulate_dataset
+from .smoothing import FusionOperator, shrink
+from .solver import Solution, SolverConfig, largest_eigenvalue, subgradient_fit
 
 __all__ = [
     "DegenerateInputError",
@@ -38,16 +38,12 @@ __all__ = [
     "fit_lasso",
     "objective_gflasso",
     "Dataset",
-    "GroundTruth",
     "SimulationSpec",
     "simulate_dataset",
     "FusionOperator",
-    "gap_constant",
-    "operator_norm_bound",
     "shrink",
     "Solution",
     "SolverConfig",
     "largest_eigenvalue",
-    "prox_grad_fit",
     "subgradient_fit",
 ]

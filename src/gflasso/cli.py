@@ -151,7 +151,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     artifacts = {
         "X.csv": matrix_csv_text(ds.X, default_headers("x", spec.n_inputs)),
         "Y.csv": matrix_csv_text(ds.Y, default_headers("y", spec.n_outputs)),
-        "B_true.csv": matrix_csv_text(ds.truth.B_true, default_headers("y", spec.n_outputs)),
+        "B_true.csv": matrix_csv_text(ds.B_true, default_headers("y", spec.n_outputs)),
         "spec.json": json_text(spec.to_json_dict()),
     }
     _write_outputs(ns.out_dir, "simulate", spec.to_json_dict(), [], artifacts)

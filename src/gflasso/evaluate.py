@@ -112,6 +112,12 @@ def method_grid(method: str, lambdas: tuple[float, ...], gammas: tuple[float, ..
     return [(lam, 0.0) for lam in lambdas]
 
 
+def _check_grid_values(values) -> None:
+    bad = [v for v in values if not 0 <= v < np.inf]
+    if bad:
+        raise ValueError(f"grid values must be finite and non-negative, got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     lam: float
@@ -142,6 +148,7 @@ def select_regularization(
         raise ValueError(f"holdout must be in (0, {n}), got {holdout}")
     if not grid:
         raise ValueError("grid is empty")
+    _check_grid_values([v for point in grid for v in point])
     config = config or SolverConfig()
     X_tr, X_val = X[: n - holdout], X[n - holdout :]
     Y_tr, Y_val = Y[: n - holdout], Y[n - holdout :]
@@ -190,9 +197,7 @@ class ExperimentConfig:
             raise ValueError(f"n_replicates must be >= 1, got {self.n_replicates}")
         if not self.lambda_grid or ("gflasso" in self.methods and not self.gamma_grid):
             raise ValueError("the lambda grid, and the gamma grid when gflasso is selected, must be non-empty")
-        bad = [v for v in (*self.lambda_grid, *self.gamma_grid) if not 0 <= v < np.inf]
-        if bad:
-            raise ValueError(f"grid values must be finite and non-negative, got {bad[0]}")
+        _check_grid_values((*self.lambda_grid, *self.gamma_grid))
 
     def to_json_dict(self) -> dict:
         return {
@@ -257,7 +262,7 @@ def _run_one_replicate(config: ExperimentConfig, r: int) -> tuple[dict, list[dic
     seed_r = replicate_seed(config.sim.seed, r)
     spec_r = dataclasses.replace(config.sim, seed=seed_r)
     ds = simulate_dataset(spec_r)
-    X_test, Y_test = simulate_test_set(spec_r, ds.truth, config.test_n)
+    X_test, Y_test = simulate_test_set(spec_r, ds.B_true, config.test_n)
     graph = build_correlation_graph(ds.Y, config.rho)
     rep: dict = {"replicate": r, "seed": seed_r, "n_edges": graph.n_edges, "methods": {}}
     failures: list[dict] = []
@@ -268,7 +273,7 @@ def _run_one_replicate(config: ExperimentConfig, r: int) -> tuple[dict, list[dic
             rep["methods"][method] = {
                 "lambda": sel.lam,
                 "gamma": sel.gamma,
-                "auc": roc_curve(sel.fit.solution.B_hat, ds.truth.B_true).auc,
+                "auc": roc_curve(sel.fit.solution.B_hat, ds.B_true).auc,
                 "test_mse": prediction_error(sel.fit, X_test, Y_test),
                 "iterations": sel.fit.solution.iterations,
                 "converged": sel.fit.solution.converged,

@@ -78,15 +78,10 @@ class SimulationSpec:
 
 
 @dataclass(frozen=True)
-class GroundTruth:
-    B_true: np.ndarray
-
-
-@dataclass(frozen=True)
 class Dataset:
     X: np.ndarray
     Y: np.ndarray
-    truth: GroundTruth
+    B_true: np.ndarray
     spec: SimulationSpec
 
 
@@ -101,7 +96,7 @@ def gen_genotypes(n_samples: int, n_inputs: int, seed: int) -> np.ndarray:
     return rng.binomial(2, maf, size=(n_samples, n_inputs)).astype(float)
 
 
-def gen_coefficients(spec: SimulationSpec) -> GroundTruth:
+def gen_coefficients(spec: SimulationSpec) -> np.ndarray:
     """Block-structured true coefficients with all non-zeros equal to the signal level.
 
     Relevant inputs are sampled without replacement so the per-group input
@@ -130,7 +125,7 @@ def gen_coefficients(spec: SimulationSpec) -> GroundTruth:
         B[shared_pair, np.concatenate(group_cols[:2])] = spec.signal
     shared_all = pool[offset]
     B[shared_all, :] = spec.signal
-    return GroundTruth(B_true=B)
+    return B
 
 
 def gen_outputs(X: np.ndarray, B_true: np.ndarray, noise_sd: float, seed: int) -> np.ndarray:
@@ -146,14 +141,14 @@ def gen_outputs(X: np.ndarray, B_true: np.ndarray, noise_sd: float, seed: int) -
 def simulate_dataset(spec: SimulationSpec) -> Dataset:
     """Full pipeline: genotypes, coefficients, outputs; deterministic in spec."""
     X = gen_genotypes(spec.n_samples, spec.n_inputs, substream_seed(spec.seed, STREAM_GENOTYPES))
-    truth = gen_coefficients(spec)
-    Y = gen_outputs(X, truth.B_true, spec.noise_sd, substream_seed(spec.seed, STREAM_NOISE))
-    return Dataset(X=X, Y=Y, truth=truth, spec=spec)
+    B_true = gen_coefficients(spec)
+    Y = gen_outputs(X, B_true, spec.noise_sd, substream_seed(spec.seed, STREAM_NOISE))
+    return Dataset(X=X, Y=Y, B_true=B_true, spec=spec)
 
 
-def simulate_test_set(spec: SimulationSpec, truth: GroundTruth, n_test: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh test inputs and outputs for the same ground truth."""
+def simulate_test_set(spec: SimulationSpec, B_true: np.ndarray, n_test: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh test inputs and outputs for the same true coefficients."""
     X = gen_genotypes(n_test, spec.n_inputs, substream_seed(spec.seed, STREAM_TEST_GENOTYPES))
-    Y = gen_outputs(X, truth.B_true, spec.noise_sd, substream_seed(spec.seed, STREAM_TEST_NOISE))
+    Y = gen_outputs(X, B_true, spec.noise_sd, substream_seed(spec.seed, STREAM_TEST_NOISE))
     return X, Y
 

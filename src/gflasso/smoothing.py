@@ -6,7 +6,9 @@ signed incidence matrix of the task graph. Writing the l1 norm through its
 dual gives a max over auxiliary matrices A with ||A||_inf <= 1; subtracting
 (mu/2) * ||A||_F^2 from the max yields a smooth lower bound whose gap is at
 most mu * D with D = J * (K + |E|) / 2. The maximizing A has the closed form
-clamp(B C / mu), which makes both the smoothed value and its gradient cheap.
+clamp(B C / mu), which makes both the smoothed value and its gradient
+adjoint(A*) cheap. D and the norm bound of B -> B C are defined here alone
+(``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu and L from them.
 
 The operator holds C in one of two forms, chosen by its own shape alone.
 When K <= J it builds the dense K x (K + |E|) matrix C once, so apply, adjoint
@@ -30,30 +32,6 @@ from .graph import TaskGraph
 def shrink(x):
     """Entrywise clamp to [-1, 1]; boundary inputs map to the boundary value."""
     return np.clip(x, -1.0, 1.0)
-
-
-def gap_constant(n_inputs: int, n_tasks: int, n_edges: int) -> float:
-    """Smoothing gap constant D = J * (K + |E|) / 2.
-
-    This is the maximum of (1/2) * ||A||_F^2 over ||A||_inf <= 1, attained by
-    the all-ones matrix of shape (J, K + |E|).
-    """
-    if min(n_inputs, n_tasks, n_edges) < 0:
-        raise ValueError("dimensions must be non-negative")
-    return 0.5 * n_inputs * (n_tasks + n_edges)
-
-
-def operator_norm_bound(lam: float, gamma: float, degrees: np.ndarray) -> float:
-    """Upper bound sqrt(lam^2 + 2 * gamma^2 * max_k d_k) on the operator norm of B -> B C.
-
-    ``degrees`` is the weighted-degree vector from :meth:`FusionOperator.degrees`;
-    with no edges the bound reduces to lam.
-    """
-    if lam < 0 or gamma < 0:
-        raise ValueError("lam and gamma must be non-negative")
-    degrees = np.asarray(degrees, dtype=float)
-    max_d = float(degrees.max()) if degrees.size else 0.0
-    return float(np.sqrt(lam**2 + 2.0 * gamma**2 * max_d))
 
 
 def _check_mu(mu: float) -> float:
@@ -138,11 +116,6 @@ class FusionOperator:
             raise ValueError(f"coefficient matrix must have shape {(self.n_inputs, self.n_tasks)}, got {B.shape}")
         return B
 
-    @property
-    def dense(self) -> bool:
-        """Whether C is held as a dense matrix, which is exactly when K <= J."""
-        return self._C is not None
-
     def apply(self, B: np.ndarray) -> np.ndarray:
         """Gamma(B) = B C, shape (J, K + |E|)."""
         B = self._check_coef(B)
@@ -185,19 +158,20 @@ class FusionOperator:
         A = shrink(G / mu)
         return float(np.vdot(A, G) - 0.5 * mu * np.vdot(A, A))
 
-    def smoothed_penalty_gradient(self, B: np.ndarray, mu: float) -> np.ndarray:
-        """Gradient of f_mu at B, equal to Gamma*(A*)."""
-        return self.adjoint(self.aux_optimum(B, mu))
-
     def degrees(self) -> np.ndarray:
         """Weighted degree vector d_k = sum of squared edge weights incident on k."""
         w2 = self.edge_weight**2
         return np.bincount(np.concatenate((self.edge_m, self.edge_l)), np.concatenate((w2, w2)), self.n_tasks)
 
     def norm_bound(self) -> float:
-        """sqrt(lam^2 + 2 gamma^2 max_k d_k), an upper bound on sigma_max(C)."""
-        return operator_norm_bound(self.lam, self.gamma, self.degrees())
+        """sqrt(lam^2 + 2 gamma^2 max_k d_k), an upper bound on sigma_max(C); lam when there are no edges."""
+        max_d = float(self.degrees().max())
+        return float(np.sqrt(self.lam**2 + 2.0 * self.gamma**2 * max_d))
 
     def gap_constant(self) -> float:
-        """D = J (K + |E|) / 2 for this operator's shape."""
-        return gap_constant(self.n_inputs, self.n_tasks, self.n_edges)
+        """Smoothing gap constant D = J (K + |E|) / 2.
+
+        This is the maximum of (1/2) ||A||_F^2 over ||A||_inf <= 1, attained by
+        the all-ones J x (K + |E|) matrix.
+        """
+        return 0.5 * self.n_inputs * (self.n_tasks + self.n_edges)

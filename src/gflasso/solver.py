@@ -12,11 +12,13 @@ gradient aggregate Z. Per iteration t:
     4. W^{t+1} = ((t+1) B^t + 2 Z^t) / (t+3)
 
 The fusion penalty ||B C||_1 enters the gradient through its smooth
-surrogate f_mu. A penalty with an exact proximal map (the row-grouped l1/l2
-norm) enters steps 2 and 3 through that map instead: the composite form of
-the scheme (Nesterov 2013, "Gradient methods for minimizing composite
-functions"). The stopping rule watches the relative change of the EXACT
-objective at B^t, so the reported optimum certifies the original problem.
+surrogate f_mu, with mu and L derived in :func:`solve` from the operator's
+gap constant and norm bound. A penalty with an exact proximal map (the
+row-grouped l1/l2 norm) enters steps 2 and 3 through that map instead: the
+composite form of the scheme (Nesterov 2013, "Gradient methods for
+minimizing composite functions"). The stopping rule watches the relative
+change of the EXACT objective at B^t, so the reported optimum certifies the
+original problem.
 
 A plain subgradient method with step c / sqrt(t+1) is included as the
 baseline with the slower O(1/eps^2) rate.
@@ -60,14 +62,6 @@ class SolverConfig:
             raise ValueError(f"rel_obj_tol must be positive and finite, got {self.rel_obj_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-
-    def resolve_mu(self, gap_const: float) -> float:
-        """The smoothing parameter actually used for a problem with gap constant D."""
-        if self.accuracy is not None:
-            if gap_const <= 0:
-                raise ValueError("accuracy-driven mu needs a positive gap constant")
-            return self.accuracy / (2.0 * gap_const)
-        return self.mu
 
 
 @dataclass(frozen=True)
@@ -146,13 +140,6 @@ class Moments:
         return loss
 
 
-def lipschitz_upper(op: FusionOperator, mu: float, lam_max: float) -> float:
-    """Upper bound lam_max(X^T X) + (lam^2 + 2 gamma^2 max_k d_k) / mu on the gradient Lipschitz constant."""
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    return float(lam_max) + op.norm_bound() ** 2 / mu
-
-
 def three_sequence_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
     f_exact: Callable[[np.ndarray], float],
@@ -211,8 +198,10 @@ def solve(
     """Minimize (1/2) ||Y - X B||_F^2 plus a penalty; the core behind every model.
 
     With ``op`` the penalty is ||B C||_1, replaced in the loop by its smooth
-    surrogate with mu from ``config``. Without it, ``penalty`` is handled
-    exactly through its proximal map ``prox`` and no smoothing is involved.
+    surrogate; mu (``config.mu``, or accuracy / (2 D)) and the step 1/L, with
+    L = lam_max(X^T X) + op.norm_bound()^2 / mu, are derived here alone.
+    Without it, ``penalty`` is handled exactly through its proximal map
+    ``prox`` and no smoothing is involved.
     ``X`` and ``Y`` are expected column-centered; a 1-d ``Y`` selects the
     row layout (see :class:`Moments`) and still returns B_hat as a J x 1 column.
     """
@@ -228,8 +217,10 @@ def solve(
             return gram(W) - XtY
 
     else:
-        mu = config.resolve_mu(op.gap_constant())
-        L = lipschitz_upper(op, mu, m.lam_max)
+        mu = config.mu if config.accuracy is None else config.accuracy / (2.0 * op.gap_constant())
+        if not mu > 0:
+            raise ValueError(f"mu must be positive, got {mu}")
+        L = m.lam_max + op.norm_bound() ** 2 / mu
         penalty = op.penalty_exact
 
         def smooth_penalty(B: np.ndarray) -> float:
@@ -238,7 +229,7 @@ def solve(
         def grad(W: np.ndarray) -> np.ndarray:
             g = gram(W)
             g -= XtY
-            g += op.smoothed_penalty_gradient(W, mu)
+            g += op.adjoint(op.aux_optimum(W, mu))
             return g
 
     def f_exact(B: np.ndarray) -> float:
@@ -268,16 +259,6 @@ def solve(
         runtime_total_s=t_end - t_start,
         runtime_periter_s=(t_end - t_loop) / max(iters, 1),
     )
-
-
-def prox_grad_fit(X: np.ndarray, Y: np.ndarray, op: FusionOperator, config: SolverConfig | None = None) -> Solution:
-    """Minimize the graph-fused objective with the smoothed accelerated scheme.
-
-    ``X`` and ``Y`` are expected column-centered. Reaching ``max_iters`` is
-    reported through ``Solution.converged`` rather than raised: long runs at
-    tight tolerances still produce usable iterates.
-    """
-    return solve(X, Y, config or SolverConfig(), op=op)
 
 
 def subgradient_fit(

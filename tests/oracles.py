@@ -82,7 +82,7 @@ def smooth_objective_gradient(X, Y, op, B, mu, XtX=None, XtY=None) -> np.ndarray
     Y = np.asarray(Y, dtype=float)
     XtX = X.T @ X if XtX is None else XtX
     XtY = X.T @ Y if XtY is None else XtY
-    return XtX @ B - XtY + op.smoothed_penalty_gradient(B, mu)
+    return XtX @ B - XtY + op.adjoint(op.aux_optimum(B, mu))
 
 
 def roc_csv_text(curves) -> str:
@@ -119,13 +119,13 @@ def support(B) -> set[tuple[int, int]]:
 def load_dataset(directory):
     """Read back a dataset written by ``gflasso simulate``, through the library's CSV reader."""
     from gflasso.fileio import read_json, read_matrix_csv
-    from gflasso.simulate import Dataset, GroundTruth
+    from gflasso.simulate import Dataset
 
     spec = spec_from_json_dict(read_json(os.path.join(directory, "spec.json")))
     X, _ = read_matrix_csv(os.path.join(directory, "X.csv"))
     Y, _ = read_matrix_csv(os.path.join(directory, "Y.csv"))
     B, _ = read_matrix_csv(os.path.join(directory, "B_true.csv"))
-    return Dataset(X=X, Y=Y, truth=GroundTruth(B_true=B), spec=spec)
+    return Dataset(X=X, Y=Y, B_true=B, spec=spec)
 
 
 def objective_dense(X, Y, B, C) -> float:

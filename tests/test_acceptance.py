@@ -22,8 +22,8 @@ from gflasso.evaluate import ExperimentConfig, roc_curve, run_replicates
 from gflasso.graph import TaskGraph, build_correlation_graph
 from gflasso.models import PenaltySpec, fit_fused_univariate, fit_gflasso, fit_lasso
 from gflasso.simulate import SimulationSpec, gen_coefficients, gen_genotypes, gen_outputs, simulate_dataset, substream_seed
-from gflasso.smoothing import FusionOperator, gap_constant, operator_norm_bound
-from gflasso.solver import SolverConfig, largest_eigenvalue, prox_grad_fit, subgradient_fit
+from gflasso.smoothing import FusionOperator
+from gflasso.solver import SolverConfig, largest_eigenvalue, solve, subgradient_fit
 
 from oracles import dense_fusion_matrix, ista_lasso, iteration_bound, tiny_instances
 
@@ -110,7 +110,7 @@ def test_c02_gradient_matches_finite_differences():
             resid = Y - X @ Bx
             return 0.5 * float(np.vdot(resid, resid)) + op.smoothed_penalty(Bx, mu)
 
-        G = XtX @ B - XtY + op.smoothed_penalty_gradient(B, mu)
+        G = XtX @ B - XtY + op.adjoint(op.aux_optimum(B, mu))
         G_fd = np.zeros_like(B)
         for idx in np.ndindex(B.shape):
             E = np.zeros_like(B)
@@ -131,7 +131,7 @@ def test_c03_operator_norm_bound():
         op, g = _random_operator(rng)
         C = dense_fusion_matrix(g.node_count, g.edges, op.lam, op.gamma)
         sigma_max = float(np.linalg.svd(C, compute_uv=False)[0])
-        bound = operator_norm_bound(op.lam, op.gamma, op.degrees())
+        bound = op.norm_bound()
         assert sigma_max <= bound + 1e-9
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
@@ -143,7 +143,7 @@ def _solve_tiny(spec):
     if spec["kind"] == "multitask":
         g = TaskGraph(spec["Y"].shape[1], spec["edges"])
         op = FusionOperator.from_graph(g, lam=spec["lam"], gamma=spec["gamma"], n_inputs=spec["X"].shape[1])
-        return prox_grad_fit(spec["X"], spec["Y"], op, config).objective_exact
+        return solve(spec["X"], spec["Y"], config, op=op).objective_exact
     g = TaskGraph(spec["X"].shape[1], spec["edges"])
     fit = fit_fused_univariate(spec["X"], spec["y"], g, spec["lam"], spec["gamma"], config)
     return fit.solution.objective_exact
@@ -174,7 +174,7 @@ def test_c04b_observed_iterations_within_theorem_bound():
     g = TaskGraph(spec["Y"].shape[1], spec["edges"])
     op = FusionOperator.from_graph(g, lam=spec["lam"], gamma=spec["gamma"], n_inputs=spec["X"].shape[1])
     config = SolverConfig(accuracy=eps, rel_obj_tol=1e-16, max_iters=200000, record_trace=True)
-    sol = prox_grad_fit(spec["X"], spec["Y"], op, config)
+    sol = solve(spec["X"], spec["Y"], config, op=op)
     fs = np.array([row[0] for row in sol.trace])
     hits = np.nonzero(fs - SUBGRAD_OBJ[0] <= eps)[0]
     assert hits.size, "never reached the eps ball"
@@ -213,14 +213,14 @@ def test_c05_degeneracy_lattice():
     Y2 -= Y2.mean(axis=0)
     g2 = TaskGraph(2, ((1, 2, 1.0),))
     op2 = FusionOperator.from_graph(g2, lam=0.3, gamma=1000.0, n_inputs=3)
-    fused = prox_grad_fit(X2, Y2, op2, SolverConfig(mu=1e-4, rel_obj_tol=1e-6, max_iters=20000))
+    fused = solve(X2, Y2, SolverConfig(mu=1e-4, rel_obj_tol=1e-6, max_iters=20000), op=op2)
     d3 = float(np.abs(fused.B_hat[:, 0] - fused.B_hat[:, 1]).max())
     assert d3 <= 1e-3
 
     # and at dominant-but-tractable gamma the fit approaches the pooled lasso
     lam = 0.4
     op3 = FusionOperator.from_graph(g2, lam=lam, gamma=10.0, n_inputs=3)
-    sol3 = prox_grad_fit(X2, Y2, op3, SolverConfig(mu=2e-4, rel_obj_tol=1e-13, max_iters=400000))
+    sol3 = solve(X2, Y2, SolverConfig(mu=2e-4, rel_obj_tol=1e-13, max_iters=400000), op=op3)
     pooled = ista_lasso(np.vstack([X2, X2]), np.concatenate([Y2[:, 0], Y2[:, 1]])[:, None], 2.0 * lam)[:, 0]
     d4 = float(np.abs(sol3.B_hat[:, 0] - pooled).max())
     assert d4 <= 1e-3
@@ -253,12 +253,12 @@ def test_c06_convergence_rate_regimes():
     X, Y, op = _medium_instance()
     eps_values = (1e-1, 1e-2, 1e-3)
 
-    ref = prox_grad_fit(X, Y, op, SolverConfig(accuracy=2e-4, rel_obj_tol=1e-16, max_iters=80000, record_trace=True))
+    ref = solve(X, Y, SolverConfig(accuracy=2e-4, rel_obj_tol=1e-16, max_iters=80000, record_trace=True), op=op)
     f_ref = min(row[0] for row in ref.trace)
 
     prox_hits = []
     for eps in eps_values:
-        sol = prox_grad_fit(X, Y, op, SolverConfig(accuracy=eps, rel_obj_tol=1e-16, max_iters=60000, record_trace=True))
+        sol = solve(X, Y, SolverConfig(accuracy=eps, rel_obj_tol=1e-16, max_iters=60000, record_trace=True), op=op)
         fs = np.array([row[0] for row in sol.trace])
         hits = np.nonzero(fs - f_ref <= eps)[0]
         assert hits.size, f"prox-grad never reached eps={eps}"
@@ -291,11 +291,11 @@ from gflasso.solver import SolverConfig
 
 spec = SimulationSpec(n_samples=500, n_inputs=100, n_outputs=20, signal=0.8, seed=99,
                       group_sizes=(7, 7, 6), inputs_per_group=(3, 4, 4))
-truth = gen_coefficients(spec)
+B_true = gen_coefficients(spec)
 X1 = gen_genotypes(500, 100, substream_seed(99, 0))
-Y1 = gen_outputs(X1, truth.B_true, 1.0, substream_seed(99, 2))
+Y1 = gen_outputs(X1, B_true, 1.0, substream_seed(99, 2))
 X2 = gen_genotypes(5000, 100, substream_seed(99, 3))
-Y2 = gen_outputs(X2, truth.B_true, 1.0, substream_seed(99, 4))
+Y2 = gen_outputs(X2, B_true, 1.0, substream_seed(99, 4))
 graph = build_correlation_graph(Y1, 0.3)
 config = SolverConfig(mu=1e-3, rel_obj_tol=1e-16, max_iters=1500)
 pen = PenaltySpec(lam=0.1, gamma=0.1)
@@ -441,7 +441,7 @@ def test_c11_optional_shrink_to_truth_probe():
             graph = build_correlation_graph(ds.Y, 0.1)
             lam = c * np.sqrt(n)
             fit = fit_gflasso(ds.X, ds.Y, graph, PenaltySpec(lam=lam, gamma=lam), config)
-            errs.append(float(np.linalg.norm(fit.solution.B_hat - ds.truth.B_true)))
+            errs.append(float(np.linalg.norm(fit.solution.B_hat - ds.B_true)))
         wins += errs[0] > errs[1] > errs[2]
     assert wins >= 8, f"error decreased monotonically in only {wins}/10 seeds"
     _report(11, f"(optional) error shrank monotonically over N in {wins}/10 seeds ({time.perf_counter()-t0:.0f}s)")

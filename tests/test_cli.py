@@ -299,6 +299,7 @@ class TestNonFiniteArguments:
             (["--mu", "nan", "--accuracy", "1e-3"], "mu must be positive and finite, got nan"),
             (["--accuracy", "inf"], "accuracy must be positive and finite, got inf"),
             (["--tol", "nan"], "rel_obj_tol must be positive and finite, got nan"),
+            (["--accuracy", "5e-324"], "mu must be positive, got 0.0"),
         ],
     )
     def test_fit(self, data_dir, tmp_path, capsys, flags, message):
@@ -324,6 +325,22 @@ class TestNonFiniteArguments:
     def test_report(self, tmp_path, capsys, flags, message):
         assert main(["report", "--out-dir", str(tmp_path), *TINY_REPORT, *flags]) == 2
         assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "method,flags,value",
+        [
+            ("lasso", ["--lambdas=-1,0.1"], "-1.0"),
+            ("gflasso", ["--lambdas=-1", "--gammas", "0.1"], "-1.0"),
+            ("gflasso", ["--lambdas", "nan", "--gammas", "0.1"], "nan"),
+            ("gflasso", ["--lambdas", "0.1", "--gammas=-1"], "-1.0"),
+        ],
+    )
+    def test_cv_grid(self, data_dir, tmp_path, capsys, method, flags, value):
+        code = main(["cv", "--method", method, "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
+                     "--out-dir", str(tmp_path), *FAST, *flags])
+        assert code == 2
+        assert f"grid values must be finite and non-negative, got {value}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("method", ["proxgrad", "subgrad"])

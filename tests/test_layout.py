@@ -1,4 +1,5 @@
-"""Layout guard: no module of the package but fileio.py writes files."""
+"""Layout guards: no module of the package but fileio.py writes files, and no public
+name of the package is there only for the tests."""
 
 import ast
 import pathlib
@@ -6,6 +7,7 @@ import pathlib
 import gflasso
 
 PACKAGE = pathlib.Path(gflasso.__file__).parent
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 WRITE_MODE_CHARS = set("wax+")
 OS_WRITERS = {"replace", "fdopen"}
 PATH_WRITERS = {"write_text", "write_bytes"}
@@ -50,3 +52,50 @@ def test_only_fileio_writes_files():
 def test_guard_sees_the_writes_in_fileio():
     kinds = {kind for _, kind in file_writes(PACKAGE / "fileio.py")}
     assert {"tempfile", "os.replace", "os.fdopen"} <= kinds
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of each public top-level function or class, and of each public method or property."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{sub.name}", sub.name)
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")
+                ]
+    return found
+
+
+def names_used(tree: ast.Module) -> set[str]:
+    """Every name a module refers to: bare names, attribute names and imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.rsplit(".", 1)[-1])
+    return used
+
+
+def unused_public_names(modules: dict[str, ast.Module], users: list[ast.Module]) -> list[str]:
+    """The public definitions of ``modules`` that no module of ``modules`` or ``users`` names."""
+    used = set().union(*map(names_used, [*modules.values(), *users]))
+    return [f"{mod}.{qual}" for mod, tree in modules.items() for qual, name in public_definitions(tree) if name not in used]
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # __init__.py re-exports names and so cannot count as a use
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    users = [ast.parse(p.read_text()) for p in sorted(PERFBENCH.glob("*.py"))]
+    assert users, f"no benchmark modules found under {PERFBENCH}"
+    assert unused_public_names(modules, users) == []
+
+
+def test_unused_guard_sees_an_unused_method():
+    source = "class A:\n    def kept(self): ...\n    def dropped(self): ...\ndef helper(): ...\nA().kept()\nhelper()\n"
+    assert unused_public_names({"m": ast.parse(source)}, []) == ["m.A.dropped"]

@@ -38,20 +38,19 @@ class TestCoefficients:
         # groups of 3/3/4 outputs with 3/4/4 private inputs, plus one input
         # shared by the first two groups and one shared by all outputs:
         # 3*3 + 4*3 + 4*4 + 6 + 10 = 53 non-zeros
-        truth = gen_coefficients(SimulationSpec(seed=5))
-        assert np.count_nonzero(truth.B_true) == 53
-        assert len(support(truth.B_true)) == 53
+        B_true = gen_coefficients(SimulationSpec(seed=5))
+        assert np.count_nonzero(B_true) == 53
+        assert len(support(B_true)) == 53
 
     def test_all_nonzeros_equal_signal(self):
         spec = SimulationSpec(seed=9, signal=0.5)
-        truth = gen_coefficients(spec)
-        nz = truth.B_true[truth.B_true != 0]
+        B_true = gen_coefficients(spec)
+        nz = B_true[B_true != 0]
         assert np.all(nz == 0.5)
 
     def test_groups_share_input_sets(self):
         spec = SimulationSpec(seed=3)
-        truth = gen_coefficients(spec)
-        B = truth.B_true
+        B = gen_coefficients(spec)
         start = 0
         for size in spec.group_sizes:
             cols = range(start, start + size)
@@ -61,8 +60,7 @@ class TestCoefficients:
 
     def test_private_inputs_disjoint_across_groups(self):
         spec = SimulationSpec(seed=4)
-        truth = gen_coefficients(spec)
-        B = truth.B_true
+        B = gen_coefficients(spec)
         # the globally shared input hits every column; the pair input hits 6
         counts = (B != 0).sum(axis=1)
         global_inputs = np.where(counts == spec.n_outputs)[0]
@@ -79,9 +77,9 @@ class TestCoefficients:
 class TestOutputs:
     def test_noise_free_is_exact(self):
         X = gen_genotypes(30, 15, seed=2)
-        truth = gen_coefficients(SimulationSpec(n_samples=30, n_inputs=15, seed=2))
-        Y = gen_outputs(X, truth.B_true, noise_sd=0.0, seed=11)
-        assert np.array_equal(Y, X @ truth.B_true)
+        B_true = gen_coefficients(SimulationSpec(n_samples=30, n_inputs=15, seed=2))
+        Y = gen_outputs(X, B_true, noise_sd=0.0, seed=11)
+        assert np.array_equal(Y, X @ B_true)
 
     def test_deterministic(self):
         X = gen_genotypes(20, 15, seed=2)
@@ -90,9 +88,9 @@ class TestOutputs:
 
     def test_residual_variance(self):
         X = gen_genotypes(5000, 15, seed=6)
-        truth = gen_coefficients(SimulationSpec(n_samples=5000, n_inputs=15, seed=6))
-        Y = gen_outputs(X, truth.B_true, noise_sd=1.5, seed=7)
-        resid = Y - X @ truth.B_true
+        B_true = gen_coefficients(SimulationSpec(n_samples=5000, n_inputs=15, seed=6))
+        Y = gen_outputs(X, B_true, noise_sd=1.5, seed=7)
+        resid = Y - X @ B_true
         assert resid.var() == pytest.approx(1.5**2, rel=0.1)
 
 
@@ -102,7 +100,7 @@ class TestPipeline:
         b = simulate_dataset(SimulationSpec(seed=123))
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.Y, b.Y)
-        assert np.array_equal(a.truth.B_true, b.truth.B_true)
+        assert np.array_equal(a.B_true, b.B_true)
 
     def test_substreams_are_distinct(self):
         seeds = {substream_seed(0, i) for i in range(5)}
@@ -112,10 +110,10 @@ class TestPipeline:
     def test_test_set_shares_truth_but_not_samples(self):
         spec = SimulationSpec(seed=21)
         ds = simulate_dataset(spec)
-        X_test, Y_test = simulate_test_set(spec, ds.truth, 50)
+        X_test, Y_test = simulate_test_set(spec, ds.B_true, 50)
         assert X_test.shape == (50, spec.n_inputs)
         assert not np.array_equal(X_test[: ds.X.shape[0]], ds.X[:50])
-        assert np.array_equal(Y_test, X_test @ ds.truth.B_true + (Y_test - X_test @ ds.truth.B_true))
+        assert np.array_equal(Y_test, X_test @ ds.B_true + (Y_test - X_test @ ds.B_true))
 
     def test_within_group_correlation_exceeds_across(self):
         # at strong signal the shared inputs make within-block output
@@ -163,5 +161,5 @@ def test_dataset_save_load_roundtrip(tmp_path):
     back = load_dataset(tmp_path)
     assert np.array_equal(back.X, ds.X)
     assert np.array_equal(back.Y, ds.Y)
-    assert np.array_equal(back.truth.B_true, ds.truth.B_true)
+    assert np.array_equal(back.B_true, ds.B_true)
     assert back.spec == ds.spec

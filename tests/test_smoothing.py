@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gflasso.graph import TaskGraph
-from gflasso.smoothing import FusionOperator, gap_constant, operator_norm_bound, shrink
+from gflasso.smoothing import FusionOperator, shrink
 
 from oracles import dense_fusion_matrix
 
@@ -165,17 +165,22 @@ class TestSmoothedPenalty:
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def penalty_gradient(op, B, mu):
+    """Gradient Gamma*(A*) of f_mu at B, as the solver forms it."""
+    return op.adjoint(op.aux_optimum(B, mu))
+
+
 class TestPenaltyGradient:
     def test_zero_point(self):
         op, _ = random_operator(np.random.default_rng(15))
-        assert np.array_equal(op.smoothed_penalty_gradient(np.zeros((5, 4)), 0.1), np.zeros((5, 4)))
+        assert np.array_equal(penalty_gradient(op, np.zeros((5, 4)), 0.1), np.zeros((5, 4)))
 
     def test_finite_differences(self):
         rng = np.random.default_rng(16)
         op, _ = random_operator(rng)
         B = rng.standard_normal((5, 4))
         mu = 0.01
-        G = op.smoothed_penalty_gradient(B, mu)
+        G = penalty_gradient(op, B, mu)
         h = 1e-5
         for idx in np.ndindex(B.shape):
             E = np.zeros_like(B)
@@ -191,25 +196,35 @@ class TestPenaltyGradient:
         for _ in range(100):
             B1 = rng.standard_normal((5, 4))
             B2 = rng.standard_normal((5, 4))
-            dG = np.linalg.norm(op.smoothed_penalty_gradient(B1, mu) - op.smoothed_penalty_gradient(B2, mu))
+            dG = np.linalg.norm(penalty_gradient(op, B1, mu) - penalty_gradient(op, B2, mu))
             assert dG <= L * np.linalg.norm(B1 - B2) + 1e-9
+
+
+def operator_with_edges(J, K, E):
+    """An operator of shape J x (K + E): the first E node pairs (m, l), m < l, in order, as edges."""
+    pairs = [(m, l, 1.0) for m in range(1, K + 1) for l in range(m + 1, K + 1)][:E]
+    return FusionOperator.from_graph(TaskGraph(K, tuple(pairs)), lam=1.0, gamma=1.0, n_inputs=J)
 
 
 class TestConstants:
     def test_gap_constant_values(self):
-        assert gap_constant(30, 10, 11) == 315.0
-        assert gap_constant(1, 1, 0) == 0.5
+        assert operator_with_edges(30, 10, 11).gap_constant() == 315.0
+        assert operator_with_edges(1, 1, 0).gap_constant() == 0.5
 
     def test_gap_constant_is_max_of_prox_term(self):
         # the maximizer over ||A||_inf <= 1 of 0.5 ||A||_F^2 is the all-ones matrix
         J, K, E = 4, 3, 2
         A = np.ones((J, K + E))
-        assert gap_constant(J, K, E) == 0.5 * np.vdot(A, A)
+        assert operator_with_edges(J, K, E).gap_constant() == 0.5 * np.vdot(A, A)
 
     def test_norm_bound_arithmetic(self):
-        assert operator_norm_bound(1.0, 2.0, np.array([0.5, 0.2])) == pytest.approx(np.sqrt(5.0))
-        assert operator_norm_bound(3.0, 0.0, np.zeros(4)) == 3.0
-        assert operator_norm_bound(3.0, 2.0, np.zeros(0)) == 3.0
+        # degrees (0.5, 0.25, 0.25): sqrt(1 + 2 * 4 * 0.5) = sqrt(5)
+        star = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.5), (1, 3, -0.5))), lam=1.0, gamma=2.0, n_inputs=2)
+        assert np.array_equal(star.degrees(), [0.5, 0.25, 0.25])
+        assert star.norm_bound() == pytest.approx(np.sqrt(5.0))
+        # no edges: the bound is lam, whatever gamma
+        assert FusionOperator.from_graph(TaskGraph(4), lam=3.0, gamma=0.0, n_inputs=2).norm_bound() == 3.0
+        assert FusionOperator.from_graph(TaskGraph(1), lam=3.0, gamma=2.0, n_inputs=2).norm_bound() == 3.0
 
     def test_singular_value_never_exceeds_bound(self):
         rng = np.random.default_rng(18)
@@ -263,7 +278,7 @@ class TestBothRepresentations:
             # a random graph, not a chain: some node must touch an edge that skips a neighbour
             assert any(l - m > 1 for m, l, _ in g.edges)
         op = FusionOperator.from_graph(g, lam=lam, gamma=gamma, n_inputs=J)
-        assert op.dense == label.startswith("dense")
+        assert (op._C is not None) == label.startswith("dense")
         return rng, g, op, dense_fusion_matrix(K, g.edges, lam, gamma)
 
     def test_apply_matches_oracle(self, label, J, K, edge_prob, lam, gamma):
