@@ -359,7 +359,7 @@ def run_benchmark(
                 Xc, _ = center_columns(ds.X)
                 Yc, _ = center_columns(ds.Y)
                 op = FusionOperator.from_graph(graph, lam=lam, gamma=gamma, n_inputs=j)
-                sol = subgradient_fit(Xc, Yc, op, max_iters=config.max_iters)
+                sol = subgradient_fit(Xc, Yc, config, op)
             rows.append(
                 {
                     "axis": axis,

@@ -1,9 +1,10 @@
 """Estimator front-ends: graph-fused, lasso, row-group l1/l2, univariate fused.
 
-Each model is a thin front-end to :func:`solver.solve`: the graph-fused,
-lasso (an edgeless graph) and univariate fused (a graph over the covariates,
-solved as one row) models pass a fusion operator for the smoothed penalty,
-and the l1/l2 model passes its exact rowwise proximal map.
+Each model is a thin front-end to :func:`solver.solve` that builds its own
+penalty object: the graph-fused, lasso (an edgeless graph) and univariate
+fused (a graph over the covariates, solved as one row) models pass a fusion
+operator for the smoothed penalty, and the l1/l2 model passes a
+:class:`RowGroupNorm`, whose exact rowwise proximal map the solver uses.
 
 Every fit entry point centers X and Y internally (column means removed) and
 stores the means on the result, so predictions for new data can be formed as
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,6 +36,24 @@ class PenaltySpec:
 
 
 @dataclass(frozen=True)
+class RowGroupNorm:
+    """The row-grouped l1/l2 penalty lam * sum_j ||B_j||_2 over the rows B_j of B."""
+
+    lam: float
+
+    def penalty_exact(self, B: np.ndarray) -> float:
+        return self.lam * float(np.linalg.norm(B, axis=1).sum())
+
+    def prox(self, V: np.ndarray, step: float) -> np.ndarray:
+        """Proximal map of step * penalty, a rowwise shrink: row <- max(0, 1 - lam * step / ||row||) * row."""
+        norms = np.linalg.norm(V, axis=1)
+        scale = np.zeros_like(norms)
+        nz = norms > 0
+        scale[nz] = np.maximum(0.0, 1.0 - self.lam * step / norms[nz])
+        return V * scale[:, None]
+
+
+@dataclass(frozen=True)
 class FitResult:
     solution: Solution
     model_kind: str
@@ -43,7 +61,7 @@ class FitResult:
     graph_summary: tuple[int, int, float | None]  # (nodes, edges, construction threshold)
     x_mean: np.ndarray
     y_mean: np.ndarray
-    runtime_s: float = 0.0
+    runtime_s: float
 
     def predict(self, X_new: np.ndarray) -> np.ndarray:
         X_new = np.asarray(X_new, dtype=float)
@@ -99,23 +117,17 @@ def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGr
 
 def _fit(
     kind: str, X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig | None,
-    prox: Callable[[np.ndarray, float], np.ndarray] | None = None, penalty: Callable[[np.ndarray], float] | None = None,
+    penalty: FusionOperator | RowGroupNorm,
 ) -> FitResult:
-    # Centers, solves and records the means. Without ``prox`` the penalty is
-    # the fusion operator of ``graph`` and ``spec``; a 1-d Y lays the model
-    # out as one row whose graph spans the covariates.
+    # Centers, checks that ``graph`` has a node per task (per covariate when a
+    # 1-d Y lays the model out as one row), solves and records the means.
     t0 = time.perf_counter()
     Xc, x_mean = center_columns(X)
     Yc, y_mean = center_columns(Y)
-    rows = Yc.ndim == 1
-    n_nodes = Xc.shape[1] if rows else Yc.shape[1]
+    n_nodes = Xc.shape[1] if Yc.ndim == 1 else Yc.shape[1]
     if graph.node_count != n_nodes:
         raise ValueError(f"graph has {graph.node_count} nodes but the model needs {n_nodes}")
-    op = None
-    if prox is None:
-        n_inputs = 1 if rows else Xc.shape[1]
-        op = FusionOperator.from_graph(graph, lam=spec.lam, gamma=spec.gamma, n_inputs=n_inputs)
-    solution = solve(Xc, Yc, config or SolverConfig(), op=op, prox=prox, penalty=penalty)
+    solution = solve(Xc, Yc, config or SolverConfig(), penalty)
     return FitResult(
         solution=solution,
         model_kind=kind,
@@ -131,13 +143,15 @@ def fit_gflasso(
     X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig | None = None
 ) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
-    return _fit("gflasso", X, Y, graph, spec, config)
+    op = FusionOperator.from_graph(graph, lam=spec.lam, gamma=spec.gamma, n_inputs=np.shape(X)[1])
+    return _fit("gflasso", X, Y, graph, spec, config, op)
 
 
 def fit_lasso(X: np.ndarray, Y: np.ndarray, spec: PenaltySpec, config: SolverConfig | None = None) -> FitResult:
     """Entrywise-l1 multi-task fit; the edgeless special case of the fused model."""
     empty = TaskGraph(node_count=np.shape(Y)[1])
-    return _fit("lasso", X, Y, empty, PenaltySpec(lam=spec.lam), config)
+    op = FusionOperator.from_graph(empty, lam=spec.lam, gamma=0.0, n_inputs=np.shape(X)[1])
+    return _fit("lasso", X, Y, empty, PenaltySpec(lam=spec.lam), config, op)
 
 
 def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfig | None = None) -> FitResult:
@@ -148,19 +162,7 @@ def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfi
     shared accelerated loop.
     """
     spec = PenaltySpec(lam=lam, gamma=0.0)
-
-    def prox(V: np.ndarray, step: float) -> np.ndarray:
-        # rowwise shrink: row <- max(0, 1 - lam * step / ||row||) * row
-        norms = np.linalg.norm(V, axis=1)
-        scale = np.zeros_like(norms)
-        nz = norms > 0
-        scale[nz] = np.maximum(0.0, 1.0 - lam * step / norms[nz])
-        return V * scale[:, None]
-
-    def penalty(B: np.ndarray) -> float:
-        return lam * float(np.linalg.norm(B, axis=1).sum())
-
-    return _fit("group_l1l2", X, Y, TaskGraph(node_count=np.shape(Y)[1]), spec, config, prox, penalty)
+    return _fit("group_l1l2", X, Y, TaskGraph(node_count=np.shape(Y)[1]), spec, config, RowGroupNorm(lam))
 
 
 def fit_fused_univariate(
@@ -173,4 +175,5 @@ def fit_fused_univariate(
     reproduces the classic adjacent-difference fused penalty.
     """
     y = np.asarray(y, dtype=float).ravel()
-    return _fit("fused_univariate", X, y, input_graph, PenaltySpec(lam=lam, gamma=gamma), config)
+    op = FusionOperator.from_graph(input_graph, lam=lam, gamma=gamma, n_inputs=1)
+    return _fit("fused_univariate", X, y, input_graph, PenaltySpec(lam=lam, gamma=gamma), config, op)

@@ -22,7 +22,7 @@ operator works on the edge arrays instead: column gathers for B C and one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,10 +55,10 @@ class FusionOperator:
     gamma: float
     n_inputs: int
     n_tasks: int
-    edge_m: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-    edge_l: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-    edge_weight: np.ndarray = field(default_factory=lambda: np.empty(0))
-    edge_sign: np.ndarray = field(default_factory=lambda: np.empty(0))
+    edge_m: np.ndarray
+    edge_l: np.ndarray
+    edge_weight: np.ndarray
+    edge_sign: np.ndarray
 
     def __post_init__(self) -> None:
         if not (0 <= self.lam < np.inf and 0 <= self.gamma < np.inf):

@@ -16,9 +16,11 @@ surrogate f_mu, with mu and L derived in :func:`solve` from the operator's
 gap constant and norm bound. A penalty with an exact proximal map (the
 row-grouped l1/l2 norm) enters steps 2 and 3 through that map instead: the
 composite form of the scheme (Nesterov 2013, "Gradient methods for
-minimizing composite functions"). The stopping rule watches the relative
-change of the EXACT objective at B^t, so the reported optimum certifies the
-original problem.
+minimizing composite functions"). The stopping rule compares the EXACT
+objective at consecutive B^t. A small relative change means the iterates
+stalled, not that B^t is near the optimum, so ``converged`` is no certificate
+(at lam = gamma = 10 one report fit stopped after 2 iterations, 7.4e-2 above
+a tight solve).
 
 A plain subgradient method with step c / sqrt(t+1) is included as the
 baseline with the slower O(1/eps^2) rate.
@@ -53,8 +55,7 @@ class SolverConfig:
     record_trace: bool = False
 
     def __post_init__(self) -> None:
-        # mu is checked for finiteness even when accuracy overrides it, so no setting can be NaN or infinite
-        if not np.isfinite(self.mu) or (self.accuracy is None and not self.mu > 0):
+        if not 0 < self.mu < np.inf:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.accuracy is not None and not 0 < self.accuracy < np.inf:
             raise ValueError(f"accuracy must be positive and finite, got {self.accuracy}")
@@ -80,9 +81,9 @@ class Solution:
     converged: bool
     lipschitz_used: float
     mu_used: float
-    trace: tuple[tuple[float, float, float], ...] | None = None
-    runtime_total_s: float = 0.0
-    runtime_periter_s: float = 0.0
+    trace: tuple[tuple[float, float, float], ...] | None
+    runtime_total_s: float
+    runtime_periter_s: float
 
 
 def largest_eigenvalue(M: np.ndarray) -> float:
@@ -110,7 +111,7 @@ class Moments:
     XtY: np.ndarray
     ynorm2: float
     lam_max: float
-    rows: bool = False
+    rows: bool
 
     @classmethod
     def from_data(cls, X: np.ndarray, Y: np.ndarray) -> "Moments":
@@ -146,25 +147,24 @@ def three_sequence_minimize(
     f_smooth: Callable[[np.ndarray], float],
     shape: tuple[int, int],
     lipschitz: float,
-    rel_obj_tol: float,
-    max_iters: int,
-    record_trace: bool = False,
-    prox: Callable[[np.ndarray, float], np.ndarray] | None = None,
+    config: SolverConfig,
+    prox: Callable[[np.ndarray, float], np.ndarray] | None,
 ):
     """Run the three-sequence accelerated loop from W^0 = 0.
 
-    Returns (B, iterations, converged, trace). ``trace`` is None unless
-    requested. The running aggregate keeps Z in O(J K) memory instead of
-    storing per-iteration gradients. With ``prox(V, s)``, the proximal map
-    of s times a non-smooth penalty, the loop runs in its composite form:
-    B and Z become prox(W - g/L, 1/L) and prox(-S/L, A_t/L), where S is the
-    weighted gradient sum and A_t = (t+1)(t+2)/4 the sum of its weights.
+    Returns (B, iterations, converged, trace); ``trace`` is None unless
+    ``config.record_trace``. The running aggregate keeps Z in O(J K) memory.
+    With ``prox(V, s)``, the proximal map of s times a non-smooth penalty,
+    the loop runs in its composite form: B and Z become prox(W - g/L, 1/L)
+    and prox(-S/L, A_t/L), where S is the weighted gradient sum and
+    A_t = (t+1)(t+2)/4 the sum of its weights.
     """
+    rel_obj_tol, max_iters = config.rel_obj_tol, config.max_iters
     if lipschitz <= 0:
         raise ValueError(f"Lipschitz bound must be positive, got {lipschitz}")
     W = np.zeros(shape)
     weighted_grad_sum = np.zeros(shape)
-    trace: list[tuple[float, float, float]] | None = [] if record_trace else None
+    trace: list[tuple[float, float, float]] | None = [] if config.record_trace else None
     B = W
     f_prev: float | None = None
     for t in range(max_iters):
@@ -187,21 +187,14 @@ def three_sequence_minimize(
     return B, max_iters, False, trace
 
 
-def solve(
-    X: np.ndarray,
-    Y: np.ndarray,
-    config: SolverConfig,
-    op: FusionOperator | None = None,
-    prox: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    penalty: Callable[[np.ndarray], float] | None = None,
-) -> Solution:
-    """Minimize (1/2) ||Y - X B||_F^2 plus a penalty; the core behind every model.
+def solve(X: np.ndarray, Y: np.ndarray, config: SolverConfig, penalty) -> Solution:
+    """Minimize (1/2) ||Y - X B||_F^2 plus ``penalty``; the core behind every model.
 
-    With ``op`` the penalty is ||B C||_1, replaced in the loop by its smooth
-    surrogate; mu (``config.mu``, or accuracy / (2 D)) and the step 1/L, with
-    L = lam_max(X^T X) + op.norm_bound()^2 / mu, are derived here alone.
-    Without it, ``penalty`` is handled exactly through its proximal map
-    ``prox`` and no smoothing is involved.
+    A :class:`FusionOperator` penalty ||B C||_1 runs through its smooth surrogate;
+    mu (``config.mu``, or accuracy / (2 D)) and the step 1/L, with L =
+    lam_max(X^T X) + op.norm_bound()^2 / mu, are derived here alone. Any other
+    penalty runs unsmoothed (mu = 0, L = lam_max(X^T X)) and must provide
+    ``penalty_exact(B)`` and ``prox(V, step)``, the proximal map of step * penalty.
     ``X`` and ``Y`` are expected column-centered; a 1-d ``Y`` selects the
     row layout (see :class:`Moments`) and still returns B_hat as a J x 1 column.
     """
@@ -210,18 +203,13 @@ def solve(
     Y = np.asarray(Y, dtype=float)
     m = Moments.from_data(X, Y)
     gram, XtY, loss = m.gram, m.XtY, m.loss_fn()
-    if op is None:
-        mu, L, smooth_penalty = 0.0, m.lam_max, penalty
-
-        def grad(W: np.ndarray) -> np.ndarray:
-            return gram(W) - XtY
-
-    else:
+    penalty_exact = penalty.penalty_exact
+    if isinstance(penalty, FusionOperator):
+        op, prox = penalty, None
         mu = config.mu if config.accuracy is None else config.accuracy / (2.0 * op.gap_constant())
         if not mu > 0:
-            raise ValueError(f"mu must be positive, got {mu}")
+            raise ValueError(f"accuracy {config.accuracy} is too small: mu = accuracy / (2 D) underflows to {mu}")
         L = m.lam_max + op.norm_bound() ** 2 / mu
-        penalty = op.penalty_exact
 
         def smooth_penalty(B: np.ndarray) -> float:
             return op.smoothed_penalty(B, mu)
@@ -232,16 +220,20 @@ def solve(
             g += op.adjoint(op.aux_optimum(W, mu))
             return g
 
+    else:
+        mu, L, prox, smooth_penalty = 0.0, m.lam_max, penalty.prox, penalty_exact
+
+        def grad(W: np.ndarray) -> np.ndarray:
+            return gram(W) - XtY
+
     def f_exact(B: np.ndarray) -> float:
-        return loss(B) + penalty(B)
+        return loss(B) + penalty_exact(B)
 
     def f_smooth(B: np.ndarray) -> float:
         return loss(B) + smooth_penalty(B)
 
     t_loop = time.perf_counter()
-    B, iters, converged, trace = three_sequence_minimize(
-        grad, f_exact, f_smooth, XtY.shape, L, config.rel_obj_tol, config.max_iters, config.record_trace, prox
-    )
+    B, iters, converged, trace = three_sequence_minimize(grad, f_exact, f_smooth, XtY.shape, L, config, prox)
     t_end = time.perf_counter()
 
     coef = B[0] if m.rows else B
@@ -249,7 +241,7 @@ def solve(
     half_rss = 0.5 * float(np.vdot(resid, resid))
     return Solution(
         B_hat=coef.reshape(X.shape[1], -1),
-        objective_exact=half_rss + penalty(B),
+        objective_exact=half_rss + penalty_exact(B),
         objective_smooth=half_rss + smooth_penalty(B),
         iterations=iters,
         converged=converged,
@@ -261,19 +253,14 @@ def solve(
     )
 
 
-def subgradient_fit(
-    X: np.ndarray,
-    Y: np.ndarray,
-    op: FusionOperator,
-    max_iters: int = 100000,
-    record_trace: bool = False,
-) -> Solution:
+def subgradient_fit(X: np.ndarray, Y: np.ndarray, config: SolverConfig, op: FusionOperator) -> Solution:
     """Subgradient baseline on the exact objective, tracking the best iterate.
 
     The step is c / sqrt(t+1) with c = 1 / lam_max(X^T X); the
     subgradient of the penalty is Gamma*(sign(Gamma(B))) with sign(0) = 0.
-    There is no stopping test: the method always runs ``max_iters`` steps and
-    reports ``converged=False``, since nothing certifies the best iterate.
+    There is no stopping test: the method always runs ``config.max_iters``
+    steps and reports ``converged=False``, since nothing certifies the best
+    iterate. Of ``config`` it reads only ``max_iters`` and ``record_trace``.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -284,9 +271,9 @@ def subgradient_fit(
     B = np.zeros((op.n_inputs, op.n_tasks))
     best_B = B.copy()
     best_f = loss(B) + op.penalty_exact(B)
-    trace: list[tuple[float, float, float]] | None = [] if record_trace else None
+    trace: list[tuple[float, float, float]] | None = [] if config.record_trace else None
     t_loop = time.perf_counter()
-    for t in range(max_iters):
+    for t in range(config.max_iters):
         g = gram(B) - XtY + op.adjoint(np.sign(op.apply(B)))
         B = B - c / np.sqrt(t + 1.0) * g
         f_t = loss(B) + op.penalty_exact(B)
@@ -305,13 +292,13 @@ def subgradient_fit(
         B_hat=best_B,
         objective_exact=exact,
         objective_smooth=exact,
-        iterations=max_iters,
+        iterations=config.max_iters,
         converged=False,
         lipschitz_used=m.lam_max,
         mu_used=0.0,
         trace=tuple(trace) if trace is not None else None,
         runtime_total_s=t_end - t_start,
-        runtime_periter_s=(t_end - t_loop) / max(max_iters, 1),
+        runtime_periter_s=(t_end - t_loop) / config.max_iters,
     )
 
 

@@ -143,7 +143,7 @@ def _solve_tiny(spec):
     if spec["kind"] == "multitask":
         g = TaskGraph(spec["Y"].shape[1], spec["edges"])
         op = FusionOperator.from_graph(g, lam=spec["lam"], gamma=spec["gamma"], n_inputs=spec["X"].shape[1])
-        return solve(spec["X"], spec["Y"], config, op=op).objective_exact
+        return solve(spec["X"], spec["Y"], config, op).objective_exact
     g = TaskGraph(spec["X"].shape[1], spec["edges"])
     fit = fit_fused_univariate(spec["X"], spec["y"], g, spec["lam"], spec["gamma"], config)
     return fit.solution.objective_exact
@@ -174,7 +174,7 @@ def test_c04b_observed_iterations_within_theorem_bound():
     g = TaskGraph(spec["Y"].shape[1], spec["edges"])
     op = FusionOperator.from_graph(g, lam=spec["lam"], gamma=spec["gamma"], n_inputs=spec["X"].shape[1])
     config = SolverConfig(accuracy=eps, rel_obj_tol=1e-16, max_iters=200000, record_trace=True)
-    sol = solve(spec["X"], spec["Y"], config, op=op)
+    sol = solve(spec["X"], spec["Y"], config, op)
     fs = np.array([row[0] for row in sol.trace])
     hits = np.nonzero(fs - SUBGRAD_OBJ[0] <= eps)[0]
     assert hits.size, "never reached the eps ball"
@@ -213,14 +213,14 @@ def test_c05_degeneracy_lattice():
     Y2 -= Y2.mean(axis=0)
     g2 = TaskGraph(2, ((1, 2, 1.0),))
     op2 = FusionOperator.from_graph(g2, lam=0.3, gamma=1000.0, n_inputs=3)
-    fused = solve(X2, Y2, SolverConfig(mu=1e-4, rel_obj_tol=1e-6, max_iters=20000), op=op2)
+    fused = solve(X2, Y2, SolverConfig(mu=1e-4, rel_obj_tol=1e-6, max_iters=20000), op2)
     d3 = float(np.abs(fused.B_hat[:, 0] - fused.B_hat[:, 1]).max())
     assert d3 <= 1e-3
 
     # and at dominant-but-tractable gamma the fit approaches the pooled lasso
     lam = 0.4
     op3 = FusionOperator.from_graph(g2, lam=lam, gamma=10.0, n_inputs=3)
-    sol3 = solve(X2, Y2, SolverConfig(mu=2e-4, rel_obj_tol=1e-13, max_iters=400000), op=op3)
+    sol3 = solve(X2, Y2, SolverConfig(mu=2e-4, rel_obj_tol=1e-13, max_iters=400000), op3)
     pooled = ista_lasso(np.vstack([X2, X2]), np.concatenate([Y2[:, 0], Y2[:, 1]])[:, None], 2.0 * lam)[:, 0]
     d4 = float(np.abs(sol3.B_hat[:, 0] - pooled).max())
     assert d4 <= 1e-3
@@ -253,18 +253,18 @@ def test_c06_convergence_rate_regimes():
     X, Y, op = _medium_instance()
     eps_values = (1e-1, 1e-2, 1e-3)
 
-    ref = solve(X, Y, SolverConfig(accuracy=2e-4, rel_obj_tol=1e-16, max_iters=80000, record_trace=True), op=op)
+    ref = solve(X, Y, SolverConfig(accuracy=2e-4, rel_obj_tol=1e-16, max_iters=80000, record_trace=True), op)
     f_ref = min(row[0] for row in ref.trace)
 
     prox_hits = []
     for eps in eps_values:
-        sol = solve(X, Y, SolverConfig(accuracy=eps, rel_obj_tol=1e-16, max_iters=60000, record_trace=True), op=op)
+        sol = solve(X, Y, SolverConfig(accuracy=eps, rel_obj_tol=1e-16, max_iters=60000, record_trace=True), op)
         fs = np.array([row[0] for row in sol.trace])
         hits = np.nonzero(fs - f_ref <= eps)[0]
         assert hits.size, f"prox-grad never reached eps={eps}"
         prox_hits.append(int(hits[0]) + 1)
 
-    sg = subgradient_fit(X, Y, op, max_iters=80000, record_trace=True)
+    sg = subgradient_fit(X, Y, SolverConfig(max_iters=80000, record_trace=True), op)
     sg_best = np.array([row[0] for row in sg.trace])
     sub_hits = []
     for eps in eps_values:

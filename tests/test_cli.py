@@ -299,7 +299,9 @@ class TestNonFiniteArguments:
             (["--mu", "nan", "--accuracy", "1e-3"], "mu must be positive and finite, got nan"),
             (["--accuracy", "inf"], "accuracy must be positive and finite, got inf"),
             (["--tol", "nan"], "rel_obj_tol must be positive and finite, got nan"),
-            (["--accuracy", "5e-324"], "mu must be positive, got 0.0"),
+            (["--accuracy", "5e-324"], "accuracy 5e-324 is too small: mu = accuracy / (2 D) underflows to 0.0"),
+            (["--mu=-1", "--accuracy", "0.1"], "mu must be positive and finite, got -1.0"),
+            (["--mu", "0", "--accuracy", "0.1"], "mu must be positive and finite, got 0.0"),
         ],
     )
     def test_fit(self, data_dir, tmp_path, capsys, flags, message):

@@ -1,10 +1,13 @@
-"""Layout guards: no module of the package but fileio.py writes files, and no public
-name of the package is there only for the tests."""
+"""Layout guards: no module of the package but fileio.py writes files, no public
+name of the package is there only for the tests, and the number of settable
+values is pinned."""
 
+import argparse
 import ast
 import pathlib
 
 import gflasso
+from gflasso.cli import build_parser
 
 PACKAGE = pathlib.Path(gflasso.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -99,3 +102,49 @@ def test_every_public_name_is_used_outside_the_tests():
 def test_unused_guard_sees_an_unused_method():
     source = "class A:\n    def kept(self): ...\n    def dropped(self): ...\ndef helper(): ...\nA().kept()\nhelper()\n"
     assert unused_public_names({"m": ast.parse(source)}, []) == ["m.A.dropped"]
+
+
+SETTABLE_VALUES = 109
+ENVIRONMENT_READS = {"environ", "getenv"}
+
+
+def settable_values() -> dict[str, int]:
+    """Everything a user or a caller of the package can set, counted by kind."""
+    parser = build_parser()
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    counts = {
+        "cli options": sum(
+            bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
+            for p in subcommands.values()
+            for a in p._actions
+        ),
+        "environment reads": 0,
+        "config and spec fields": 0,
+        "parameter defaults": 0,
+        "other field defaults": 0,
+    }
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                counts["environment reads"] += node.attr in ENVIRONMENT_READS
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                counts["parameter defaults"] += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                if node.name.endswith(("Config", "Spec")):
+                    counts["config and spec fields"] += len(fields)
+                else:
+                    counts["other field defaults"] += sum(f.value is not None for f in fields)
+    return counts
+
+
+def test_settable_value_count():
+    """Counts every CLI option but --help (the hidden --threads too), every
+    os.environ/os.getenv read, every field of a *Config or *Spec class, every
+    parameter default and every other class-body field with a default.
+
+    A change that adds or removes a settable value updates SETTABLE_VALUES in
+    the same diff."""
+    counts = settable_values()
+    assert sum(counts.values()) == SETTABLE_VALUES, counts

@@ -4,6 +4,7 @@ import pytest
 from gflasso.graph import TaskGraph, build_correlation_graph, chain_graph
 from gflasso.models import (
     PenaltySpec,
+    RowGroupNorm,
     center_columns,
     fit_fused_univariate,
     fit_gflasso,
@@ -11,7 +12,7 @@ from gflasso.models import (
     fit_lasso,
     objective_gflasso,
 )
-from gflasso.solver import SolverConfig
+from gflasso.solver import SolverConfig, largest_eigenvalue, solve
 
 
 def make_problem(seed, n=40, j=6, k=3, noise=0.3):
@@ -144,6 +145,41 @@ class TestFitGroupL1L2:
         for j, nrm in enumerate(row_norms):
             if nrm == 0.0:
                 assert np.all(fit.solution.B_hat[j] == 0.0)
+
+
+class TestRowGroupNorm:
+    def test_prox_zero_row_stays_zero(self):
+        out = RowGroupNorm(0.5).prox(np.array([[0.0, 0.0], [3.0, 4.0]]), 1.0)
+        assert np.array_equal(out[0], [0.0, 0.0])
+
+    def test_prox_row_inside_the_ball_maps_to_zero(self):
+        # ||v|| = 5 <= lam * step = 2 * 2.5
+        out = RowGroupNorm(2.0).prox(np.array([[3.0, 4.0], [-3.0, 4.0]]), 2.5)
+        assert np.array_equal(out, np.zeros((2, 2)))
+
+    def test_prox_shrinks_other_rows_toward_zero(self):
+        V = np.random.default_rng(5).standard_normal((6, 3)) * 3.0
+        lam, step = 0.7, 0.4
+        out = RowGroupNorm(lam).prox(V, step)
+        for v, o in zip(V, out):
+            nrm = np.linalg.norm(v)
+            assert nrm > lam * step
+            assert o == pytest.approx((1.0 - lam * step / nrm) * v, rel=1e-14, abs=1e-15)
+
+    def test_penalty_exact_sums_row_norms(self):
+        B = np.random.default_rng(6).standard_normal((5, 3))
+        expected = 1.3 * sum(np.linalg.norm(B[j]) for j in range(5))
+        assert RowGroupNorm(1.3).penalty_exact(B) == pytest.approx(expected, rel=1e-14)
+
+    def test_solve_runs_it_unsmoothed_and_matches_the_model(self):
+        X, Y = make_problem(11)
+        Xc, _ = center_columns(X)
+        Yc, _ = center_columns(Y)
+        config = SolverConfig(rel_obj_tol=1e-10)
+        sol = solve(Xc, Yc, config, RowGroupNorm(0.8))
+        assert sol.mu_used == 0.0
+        assert sol.lipschitz_used == largest_eigenvalue(Xc.T @ Xc)
+        assert np.array_equal(sol.B_hat, fit_group_l1l2(X, Y, 0.8, config).solution.B_hat)
 
 
 class TestFitFusedUnivariate:

@@ -66,14 +66,14 @@ class TestLipschitzUpper:
         X, Y = centered_problem(1)
         op = empty_operator(4, 2)
         lm = largest_eigenvalue(X.T @ X)
-        assert solve(X, Y, SolverConfig(mu=0.5, max_iters=1), op=op).lipschitz_used == pytest.approx(lm, rel=1e-8)
+        assert solve(X, Y, SolverConfig(mu=0.5, max_iters=1), op).lipschitz_used == pytest.approx(lm, rel=1e-8)
 
     def test_arithmetic(self):
         # lam=1, gamma=2, max degree 0.5, mu=0.1, lam_max=3 -> 3 + 5/0.1 = 53
         g = TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5)))
         op = FusionOperator.from_graph(g, lam=1.0, gamma=2.0, n_inputs=2)
         X = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]])  # X^T X = diag(3, 2)
-        sol = solve(X, np.ones((3, 3)), SolverConfig(mu=0.1, max_iters=1), op=op)
+        sol = solve(X, np.ones((3, 3)), SolverConfig(mu=0.1, max_iters=1), op)
         assert sol.lipschitz_used == pytest.approx(53.0)
 
     def test_gradient_lipschitz_inequality(self):
@@ -83,7 +83,7 @@ class TestLipschitzUpper:
         op = FusionOperator.from_graph(g, lam=0.4, gamma=0.7, n_inputs=5)
         mu = 0.05
         XtX, XtY = X.T @ X, X.T @ Y
-        L = solve(X, Y, SolverConfig(mu=mu, max_iters=1), op=op).lipschitz_used
+        L = solve(X, Y, SolverConfig(mu=mu, max_iters=1), op).lipschitz_used
         for _ in range(100):
             B1 = rng.standard_normal((5, 3))
             B2 = rng.standard_normal((5, 3))
@@ -96,7 +96,7 @@ class TestLipschitzUpper:
         g = TaskGraph(3, ((1, 2, 0.8), (2, 3, -0.5)))
         op = FusionOperator.from_graph(g, lam=0.4, gamma=0.7, n_inputs=5)
         eps = 0.05
-        sol = solve(X, Y, SolverConfig(accuracy=eps, max_iters=1), op=op)
+        sol = solve(X, Y, SolverConfig(accuracy=eps, max_iters=1), op)
         assert sol.mu_used == eps / (2 * op.gap_constant())
         assert sol.lipschitz_used == largest_eigenvalue(X.T @ X) + op.norm_bound() ** 2 / sol.mu_used
 
@@ -140,7 +140,7 @@ class TestProxGradFit:
     def test_unpenalized_matches_normal_equations(self):
         X, Y = centered_problem(8)
         op = empty_operator(4, 2)
-        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-12, max_iters=50000), op=op)
+        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-12, max_iters=50000), op)
         B_ls = np.linalg.solve(X.T @ X, X.T @ Y)
         assert np.linalg.norm(sol.B_hat - B_ls) < 1e-5
 
@@ -148,7 +148,7 @@ class TestProxGradFit:
         X, Y = centered_problem(9, n=10, j=3, k=2)
         g = TaskGraph(2, ((1, 2, 0.9),))
         op = FusionOperator.from_graph(g, lam=0.5, gamma=0.5, n_inputs=3)
-        sol = solve(X, Y, SolverConfig(mu=1e-5, rel_obj_tol=1e-11, max_iters=300000), op=op)
+        sol = solve(X, Y, SolverConfig(mu=1e-5, rel_obj_tol=1e-11, max_iters=300000), op)
         C = dense_fusion_matrix(2, g.edges, 0.5, 0.5)
         ref, _ = subgradient_dense(X, Y, C, 200000)
         assert sol.objective_exact == pytest.approx(ref, rel=5e-3)
@@ -159,7 +159,7 @@ class TestProxGradFit:
         X, Y = centered_problem(10, n=12, j=3, k=2, noise=0.2)
         g = TaskGraph(2, ((1, 2, 0.9),))
         op = FusionOperator.from_graph(g, lam=0.3, gamma=1000.0, n_inputs=3)
-        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-6, max_iters=20000), op=op)
+        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-6, max_iters=20000), op)
         assert np.abs(sol.B_hat[:, 0] - sol.B_hat[:, 1]).max() <= 1e-3
 
     def test_fusion_limit_matches_pooled_lasso(self):
@@ -169,7 +169,7 @@ class TestProxGradFit:
         g = TaskGraph(2, ((1, 2, 1.0),))
         lam = 0.4
         op = FusionOperator.from_graph(g, lam=lam, gamma=10.0, n_inputs=3)
-        sol = solve(X, Y, SolverConfig(mu=2e-4, rel_obj_tol=1e-13, max_iters=400000), op=op)
+        sol = solve(X, Y, SolverConfig(mu=2e-4, rel_obj_tol=1e-13, max_iters=400000), op)
         X_stack = np.vstack([X, X])
         y_stack = np.concatenate([Y[:, 0], Y[:, 1]])[:, None]
         pooled = ista_lasso(X_stack, y_stack, 2.0 * lam)[:, 0]
@@ -181,7 +181,7 @@ class TestProxGradFit:
         g = TaskGraph(3, ((1, 2, 0.7), (1, 3, -0.6)))
         op = FusionOperator.from_graph(g, lam=0.2, gamma=0.4, n_inputs=4)
         config = SolverConfig(mu=1e-3, rel_obj_tol=1e-8, max_iters=2000, record_trace=True)
-        sol = solve(X, Y, config, op=op)
+        sol = solve(X, Y, config, op)
         mu_d = sol.mu_used * op.gap_constant()
         for f_exact, f_smooth, _ in sol.trace:
             assert f_smooth <= f_exact + 1e-9
@@ -193,8 +193,8 @@ class TestProxGradFit:
         g = TaskGraph(3, ((1, 2, 0.5), (2, 3, 0.5)))
         op = FusionOperator.from_graph(g, lam=0.3, gamma=0.3, n_inputs=5)
         config = SolverConfig(mu=1e-3, rel_obj_tol=1e-8, max_iters=3000)
-        a = solve(X, Y, config, op=op)
-        b = solve(X, Y, config, op=op)
+        a = solve(X, Y, config, op)
+        b = solve(X, Y, config, op)
         assert np.array_equal(a.B_hat, b.B_hat)
         assert a.objective_exact == b.objective_exact
         assert a.iterations == b.iterations
@@ -202,7 +202,7 @@ class TestProxGradFit:
     def test_max_iters_flags_not_converged(self):
         X, Y = centered_problem(14)
         op = empty_operator(4, 2, lam=0.1)
-        sol = solve(X, Y, SolverConfig(rel_obj_tol=1e-14, max_iters=5), op=op)
+        sol = solve(X, Y, SolverConfig(rel_obj_tol=1e-14, max_iters=5), op)
         assert not sol.converged
         assert sol.iterations == 5
 
@@ -213,11 +213,11 @@ class TestProxGradFit:
         X, Y = centered_problem(15, n=25, j=6, k=3)
         op = empty_operator(6, 3, lam=0.3)
         config = SolverConfig(mu=1e-4, rel_obj_tol=1e-16, max_iters=3000)
-        joint = solve(X, Y, config, op=op)
+        joint = solve(X, Y, config, op)
         cols = []
         for k in range(3):
             opk = empty_operator(6, 1, lam=0.3)
-            cols.append(solve(X, Y[:, [k]], config, op=opk).B_hat[:, 0])
+            cols.append(solve(X, Y[:, [k]], config, opk).B_hat[:, 0])
         assert np.linalg.norm(joint.B_hat - np.column_stack(cols)) < 1e-5
 
     def test_matches_soft_threshold_closed_form_on_orthonormal_design(self):
@@ -231,7 +231,7 @@ class TestProxGradFit:
         Y = Y - Y.mean(axis=0)
         lam = 0.6
         op = empty_operator(5, 2, lam=lam)
-        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-13, max_iters=200000), op=op)
+        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-13, max_iters=200000), op)
         XtY = X.T @ Y
         ref = np.sign(XtY) * np.maximum(np.abs(XtY) - lam, 0.0)
         assert np.abs(sol.B_hat - ref).max() < 2e-3
@@ -246,7 +246,7 @@ class TestProxGradFit:
         X, Y = centered_problem(23, n=25, j=4, k=2, noise=0.5)
         lam = float(np.abs(X.T @ Y).max()) * 1.5
         op = empty_operator(4, 2, lam=lam)
-        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-10, max_iters=50000), op=op)
+        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-10, max_iters=50000), op)
         # smoothed stationary point sits within mu ||XtY|| / lam^2 of zero
         assert np.abs(sol.B_hat).max() <= sol.mu_used * float(np.abs(X.T @ Y).max()) / lam**2 + 1e-9
 
@@ -254,14 +254,14 @@ class TestProxGradFit:
         X, Y = centered_problem(17)
         op = empty_operator(3, 2)
         with pytest.raises(ValueError):
-            solve(X, Y, SolverConfig(), op=op)
+            solve(X, Y, SolverConfig(), op)
 
 
 class TestSubgradientFit:
     def test_quadratic_best_so_far_montone_toward_least_squares(self):
         X, Y = centered_problem(18)
         op = empty_operator(4, 2)
-        sol = subgradient_fit(X, Y, op, max_iters=3000, record_trace=True)
+        sol = subgradient_fit(X, Y, SolverConfig(max_iters=3000, record_trace=True), op)
         best = [row[0] for row in sol.trace]
         assert all(a >= b - 1e-12 for a, b in zip(best, best[1:]))
         B_ls = np.linalg.solve(X.T @ X, X.T @ Y)
@@ -273,8 +273,8 @@ class TestSubgradientFit:
         X, Y = centered_problem(19, n=10, j=3, k=2)
         g = TaskGraph(2, ((1, 2, 0.9),))
         op = FusionOperator.from_graph(g, lam=0.5, gamma=0.5, n_inputs=3)
-        pg = solve(X, Y, SolverConfig(mu=1e-5, rel_obj_tol=1e-11, max_iters=300000), op=op)
-        sg = subgradient_fit(X, Y, op, max_iters=1000000)
+        pg = solve(X, Y, SolverConfig(mu=1e-5, rel_obj_tol=1e-11, max_iters=300000), op)
+        sg = subgradient_fit(X, Y, SolverConfig(max_iters=1000000), op)
         assert sg.objective_exact == pytest.approx(pg.objective_exact, rel=1e-3)
 
     def test_never_claims_convergence(self):
@@ -282,7 +282,7 @@ class TestSubgradientFit:
         X, Y = centered_problem(21)
         g = TaskGraph(2, ((1, 2, 0.7),))
         op = FusionOperator.from_graph(g, lam=0.3, gamma=0.3, n_inputs=4)
-        sol = subgradient_fit(X, Y, op, max_iters=3)
+        sol = subgradient_fit(X, Y, SolverConfig(max_iters=3), op)
         assert sol.iterations == 3
         assert sol.converged is False
 
@@ -290,7 +290,7 @@ class TestSubgradientFit:
         X, Y = centered_problem(20, n=10, j=3, k=2)
         g = TaskGraph(2, ((1, 2, -0.8),))
         op = FusionOperator.from_graph(g, lam=0.2, gamma=0.3, n_inputs=3)
-        sol = subgradient_fit(X, Y, op, max_iters=2000, record_trace=True)
+        sol = subgradient_fit(X, Y, SolverConfig(max_iters=2000, record_trace=True), op)
         assert sol.objective_exact == pytest.approx(sol.trace[-1][0], abs=1e-12)
         C = dense_fusion_matrix(2, g.edges, 0.2, 0.3)
         assert sol.objective_exact == pytest.approx(objective_dense(X, Y, sol.B_hat, C), abs=1e-10)
@@ -317,7 +317,7 @@ class TestIterationBound:
 def test_trace_csv_dump():
     X, Y = centered_problem(21, n=10, j=3, k=2)
     op = empty_operator(3, 2, lam=0.2)
-    sol = solve(X, Y, SolverConfig(mu=1e-3, rel_obj_tol=1e-8, max_iters=50, record_trace=True), op=op)
+    sol = solve(X, Y, SolverConfig(mu=1e-3, rel_obj_tol=1e-8, max_iters=50, record_trace=True), op)
     lines = trace_csv_text(sol).splitlines()
     assert lines[0] == "iter,f_exact,f_smooth,grad_norm"
     assert len(lines) == 1 + sol.iterations
@@ -328,6 +328,6 @@ def test_trace_csv_dump():
 def test_trace_requires_recording():
     X, Y = centered_problem(22, n=10, j=3, k=2)
     op = empty_operator(3, 2)
-    sol = solve(X, Y, SolverConfig(max_iters=5, rel_obj_tol=1e-8), op=op)
+    sol = solve(X, Y, SolverConfig(max_iters=5, rel_obj_tol=1e-8), op)
     with pytest.raises(ValueError):
         trace_csv_text(sol)
