@@ -22,7 +22,7 @@ from .models import (
 )
 from .simulate import Dataset, SimulationSpec, simulate_dataset
 from .smoothing import FusionOperator, shrink
-from .solver import Solution, SolverConfig, largest_eigenvalue, subgradient_fit
+from .solver import Solution, SolverConfig, subgradient_fit
 
 __all__ = [
     "DegenerateInputError",
@@ -44,6 +44,5 @@ __all__ = [
     "shrink",
     "Solution",
     "SolverConfig",
-    "largest_eigenvalue",
     "subgradient_fit",
 ]

@@ -1,12 +1,13 @@
 """Command-line interface binding the library to CSV/JSON files.
 
-Commands: simulate, fit, cv, bench, report. Exit codes: 0 success,
-2 usage or input error, 3 fit stopped at the iteration cap without
-converging, 4 internal numeric error. Every command renders all of its
-files first, then writes each one atomically, and writes manifest.json
-(the resolved arguments, input digests and artifact names) last. A command
-that fails, also on a non-finite value in a flag its method ignores, writes
-nothing; only an OS error during the writes can leave earlier files behind.
+Commands: simulate, fit, cv, bench, report. Exit codes: 0 success, 2 usage
+or input error, 3 the fit is not certified converged (it hit the iteration
+cap, or X^T X is singular and has no gap), 4 internal numeric error. Every
+command renders all of its files first, then writes each one atomically, and
+writes manifest.json (the resolved arguments, input digests and artifact
+names) last. A command that fails, also on a non-finite value in a flag its
+method ignores, writes nothing; only an OS error during the writes can leave
+earlier files behind.
 """
 
 from __future__ import annotations
@@ -104,9 +105,9 @@ def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int, accuracy: bool
             "--accuracy",
             type=float,
             default=None,
-            help="target accuracy eps; when set, mu = eps / (2 D) overrides --mu",
+            help="target accuracy eps; when set, mu = eps / (2 D) overrides --mu, so the gap floor mu * D is eps / 2",
         )
-    p.add_argument("--tol", type=float, default=1e-6, help="relative objective-change stopping tolerance")
+    p.add_argument("--tol", type=float, default=1e-6, help="stop at duality gap <= max(tol * |objective|, mu * D)")
     p.add_argument("--max-iters", type=int, default=max_iters)
 
 

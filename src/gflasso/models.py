@@ -52,6 +52,11 @@ class RowGroupNorm:
         scale[nz] = np.maximum(0.0, 1.0 - self.lam * step / norms[nz])
         return V * scale[:, None]
 
+    def dual_point(self, V: np.ndarray) -> np.ndarray:
+        """Each row of V projected onto the l2 ball of radius lam, the dual-norm ball of the penalty."""
+        norms = np.linalg.norm(V, axis=1, keepdims=True)
+        return V * np.divide(self.lam, norms, out=np.ones_like(norms), where=norms > self.lam)
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -83,6 +88,8 @@ class FitResult:
             "graph_edges": edges,
             "iterations": s.iterations,
             "converged": s.converged,
+            "stop_reason": s.stop_reason,
+            "gap": s.gap,
             "objective": s.objective_exact,
             "objective_smooth": s.objective_smooth,
             "mu": s.mu_used,
@@ -139,11 +146,16 @@ def _fit(
     )
 
 
+def _fusion_operator(graph: TaskGraph, lam: float, gamma: float, n_inputs: int) -> FusionOperator:
+    # at gamma = 0 the edge columns of C are zero: left out, they cost no work and do not widen the gap floor mu * D
+    return FusionOperator.from_graph(graph if gamma > 0 else TaskGraph(graph.node_count), lam, gamma, n_inputs)
+
+
 def fit_gflasso(
     X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig | None = None
 ) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
-    op = FusionOperator.from_graph(graph, lam=spec.lam, gamma=spec.gamma, n_inputs=np.shape(X)[1])
+    op = _fusion_operator(graph, spec.lam, spec.gamma, np.shape(X)[1])
     return _fit("gflasso", X, Y, graph, spec, config, op)
 
 
@@ -175,5 +187,5 @@ def fit_fused_univariate(
     reproduces the classic adjacent-difference fused penalty.
     """
     y = np.asarray(y, dtype=float).ravel()
-    op = FusionOperator.from_graph(input_graph, lam=lam, gamma=gamma, n_inputs=1)
+    op = _fusion_operator(input_graph, lam, gamma, 1)
     return _fit("fused_univariate", X, y, input_graph, PenaltySpec(lam=lam, gamma=gamma), config, op)

@@ -1,26 +1,36 @@
 """The accelerated solver core behind every model, and a subgradient baseline.
 
-:func:`solve` minimizes (1/2) ||Y - X B||_F^2 plus a penalty through the
+:func:`solve` minimizes F(B) = (1/2) ||Y - X B||_F^2 + P(B) through the
 moments X^T X and X^T Y (:class:`Moments`), so the per-iteration cost is
 independent of the sample count. Its loop is the three-sequence accelerated
 scheme: a gradient point W, a descent iterate B, and a weighted running
-gradient aggregate Z. Per iteration t:
+gradient aggregate Z. Per iteration t, counted from the anchor (the start
+point, or the iterate of the last restart):
 
     1. g_t = grad(W^t)
     2. B^t = W^t - g_t / L
-    3. Z^t = -(1/L) * sum_{i<=t} ((i+1)/2) * g_i    (kept as one running sum)
+    3. Z^t = anchor - (1/L) * sum_{i<=t} ((i+1)/2) * g_i    (kept as one running sum)
     4. W^{t+1} = ((t+1) B^t + 2 Z^t) / (t+3)
 
 The fusion penalty ||B C||_1 enters the gradient through its smooth
 surrogate f_mu, with mu and L derived in :func:`solve` from the operator's
-gap constant and norm bound. A penalty with an exact proximal map (the
-row-grouped l1/l2 norm) enters steps 2 and 3 through that map instead: the
-composite form of the scheme (Nesterov 2013, "Gradient methods for
-minimizing composite functions"). The stopping rule compares the EXACT
-objective at consecutive B^t. A small relative change means the iterates
-stalled, not that B^t is near the optimum, so ``converged`` is no certificate
-(at lam = gamma = 10 one report fit stopped after 2 iterations, 7.4e-2 above
-a tight solve).
+gap constant and norm bound. The row-grouped l1/l2 norm enters steps 2 and 3
+through its exact proximal map instead: the composite form of the scheme
+(Nesterov 2013, "Gradient methods for minimizing composite functions").
+
+Every fit stops on a duality-gap certificate. With P(B) = max <A, G(B)> over
+a dual ball (G(B) = B C, ||A||_inf <= 1; or G = identity, rows of A in the
+lam-ball) and X^T X = V diag(s) V^T nonsingular, each such A shows min F >= F(B) - gap,
+gap = (P(B) - <A, G(B)>) + (1/2) ||(V s^-1/2)^T (grad loss(B) + G*(A))||^2.
+A is the smoothing's maximizer clamp(B C / mu) (Nesterov 2005) or the rowwise
+projection of -grad loss(B). F and the gap run only at checks, every
+CHECK_EVERY iterations and at the cap; ``converged`` means gap <=
+max(rel_obj_tol * |F(B)|, mu * D) there. A check that did not improve
+restarts the loop from the best checked iterate (O'Donoghue & Candes 2015),
+and a smoothed penalty runs through the mu stages MU_STAGES * mu, each ending
+at gap <= mu_s * D (Becker, Bobin & Candes 2011, "NESTA"). A singular X^T X
+(J >= N, collinear columns) certifies nothing: the fit stops when F changes by
+less than rel_obj_tol between checks and reports ``converged=False``.
 
 A plain subgradient method with step c / sqrt(t+1) is included as the
 baseline with the slower O(1/eps^2) rate.
@@ -28,6 +38,7 @@ baseline with the slower O(1/eps^2) rate.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -35,8 +46,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError
-from .smoothing import FusionOperator
+from .smoothing import FusionOperator, shrink
 
+CHECK_EVERY = 10
+MU_STAGES = (100.0, 10.0, 1.0)
 _REL_DENOM_FLOOR = 1e-12
 
 
@@ -46,6 +59,7 @@ class SolverConfig:
 
     Exactly one smoothing mode is active: the fixed ``mu`` (default 1e-4), or
     the accuracy-driven rule mu = accuracy / (2 D) when ``accuracy`` is set.
+    ``rel_obj_tol`` is the relative duality gap to stop at, floored at mu * D.
     """
 
     mu: float = 1e-4
@@ -70,8 +84,11 @@ class Solution:
     """Result of one solver run.
 
     ``trace`` rows are (exact objective, smoothed objective, gradient norm)
-    per iteration when tracing was requested.  ``objective_smooth`` is a
-    lower bound on ``objective_exact`` with gap at most mu * D.
+    per iteration when tracing was requested. ``objective_smooth`` is a lower
+    bound on ``objective_exact`` with gap at most mu * D. ``gap`` is F(B_hat)
+    minus the best certified lower bound on the optimum (None when X^T X is
+    singular); ``stop_reason`` is ``gap``, ``iteration_cap`` or
+    ``uncertified``. ``mu_used`` and ``lipschitz_used`` are the final stage's.
     """
 
     B_hat: np.ndarray
@@ -79,6 +96,8 @@ class Solution:
     objective_smooth: float
     iterations: int
     converged: bool
+    gap: float | None
+    stop_reason: str
     lipschitz_used: float
     mu_used: float
     trace: tuple[tuple[float, float, float], ...] | None
@@ -86,31 +105,23 @@ class Solution:
     runtime_periter_s: float
 
 
-def largest_eigenvalue(M: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix, exact to rounding (LAPACK eigvalsh)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise NumericError("matrix contains non-finite entries")
-    return float(np.linalg.eigvalsh(M)[-1])
-
-
 @dataclass(frozen=True)
 class Moments:
     """The sample moments of one centered data split, built once per fit.
 
-    Holds X^T X, X^T Y, ||Y||_F^2 and lam_max(X^T X); every later loss and
-    gradient evaluation reads these, so its cost is free of the sample count.
-    A 1-d response gives the row layout of the univariate fused model: the
-    coefficients are one 1 x J row W, X^T Y is stored as that row, and the
-    Gram product is W X^T X instead of X^T X B.
+    Holds X^T X, X^T Y, ||Y||_F^2, lam_max(X^T X) and the factor V s^-1/2 of
+    (X^T X)^-1 from eigh(X^T X) = V diag(s) V^T (None when X^T X is singular
+    to rounding); every later evaluation reads these, free of the sample
+    count. A 1-d response gives the row layout of the univariate fused model:
+    the coefficients are one 1 x J row W, X^T Y is stored as that row, and
+    the Gram product is W X^T X instead of X^T X B.
     """
 
     XtX: np.ndarray
     XtY: np.ndarray
     ynorm2: float
     lam_max: float
+    inv_factor: np.ndarray | None
     rows: bool
 
     @classmethod
@@ -119,9 +130,16 @@ class Moments:
         if X.ndim != 2 or Y.ndim not in (1, 2) or X.shape[0] != Y.shape[0]:
             raise ValueError(f"incompatible shapes X {X.shape}, Y {Y.shape}")
         XtX = X.T @ X
+        if not np.all(np.isfinite(XtX)):
+            raise NumericError("X^T X contains non-finite entries")
+        s, V = np.linalg.eigh(XtX)
+        if s[0] > s.size * np.finfo(float).eps * s[-1]:
+            V *= s**-0.5  # in place: the one J x J array kept besides X^T X
+        else:
+            V = None
         rows = Y.ndim == 1
         XtY = (X.T @ Y)[None, :] if rows else X.T @ Y
-        return cls(XtX, XtY, float(np.vdot(Y, Y)), largest_eigenvalue(XtX), rows)
+        return cls(XtX, XtY, float(np.vdot(Y, Y)), float(s[-1]), V, rows)
 
     @property
     def gram(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -143,64 +161,66 @@ class Moments:
 
 def three_sequence_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
-    f_exact: Callable[[np.ndarray], float],
-    f_smooth: Callable[[np.ndarray], float],
-    shape: tuple[int, int],
-    lipschitz: float,
-    config: SolverConfig,
+    check: Callable[[np.ndarray], tuple[float, bool]],
+    B0: np.ndarray, lipschitz: float, max_iters: int,
     prox: Callable[[np.ndarray, float], np.ndarray] | None,
-):
-    """Run the three-sequence accelerated loop from W^0 = 0.
+    trace: Callable[[np.ndarray, np.ndarray], None] | None,
+) -> tuple[np.ndarray, int, bool]:
+    """Run the three-sequence loop from W^0 = ``B0`` for at most ``max_iters`` iterations.
 
-    Returns (B, iterations, converged, trace); ``trace`` is None unless
-    ``config.record_trace``. The running aggregate keeps Z in O(J K) memory.
-    With ``prox(V, s)``, the proximal map of s times a non-smooth penalty,
-    the loop runs in its composite form: B and Z become prox(W - g/L, 1/L)
-    and prox(-S/L, A_t/L), where S is the weighted gradient sum and
-    A_t = (t+1)(t+2)/4 the sum of its weights.
+    ``check(B)`` runs every CHECK_EVERY iterations and at the cap and returns
+    (value of the objective the loop minimizes, whether B ends the run). At a
+    check whose value is not below the best checked one, the loop restarts
+    from that best iterate: W = anchor = B_best, S = 0, k = 0. With
+    ``prox(V, s)``, the proximal map of s times a non-smooth penalty, B and Z
+    become prox(W - g/L, 1/L) and prox(anchor - S/L, A_k/L), with
+    A_k = (k+1)(k+2)/4. ``trace(B, g)`` runs every iteration and decides nothing.
+
+    Returns (B, iterations, done): the iterate ``check`` accepted, else the best checked one.
     """
-    rel_obj_tol, max_iters = config.rel_obj_tol, config.max_iters
     if lipschitz <= 0:
         raise ValueError(f"Lipschitz bound must be positive, got {lipschitz}")
-    W = np.zeros(shape)
-    weighted_grad_sum = np.zeros(shape)
-    trace: list[tuple[float, float, float]] | None = [] if config.record_trace else None
-    B = W
-    f_prev: float | None = None
-    for t in range(max_iters):
+    anchor = W = best_B = B0
+    best_f, weighted_grad_sum, k = np.inf, np.zeros_like(B0), 0
+    for t in range(1, max_iters + 1):
         g = grad(W)
         B = W - g / lipschitz
-        weighted_grad_sum += (0.5 * (t + 1)) * g
-        Z = -weighted_grad_sum / lipschitz
+        weighted_grad_sum += (0.5 * (k + 1)) * g
+        Z = anchor - weighted_grad_sum / lipschitz
         if prox is not None:
             B = prox(B, 1.0 / lipschitz)
-            Z = prox(Z, (t + 1.0) * (t + 2.0) / (4.0 * lipschitz))
-        W = ((t + 1.0) * B + 2.0 * Z) / (t + 3.0)
-        f_t = f_exact(B)
-        if not np.isfinite(f_t):
-            raise NumericError(f"objective became non-finite at iteration {t}")
+            Z = prox(Z, (k + 1.0) * (k + 2.0) / (4.0 * lipschitz))
+        W = ((k + 1.0) * B + 2.0 * Z) / (k + 3.0)
+        k += 1
         if trace is not None:
-            trace.append((f_t, f_smooth(B), float(np.linalg.norm(g))))
-        if f_prev is not None and abs(f_t - f_prev) < rel_obj_tol * max(abs(f_prev), _REL_DENOM_FLOOR):
-            return B, t + 1, True, trace
-        f_prev = f_t
-    return B, max_iters, False, trace
+            trace(B, g)
+        if t % CHECK_EVERY and t < max_iters:
+            continue
+        f, done = check(B)
+        if done:
+            return B, t, True
+        if f < best_f:
+            best_B, best_f = B, f
+        else:
+            anchor = W = best_B
+            weighted_grad_sum, k = np.zeros_like(B0), 0
+    return best_B, max_iters, False
 
 
 def solve(X: np.ndarray, Y: np.ndarray, config: SolverConfig, penalty) -> Solution:
     """Minimize (1/2) ||Y - X B||_F^2 plus ``penalty``; the core behind every model.
 
     A :class:`FusionOperator` penalty ||B C||_1 runs through its smooth surrogate;
-    mu (``config.mu``, or accuracy / (2 D)) and the step 1/L, with L =
-    lam_max(X^T X) + op.norm_bound()^2 / mu, are derived here alone. Any other
+    mu (``config.mu``, or accuracy / (2 D)) and the step 1/L, with L = lam_max(X^T X)
+    + op.norm_bound()^2 / mu, are derived here alone, once per mu stage. Any other
     penalty runs unsmoothed (mu = 0, L = lam_max(X^T X)) and must provide
-    ``penalty_exact(B)`` and ``prox(V, step)``, the proximal map of step * penalty.
-    ``X`` and ``Y`` are expected column-centered; a 1-d ``Y`` selects the
-    row layout (see :class:`Moments`) and still returns B_hat as a J x 1 column.
+    ``penalty_exact(B)``, ``prox(V, step)`` (the proximal map of step * penalty)
+    and ``dual_point(V)`` (the point of its dual-norm ball nearest to V). ``X``
+    and ``Y`` are expected column-centered; a 1-d ``Y`` selects the row layout
+    (see :class:`Moments`) and still returns B_hat as a J x 1 column.
     """
     t_start = time.perf_counter()
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     m = Moments.from_data(X, Y)
     gram, XtY, loss = m.gram, m.XtY, m.loss_fn()
     penalty_exact = penalty.penalty_exact
@@ -209,33 +229,92 @@ def solve(X: np.ndarray, Y: np.ndarray, config: SolverConfig, penalty) -> Soluti
         mu = config.mu if config.accuracy is None else config.accuracy / (2.0 * op.gap_constant())
         if not mu > 0:
             raise ValueError(f"accuracy {config.accuracy} is too small: mu = accuracy / (2 D) underflows to {mu}")
-        L = m.lam_max + op.norm_bound() ** 2 / mu
+        D, norm2 = op.gap_constant(), op.norm_bound() ** 2
+        stages = [c * mu for c in MU_STAGES] if m.inv_factor is not None else [mu]
 
-        def smooth_penalty(B: np.ndarray) -> float:
-            return op.smoothed_penalty(B, mu)
+        smooth_penalty = functools.partial(op.smoothed_penalty, mu=mu)
 
-        def grad(W: np.ndarray) -> np.ndarray:
-            g = gram(W)
-            g -= XtY
-            g += op.adjoint(op.aux_optimum(W, mu))
-            return g
+        def stage(mu_s: float):  # grad, L and dual_terms of the surrogate smoothed at mu_s
+            def grad(W: np.ndarray) -> np.ndarray:
+                g = gram(W)
+                g -= XtY
+                g += op.adjoint(op.aux_optimum(W, mu_s))
+                return g
+
+            def dual_terms(B: np.ndarray, g_loss: np.ndarray):
+                # at A = clamp(B C / mu_s): ||BC||_1, ||BC||_1 - <A, BC>, A C^T and f_mu_s(B)
+                G = op.apply(B)
+                A = shrink(G / mu_s)
+                pen, pairing = float(np.abs(G).sum()), float(np.vdot(A, G))
+                return pen, pen - pairing, op.adjoint(A), pairing - 0.5 * mu_s * float(np.vdot(A, A))
+
+            return grad, m.lam_max + norm2 / mu_s, dual_terms
 
     else:
-        mu, L, prox, smooth_penalty = 0.0, m.lam_max, penalty.prox, penalty_exact
+        mu, D, prox, smooth_penalty, stages = 0.0, 0.0, penalty.prox, penalty_exact, [0.0]
 
-        def grad(W: np.ndarray) -> np.ndarray:
-            return gram(W) - XtY
+        def dual_terms(B: np.ndarray, g_loss: np.ndarray):
+            A = penalty.dual_point(-g_loss)
+            pen = penalty_exact(B)
+            return pen, pen - float(np.vdot(A, B)), A, pen
 
-    def f_exact(B: np.ndarray) -> float:
-        return loss(B) + penalty_exact(B)
+        def stage(mu_s: float):
+            return (lambda W: gram(W) - XtY), m.lam_max, dual_terms
 
-    def f_smooth(B: np.ndarray) -> float:
-        return loss(B) + smooth_penalty(B)
+    tol, max_iters, lower = config.rel_obj_tol, config.max_iters, -np.inf
+
+    def evaluate(B: np.ndarray, dual_terms) -> tuple[float, float, float | None]:
+        # F(B), the stage objective and F(B) minus the best lower bound so far, one Gram product
+        nonlocal lower
+        g_loss = gram(B) - XtY
+        f_loss = 0.5 * (m.ynorm2 - float(np.vdot(B, XtY)) + float(np.vdot(B, g_loss)))
+        pen, slack, dual_grad, stage_pen = dual_terms(B, g_loss)
+        f = f_loss + pen
+        if not np.isfinite(f):
+            raise NumericError("objective became non-finite")
+        if m.inv_factor is None:
+            return f, f_loss + stage_pen, None
+        R = g_loss + dual_grad
+        P = R @ m.inv_factor if m.rows else m.inv_factor.T @ R
+        lower = max(lower, f - slack - 0.5 * float(np.vdot(P, P)))
+        return f, f_loss + stage_pen, max(f - lower, 0.0)
+
+    trace: list[tuple[float, float, float]] = []
+
+    def trace_row(B: np.ndarray, g: np.ndarray) -> None:
+        # the exact objective every iteration, for the trace only: checks alone decide
+        f_loss = loss(B)
+        trace.append((f_loss + penalty_exact(B), f_loss + smooth_penalty(B), float(np.linalg.norm(g))))
 
     t_loop = time.perf_counter()
-    B, iters, converged, trace = three_sequence_minimize(grad, f_exact, f_smooth, XtY.shape, L, config, prox)
+    B, iters, fallback_stop = np.zeros(XtY.shape), 0, False
+    for mu_s in stages:
+        grad, L, dual_terms = stage(mu_s)
+        f_prev = last = None
+
+        def check(B: np.ndarray) -> tuple[float, bool]:
+            nonlocal f_prev, last
+            last = B, *evaluate(B, dual_terms)
+            _, f, f_stage, gap = last
+            if gap is not None:
+                return f_stage, gap <= max(tol * abs(f), mu_s * D)
+            # uncertified fallback: relative change of F between consecutive checks
+            done = f_prev is not None and abs(f - f_prev) < tol * max(abs(f_prev), _REL_DENOM_FLOOR)
+            f_prev = f
+            return f_stage, done
+
+        B, n, done = three_sequence_minimize(
+            grad, check, B, L, max_iters - iters, prox, trace_row if config.record_trace else None
+        )
+        iters += n
+        # the cap can return an earlier, better iterate than the one checked last
+        _, f, _, gap = last if last[0] is B else (B, *evaluate(B, dual_terms))
+        if iters == max_iters or (done and (gap is None or gap <= max(tol * abs(f), mu * D))):
+            fallback_stop = done and gap is None
+            break
     t_end = time.perf_counter()
 
+    converged = gap is not None and gap <= max(tol * abs(f), mu * D)
     coef = B[0] if m.rows else B
     resid = Y - X @ coef
     half_rss = 0.5 * float(np.vdot(resid, resid))
@@ -245,9 +324,11 @@ def solve(X: np.ndarray, Y: np.ndarray, config: SolverConfig, penalty) -> Soluti
         objective_smooth=half_rss + smooth_penalty(B),
         iterations=iters,
         converged=converged,
-        lipschitz_used=L,
+        gap=gap,
+        stop_reason="gap" if converged else "uncertified" if fallback_stop else "iteration_cap",
+        lipschitz_used=stage(stages[-1])[1],
         mu_used=mu,
-        trace=tuple(trace) if trace is not None else None,
+        trace=tuple(trace) if config.record_trace else None,
         runtime_total_s=t_end - t_start,
         runtime_periter_s=(t_end - t_loop) / max(iters, 1),
     )
@@ -262,14 +343,12 @@ def subgradient_fit(X: np.ndarray, Y: np.ndarray, config: SolverConfig, op: Fusi
     steps and reports ``converged=False``, since nothing certifies the best
     iterate. Of ``config`` it reads only ``max_iters`` and ``record_trace``.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     t_start = time.perf_counter()
     m = Moments.from_data(X, Y)
     gram, XtY, loss = m.gram, m.XtY, m.loss_fn()
     c = 1.0 / m.lam_max if m.lam_max > 0 else 1.0
-    B = np.zeros((op.n_inputs, op.n_tasks))
-    best_B = B.copy()
+    B = best_B = np.zeros((op.n_inputs, op.n_tasks))
     best_f = loss(B) + op.penalty_exact(B)
     trace: list[tuple[float, float, float]] | None = [] if config.record_trace else None
     t_loop = time.perf_counter()
@@ -280,8 +359,7 @@ def subgradient_fit(X: np.ndarray, Y: np.ndarray, config: SolverConfig, op: Fusi
         if not np.isfinite(f_t):
             raise NumericError(f"objective became non-finite at iteration {t}")
         if f_t < best_f:
-            best_f = f_t
-            best_B = B.copy()
+            best_f, best_B = f_t, B
         if trace is not None:
             trace.append((best_f, best_f, float(np.linalg.norm(g))))
     t_end = time.perf_counter()
@@ -294,6 +372,8 @@ def subgradient_fit(X: np.ndarray, Y: np.ndarray, config: SolverConfig, op: Fusi
         objective_smooth=exact,
         iterations=config.max_iters,
         converged=False,
+        gap=None,
+        stop_reason="iteration_cap",
         lipschitz_used=m.lam_max,
         mu_used=0.0,
         trace=tuple(trace) if trace is not None else None,

@@ -58,6 +58,23 @@ def pearson(x, y) -> float:
     return r
 
 
+def largest_eigenvalue(M: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix, exact to rounding.
+
+    It comes from LAPACK's eigh, the routine ``solver.Moments`` factors
+    X^T X with, so it equals the solver's lam_max to the bit (eigvalsh can
+    differ from it in the last place).
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        from gflasso.errors import NumericError
+
+        raise NumericError("matrix contains non-finite entries")
+    return float(np.linalg.eigh(M)[0][-1])
+
+
 def dense_fusion_matrix(n_tasks: int, edges, lam: float, gamma: float) -> np.ndarray:
     """Assemble C = (lam I, gamma H) entry by entry from the edge definition."""
     k = n_tasks

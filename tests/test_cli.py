@@ -123,6 +123,20 @@ class TestFitCommand:
         assert json.loads((out / "fit.json").read_text())["converged"] is False
         assert (out / "B_hat.csv").exists()
 
+    def test_singular_gram_exits_3_with_outputs(self, tmp_path):
+        # N = 20 rows, J = 30 columns: X^T X is singular, so the fit cannot be certified
+        data = tmp_path / "wide"
+        out = tmp_path / "fit"
+        data.mkdir()
+        out.mkdir()
+        assert run_simulate(data, seed=4, extra=["--n-samples", "20"]) == 0
+        code = main(["fit", "--method", "gflasso", "--x", str(data / "X.csv"), "--y", str(data / "Y.csv"),
+                     "--out-dir", str(out)])
+        assert code == 3
+        doc = json.loads((out / "fit.json").read_text())
+        assert (doc["converged"], doc["stop_reason"], doc["gap"]) == (False, "uncertified", None)
+        assert {"B_hat.csv", "graph.csv", "manifest.json"} <= {p.name for p in out.iterdir()}
+
     def test_fused_requires_single_column(self, data_dir, tmp_path):
         out = tmp_path / "fused"
         out.mkdir()

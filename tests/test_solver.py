@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from gflasso.errors import NumericError
-from gflasso.graph import TaskGraph
+from gflasso.graph import TaskGraph, build_correlation_graph, chain_graph
+from gflasso.models import PenaltySpec, RowGroupNorm, fit_gflasso
+from gflasso.simulate import SimulationSpec, replicate_seed, simulate_dataset
 from gflasso.smoothing import FusionOperator
 from gflasso.solver import (
+    CHECK_EVERY,
     SolverConfig,
-    largest_eigenvalue,
     solve,
     subgradient_fit,
     trace_csv_text,
@@ -16,6 +18,7 @@ from oracles import (
     dense_fusion_matrix,
     ista_lasso,
     iteration_bound,
+    largest_eigenvalue,
     objective_dense,
     smooth_objective_gradient,
     subgradient_dense,
@@ -140,7 +143,9 @@ class TestProxGradFit:
     def test_unpenalized_matches_normal_equations(self):
         X, Y = centered_problem(8)
         op = empty_operator(4, 2)
-        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-12, max_iters=50000), op)
+        # without a penalty mu changes neither the steps nor the objective, only the
+        # gap floor mu * D; a tiny mu lets the fit run down to rel_obj_tol
+        sol = solve(X, Y, SolverConfig(mu=1e-12, rel_obj_tol=1e-12, max_iters=50000), op)
         B_ls = np.linalg.solve(X.T @ X, X.T @ Y)
         assert np.linalg.norm(sol.B_hat - B_ls) < 1e-5
 
@@ -169,7 +174,9 @@ class TestProxGradFit:
         g = TaskGraph(2, ((1, 2, 1.0),))
         lam = 0.4
         op = FusionOperator.from_graph(g, lam=lam, gamma=10.0, n_inputs=3)
-        sol = solve(X, Y, SolverConfig(mu=2e-4, rel_obj_tol=1e-13, max_iters=400000), op)
+        # a fit stops once its gap is within mu * D; mu is small enough for that
+        # certified accuracy to resolve the 1e-3 comparison
+        sol = solve(X, Y, SolverConfig(mu=2e-7, rel_obj_tol=1e-13, max_iters=400000), op)
         X_stack = np.vstack([X, X])
         y_stack = np.concatenate([Y[:, 0], Y[:, 1]])[:, None]
         pooled = ista_lasso(X_stack, y_stack, 2.0 * lam)[:, 0]
@@ -209,21 +216,24 @@ class TestProxGradFit:
     def test_column_separable_when_no_edges(self):
         # with an empty graph the updates decouple per task: stacking
         # single-task runs over the same iteration budget reproduces the
-        # joint trajectory
+        # joint trajectory. The budget is one check interval, so the one
+        # check falls at the cap: the stop and restart decisions, which read
+        # the joint objective, cannot differ between the joint and single runs
         X, Y = centered_problem(15, n=25, j=6, k=3)
         op = empty_operator(6, 3, lam=0.3)
-        config = SolverConfig(mu=1e-4, rel_obj_tol=1e-16, max_iters=3000)
+        config = SolverConfig(mu=1e-4, rel_obj_tol=1e-16, max_iters=CHECK_EVERY)
         joint = solve(X, Y, config, op)
         cols = []
         for k in range(3):
             opk = empty_operator(6, 1, lam=0.3)
             cols.append(solve(X, Y[:, [k]], config, opk).B_hat[:, 0])
-        assert np.linalg.norm(joint.B_hat - np.column_stack(cols)) < 1e-5
+        assert joint.iterations == CHECK_EVERY
+        assert np.linalg.norm(joint.B_hat - np.column_stack(cols)) < 1e-12
 
     def test_matches_soft_threshold_closed_form_on_orthonormal_design(self):
         # with X^T X = I the exact solution is the entrywise soft threshold
-        # of X^T Y; the smoothed solution deviates by at most mu |c| / lam^2
-        # per zeroed entry, so the comparison tolerance follows mu
+        # of X^T Y, and F is 1-strongly convex: a fit certified to gap <= mu * D
+        # lies within sqrt(2 mu D) = 2e-3 of it at mu = 4e-7, D = 5
         rng = np.random.default_rng(16)
         Q, _ = np.linalg.qr(rng.standard_normal((30, 5)))
         X = Q  # orthonormal columns
@@ -231,7 +241,8 @@ class TestProxGradFit:
         Y = Y - Y.mean(axis=0)
         lam = 0.6
         op = empty_operator(5, 2, lam=lam)
-        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-13, max_iters=200000), op)
+        sol = solve(X, Y, SolverConfig(mu=4e-7, rel_obj_tol=1e-13, max_iters=200000), op)
+        assert sol.converged
         XtY = X.T @ Y
         ref = np.sign(XtY) * np.maximum(np.abs(XtY) - lam, 0.0)
         assert np.abs(sol.B_hat - ref).max() < 2e-3
@@ -244,17 +255,90 @@ class TestProxGradFit:
 
     def test_zero_solution_above_kkt_threshold(self):
         X, Y = centered_problem(23, n=25, j=4, k=2, noise=0.5)
-        lam = float(np.abs(X.T @ Y).max()) * 1.5
+        c = float(np.abs(X.T @ Y).max())
+        lam = c * 1.5
         op = empty_operator(4, 2, lam=lam)
-        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-10, max_iters=50000), op)
-        # smoothed stationary point sits within mu ||XtY|| / lam^2 of zero
-        assert np.abs(sol.B_hat).max() <= sol.mu_used * float(np.abs(X.T @ Y).max()) / lam**2 + 1e-9
+        sol = solve(X, Y, SolverConfig(mu=1e-6, rel_obj_tol=1e-10, max_iters=50000), op)
+        # B = 0 is the optimum, and F(B) - F(0) >= (lam - ||X^T Y||_max) ||B||_1,
+        # so the certified gap pins the fit to zero; at mu = 1e-6 this bound
+        # (about 2e-7) is below the old one for the smoothed optimum at mu = 1e-4
+        assert sol.converged
+        assert np.abs(sol.B_hat).sum() <= sol.gap / (lam - c)
 
     def test_shape_validation(self):
         X, Y = centered_problem(17)
         op = empty_operator(3, 2)
         with pytest.raises(ValueError):
             solve(X, Y, SolverConfig(), op)
+
+
+def certificate_problems(seed):
+    """(name, X, Y, penalty) on one seeded random problem: gflasso, lasso, 1 x J fused and l1/l2."""
+    rng = np.random.default_rng(seed)
+    j, k = int(rng.integers(3, 8)), int(rng.integers(2, 5))
+    X, Y = centered_problem(seed, n=30, j=j, k=k, noise=0.5)
+    pairs = [(m, l) for m in range(1, k + 1) for l in range(m + 1, k + 1)]
+    edges = tuple((m, l, float(rng.choice([-1, 1]) * rng.uniform(0.2, 1.0))) for m, l in pairs if rng.random() < 0.6)
+    lam, gamma = 10.0 ** rng.uniform(-2, 1, size=2)
+    yield "gflasso", X, Y, FusionOperator.from_graph(TaskGraph(k, edges), lam=lam, gamma=gamma, n_inputs=j)
+    yield "lasso", X, Y, empty_operator(j, k, lam=lam)
+    yield "fused", X, Y[:, 0], FusionOperator.from_graph(chain_graph(j), lam=lam, gamma=gamma, n_inputs=1)
+    yield "l1l2", X, Y, RowGroupNorm(lam)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gap_bounds_the_excess_and_converged_means_within_target(self, seed):
+        config = SolverConfig()
+        for name, X, Y, penalty in certificate_problems(seed):
+            sol = solve(X, Y, config, penalty)
+            tight = solve(X, Y, SolverConfig(mu=1e-6, rel_obj_tol=1e-9, max_iters=100000), penalty)
+            assert tight.converged, name
+            excess = sol.objective_exact - tight.objective_exact
+            assert sol.gap >= excess - 1e-12 * abs(sol.objective_exact), name
+            # every certified lower bound lies below every objective value
+            assert tight.objective_exact - tight.gap <= sol.objective_exact + 1e-12, name
+            floor = sol.mu_used * (penalty.gap_constant() if sol.mu_used else 0.0)
+            assert sol.converged and sol.stop_reason == "gap", name
+            assert sol.gap <= max(config.rel_obj_tol * abs(sol.objective_exact), floor), name
+            assert excess <= max(config.rel_obj_tol * abs(sol.objective_exact), floor), name
+
+    def test_report_fit_that_stalled_under_the_relative_change_rule(self):
+        # report seed 0, replicate 0, 70-row training split, lam = gamma = 10: the
+        # relative-change rule stopped after 2 iterations at F = 706.62 and called it
+        # converged; the optimum is about 657.80
+        spec = SimulationSpec(seed=replicate_seed(0, 0))
+        ds = simulate_dataset(spec)
+        graph = build_correlation_graph(ds.Y, 0.1)
+        sol = fit_gflasso(ds.X[:70], ds.Y[:70], graph, PenaltySpec(lam=10.0, gamma=10.0), SolverConfig()).solution
+        assert sol.converged and sol.stop_reason == "gap"
+        assert sol.iterations > 1000
+        assert sol.objective_exact < 657.85
+        assert sol.objective_exact - sol.gap <= 657.81
+
+    def test_capped_fit_is_not_converged_and_keeps_its_gap(self):
+        X, Y = centered_problem(30, n=30, j=5, k=3)
+        op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.9), (2, 3, -0.7))), lam=1.0, gamma=5.0, n_inputs=5)
+        sol = solve(X, Y, SolverConfig(mu=1e-6, max_iters=25), op)
+        assert (sol.iterations, sol.converged, sol.stop_reason) == (25, False, "iteration_cap")
+        assert sol.gap > 0
+
+    def test_tracing_changes_nothing(self):
+        X, Y = centered_problem(31, n=30, j=6, k=3)
+        op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8), (1, 3, -0.5))), lam=0.5, gamma=2.0, n_inputs=6)
+        plain = solve(X, Y, SolverConfig(), op)
+        traced = solve(X, Y, SolverConfig(record_trace=True), op)
+        assert plain.iterations == traced.iterations == len(traced.trace)
+        assert np.array_equal(plain.B_hat, traced.B_hat)
+        assert (plain.gap, plain.stop_reason) == (traced.gap, traced.stop_reason)
+
+    def test_singular_gram_is_uncertified(self):
+        # J > N: X^T X is singular, so no gap exists and the relative-change fallback stops the fit
+        X, Y = centered_problem(32, n=20, j=30, k=3)
+        op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8),)), lam=0.5, gamma=0.5, n_inputs=30)
+        sol = solve(X, Y, SolverConfig(), op)
+        assert (sol.converged, sol.stop_reason, sol.gap) == (False, "uncertified", None)
+        assert sol.iterations < SolverConfig().max_iters
 
 
 class TestSubgradientFit:
