@@ -133,7 +133,7 @@ def select_regularization(
     method: str,
     grid: list[tuple[float, float]],
     holdout: int,
-    config: SolverConfig | None = None,
+    config: SolverConfig,
 ) -> SelectionResult:
     """Pick (lam, gamma) by validation MSE on a deterministic tail holdout.
 
@@ -149,7 +149,6 @@ def select_regularization(
     if not grid:
         raise ValueError("grid is empty")
     _check_grid_values([v for point in grid for v in point])
-    config = config or SolverConfig()
     X_tr, X_val = X[: n - holdout], X[n - holdout :]
     Y_tr, Y_val = Y[: n - holdout], Y[n - holdout :]
 
@@ -316,15 +315,15 @@ def _bench_spec(n_samples: int, n_inputs: int, n_outputs: int, seed: int) -> Sim
 def run_benchmark(
     axis: str,
     values: list[float],
-    n_samples: int = 200,
-    n_inputs: int = 100,
-    n_outputs: int = 20,
-    rho: float = 0.5,
-    lam: float = 0.1,
-    gamma: float = 0.1,
-    methods: tuple[str, ...] = ("proxgrad",),
-    config: SolverConfig | None = None,
-    seed: int = 0,
+    n_samples: int,
+    n_inputs: int,
+    n_outputs: int,
+    rho: float,
+    lam: float,
+    gamma: float,
+    methods: tuple[str, ...],
+    config: SolverConfig,
+    seed: int,
 ) -> list[dict]:
     """Wall-time scaling sweep along one of the axes J, N, K, rho.
 
@@ -337,7 +336,6 @@ def run_benchmark(
     unknown = [m for m in methods if m not in ("proxgrad", "subgrad")]
     if not methods or unknown:
         raise ValueError(f"bench methods must be a non-empty subset of proxgrad,subgrad, got {','.join(methods)!r}")
-    config = config or SolverConfig()
     rows: list[dict] = []
     for value in values:
         n, j, k, r = n_samples, n_inputs, n_outputs, rho

@@ -5,6 +5,7 @@ penalty object: the graph-fused, lasso (an edgeless graph) and univariate
 fused (a graph over the covariates, solved as one row) models pass a fusion
 operator for the smoothed penalty, and the l1/l2 model passes a
 :class:`RowGroupNorm`, whose exact rowwise proximal map the solver uses.
+Both penalty objects give the solver's certificate its terms (``dual_terms``).
 
 Every fit entry point centers X and Y internally (column means removed) and
 stores the means on the result, so predictions for new data can be formed as
@@ -41,6 +42,10 @@ class RowGroupNorm:
 
     lam: float
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam and gamma must be finite and non-negative, got lam={self.lam}")
+
     def penalty_exact(self, B: np.ndarray) -> float:
         return self.lam * float(np.linalg.norm(B, axis=1).sum())
 
@@ -52,10 +57,16 @@ class RowGroupNorm:
         scale[nz] = np.maximum(0.0, 1.0 - self.lam * step / norms[nz])
         return V * scale[:, None]
 
-    def dual_point(self, V: np.ndarray) -> np.ndarray:
-        """Each row of V projected onto the l2 ball of radius lam, the dual-norm ball of the penalty."""
-        norms = np.linalg.norm(V, axis=1, keepdims=True)
-        return V * np.divide(self.lam, norms, out=np.ones_like(norms), where=norms > self.lam)
+    def dual_terms(self, B: np.ndarray, g_loss: np.ndarray, mu: float) -> tuple[float, float, np.ndarray, float]:
+        """The certificate's terms at the dual point A: the rows of -g_loss projected onto the lam-ball.
+
+        Returns (penalty, penalty - <A, B>, A, penalty), the layout of
+        ``FusionOperator.dual_terms``; the penalty runs unsmoothed, so ``mu`` is unused.
+        """
+        norms = np.linalg.norm(g_loss, axis=1, keepdims=True)
+        A = -g_loss * np.divide(self.lam, norms, out=np.ones_like(norms), where=norms > self.lam)
+        pen = self.penalty_exact(B)
+        return pen, pen - float(np.vdot(A, B)), A, pen
 
 
 @dataclass(frozen=True)
@@ -91,7 +102,6 @@ class FitResult:
             "stop_reason": s.stop_reason,
             "gap": s.gap,
             "objective": s.objective_exact,
-            "objective_smooth": s.objective_smooth,
             "mu": s.mu_used,
             "lipschitz_bound": s.lipschitz_used,
         }
@@ -123,7 +133,7 @@ def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGr
 
 
 def _fit(
-    kind: str, X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig | None,
+    kind: str, X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig,
     penalty: FusionOperator | RowGroupNorm,
 ) -> FitResult:
     # Centers, checks that ``graph`` has a node per task (per covariate when a
@@ -134,7 +144,7 @@ def _fit(
     n_nodes = Xc.shape[1] if Yc.ndim == 1 else Yc.shape[1]
     if graph.node_count != n_nodes:
         raise ValueError(f"graph has {graph.node_count} nodes but the model needs {n_nodes}")
-    solution = solve(Xc, Yc, config or SolverConfig(), penalty)
+    solution = solve(Xc, Yc, config, penalty)
     return FitResult(
         solution=solution,
         model_kind=kind,
@@ -151,22 +161,20 @@ def _fusion_operator(graph: TaskGraph, lam: float, gamma: float, n_inputs: int) 
     return FusionOperator.from_graph(graph if gamma > 0 else TaskGraph(graph.node_count), lam, gamma, n_inputs)
 
 
-def fit_gflasso(
-    X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig | None = None
-) -> FitResult:
+def fit_gflasso(X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
     op = _fusion_operator(graph, spec.lam, spec.gamma, np.shape(X)[1])
     return _fit("gflasso", X, Y, graph, spec, config, op)
 
 
-def fit_lasso(X: np.ndarray, Y: np.ndarray, spec: PenaltySpec, config: SolverConfig | None = None) -> FitResult:
+def fit_lasso(X: np.ndarray, Y: np.ndarray, spec: PenaltySpec, config: SolverConfig) -> FitResult:
     """Entrywise-l1 multi-task fit; the edgeless special case of the fused model."""
     empty = TaskGraph(node_count=np.shape(Y)[1])
     op = FusionOperator.from_graph(empty, lam=spec.lam, gamma=0.0, n_inputs=np.shape(X)[1])
     return _fit("lasso", X, Y, empty, PenaltySpec(lam=spec.lam), config, op)
 
 
-def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfig | None = None) -> FitResult:
+def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfig) -> FitResult:
     """Row-grouped l1/l2 multi-task fit.
 
     The penalty lam * sum_j ||beta_row_j||_2 has an exact proximal step (a
@@ -178,7 +186,7 @@ def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfi
 
 
 def fit_fused_univariate(
-    X: np.ndarray, y: np.ndarray, input_graph: TaskGraph, lam: float, gamma: float, config: SolverConfig | None = None
+    X: np.ndarray, y: np.ndarray, input_graph: TaskGraph, lam: float, gamma: float, config: SolverConfig
 ) -> FitResult:
     """Univariate-response fused fit with the fusion graph over the covariates.
 

@@ -7,8 +7,10 @@ dual gives a max over auxiliary matrices A with ||A||_inf <= 1; subtracting
 (mu/2) * ||A||_F^2 from the max yields a smooth lower bound whose gap is at
 most mu * D with D = J * (K + |E|) / 2. The maximizing A has the closed form
 clamp(B C / mu), which makes both the smoothed value and its gradient
-adjoint(A*) cheap. D and the norm bound of B -> B C are defined here alone
-(``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu and L from them.
+adjoint(A*) cheap; the same A is the dual point of the solver's duality-gap
+certificate (``dual_terms``). D and the norm bound of B -> B C are defined
+here alone (``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu
+and L from them.
 
 The operator holds C in one of two forms, chosen by its own shape alone.
 When K <= J it builds the dense K x (K + |E|) matrix C once, so apply, adjoint
@@ -151,12 +153,17 @@ class FusionOperator:
         G = self.apply(B)
         return float(np.abs(G, out=G).sum())
 
-    def smoothed_penalty(self, B: np.ndarray, mu: float) -> float:
-        """Smooth lower bound f_mu(B) = <A*, B C> - (mu/2) ||A*||_F^2."""
+    def dual_terms(self, B: np.ndarray, g_loss: np.ndarray, mu: float) -> tuple[float, float, np.ndarray, float]:
+        """What the duality-gap certificate needs at the dual point A = clamp(B C / mu), from one ``apply``.
+
+        Returns (||B C||_1, the slack ||B C||_1 - <A, B C>, the dual gradient A C^T,
+        f_mu(B) = <A, B C> - (mu/2) ||A||_F^2). ``g_loss`` is unused: A depends on B alone.
+        """
         mu = _check_mu(mu)
         G = self.apply(B)
         A = shrink(G / mu)
-        return float(np.vdot(A, G) - 0.5 * mu * np.vdot(A, A))
+        pen, pairing = float(np.abs(G).sum()), float(np.vdot(A, G))
+        return pen, pen - pairing, self.adjoint(A), pairing - 0.5 * mu * float(np.vdot(A, A))
 
     def degrees(self) -> np.ndarray:
         """Weighted degree vector d_k = sum of squared edge weights incident on k."""

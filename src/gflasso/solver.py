@@ -23,7 +23,8 @@ a dual ball (G(B) = B C, ||A||_inf <= 1; or G = identity, rows of A in the
 lam-ball) and X^T X = V diag(s) V^T nonsingular, each such A shows min F >= F(B) - gap,
 gap = (P(B) - <A, G(B)>) + (1/2) ||(V s^-1/2)^T (grad loss(B) + G*(A))||^2.
 A is the smoothing's maximizer clamp(B C / mu) (Nesterov 2005) or the rowwise
-projection of -grad loss(B). F and the gap run only at checks, every
+projection of -grad loss(B); each penalty's ``dual_terms`` returns P(B), the
+slack P(B) - <A, G(B)> and G*(A) at its A. F and the gap run only at checks, every
 CHECK_EVERY iterations and at the cap; ``converged`` means gap <=
 max(rel_obj_tol * |F(B)|, mu * D) there. A check that did not improve
 restarts the loop from the best checked iterate (O'Donoghue & Candes 2015),
@@ -38,7 +39,6 @@ baseline with the slower O(1/eps^2) rate.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError
-from .smoothing import FusionOperator, shrink
+from .smoothing import FusionOperator
 
 CHECK_EVERY = 10
 MU_STAGES = (100.0, 10.0, 1.0)
@@ -83,24 +83,22 @@ class SolverConfig:
 class Solution:
     """Result of one solver run.
 
-    ``trace`` rows are (exact objective, smoothed objective, gradient norm)
-    per iteration when tracing was requested. ``objective_smooth`` is a lower
-    bound on ``objective_exact`` with gap at most mu * D. ``gap`` is F(B_hat)
-    minus the best certified lower bound on the optimum (None when X^T X is
-    singular); ``stop_reason`` is ``gap``, ``iteration_cap`` or
+    ``trace`` rows are (exact objective, gradient norm) per iteration when
+    tracing was requested. ``gap`` is F(B_hat) minus the best certified lower
+    bound on the optimum, so ``objective_exact - gap`` is that bound (None when
+    X^T X is singular); ``stop_reason`` is ``gap``, ``iteration_cap`` or
     ``uncertified``. ``mu_used`` and ``lipschitz_used`` are the final stage's.
     """
 
     B_hat: np.ndarray
     objective_exact: float
-    objective_smooth: float
     iterations: int
     converged: bool
     gap: float | None
     stop_reason: str
     lipschitz_used: float
     mu_used: float
-    trace: tuple[tuple[float, float, float], ...] | None
+    trace: tuple[tuple[float, float], ...] | None
     runtime_total_s: float
     runtime_periter_s: float
 
@@ -149,39 +147,34 @@ class Moments:
         """
         return self.XtX.__rmatmul__ if self.rows else self.XtX.__matmul__
 
-    def loss_fn(self) -> Callable[[np.ndarray], float]:
-        """B -> (1/2) ||Y - X B||_F^2, evaluated through the moments."""
-        gram, XtY, ynorm2 = self.gram, self.XtY, self.ynorm2
-
-        def loss(B: np.ndarray) -> float:
-            return 0.5 * (ynorm2 - 2.0 * float(np.vdot(B, XtY)) + float(np.vdot(B, gram(B))))
-
-        return loss
+    def loss(self, B: np.ndarray, g_loss: np.ndarray) -> float:
+        """(1/2) ||Y - X B||_F^2 through the moments, given the loss gradient g_loss = gram(B) - X^T Y at B."""
+        return 0.5 * (self.ynorm2 - float(np.vdot(B, self.XtY)) + float(np.vdot(B, g_loss)))
 
 
 def three_sequence_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
-    check: Callable[[np.ndarray], tuple[float, bool]],
+    check: Callable[[np.ndarray], tuple[tuple, bool]],
     B0: np.ndarray, lipschitz: float, max_iters: int,
     prox: Callable[[np.ndarray, float], np.ndarray] | None,
     trace: Callable[[np.ndarray, np.ndarray], None] | None,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, int, bool, tuple]:
     """Run the three-sequence loop from W^0 = ``B0`` for at most ``max_iters`` iterations.
 
     ``check(B)`` runs every CHECK_EVERY iterations and at the cap and returns
-    (value of the objective the loop minimizes, whether B ends the run). At a
-    check whose value is not below the best checked one, the loop restarts
-    from that best iterate: W = anchor = B_best, S = 0, k = 0. With
-    ``prox(V, s)``, the proximal map of s times a non-smooth penalty, B and Z
-    become prox(W - g/L, 1/L) and prox(anchor - S/L, A_k/L), with
-    A_k = (k+1)(k+2)/4. ``trace(B, g)`` runs every iteration and decides nothing.
+    (record, whether B ends the run); ``record[0]`` is the value of the
+    objective the loop minimizes. At a check whose value is not below the best
+    checked one, the loop restarts from that best iterate: W = anchor = B_best,
+    S = 0, k = 0. With ``prox(V, s)``, the proximal map of s times a non-smooth
+    penalty, B and Z become prox(W - g/L, 1/L) and prox(anchor - S/L, A_k/L),
+    with A_k = (k+1)(k+2)/4. ``trace(B, g)`` runs every iteration and decides nothing.
 
-    Returns (B, iterations, done): the iterate ``check`` accepted, else the best checked one.
+    Returns (B, iterations, done, record of B): the iterate ``check`` accepted, else the best checked one.
     """
     if lipschitz <= 0:
         raise ValueError(f"Lipschitz bound must be positive, got {lipschitz}")
     anchor = W = best_B = B0
-    best_f, weighted_grad_sum, k = np.inf, np.zeros_like(B0), 0
+    best, weighted_grad_sum, k = (np.inf,), np.zeros_like(B0), 0
     for t in range(1, max_iters + 1):
         g = grad(W)
         B = W - g / lipschitz
@@ -196,15 +189,15 @@ def three_sequence_minimize(
             trace(B, g)
         if t % CHECK_EVERY and t < max_iters:
             continue
-        f, done = check(B)
+        record, done = check(B)
         if done:
-            return B, t, True
-        if f < best_f:
-            best_B, best_f = B, f
+            return B, t, True, record
+        if record[0] < best[0]:
+            best_B, best = B, record
         else:
             anchor = W = best_B
             weighted_grad_sum, k = np.zeros_like(B0), 0
-    return best_B, max_iters, False
+    return best_B, max_iters, False, best
 
 
 def solve(X: np.ndarray, Y: np.ndarray, config: SolverConfig, penalty) -> Solution:
@@ -214,119 +207,90 @@ def solve(X: np.ndarray, Y: np.ndarray, config: SolverConfig, penalty) -> Soluti
     mu (``config.mu``, or accuracy / (2 D)) and the step 1/L, with L = lam_max(X^T X)
     + op.norm_bound()^2 / mu, are derived here alone, once per mu stage. Any other
     penalty runs unsmoothed (mu = 0, L = lam_max(X^T X)) and must provide
-    ``penalty_exact(B)``, ``prox(V, step)`` (the proximal map of step * penalty)
-    and ``dual_point(V)`` (the point of its dual-norm ball nearest to V). ``X``
-    and ``Y`` are expected column-centered; a 1-d ``Y`` selects the row layout
-    (see :class:`Moments`) and still returns B_hat as a J x 1 column.
+    ``penalty_exact(B)`` and ``prox(V, step)`` (the proximal map of step * penalty).
+    Both kinds provide ``dual_terms(B, g_loss, mu)``, the certificate's terms at
+    their dual point (see :meth:`FusionOperator.dual_terms`). ``X`` and ``Y`` are
+    expected column-centered; a 1-d ``Y`` selects the row layout (see
+    :class:`Moments`) and still returns B_hat as a J x 1 column.
     """
     t_start = time.perf_counter()
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     m = Moments.from_data(X, Y)
-    gram, XtY, loss = m.gram, m.XtY, m.loss_fn()
-    penalty_exact = penalty.penalty_exact
+    gram, XtY = m.gram, m.XtY
     if isinstance(penalty, FusionOperator):
-        op, prox = penalty, None
-        mu = config.mu if config.accuracy is None else config.accuracy / (2.0 * op.gap_constant())
+        mu = config.mu if config.accuracy is None else config.accuracy / (2.0 * penalty.gap_constant())
         if not mu > 0:
             raise ValueError(f"accuracy {config.accuracy} is too small: mu = accuracy / (2 D) underflows to {mu}")
-        D, norm2 = op.gap_constant(), op.norm_bound() ** 2
+        D, norm2, prox = penalty.gap_constant(), penalty.norm_bound() ** 2, None
         stages = [c * mu for c in MU_STAGES] if m.inv_factor is not None else [mu]
-
-        smooth_penalty = functools.partial(op.smoothed_penalty, mu=mu)
-
-        def stage(mu_s: float):  # grad, L and dual_terms of the surrogate smoothed at mu_s
-            def grad(W: np.ndarray) -> np.ndarray:
-                g = gram(W)
-                g -= XtY
-                g += op.adjoint(op.aux_optimum(W, mu_s))
-                return g
-
-            def dual_terms(B: np.ndarray, g_loss: np.ndarray):
-                # at A = clamp(B C / mu_s): ||BC||_1, ||BC||_1 - <A, BC>, A C^T and f_mu_s(B)
-                G = op.apply(B)
-                A = shrink(G / mu_s)
-                pen, pairing = float(np.abs(G).sum()), float(np.vdot(A, G))
-                return pen, pen - pairing, op.adjoint(A), pairing - 0.5 * mu_s * float(np.vdot(A, A))
-
-            return grad, m.lam_max + norm2 / mu_s, dual_terms
-
     else:
-        mu, D, prox, smooth_penalty, stages = 0.0, 0.0, penalty.prox, penalty_exact, [0.0]
+        mu, D, norm2, prox, stages = 0.0, 0.0, 0.0, penalty.prox, [0.0]
+    tol, max_iters, lower, f_prev = config.rel_obj_tol, config.max_iters, -np.inf, None
 
-        def dual_terms(B: np.ndarray, g_loss: np.ndarray):
-            A = penalty.dual_point(-g_loss)
-            pen = penalty_exact(B)
-            return pen, pen - float(np.vdot(A, B)), A, pen
+    # grad and check read mu_s, the mu of the stage the loop below runs
+    def lipschitz(mu_s: float) -> float:
+        return m.lam_max + norm2 / mu_s if mu_s > 0 else m.lam_max
 
-        def stage(mu_s: float):
-            return (lambda W: gram(W) - XtY), m.lam_max, dual_terms
+    def grad(W: np.ndarray) -> np.ndarray:
+        g = gram(W)
+        g -= XtY
+        if mu_s > 0:
+            g += penalty.adjoint(penalty.aux_optimum(W, mu_s))
+        return g
 
-    tol, max_iters, lower = config.rel_obj_tol, config.max_iters, -np.inf
+    def stops(f: float, mu_s: float) -> bool:
+        # the stop test: F(B) minus the best lower bound so far is within max(tol |F|, mu_s D)
+        return m.inv_factor is not None and max(f - lower, 0.0) <= max(tol * abs(f), mu_s * D)
 
-    def evaluate(B: np.ndarray, dual_terms) -> tuple[float, float, float | None]:
-        # F(B), the stage objective and F(B) minus the best lower bound so far, one Gram product
-        nonlocal lower
+    def check(B: np.ndarray) -> tuple[tuple[float, float], bool]:
+        # ((stage objective, F(B)), whether B ends the stage) from one Gram product and one dual_terms
+        nonlocal lower, f_prev
         g_loss = gram(B) - XtY
-        f_loss = 0.5 * (m.ynorm2 - float(np.vdot(B, XtY)) + float(np.vdot(B, g_loss)))
-        pen, slack, dual_grad, stage_pen = dual_terms(B, g_loss)
+        f_loss = m.loss(B, g_loss)
+        pen, slack, dual_grad, stage_pen = penalty.dual_terms(B, g_loss, mu_s)
         f = f_loss + pen
         if not np.isfinite(f):
             raise NumericError("objective became non-finite")
+        record = (f_loss + stage_pen, f)
         if m.inv_factor is None:
-            return f, f_loss + stage_pen, None
-        R = g_loss + dual_grad
-        P = R @ m.inv_factor if m.rows else m.inv_factor.T @ R
-        lower = max(lower, f - slack - 0.5 * float(np.vdot(P, P)))
-        return f, f_loss + stage_pen, max(f - lower, 0.0)
-
-    trace: list[tuple[float, float, float]] = []
-
-    def trace_row(B: np.ndarray, g: np.ndarray) -> None:
-        # the exact objective every iteration, for the trace only: checks alone decide
-        f_loss = loss(B)
-        trace.append((f_loss + penalty_exact(B), f_loss + smooth_penalty(B), float(np.linalg.norm(g))))
-
-    t_loop = time.perf_counter()
-    B, iters, fallback_stop = np.zeros(XtY.shape), 0, False
-    for mu_s in stages:
-        grad, L, dual_terms = stage(mu_s)
-        f_prev = last = None
-
-        def check(B: np.ndarray) -> tuple[float, bool]:
-            nonlocal f_prev, last
-            last = B, *evaluate(B, dual_terms)
-            _, f, f_stage, gap = last
-            if gap is not None:
-                return f_stage, gap <= max(tol * abs(f), mu_s * D)
             # uncertified fallback: relative change of F between consecutive checks
             done = f_prev is not None and abs(f - f_prev) < tol * max(abs(f_prev), _REL_DENOM_FLOOR)
             f_prev = f
-            return f_stage, done
+            return record, done
+        R = g_loss + dual_grad
+        P = R @ m.inv_factor if m.rows else m.inv_factor.T @ R
+        lower = max(lower, f - slack - 0.5 * float(np.vdot(P, P)))
+        return record, stops(f, mu_s)
 
-        B, n, done = three_sequence_minimize(
-            grad, check, B, L, max_iters - iters, prox, trace_row if config.record_trace else None
+    trace: list[tuple[float, float]] = []
+
+    def trace_row(B: np.ndarray, g: np.ndarray) -> None:
+        # the exact objective every iteration, for the trace only: checks alone decide
+        trace.append((m.loss(B, gram(B) - XtY) + penalty.penalty_exact(B), float(np.linalg.norm(g))))
+
+    t_loop = time.perf_counter()
+    B, iters = np.zeros(XtY.shape), 0
+    for mu_s in stages:
+        B, n, done, (_, f) = three_sequence_minimize(
+            grad, check, B, lipschitz(mu_s), max_iters - iters, prox, trace_row if config.record_trace else None
         )
         iters += n
-        # the cap can return an earlier, better iterate than the one checked last
-        _, f, _, gap = last if last[0] is B else (B, *evaluate(B, dual_terms))
-        if iters == max_iters or (done and (gap is None or gap <= max(tol * abs(f), mu * D))):
-            fallback_stop = done and gap is None
+        converged = stops(f, mu)
+        if converged or iters == max_iters:
             break
     t_end = time.perf_counter()
 
-    converged = gap is not None and gap <= max(tol * abs(f), mu * D)
+    gap = max(f - lower, 0.0) if m.inv_factor is not None else None
     coef = B[0] if m.rows else B
     resid = Y - X @ coef
-    half_rss = 0.5 * float(np.vdot(resid, resid))
     return Solution(
         B_hat=coef.reshape(X.shape[1], -1),
-        objective_exact=half_rss + penalty_exact(B),
-        objective_smooth=half_rss + smooth_penalty(B),
+        objective_exact=0.5 * float(np.vdot(resid, resid)) + penalty.penalty_exact(B),
         iterations=iters,
         converged=converged,
         gap=gap,
-        stop_reason="gap" if converged else "uncertified" if fallback_stop else "iteration_cap",
-        lipschitz_used=stage(stages[-1])[1],
+        stop_reason="gap" if converged else "uncertified" if done and gap is None else "iteration_cap",
+        lipschitz_used=lipschitz(stages[-1]),
         mu_used=mu,
         trace=tuple(trace) if config.record_trace else None,
         runtime_total_s=t_end - t_start,
@@ -339,37 +303,39 @@ def subgradient_fit(X: np.ndarray, Y: np.ndarray, config: SolverConfig, op: Fusi
 
     The step is c / sqrt(t+1) with c = 1 / lam_max(X^T X); the
     subgradient of the penalty is Gamma*(sign(Gamma(B))) with sign(0) = 0.
-    There is no stopping test: the method always runs ``config.max_iters``
-    steps and reports ``converged=False``, since nothing certifies the best
-    iterate. Of ``config`` it reads only ``max_iters`` and ``record_trace``.
+    Each iterate costs one Gram product and one ``apply``, shared by its
+    objective and the next step. There is no stopping test: the method always
+    runs ``config.max_iters`` steps and reports ``converged=False``, since
+    nothing certifies the best iterate. Of ``config`` it reads only
+    ``max_iters`` and ``record_trace``.
     """
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     t_start = time.perf_counter()
     m = Moments.from_data(X, Y)
-    gram, XtY, loss = m.gram, m.XtY, m.loss_fn()
+    gram, XtY = m.gram, m.XtY
     c = 1.0 / m.lam_max if m.lam_max > 0 else 1.0
     B = best_B = np.zeros((op.n_inputs, op.n_tasks))
-    best_f = loss(B) + op.penalty_exact(B)
-    trace: list[tuple[float, float, float]] | None = [] if config.record_trace else None
+    g_loss, G = gram(B) - XtY, op.apply(B)
+    best_f = m.loss(B, g_loss) + float(np.abs(G).sum())
+    trace: list[tuple[float, float]] | None = [] if config.record_trace else None
     t_loop = time.perf_counter()
     for t in range(config.max_iters):
-        g = gram(B) - XtY + op.adjoint(np.sign(op.apply(B)))
+        g = g_loss + op.adjoint(np.sign(G))
         B = B - c / np.sqrt(t + 1.0) * g
-        f_t = loss(B) + op.penalty_exact(B)
+        g_loss, G = gram(B) - XtY, op.apply(B)
+        f_t = m.loss(B, g_loss) + float(np.abs(G).sum())
         if not np.isfinite(f_t):
             raise NumericError(f"objective became non-finite at iteration {t}")
         if f_t < best_f:
             best_f, best_B = f_t, B
         if trace is not None:
-            trace.append((best_f, best_f, float(np.linalg.norm(g))))
+            trace.append((best_f, float(np.linalg.norm(g))))
     t_end = time.perf_counter()
 
     resid = Y - X @ best_B
-    exact = 0.5 * float(np.vdot(resid, resid)) + op.penalty_exact(best_B)
     return Solution(
         B_hat=best_B,
-        objective_exact=exact,
-        objective_smooth=exact,
+        objective_exact=0.5 * float(np.vdot(resid, resid)) + op.penalty_exact(best_B),
         iterations=config.max_iters,
         converged=False,
         gap=None,
@@ -383,8 +349,8 @@ def subgradient_fit(X: np.ndarray, Y: np.ndarray, config: SolverConfig, op: Fusi
 
 
 def trace_csv_text(solution: Solution) -> str:
-    """The per-iteration trace as CSV with columns iter,f_exact,f_smooth,grad_norm."""
+    """The per-iteration trace as CSV with columns iter,f_exact,grad_norm."""
     if solution.trace is None:
         raise ValueError("solution was computed without record_trace")
-    rows = (f"{i},{fe:.17g},{fs:.17g},{gn:.17g}\n" for i, (fe, fs, gn) in enumerate(solution.trace))
-    return "iter,f_exact,f_smooth,grad_norm\n" + "".join(rows)
+    rows = (f"{i},{fe:.17g},{gn:.17g}\n" for i, (fe, gn) in enumerate(solution.trace))
+    return "iter,f_exact,grad_norm\n" + "".join(rows)

@@ -73,7 +73,7 @@ def test_c01_smoothing_gap_bound():
         op, _ = _random_operator(rng)
         B = float(rng.uniform(0.2, 5.0)) * rng.standard_normal((op.n_inputs, op.n_tasks))
         mu = float(10.0 ** rng.uniform(-5, 0))
-        gap = op.penalty_exact(B) - op.smoothed_penalty(B, mu)
+        gap = op.penalty_exact(B) - op.dual_terms(B, None, mu)[3]
         assert gap >= -1e-9
         assert gap <= mu * op.gap_constant() + 1e-9
         worst = max(worst, gap - mu * op.gap_constant())
@@ -109,7 +109,7 @@ def test_c02_gradient_matches_finite_differences():
 
         def f_tilde(Bx):
             resid = Y - X @ Bx
-            return 0.5 * float(np.vdot(resid, resid)) + op.smoothed_penalty(Bx, mu)
+            return 0.5 * float(np.vdot(resid, resid)) + op.dual_terms(Bx, None, mu)[3]
 
         G = XtX @ B - XtY + op.adjoint(op.aux_optimum(B, mu))
         G_fd = np.zeros_like(B)
@@ -174,7 +174,6 @@ def _plain_scheme_objectives(X, Y, op, eps, max_iters):
     # and never ends the run, so the loop neither restarts nor stops.
     m = Moments.from_data(X, Y)
     mu = eps / (2 * op.gap_constant())
-    loss = m.loss_fn()
     fs = []
 
     def grad(W):
@@ -182,8 +181,8 @@ def _plain_scheme_objectives(X, Y, op, eps, max_iters):
 
     falling = itertools.count(0, -1)
     three_sequence_minimize(
-        grad, lambda B: (next(falling), False), np.zeros(m.XtY.shape), m.lam_max + op.norm_bound() ** 2 / mu,
-        max_iters, None, lambda B, g: fs.append(loss(B) + op.penalty_exact(B)),
+        grad, lambda B: ((next(falling),), False), np.zeros(m.XtY.shape), m.lam_max + op.norm_bound() ** 2 / mu,
+        max_iters, None, lambda B, g: fs.append(m.loss(B, m.gram(B) - m.XtY) + op.penalty_exact(B)),
     )
     return np.array(fs)
 

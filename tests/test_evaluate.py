@@ -216,8 +216,12 @@ class TestBenchmark:
             n_samples=60,
             n_inputs=20,
             n_outputs=8,
+            rho=0.5,
+            lam=0.1,
+            gamma=0.1,
             methods=("proxgrad",),
             config=SolverConfig(mu=1e-3, rel_obj_tol=1e-4, max_iters=200),
+            seed=0,
         )
         edges = [r["n_edges"] for r in rows]
         assert edges == sorted(edges, reverse=True)
@@ -230,8 +234,12 @@ class TestBenchmark:
             n_samples=40,
             n_inputs=15,
             n_outputs=6,
+            rho=0.5,
+            lam=0.1,
+            gamma=0.1,
             methods=("proxgrad", "subgrad"),
             config=SolverConfig(mu=1e-3, rel_obj_tol=1e-4, max_iters=50),
+            seed=0,
         )
         text = benchmark_csv_text(rows)
         lines = text.strip().split("\n")
@@ -241,7 +249,7 @@ class TestBenchmark:
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError):
-            run_benchmark("Q", [1.0])
+            run_benchmark("Q", [1.0], 40, 15, 6, 0.5, 0.1, 0.1, ("proxgrad",), SolverConfig(), 0)
 
 
 def test_roc_csv_text():

@@ -104,7 +104,7 @@ def test_unused_guard_sees_an_unused_method():
     assert unused_public_names({"m": ast.parse(source)}, []) == ["m.A.dropped"]
 
 
-SETTABLE_VALUES = 109
+SETTABLE_VALUES = 95
 ENVIRONMENT_READS = {"environ", "getenv"}
 
 

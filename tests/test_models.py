@@ -175,6 +175,19 @@ class TestRowGroupNorm:
         expected = 1.3 * sum(np.linalg.norm(B[j]) for j in range(5))
         assert RowGroupNorm(1.3).penalty_exact(B) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_rejects_bad_lam(self, lam):
+        with pytest.raises(ValueError, match="lam and gamma must be finite and non-negative"):
+            RowGroupNorm(lam)
+
+    def test_dual_terms_point_lies_in_the_lam_ball(self):
+        rng = np.random.default_rng(7)
+        B, g_loss = rng.standard_normal((6, 3)), 2.0 * rng.standard_normal((6, 3))
+        pen, slack, A, stage_pen = RowGroupNorm(1.1).dual_terms(B, g_loss, 0.0)
+        assert np.linalg.norm(A, axis=1).max() <= 1.1 * (1 + 1e-15)
+        assert pen == stage_pen == RowGroupNorm(1.1).penalty_exact(B)
+        assert slack >= 0.0
+
     def test_solve_runs_it_unsmoothed_and_matches_the_model(self):
         X, Y = make_problem(11)
         Xc, _ = center_columns(X)
@@ -230,7 +243,7 @@ class TestFitFusedUnivariate:
     def test_rejects_mismatched_graph(self):
         X = np.random.default_rng(0).standard_normal((10, 4))
         with pytest.raises(ValueError):
-            fit_fused_univariate(X, X[:, 0], chain_graph(3), 0.1, 0.1)
+            fit_fused_univariate(X, X[:, 0], chain_graph(3), 0.1, 0.1, SolverConfig())
 
 
 class TestSignSemantics:

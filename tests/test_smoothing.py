@@ -139,7 +139,7 @@ class TestPenaltyExact:
 class TestSmoothedPenalty:
     def test_zero(self):
         op, _ = random_operator(np.random.default_rng(11))
-        assert op.smoothed_penalty(np.zeros((5, 4)), 0.2) == 0.0
+        assert op.dual_terms(np.zeros((5, 4)), None, 0.2)[3] == 0.0
 
     def test_gap_bound(self):
         rng = np.random.default_rng(12)
@@ -147,7 +147,7 @@ class TestSmoothedPenalty:
             op, _ = random_operator(rng)
             B = 2.0 * rng.standard_normal((5, 4))
             mu = float(rng.uniform(1e-4, 1.0))
-            gap = op.penalty_exact(B) - op.smoothed_penalty(B, mu)
+            gap = op.penalty_exact(B) - op.dual_terms(B, None, mu)[3]
             assert -1e-12 <= gap <= mu * op.gap_constant() + 1e-12
 
     def test_small_mu_gap(self):
@@ -155,13 +155,13 @@ class TestSmoothedPenalty:
         op, _ = random_operator(rng)
         B = rng.standard_normal((5, 4))
         mu = 1e-8
-        assert abs(op.smoothed_penalty(B, mu) - op.penalty_exact(B)) <= mu * op.gap_constant()
+        assert abs(op.dual_terms(B, None, mu)[3] - op.penalty_exact(B)) <= mu * op.gap_constant()
 
     def test_monotone_in_mu(self):
         rng = np.random.default_rng(14)
         op, _ = random_operator(rng)
         B = rng.standard_normal((5, 4))
-        values = [op.smoothed_penalty(B, mu) for mu in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
+        values = [op.dual_terms(B, None, mu)[3] for mu in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -185,7 +185,7 @@ class TestPenaltyGradient:
         for idx in np.ndindex(B.shape):
             E = np.zeros_like(B)
             E[idx] = h
-            fd = (op.smoothed_penalty(B + E, mu) - op.smoothed_penalty(B - E, mu)) / (2 * h)
+            fd = (op.dual_terms(B + E, None, mu)[3] - op.dual_terms(B - E, None, mu)[3]) / (2 * h)
             assert G[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     def test_gradient_lipschitz_constant(self):
