@@ -22,7 +22,7 @@ from .models import (
 )
 from .simulate import Dataset, SimulationSpec, simulate_dataset
 from .smoothing import FusionOperator, shrink
-from .solver import Solution, SolverConfig, subgradient_fit
+from .solver import Moments, Solution, SolverConfig, subgradient_fit
 
 __all__ = [
     "DegenerateInputError",
@@ -42,6 +42,7 @@ __all__ = [
     "simulate_dataset",
     "FusionOperator",
     "shrink",
+    "Moments",
     "Solution",
     "SolverConfig",
     "subgradient_fit",

@@ -27,6 +27,7 @@ from .errors import DegenerateInputError, NumericError
 from .evaluate import (
     BENCH_AXES,
     DEFAULT_GRID,
+    METHODS,
     ExperimentConfig,
     benchmark_csv_text,
     fit_method,
@@ -39,7 +40,7 @@ from .fileio import atomic_write_text, default_headers, json_text, matrix_csv_te
 from .graph import build_correlation_graph, chain_graph, edge_list_text, load_edge_list
 from .models import FitResult, fit_fused_univariate
 from .simulate import SimulationSpec, simulate_dataset
-from .solver import SolverConfig, trace_csv_text
+from .solver import Moments, SolverConfig, trace_csv_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -171,16 +172,18 @@ def cmd_fit(ns: argparse.Namespace) -> int:
     X, Y = _load_xy(ns)
     config = _solver_config(ns)
     graph = build_correlation_graph(Y, ns.rho) if ns.method == "gflasso" else None
-    if ns.method == "fused":
-        if Y.shape[1] != 1:
-            raise ValueError(f"method=fused needs a single-column response, got {Y.shape[1]} columns")
+    fused = ns.method == "fused"
+    if fused and Y.shape[1] != 1:
+        raise ValueError(f"method=fused needs a single-column response, got {Y.shape[1]} columns")
+    data = Moments.from_data(X, Y[:, 0] if fused else Y)
+    if fused:
         if ns.input_graph is not None:
             input_graph = load_edge_list(ns.input_graph, node_count=X.shape[1])
         else:
             input_graph = chain_graph(X.shape[1])
-        fit = fit_fused_univariate(X, Y[:, 0], input_graph, ns.lam, ns.gamma, config)
+        fit = fit_fused_univariate(data, input_graph, ns.lam, ns.gamma, config)
     else:
-        fit = fit_method(ns.method, X, Y, graph, ns.lam, ns.gamma, config)
+        fit = fit_method(ns.method, data, graph, ns.lam, ns.gamma, config)
 
     artifacts = {"B_hat.csv": _b_hat_text(fit), "fit.json": json_text(fit.to_json_dict())}
     if graph is not None:
@@ -265,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit one model to X.csv/Y.csv and write B_hat.csv + fit.json")
-    p_fit.add_argument("--method", choices=("gflasso", "lasso", "l1l2", "fused"), required=True)
+    p_fit.add_argument("--method", choices=(*METHODS, "fused"), required=True)
     p_fit.add_argument("--x", required=True, help="input matrix CSV")
     p_fit.add_argument("--y", required=True, help="output matrix CSV (single column for method=fused)")
     p_fit.add_argument("--out-dir", required=True)
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_cv = sub.add_parser("cv", help="select lambda/gamma on a tail holdout and refit on all samples")
-    p_cv.add_argument("--method", choices=("gflasso", "lasso", "l1l2"), required=True)
+    p_cv.add_argument("--method", choices=METHODS, required=True)
     p_cv.add_argument("--x", required=True)
     p_cv.add_argument("--y", required=True)
     p_cv.add_argument("--out-dir", required=True)
@@ -318,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out-dir", required=True)
     _add_sim_flags(p_rep)
     p_rep.add_argument("--rho", type=float, default=0.1)
-    p_rep.add_argument("--methods", default="gflasso,lasso,l1l2")
+    p_rep.add_argument("--methods", default=",".join(METHODS))
     p_rep.add_argument("--replicates", type=int, default=10)
     p_rep.add_argument("--test-n", type=int, default=50)
     p_rep.add_argument("--holdout", type=int, default=30)

@@ -4,12 +4,14 @@ The experiment harness regenerates the simulation study at desk scale: for
 each replicate it draws a fresh dataset, builds the output-correlation graph,
 selects regularization on a train/validation split per method, refits on the
 full training data, and scores support recovery (AUC) against the true
-coefficients plus prediction error on an independent test set.
+coefficients plus prediction error on an independent test set. Each data
+split is read once, into one :class:`solver.Moments` that all of its fits share.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -17,10 +19,10 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .graph import TaskGraph, build_correlation_graph
-from .models import FitResult, PenaltySpec, center_columns, fit_gflasso, fit_group_l1l2, fit_lasso
+from .models import FitResult, PenaltySpec, fit_gflasso, fit_group_l1l2, fit_lasso
 from .simulate import SimulationSpec, replicate_seed, simulate_dataset, simulate_test_set
 from .smoothing import FusionOperator
-from .solver import SolverConfig, subgradient_fit
+from .solver import Moments, SolverConfig, subgradient_fit
 
 METHODS = ("gflasso", "lasso", "l1l2")
 DEFAULT_GRID: tuple[float, ...] = tuple(float(v) for v in np.logspace(-3.0, 1.0, 10))
@@ -82,8 +84,7 @@ def prediction_error(fit: FitResult, X_test: np.ndarray, Y_test: np.ndarray) -> 
 
 def fit_method(
     method: str,
-    X: np.ndarray,
-    Y: np.ndarray,
+    data: Moments,
     graph: TaskGraph | None,
     lam: float,
     gamma: float,
@@ -97,11 +98,11 @@ def fit_method(
     if method == "gflasso":
         if graph is None:
             raise ValueError("gflasso needs a task graph")
-        return fit_gflasso(X, Y, graph, spec, config)
+        return fit_gflasso(data, graph, spec, config)
     if method == "lasso":
-        return fit_lasso(X, Y, spec, config)
+        return fit_lasso(data, spec, config)
     if method == "l1l2":
-        return fit_group_l1l2(X, Y, spec.lam, config)
+        return fit_group_l1l2(data, spec.lam, config)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -116,6 +117,12 @@ def _check_grid_values(values) -> None:
     bad = [v for v in values if not 0 <= v < np.inf]
     if bad:
         raise ValueError(f"grid values must be finite and non-negative, got {bad[0]}")
+
+
+def _certificate(fit: FitResult) -> dict:
+    """How a fit stopped, as the artifacts record it: iterations, converged, stop_reason and gap."""
+    s = fit.solution
+    return {"iterations": s.iterations, "converged": s.converged, "stop_reason": s.stop_reason, "gap": s.gap}
 
 
 @dataclass(frozen=True)
@@ -139,27 +146,25 @@ def select_regularization(
 
     The last ``holdout`` rows form the validation set. Ties in validation
     MSE break toward larger lam, then larger gamma. The returned fit is
-    re-estimated on all samples at the selected values.
+    re-estimated on all samples at the selected values. The moments are built
+    twice, once for the training rows and once for all rows.
     """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    n = X.shape[0]
+    n = len(X)
     if not 0 < holdout < n:
         raise ValueError(f"holdout must be in (0, {n}), got {holdout}")
     if not grid:
         raise ValueError("grid is empty")
     _check_grid_values([v for point in grid for v in point])
-    X_tr, X_val = X[: n - holdout], X[n - holdout :]
-    Y_tr, Y_val = Y[: n - holdout], Y[n - holdout :]
+    train = Moments.from_data(X[: n - holdout], Y[: n - holdout])
+    X_val, Y_val = X[n - holdout :], Y[n - holdout :]
 
     table: list[dict] = []
     for lam, gamma in grid:
         row: dict = {"lambda": float(lam), "gamma": float(gamma)}
         try:
-            fit = fit_method(method, X_tr, Y_tr, graph, lam, gamma, config)
+            fit = fit_method(method, train, graph, lam, gamma, config)
             row["val_mse"] = prediction_error(fit, X_val, Y_val)
-            row["iterations"] = fit.solution.iterations
-            row["converged"] = fit.solution.converged
+            row.update(_certificate(fit))
         except (ValueError, ArithmeticError) as exc:
             row["error"] = str(exc)
         table.append(row)
@@ -168,7 +173,7 @@ def select_regularization(
     if not ok:
         raise ValueError("every grid point failed during selection")
     best = min(ok, key=lambda row: (row["val_mse"], -row["lambda"], -row["gamma"]))
-    final = fit_method(method, X, Y, graph, best["lambda"], best["gamma"], config)
+    final = fit_method(method, Moments.from_data(X, Y), graph, best["lambda"], best["gamma"], config)
     return SelectionResult(lam=best["lambda"], gamma=best["gamma"], table=tuple(table), fit=final)
 
 
@@ -274,8 +279,7 @@ def _run_one_replicate(config: ExperimentConfig, r: int) -> tuple[dict, list[dic
                 "gamma": sel.gamma,
                 "auc": roc_curve(sel.fit.solution.B_hat, ds.B_true).auc,
                 "test_mse": prediction_error(sel.fit, X_test, Y_test),
-                "iterations": sel.fit.solution.iterations,
-                "converged": sel.fit.solution.converged,
+                **_certificate(sel.fit),
             }
         except (ValueError, ArithmeticError) as exc:
             failures.append({"replicate": r, "method": method, "error": str(exc)})
@@ -327,7 +331,8 @@ def run_benchmark(
 ) -> list[dict]:
     """Wall-time scaling sweep along one of the axes J, N, K, rho.
 
-    Timing runs are kept sequential so measurements do not contend.
+    Timing runs are kept sequential so measurements do not contend. Both methods
+    share one moments build per axis value; ``total_s`` includes it.
     """
     if axis not in BENCH_AXES:
         raise ValueError(f"axis must be one of {BENCH_AXES}, got {axis!r}")
@@ -349,15 +354,15 @@ def run_benchmark(
             r = float(value)
         ds = simulate_dataset(_bench_spec(n, j, k, seed))
         graph = build_correlation_graph(ds.Y, r)
+        t0 = time.perf_counter()
+        data = Moments.from_data(ds.X, ds.Y)
+        build_s = time.perf_counter() - t0
         for method in methods:
             if method == "proxgrad":
-                fit = fit_gflasso(ds.X, ds.Y, graph, PenaltySpec(lam=lam, gamma=gamma), config)
-                sol = fit.solution
+                sol = fit_gflasso(data, graph, PenaltySpec(lam=lam, gamma=gamma), config).solution
             else:
-                Xc, _ = center_columns(ds.X)
-                Yc, _ = center_columns(ds.Y)
                 op = FusionOperator.from_graph(graph, lam=lam, gamma=gamma, n_inputs=j)
-                sol = subgradient_fit(Xc, Yc, config, op)
+                sol = subgradient_fit(data, config, op)
             rows.append(
                 {
                     "axis": axis,
@@ -366,7 +371,7 @@ def run_benchmark(
                     "n_edges": graph.n_edges,
                     "iterations": sol.iterations,
                     "converged": sol.converged,
-                    "total_s": sol.runtime_total_s,
+                    "total_s": build_s + sol.runtime_total_s,
                     "periter_s": sol.runtime_periter_s,
                 }
             )

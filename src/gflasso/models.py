@@ -7,8 +7,9 @@ operator for the smoothed penalty, and the l1/l2 model passes a
 :class:`RowGroupNorm`, whose exact rowwise proximal map the solver uses.
 Both penalty objects give the solver's certificate its terms (``dual_terms``).
 
-Every fit entry point centers X and Y internally (column means removed) and
-stores the means on the result, so predictions for new data can be formed as
+Every fit entry point takes the data as one :class:`solver.Moments`, whose
+``from_data`` centers the raw arrays and keeps their column means; the result
+carries the means, so predictions for new data are
 (X_new - x_mean) @ B_hat + y_mean. Models carry no intercept.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from .graph import TaskGraph, sign
 from .smoothing import FusionOperator
-from .solver import Solution, SolverConfig, solve
+from .solver import Moments, Solution, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -107,13 +108,6 @@ class FitResult:
         }
 
 
-def center_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (column-centered copy, column means)."""
-    M = np.asarray(M, dtype=float)
-    mean = M.mean(axis=0)
-    return M - mean, mean
-
-
 def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGraph, spec: PenaltySpec) -> float:
     """Exact objective value, summed straight from the edge list.
 
@@ -133,25 +127,23 @@ def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGr
 
 
 def _fit(
-    kind: str, X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig,
+    kind: str, data: Moments, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig,
     penalty: FusionOperator | RowGroupNorm,
 ) -> FitResult:
-    # Centers, checks that ``graph`` has a node per task (per covariate when a
-    # 1-d Y lays the model out as one row), solves and records the means.
+    # Checks that ``graph`` has a node per task (per covariate in the row
+    # layout of a 1-d response), solves and records the means.
     t0 = time.perf_counter()
-    Xc, x_mean = center_columns(X)
-    Yc, y_mean = center_columns(Y)
-    n_nodes = Xc.shape[1] if Yc.ndim == 1 else Yc.shape[1]
+    n_nodes = data.XtX.shape[0] if data.rows else data.XtY.shape[1]
     if graph.node_count != n_nodes:
         raise ValueError(f"graph has {graph.node_count} nodes but the model needs {n_nodes}")
-    solution = solve(Xc, Yc, config, penalty)
+    solution = solve(data, config, penalty)
     return FitResult(
         solution=solution,
         model_kind=kind,
         penalty=spec,
         graph_summary=(graph.node_count, graph.n_edges, graph.threshold),
-        x_mean=x_mean,
-        y_mean=np.atleast_1d(y_mean),
+        x_mean=data.x_mean,
+        y_mean=np.atleast_1d(data.y_mean),
         runtime_s=time.perf_counter() - t0,
     )
 
@@ -161,20 +153,20 @@ def _fusion_operator(graph: TaskGraph, lam: float, gamma: float, n_inputs: int) 
     return FusionOperator.from_graph(graph if gamma > 0 else TaskGraph(graph.node_count), lam, gamma, n_inputs)
 
 
-def fit_gflasso(X: np.ndarray, Y: np.ndarray, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig) -> FitResult:
+def fit_gflasso(data: Moments, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
-    op = _fusion_operator(graph, spec.lam, spec.gamma, np.shape(X)[1])
-    return _fit("gflasso", X, Y, graph, spec, config, op)
+    op = _fusion_operator(graph, spec.lam, spec.gamma, data.XtX.shape[0])
+    return _fit("gflasso", data, graph, spec, config, op)
 
 
-def fit_lasso(X: np.ndarray, Y: np.ndarray, spec: PenaltySpec, config: SolverConfig) -> FitResult:
+def fit_lasso(data: Moments, spec: PenaltySpec, config: SolverConfig) -> FitResult:
     """Entrywise-l1 multi-task fit; the edgeless special case of the fused model."""
-    empty = TaskGraph(node_count=np.shape(Y)[1])
-    op = FusionOperator.from_graph(empty, lam=spec.lam, gamma=0.0, n_inputs=np.shape(X)[1])
-    return _fit("lasso", X, Y, empty, PenaltySpec(lam=spec.lam), config, op)
+    empty = TaskGraph(node_count=data.XtY.shape[1])
+    op = FusionOperator.from_graph(empty, lam=spec.lam, gamma=0.0, n_inputs=data.XtX.shape[0])
+    return _fit("lasso", data, empty, PenaltySpec(lam=spec.lam), config, op)
 
 
-def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfig) -> FitResult:
+def fit_group_l1l2(data: Moments, lam: float, config: SolverConfig) -> FitResult:
     """Row-grouped l1/l2 multi-task fit.
 
     The penalty lam * sum_j ||beta_row_j||_2 has an exact proximal step (a
@@ -182,18 +174,17 @@ def fit_group_l1l2(X: np.ndarray, Y: np.ndarray, lam: float, config: SolverConfi
     shared accelerated loop.
     """
     spec = PenaltySpec(lam=lam, gamma=0.0)
-    return _fit("group_l1l2", X, Y, TaskGraph(node_count=np.shape(Y)[1]), spec, config, RowGroupNorm(lam))
+    return _fit("group_l1l2", data, TaskGraph(node_count=data.XtY.shape[1]), spec, config, RowGroupNorm(lam))
 
 
 def fit_fused_univariate(
-    X: np.ndarray, y: np.ndarray, input_graph: TaskGraph, lam: float, gamma: float, config: SolverConfig
+    data: Moments, input_graph: TaskGraph, lam: float, gamma: float, config: SolverConfig
 ) -> FitResult:
     """Univariate-response fused fit with the fusion graph over the covariates.
 
-    The coefficient vector is handled as a single-row matrix so the same
-    operator and loop drive this model; a chain graph with unit weights
-    reproduces the classic adjacent-difference fused penalty.
+    ``data`` is built from a 1-d y, which lays the coefficient vector out as a
+    single-row matrix so the same operator and loop drive this model; a chain
+    graph with unit weights reproduces the classic adjacent-difference fused penalty.
     """
-    y = np.asarray(y, dtype=float).ravel()
     op = _fusion_operator(input_graph, lam, gamma, 1)
-    return _fit("fused_univariate", X, y, input_graph, PenaltySpec(lam=lam, gamma=gamma), config, op)
+    return _fit("fused_univariate", data, input_graph, PenaltySpec(lam=lam, gamma=gamma), config, op)

@@ -1,11 +1,11 @@
 """The accelerated solver core behind every model, and a subgradient baseline.
 
-:func:`solve` minimizes F(B) = (1/2) ||Y - X B||_F^2 + P(B) through the
-moments X^T X and X^T Y (:class:`Moments`), so the per-iteration cost is
-independent of the sample count. Its loop is the three-sequence accelerated
-scheme: a gradient point W, a descent iterate B, and a weighted running
-gradient aggregate Z. Per iteration t, counted from the anchor (the start
-point, or the iterate of the last restart):
+:func:`solve` minimizes F(B) = (1/2) ||Y - X B||_F^2 + P(B) on centered data
+that it sees only as the moments X^T X and X^T Y (:class:`Moments`, built once
+per data split), so the per-iteration cost is independent of the sample count.
+Its loop is the three-sequence accelerated scheme: a gradient point W, a
+descent iterate B, and a weighted running gradient aggregate Z. Per iteration
+t, counted from the anchor (the start point, or the iterate of the last restart):
 
     1. g_t = grad(W^t)
     2. B^t = W^t - g_t / L
@@ -27,7 +27,7 @@ projection of -grad loss(B); each penalty's ``dual_terms`` returns P(B), the
 slack P(B) - <A, G(B)> and G*(A) at its A. F and the gap run only at checks, every
 CHECK_EVERY iterations and at the cap; ``converged`` means gap <=
 max(rel_obj_tol * |F(B)|, mu * D) there. A check that did not improve
-restarts the loop from the best checked iterate (O'Donoghue & Candes 2015),
+restarts the loop from the current iterate (O'Donoghue & Candes 2015),
 and a smoothed penalty runs through the mu stages MU_STAGES * mu, each ending
 at gap <= mu_s * D (Becker, Bobin & Candes 2011, "NESTA"). A singular X^T X
 (J >= N, collinear columns) certifies nothing: the fit stops when F changes by
@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DegenerateInputError, NumericError
 from .smoothing import FusionOperator
 
 CHECK_EVERY = 10
@@ -105,14 +105,15 @@ class Solution:
 
 @dataclass(frozen=True)
 class Moments:
-    """The sample moments of one centered data split, built once per fit.
+    """The sample moments of one data split, built once and shared by every fit on it.
 
-    Holds X^T X, X^T Y, ||Y||_F^2, lam_max(X^T X) and the factor V s^-1/2 of
-    (X^T X)^-1 from eigh(X^T X) = V diag(s) V^T (None when X^T X is singular
-    to rounding); every later evaluation reads these, free of the sample
-    count. A 1-d response gives the row layout of the univariate fused model:
-    the coefficients are one 1 x J row W, X^T Y is stored as that row, and
-    the Gram product is W X^T X instead of X^T X B.
+    Holds the column means of X and Y and, of the centered data, X^T X,
+    X^T Y, ||Y||_F^2, lam_max(X^T X) and the factor V s^-1/2 of (X^T X)^-1
+    from eigh(X^T X) = V diag(s) V^T (None when X^T X is singular to
+    rounding); every later evaluation reads these, free of the sample count.
+    A 1-d response gives the row layout of the univariate fused model: the
+    coefficients are one 1 x J row W, X^T Y is stored as that row, and the
+    Gram product is W X^T X instead of X^T X B.
     """
 
     XtX: np.ndarray
@@ -121,12 +122,19 @@ class Moments:
     lam_max: float
     inv_factor: np.ndarray | None
     rows: bool
+    x_mean: np.ndarray
+    y_mean: np.ndarray
 
     @classmethod
     def from_data(cls, X: np.ndarray, Y: np.ndarray) -> "Moments":
-        """Moments of float arrays X (N x J) and Y (N x K, or N for the row layout)."""
+        """Center the raw X (N x J) and Y (N x K, or N for the row layout) and take their moments."""
+        X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
         if X.ndim != 2 or Y.ndim not in (1, 2) or X.shape[0] != Y.shape[0]:
             raise ValueError(f"incompatible shapes X {X.shape}, Y {Y.shape}")
+        if not np.ptp(X, axis=0).any():
+            raise DegenerateInputError("every column of X is constant: centered, X is zero and there is nothing to fit")
+        x_mean, y_mean = X.mean(axis=0), Y.mean(axis=0)
+        X, Y = X - x_mean, Y - y_mean
         XtX = X.T @ X
         if not np.all(np.isfinite(XtX)):
             raise NumericError("X^T X contains non-finite entries")
@@ -137,7 +145,7 @@ class Moments:
             V = None
         rows = Y.ndim == 1
         XtY = (X.T @ Y)[None, :] if rows else X.T @ Y
-        return cls(XtX, XtY, float(np.vdot(Y, Y)), float(s[-1]), V, rows)
+        return cls(XtX, XtY, float(np.vdot(Y, Y)), float(s[-1]), V, rows, x_mean, y_mean)
 
     @property
     def gram(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -164,7 +172,7 @@ def three_sequence_minimize(
     ``check(B)`` runs every CHECK_EVERY iterations and at the cap and returns
     (record, whether B ends the run); ``record[0]`` is the value of the
     objective the loop minimizes. At a check whose value is not below the best
-    checked one, the loop restarts from that best iterate: W = anchor = B_best,
+    checked one, the loop restarts from the current iterate: W = anchor = B,
     S = 0, k = 0. With ``prox(V, s)``, the proximal map of s times a non-smooth
     penalty, B and Z become prox(W - g/L, 1/L) and prox(anchor - S/L, A_k/L),
     with A_k = (k+1)(k+2)/4. ``trace(B, g)`` runs every iteration and decides nothing.
@@ -195,12 +203,12 @@ def three_sequence_minimize(
         if record[0] < best[0]:
             best_B, best = B, record
         else:
-            anchor = W = best_B
+            anchor = W = B
             weighted_grad_sum, k = np.zeros_like(B0), 0
     return best_B, max_iters, False, best
 
 
-def solve(X: np.ndarray, Y: np.ndarray, config: SolverConfig, penalty) -> Solution:
+def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
     """Minimize (1/2) ||Y - X B||_F^2 plus ``penalty``; the core behind every model.
 
     A :class:`FusionOperator` penalty ||B C||_1 runs through its smooth surrogate;
@@ -209,13 +217,12 @@ def solve(X: np.ndarray, Y: np.ndarray, config: SolverConfig, penalty) -> Soluti
     penalty runs unsmoothed (mu = 0, L = lam_max(X^T X)) and must provide
     ``penalty_exact(B)`` and ``prox(V, step)`` (the proximal map of step * penalty).
     Both kinds provide ``dual_terms(B, g_loss, mu)``, the certificate's terms at
-    their dual point (see :meth:`FusionOperator.dual_terms`). ``X`` and ``Y`` are
-    expected column-centered; a 1-d ``Y`` selects the row layout (see
-    :class:`Moments`) and still returns B_hat as a J x 1 column.
+    their dual point (see :meth:`FusionOperator.dual_terms`). The data enter only
+    through ``m``; moments in the row layout (see :class:`Moments`) still return
+    B_hat as a J x 1 column. ``objective_exact`` is the F of the check that
+    accepted B_hat, so ``objective_exact - gap`` is the certified lower bound itself.
     """
     t_start = time.perf_counter()
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    m = Moments.from_data(X, Y)
     gram, XtY = m.gram, m.XtY
     if isinstance(penalty, FusionOperator):
         mu = config.mu if config.accuracy is None else config.accuracy / (2.0 * penalty.gap_constant())
@@ -281,11 +288,9 @@ def solve(X: np.ndarray, Y: np.ndarray, config: SolverConfig, penalty) -> Soluti
     t_end = time.perf_counter()
 
     gap = max(f - lower, 0.0) if m.inv_factor is not None else None
-    coef = B[0] if m.rows else B
-    resid = Y - X @ coef
     return Solution(
-        B_hat=coef.reshape(X.shape[1], -1),
-        objective_exact=0.5 * float(np.vdot(resid, resid)) + penalty.penalty_exact(B),
+        B_hat=B.T if m.rows else B,
+        objective_exact=f,
         iterations=iters,
         converged=converged,
         gap=gap,
@@ -298,7 +303,7 @@ def solve(X: np.ndarray, Y: np.ndarray, config: SolverConfig, penalty) -> Soluti
     )
 
 
-def subgradient_fit(X: np.ndarray, Y: np.ndarray, config: SolverConfig, op: FusionOperator) -> Solution:
+def subgradient_fit(m: Moments, config: SolverConfig, op: FusionOperator) -> Solution:
     """Subgradient baseline on the exact objective, tracking the best iterate.
 
     The step is c / sqrt(t+1) with c = 1 / lam_max(X^T X); the
@@ -306,12 +311,10 @@ def subgradient_fit(X: np.ndarray, Y: np.ndarray, config: SolverConfig, op: Fusi
     Each iterate costs one Gram product and one ``apply``, shared by its
     objective and the next step. There is no stopping test: the method always
     runs ``config.max_iters`` steps and reports ``converged=False``, since
-    nothing certifies the best iterate. Of ``config`` it reads only
-    ``max_iters`` and ``record_trace``.
+    nothing certifies the best iterate; its objective is the best F tracked.
+    Of ``config`` it reads only ``max_iters`` and ``record_trace``.
     """
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     t_start = time.perf_counter()
-    m = Moments.from_data(X, Y)
     gram, XtY = m.gram, m.XtY
     c = 1.0 / m.lam_max if m.lam_max > 0 else 1.0
     B = best_B = np.zeros((op.n_inputs, op.n_tasks))
@@ -332,10 +335,9 @@ def subgradient_fit(X: np.ndarray, Y: np.ndarray, config: SolverConfig, op: Fusi
             trace.append((best_f, float(np.linalg.norm(g))))
     t_end = time.perf_counter()
 
-    resid = Y - X @ best_B
     return Solution(
         B_hat=best_B,
-        objective_exact=0.5 * float(np.vdot(resid, resid)) + op.penalty_exact(best_B),
+        objective_exact=best_f,
         iterations=config.max_iters,
         converged=False,
         gap=None,

@@ -58,6 +58,13 @@ def pearson(x, y) -> float:
     return r
 
 
+def center_columns(M) -> tuple[np.ndarray, np.ndarray]:
+    """Return (column-centered copy, column means)."""
+    M = np.asarray(M, dtype=float)
+    mean = M.mean(axis=0)
+    return M - mean, mean
+
+
 def largest_eigenvalue(M: np.ndarray) -> float:
     """Largest eigenvalue of a symmetric matrix, exact to rounding.
 

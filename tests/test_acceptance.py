@@ -144,9 +144,9 @@ def _solve_tiny(spec):
     if spec["kind"] == "multitask":
         g = TaskGraph(spec["Y"].shape[1], spec["edges"])
         op = FusionOperator.from_graph(g, lam=spec["lam"], gamma=spec["gamma"], n_inputs=spec["X"].shape[1])
-        return solve(spec["X"], spec["Y"], config, op).objective_exact
+        return solve(Moments.from_data(spec["X"], spec["Y"]), config, op).objective_exact
     g = TaskGraph(spec["X"].shape[1], spec["edges"])
-    fit = fit_fused_univariate(spec["X"], spec["y"], g, spec["lam"], spec["gamma"], config)
+    fit = fit_fused_univariate(Moments.from_data(spec["X"], spec["y"]), g, spec["lam"], spec["gamma"], config)
     return fit.solution.objective_exact
 
 
@@ -214,14 +214,14 @@ def test_c05_degeneracy_lattice():
     config = SolverConfig(rel_obj_tol=1e-8)
     graph = build_correlation_graph(Y, 0.2)
 
-    gamma_zero = fit_gflasso(X, Y, graph, PenaltySpec(lam=0.3, gamma=0.0), config)
-    lasso = fit_lasso(X, Y, PenaltySpec(lam=0.3), config)
+    gamma_zero = fit_gflasso(Moments.from_data(X, Y), graph, PenaltySpec(lam=0.3, gamma=0.0), config)
+    lasso = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.3), config)
     d1 = float(np.linalg.norm(gamma_zero.solution.B_hat - lasso.solution.B_hat))
     assert d1 < 1e-5
 
     empty = build_correlation_graph(Y, 0.99)
     assert empty.n_edges == 0
-    no_edges = fit_gflasso(X, Y, empty, PenaltySpec(lam=0.3, gamma=0.8), config)
+    no_edges = fit_gflasso(Moments.from_data(X, Y), empty, PenaltySpec(lam=0.3, gamma=0.8), config)
     d2 = float(np.linalg.norm(no_edges.solution.B_hat - lasso.solution.B_hat))
     assert d2 < 1e-5
 
@@ -233,7 +233,7 @@ def test_c05_degeneracy_lattice():
     Y2 -= Y2.mean(axis=0)
     g2 = TaskGraph(2, ((1, 2, 1.0),))
     op2 = FusionOperator.from_graph(g2, lam=0.3, gamma=1000.0, n_inputs=3)
-    fused = solve(X2, Y2, SolverConfig(mu=1e-4, rel_obj_tol=1e-6, max_iters=20000), op2)
+    fused = solve(Moments.from_data(X2, Y2), SolverConfig(mu=1e-4, rel_obj_tol=1e-6, max_iters=20000), op2)
     d3 = float(np.abs(fused.B_hat[:, 0] - fused.B_hat[:, 1]).max())
     assert d3 <= 1e-3
 
@@ -241,7 +241,7 @@ def test_c05_degeneracy_lattice():
     # the fit stops at gap <= mu * D, and this mu makes that finer than the 1e-3 comparison
     lam = 0.4
     op3 = FusionOperator.from_graph(g2, lam=lam, gamma=10.0, n_inputs=3)
-    sol3 = solve(X2, Y2, SolverConfig(mu=2e-7, rel_obj_tol=1e-13, max_iters=400000), op3)
+    sol3 = solve(Moments.from_data(X2, Y2), SolverConfig(mu=2e-7, rel_obj_tol=1e-13, max_iters=400000), op3)
     pooled = ista_lasso(np.vstack([X2, X2]), np.concatenate([Y2[:, 0], Y2[:, 1]])[:, None], 2.0 * lam)[:, 0]
     d4 = float(np.abs(sol3.B_hat[:, 0] - pooled).max())
     assert d4 <= 1e-3
@@ -274,7 +274,7 @@ def test_c06_convergence_rate_regimes():
     X, Y, op = _medium_instance()
     eps_values = (1e-1, 1e-2, 1e-3)
 
-    ref = solve(X, Y, SolverConfig(accuracy=2e-4, rel_obj_tol=1e-16, max_iters=80000), op)
+    ref = solve(Moments.from_data(X, Y), SolverConfig(accuracy=2e-4, rel_obj_tol=1e-16, max_iters=80000), op)
     assert ref.converged  # certified within 1e-4 of the optimum
     f_ref = ref.objective_exact
 
@@ -285,7 +285,7 @@ def test_c06_convergence_rate_regimes():
         assert hits.size, f"prox-grad never reached eps={eps}"
         prox_hits.append(int(hits[0]) + 1)
 
-    sg = subgradient_fit(X, Y, SolverConfig(max_iters=80000, record_trace=True), op)
+    sg = subgradient_fit(Moments.from_data(X, Y), SolverConfig(max_iters=80000, record_trace=True), op)
     sg_best = np.array([row[0] for row in sg.trace])
     sub_hits = []
     for eps in eps_values:
@@ -308,7 +308,7 @@ import numpy as np
 from gflasso.graph import build_correlation_graph
 from gflasso.models import PenaltySpec, fit_gflasso
 from gflasso.simulate import SimulationSpec, gen_coefficients, gen_genotypes, gen_outputs, substream_seed
-from gflasso.solver import SolverConfig
+from gflasso.solver import Moments, SolverConfig
 
 spec = SimulationSpec(n_samples=500, n_inputs=100, n_outputs=20, signal=0.8, seed=99,
                       group_sizes=(7, 7, 6), inputs_per_group=(3, 4, 4))
@@ -323,8 +323,8 @@ config = SolverConfig(mu=1e-11, rel_obj_tol=1e-16, max_iters=1500)
 pen = PenaltySpec(lam=0.1, gamma=0.1)
 small, large = [], []
 for _ in range(5):
-    small.append(fit_gflasso(X1, Y1, graph, pen, config).solution.runtime_periter_s)
-    large.append(fit_gflasso(X2, Y2, graph, pen, config).solution.runtime_periter_s)
+    small.append(fit_gflasso(Moments.from_data(X1, Y1), graph, pen, config).solution.runtime_periter_s)
+    large.append(fit_gflasso(Moments.from_data(X2, Y2), graph, pen, config).solution.runtime_periter_s)
 print(float(np.median(small)), float(np.median(large)))
 """
 
@@ -462,7 +462,7 @@ def test_c11_optional_shrink_to_truth_probe():
             ds = simulate_dataset(spec)
             graph = build_correlation_graph(ds.Y, 0.1)
             lam = c * np.sqrt(n)
-            fit = fit_gflasso(ds.X, ds.Y, graph, PenaltySpec(lam=lam, gamma=lam), config)
+            fit = fit_gflasso(Moments.from_data(ds.X, ds.Y), graph, PenaltySpec(lam=lam, gamma=lam), config)
             errs.append(float(np.linalg.norm(fit.solution.B_hat - ds.B_true)))
         wins += errs[0] > errs[1] > errs[2]
     assert wins >= 8, f"error decreased monotonically in only {wins}/10 seeds"

@@ -9,9 +9,11 @@ import pytest
 
 import gflasso
 from gflasso.cli import build_parser, main
-from gflasso.fileio import json_text, read_matrix_csv, sha256_file, write_matrix_csv
+from gflasso.fileio import default_headers, json_text, read_matrix_csv, sha256_file, write_matrix_csv
 from gflasso.graph import build_correlation_graph
-from gflasso.models import PenaltySpec, center_columns, objective_gflasso
+from gflasso.models import PenaltySpec, objective_gflasso
+
+from oracles import center_columns
 
 FAST = ["--mu", "1e-3", "--tol", "1e-6", "--max-iters", "4000"]
 
@@ -137,6 +139,19 @@ class TestFitCommand:
         assert (doc["converged"], doc["stop_reason"], doc["gap"]) == (False, "uncertified", None)
         assert {"B_hat.csv", "graph.csv", "manifest.json"} <= {p.name for p in out.iterdir()}
 
+    @pytest.mark.parametrize("method", ["gflasso", "lasso", "l1l2", "fused"])
+    def test_all_constant_x_exits_2_without_outputs(self, tmp_path, capsys, method):
+        k = 1 if method == "fused" else 3
+        write_matrix_csv(tmp_path / "X.csv", np.full((12, 4), 0.1), default_headers("x", 4))
+        write_matrix_csv(tmp_path / "Y.csv", np.random.default_rng(2).standard_normal((12, k)), default_headers("y", k))
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["fit", "--method", method, "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert "every column of X" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_fused_requires_single_column(self, data_dir, tmp_path):
         out = tmp_path / "fused"
         out.mkdir()
@@ -148,8 +163,6 @@ class TestFitCommand:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((20, 5))
         y = X @ np.array([1.0, 1.0, 0.0, 0.0, -0.5]) + 0.1 * rng.standard_normal(20)
-        from gflasso.fileio import default_headers, write_matrix_csv
-
         write_matrix_csv(tmp_path / "X.csv", X, default_headers("x", 5))
         write_matrix_csv(tmp_path / "Y.csv", y[:, None], ["y1"])
         out = tmp_path / "out"

@@ -15,9 +15,10 @@ from gflasso.evaluate import (
     run_replicates,
     select_regularization,
 )
+from gflasso.graph import build_correlation_graph
 from gflasso.models import PenaltySpec, fit_lasso
 from gflasso.simulate import SimulationSpec, simulate_dataset
-from gflasso.solver import SolverConfig
+from gflasso.solver import Moments, SolverConfig
 
 from oracles import concordance_auc, roc_points_threshold_loop
 
@@ -93,7 +94,7 @@ class TestPredictionError:
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((30, 5))
         Y = X @ rng.standard_normal((5, 2)) + 0.1 * rng.standard_normal((30, 2))
-        return fit_lasso(X, Y, PenaltySpec(lam=0.01), FAST_SOLVER), X, Y
+        return fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.01), FAST_SOLVER), X, Y
 
     def test_exact_prediction_gives_zero(self):
         fit, X, _ = self._fit()
@@ -164,6 +165,18 @@ class TestSelectRegularization:
         # duplicate grid point forces an exact tie; larger lambda wins
         sel = select_regularization(X, Y, None, "lasso", [(0.2, 0.0), (0.2, 0.0)], holdout=30, config=FAST_SOLVER)
         assert sel.lam == 0.2
+
+    def test_builds_the_moments_once_per_split(self, monkeypatch):
+        # one build for the training rows, shared by all six grid points, and one for the refit on all rows
+        X, Y = self._data(6)
+        builds = []
+        build = Moments.from_data
+        monkeypatch.setattr(Moments, "from_data", lambda X, Y: builds.append(X.shape[0]) or build(X, Y))
+        grid = [(lam, gamma) for lam in (0.1, 1.0) for gamma in (0.1, 1.0, 10.0)]
+        graph = build_correlation_graph(Y, 0.3)
+        sel = select_regularization(X, Y, graph, "gflasso", grid, holdout=30, config=FAST_SOLVER)
+        assert len(sel.table) == 6
+        assert builds == [70, 100]
 
     def test_holdout_bounds(self):
         X, Y = self._data(5)

@@ -5,16 +5,15 @@ from gflasso.graph import TaskGraph, build_correlation_graph, chain_graph
 from gflasso.models import (
     PenaltySpec,
     RowGroupNorm,
-    center_columns,
     fit_fused_univariate,
     fit_gflasso,
     fit_group_l1l2,
     fit_lasso,
     objective_gflasso,
 )
-from gflasso.solver import CHECK_EVERY, SolverConfig, solve
+from gflasso.solver import CHECK_EVERY, Moments, SolverConfig, solve
 
-from oracles import largest_eigenvalue
+from oracles import center_columns, largest_eigenvalue
 
 
 def make_problem(seed, n=40, j=6, k=3, noise=0.3):
@@ -57,8 +56,8 @@ class TestDegeneracyLattice:
         X, Y = make_problem(5)
         g = build_correlation_graph(Y, 0.2)
         config = SolverConfig(rel_obj_tol=1e-8)
-        a = fit_gflasso(X, Y, g, PenaltySpec(lam=0.3, gamma=0.0), config)
-        b = fit_lasso(X, Y, PenaltySpec(lam=0.3), config)
+        a = fit_gflasso(Moments.from_data(X, Y), g, PenaltySpec(lam=0.3, gamma=0.0), config)
+        b = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.3), config)
         assert np.linalg.norm(a.solution.B_hat - b.solution.B_hat) < 1e-5
 
     def test_empty_graph_matches_lasso(self):
@@ -66,15 +65,15 @@ class TestDegeneracyLattice:
         g = build_correlation_graph(Y, 0.99)
         assert g.n_edges == 0
         config = SolverConfig(rel_obj_tol=1e-8)
-        a = fit_gflasso(X, Y, g, PenaltySpec(lam=0.3, gamma=0.8), config)
-        b = fit_lasso(X, Y, PenaltySpec(lam=0.3), config)
+        a = fit_gflasso(Moments.from_data(X, Y), g, PenaltySpec(lam=0.3, gamma=0.8), config)
+        b = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.3), config)
         assert np.linalg.norm(a.solution.B_hat - b.solution.B_hat) < 1e-5
 
     def test_fused_univariate_gamma_zero_matches_lasso(self):
         X, Y = make_problem(7, k=1)
         config = SolverConfig(rel_obj_tol=1e-16, max_iters=4000)
-        a = fit_fused_univariate(X, Y[:, 0], chain_graph(6), lam=0.3, gamma=0.0, config=config)
-        b = fit_lasso(X, Y, PenaltySpec(lam=0.3), config)
+        a = fit_fused_univariate(Moments.from_data(X, Y[:, 0]), chain_graph(6), lam=0.3, gamma=0.0, config=config)
+        b = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.3), config)
         assert np.linalg.norm(a.solution.B_hat - b.solution.B_hat) < 1e-5
 
 
@@ -82,7 +81,7 @@ class TestFitLasso:
     def test_no_penalty_is_least_squares(self):
         X, Y = make_problem(8)
         # with lam = 0, mu only sets the gap floor mu * D; a tiny mu lets the fit reach rel_obj_tol
-        fit = fit_lasso(X, Y, PenaltySpec(lam=0.0), SolverConfig(mu=1e-12, rel_obj_tol=1e-12))
+        fit = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.0), SolverConfig(mu=1e-12, rel_obj_tol=1e-12))
         Xc, _ = center_columns(X)
         Yc, _ = center_columns(Y)
         B_ls = np.linalg.solve(Xc.T @ Xc, Xc.T @ Yc)
@@ -98,7 +97,8 @@ class TestFitLasso:
         Y = Y - Y.mean(axis=0)
         lam = 0.5
         # certified to gap <= mu * D with D = 5 on a 1-strongly convex F: within sqrt(2 mu D) = 2e-3 of ref
-        fit = fit_lasso(ortho, Y, PenaltySpec(lam=lam), SolverConfig(mu=4e-7, rel_obj_tol=1e-13, max_iters=200000))
+        config = SolverConfig(mu=4e-7, rel_obj_tol=1e-13, max_iters=200000)
+        fit = fit_lasso(Moments.from_data(ortho, Y), PenaltySpec(lam=lam), config)
         ref = np.sign(ortho.T @ Y) * np.maximum(np.abs(ortho.T @ Y) - lam, 0.0)
         assert np.abs(fit.solution.B_hat - ref).max() < 2e-3
 
@@ -107,7 +107,7 @@ class TestFitLasso:
         Xc, _ = center_columns(X)
         Yc, _ = center_columns(Y)
         lam = 1.5 * float(np.abs(Xc.T @ Yc).max())
-        fit = fit_lasso(X, Y, PenaltySpec(lam=lam), SolverConfig(rel_obj_tol=1e-10))
+        fit = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=lam), SolverConfig(rel_obj_tol=1e-10))
         assert np.abs(fit.solution.B_hat).max() < 1e-5
 
 
@@ -121,7 +121,7 @@ class TestFitGroupL1L2:
 
     def test_no_penalty_is_least_squares(self):
         X, Y = self._problem()
-        fit = fit_group_l1l2(X, Y, 0.0, SolverConfig(rel_obj_tol=1e-14, max_iters=100000))
+        fit = fit_group_l1l2(Moments.from_data(X, Y), 0.0, SolverConfig(rel_obj_tol=1e-14, max_iters=100000))
         Xc, _ = center_columns(X)
         Yc, _ = center_columns(Y)
         B_ls = np.linalg.solve(Xc.T @ Xc, Xc.T @ Yc)
@@ -129,7 +129,7 @@ class TestFitGroupL1L2:
 
     def test_huge_penalty_zeroes_everything(self):
         X, Y = self._problem()
-        fit = fit_group_l1l2(X, Y, 1e4, SolverConfig(rel_obj_tol=1e-12))
+        fit = fit_group_l1l2(Moments.from_data(X, Y), 1e4, SolverConfig(rel_obj_tol=1e-12))
         assert np.abs(fit.solution.B_hat).max() == 0.0
 
     def test_against_long_run_subgradient_oracle(self):
@@ -137,13 +137,13 @@ class TestFitGroupL1L2:
         # steps on this exact instance; regenerate with: python tests/oracles.py
         GROUP_L1L2_OBJ = 1.5571420417290924
         X, Y = self._problem()
-        fit = fit_group_l1l2(X, Y, 0.8, SolverConfig(rel_obj_tol=1e-14, max_iters=200000))
+        fit = fit_group_l1l2(Moments.from_data(X, Y), 0.8, SolverConfig(rel_obj_tol=1e-14, max_iters=200000))
         assert fit.solution.objective_exact == pytest.approx(GROUP_L1L2_OBJ, rel=1e-4)
         assert fit.solution.objective_exact <= GROUP_L1L2_OBJ + 1e-9
 
     def test_rows_die_jointly(self):
         X, Y = self._problem()
-        fit = fit_group_l1l2(X, Y, 2.0, SolverConfig(rel_obj_tol=1e-12))
+        fit = fit_group_l1l2(Moments.from_data(X, Y), 2.0, SolverConfig(rel_obj_tol=1e-12))
         row_norms = np.linalg.norm(fit.solution.B_hat, axis=1)
         # a row is either fully zero or fully active
         for j, nrm in enumerate(row_norms):
@@ -191,12 +191,11 @@ class TestRowGroupNorm:
     def test_solve_runs_it_unsmoothed_and_matches_the_model(self):
         X, Y = make_problem(11)
         Xc, _ = center_columns(X)
-        Yc, _ = center_columns(Y)
         config = SolverConfig(rel_obj_tol=1e-10)
-        sol = solve(Xc, Yc, config, RowGroupNorm(0.8))
+        sol = solve(Moments.from_data(X, Y), config, RowGroupNorm(0.8))
         assert sol.mu_used == 0.0
         assert sol.lipschitz_used == largest_eigenvalue(Xc.T @ Xc)
-        assert np.array_equal(sol.B_hat, fit_group_l1l2(X, Y, 0.8, config).solution.B_hat)
+        assert np.array_equal(sol.B_hat, fit_group_l1l2(Moments.from_data(X, Y), 0.8, config).solution.B_hat)
 
 
 class TestFitFusedUnivariate:
@@ -205,9 +204,9 @@ class TestFitFusedUnivariate:
         X = rng.standard_normal((15, 4))
         beta = np.array([0.5, 0.9, 0.2, -0.3])
         y = X @ beta + 0.2 * rng.standard_normal(15)
-        fit = fit_fused_univariate(
-            X, y, chain_graph(4), lam=0.0, gamma=10.0, config=SolverConfig(mu=2e-7, rel_obj_tol=1e-14, max_iters=400000)
-        )  # the fit stops at gap <= mu * D; this mu makes that finer than the 1e-3 comparison
+        # the fit stops at gap <= mu * D; this mu makes that finer than the 1e-3 comparison
+        config = SolverConfig(mu=2e-7, rel_obj_tol=1e-14, max_iters=400000)
+        fit = fit_fused_univariate(Moments.from_data(X, y), chain_graph(4), lam=0.0, gamma=10.0, config=config)
         b = fit.solution.B_hat[:, 0]
         Xc, _ = center_columns(X)
         yc = y - y.mean()
@@ -233,8 +232,8 @@ class TestFitFusedUnivariate:
         Z = X.T @ Yc
         g = TaskGraph(k, ((1, 2, 0.8), (1, 3, -0.6), (2, 4, 0.5)))
         config = SolverConfig(rel_obj_tol=1e-300, max_iters=CHECK_EVERY)
-        joint = fit_gflasso(X, Y, g, PenaltySpec(lam=0.2, gamma=0.3), config).solution
-        rows = [fit_fused_univariate(Xf, Xf @ z, g, lam=0.2, gamma=0.3, config=config).solution for z in Z]
+        joint = fit_gflasso(Moments.from_data(X, Y), g, PenaltySpec(lam=0.2, gamma=0.3), config).solution
+        rows = [fit_fused_univariate(Moments.from_data(Xf, Xf @ z), g, 0.2, 0.3, config).solution for z in Z]
         assert [joint.iterations] + [r.iterations for r in rows] == [CHECK_EVERY] * (j + 1)
         assert np.abs(joint.B_hat - np.vstack([r.B_hat[:, 0] for r in rows])).max() <= 1e-10
         offset = 0.5 * float(np.vdot(Yc - X @ Z, Yc - X @ Z))
@@ -243,7 +242,7 @@ class TestFitFusedUnivariate:
     def test_rejects_mismatched_graph(self):
         X = np.random.default_rng(0).standard_normal((10, 4))
         with pytest.raises(ValueError):
-            fit_fused_univariate(X, X[:, 0], chain_graph(3), 0.1, 0.1, SolverConfig())
+            fit_fused_univariate(Moments.from_data(X, X[:, 0]), chain_graph(3), 0.1, 0.1, SolverConfig())
 
 
 class TestSignSemantics:
@@ -255,7 +254,8 @@ class TestSignSemantics:
         Y = np.column_stack([y1, -y1 + 0.1 * rng.standard_normal(30)])
         g = build_correlation_graph(Y, 0.5)
         assert g.edges[0][2] < 0  # anti-correlated pair
-        fit = fit_gflasso(X, Y, g, PenaltySpec(lam=0.1, gamma=1000.0), SolverConfig(max_iters=20000))
+        config = SolverConfig(max_iters=20000)
+        fit = fit_gflasso(Moments.from_data(X, Y), g, PenaltySpec(lam=0.1, gamma=1000.0), config)
         B = fit.solution.B_hat
         assert np.abs(B[:, 0] + B[:, 1]).max() <= 1e-3
 
@@ -265,7 +265,7 @@ class TestFitResult:
         X, Y = make_problem(12)
         g = build_correlation_graph(Y, 0.2)
         spec = PenaltySpec(lam=0.3, gamma=0.4)
-        fit = fit_gflasso(X, Y, g, spec, SolverConfig(max_iters=2000, rel_obj_tol=1e-8))
+        fit = fit_gflasso(Moments.from_data(X, Y), g, spec, SolverConfig(max_iters=2000, rel_obj_tol=1e-8))
         Xc, _ = center_columns(X)
         Yc, _ = center_columns(Y)
         recomputed = objective_gflasso(Xc, Yc, fit.solution.B_hat, g, spec)
@@ -274,14 +274,15 @@ class TestFitResult:
     def test_solution_never_worse_than_zero(self):
         X, Y = make_problem(13)
         g = build_correlation_graph(Y, 0.2)
-        fit = fit_gflasso(X, Y, g, PenaltySpec(lam=0.5, gamma=0.5), SolverConfig(max_iters=5000, rel_obj_tol=1e-8))
+        config = SolverConfig(max_iters=5000, rel_obj_tol=1e-8)
+        fit = fit_gflasso(Moments.from_data(X, Y), g, PenaltySpec(lam=0.5, gamma=0.5), config)
         _, _ = center_columns(X)
         Yc, _ = center_columns(Y)
         assert fit.solution.objective_exact <= 0.5 * float(np.vdot(Yc, Yc)) + 1e-9
 
     def test_predict_uses_stored_centering(self):
         X, Y = make_problem(14)
-        fit = fit_lasso(X, Y, PenaltySpec(lam=0.2), SolverConfig(max_iters=2000, rel_obj_tol=1e-8))
+        fit = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.2), SolverConfig(max_iters=2000, rel_obj_tol=1e-8))
         pred = fit.predict(X)
         expected = (X - fit.x_mean) @ fit.solution.B_hat + fit.y_mean
         assert np.allclose(pred, expected)
@@ -290,7 +291,7 @@ class TestFitResult:
 
     def test_json_dict_has_no_wall_clock(self):
         X, Y = make_problem(15)
-        fit = fit_lasso(X, Y, PenaltySpec(lam=0.2), SolverConfig(max_iters=500, rel_obj_tol=1e-8))
+        fit = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.2), SolverConfig(max_iters=500, rel_obj_tol=1e-8))
         doc = fit.to_json_dict()
         assert doc["model"] == "lasso"
         assert "runtime" not in " ".join(doc.keys())

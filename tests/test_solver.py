@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from gflasso.errors import NumericError
+from gflasso.errors import DegenerateInputError, NumericError
 from gflasso.graph import TaskGraph, build_correlation_graph, chain_graph
 from gflasso.models import PenaltySpec, RowGroupNorm, fit_gflasso
 from gflasso.simulate import SimulationSpec, replicate_seed, simulate_dataset
 from gflasso.smoothing import FusionOperator
 from gflasso.solver import (
     CHECK_EVERY,
+    Moments,
     SolverConfig,
     solve,
     subgradient_fit,
@@ -69,15 +70,16 @@ class TestLipschitzUpper:
         X, Y = centered_problem(1)
         op = empty_operator(4, 2)
         lm = largest_eigenvalue(X.T @ X)
-        assert solve(X, Y, SolverConfig(mu=0.5, max_iters=1), op).lipschitz_used == pytest.approx(lm, rel=1e-8)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(mu=0.5, max_iters=1), op)
+        assert sol.lipschitz_used == pytest.approx(lm, rel=1e-8)
 
     def test_arithmetic(self):
-        # lam=1, gamma=2, max degree 0.5, mu=0.1, lam_max=3 -> 3 + 5/0.1 = 53
+        # lam=1, gamma=2, max degree 0.5, mu=0.1, lam_max=4 -> 4 + 5/0.1 = 54
         g = TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5)))
         op = FusionOperator.from_graph(g, lam=1.0, gamma=2.0, n_inputs=2)
-        X = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 0.0]])  # X^T X = diag(3, 2)
-        sol = solve(X, np.ones((3, 3)), SolverConfig(mu=0.1, max_iters=1), op)
-        assert sol.lipschitz_used == pytest.approx(53.0)
+        X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0], [-1.0, 0.0]])  # centered, X^T X = diag(4, 2)
+        sol = solve(Moments.from_data(X, np.ones((4, 3))), SolverConfig(mu=0.1, max_iters=1), op)
+        assert sol.lipschitz_used == pytest.approx(54.0)
 
     def test_gradient_lipschitz_inequality(self):
         rng = np.random.default_rng(2)
@@ -86,7 +88,7 @@ class TestLipschitzUpper:
         op = FusionOperator.from_graph(g, lam=0.4, gamma=0.7, n_inputs=5)
         mu = 0.05
         XtX, XtY = X.T @ X, X.T @ Y
-        L = solve(X, Y, SolverConfig(mu=mu, max_iters=1), op).lipschitz_used
+        L = solve(Moments.from_data(X, Y), SolverConfig(mu=mu, max_iters=1), op).lipschitz_used
         for _ in range(100):
             B1 = rng.standard_normal((5, 3))
             B2 = rng.standard_normal((5, 3))
@@ -99,7 +101,7 @@ class TestLipschitzUpper:
         g = TaskGraph(3, ((1, 2, 0.8), (2, 3, -0.5)))
         op = FusionOperator.from_graph(g, lam=0.4, gamma=0.7, n_inputs=5)
         eps = 0.05
-        sol = solve(X, Y, SolverConfig(accuracy=eps, max_iters=1), op)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(accuracy=eps, max_iters=1), op)
         assert sol.mu_used == eps / (2 * op.gap_constant())
         assert sol.lipschitz_used == largest_eigenvalue(X.T @ X) + op.norm_bound() ** 2 / sol.mu_used
 
@@ -145,7 +147,7 @@ class TestProxGradFit:
         op = empty_operator(4, 2)
         # without a penalty mu changes neither the steps nor the objective, only the
         # gap floor mu * D; a tiny mu lets the fit run down to rel_obj_tol
-        sol = solve(X, Y, SolverConfig(mu=1e-12, rel_obj_tol=1e-12, max_iters=50000), op)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(mu=1e-12, rel_obj_tol=1e-12, max_iters=50000), op)
         B_ls = np.linalg.solve(X.T @ X, X.T @ Y)
         assert np.linalg.norm(sol.B_hat - B_ls) < 1e-5
 
@@ -153,7 +155,7 @@ class TestProxGradFit:
         X, Y = centered_problem(9, n=10, j=3, k=2)
         g = TaskGraph(2, ((1, 2, 0.9),))
         op = FusionOperator.from_graph(g, lam=0.5, gamma=0.5, n_inputs=3)
-        sol = solve(X, Y, SolverConfig(mu=1e-5, rel_obj_tol=1e-11, max_iters=300000), op)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(mu=1e-5, rel_obj_tol=1e-11, max_iters=300000), op)
         C = dense_fusion_matrix(2, g.edges, 0.5, 0.5)
         ref, _ = subgradient_dense(X, Y, C, 200000)
         assert sol.objective_exact == pytest.approx(ref, rel=5e-3)
@@ -164,7 +166,7 @@ class TestProxGradFit:
         X, Y = centered_problem(10, n=12, j=3, k=2, noise=0.2)
         g = TaskGraph(2, ((1, 2, 0.9),))
         op = FusionOperator.from_graph(g, lam=0.3, gamma=1000.0, n_inputs=3)
-        sol = solve(X, Y, SolverConfig(mu=1e-4, rel_obj_tol=1e-6, max_iters=20000), op)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(mu=1e-4, rel_obj_tol=1e-6, max_iters=20000), op)
         assert np.abs(sol.B_hat[:, 0] - sol.B_hat[:, 1]).max() <= 1e-3
 
     def test_fusion_limit_matches_pooled_lasso(self):
@@ -176,7 +178,7 @@ class TestProxGradFit:
         op = FusionOperator.from_graph(g, lam=lam, gamma=10.0, n_inputs=3)
         # a fit stops once its gap is within mu * D; mu is small enough for that
         # certified accuracy to resolve the 1e-3 comparison
-        sol = solve(X, Y, SolverConfig(mu=2e-7, rel_obj_tol=1e-13, max_iters=400000), op)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(mu=2e-7, rel_obj_tol=1e-13, max_iters=400000), op)
         X_stack = np.vstack([X, X])
         y_stack = np.concatenate([Y[:, 0], Y[:, 1]])[:, None]
         pooled = ista_lasso(X_stack, y_stack, 2.0 * lam)[:, 0]
@@ -188,7 +190,7 @@ class TestProxGradFit:
         g = TaskGraph(3, ((1, 2, 0.7), (1, 3, -0.6)))
         op = FusionOperator.from_graph(g, lam=0.2, gamma=0.4, n_inputs=4)
         config = SolverConfig(mu=1e-3, rel_obj_tol=1e-8, max_iters=2000, record_trace=True)
-        sol = solve(X, Y, config, op)
+        sol = solve(Moments.from_data(X, Y), config, op)
         # the pointwise sandwich f_mu <= f <= f_mu + mu D is checked in test_smoothing; the traced
         # fit ends within its certified gap
         mu_d = sol.mu_used * op.gap_constant()
@@ -200,8 +202,8 @@ class TestProxGradFit:
         g = TaskGraph(3, ((1, 2, 0.5), (2, 3, 0.5)))
         op = FusionOperator.from_graph(g, lam=0.3, gamma=0.3, n_inputs=5)
         config = SolverConfig(mu=1e-3, rel_obj_tol=1e-8, max_iters=3000)
-        a = solve(X, Y, config, op)
-        b = solve(X, Y, config, op)
+        a = solve(Moments.from_data(X, Y), config, op)
+        b = solve(Moments.from_data(X, Y), config, op)
         assert np.array_equal(a.B_hat, b.B_hat)
         assert a.objective_exact == b.objective_exact
         assert a.iterations == b.iterations
@@ -209,7 +211,7 @@ class TestProxGradFit:
     def test_max_iters_flags_not_converged(self):
         X, Y = centered_problem(14)
         op = empty_operator(4, 2, lam=0.1)
-        sol = solve(X, Y, SolverConfig(rel_obj_tol=1e-14, max_iters=5), op)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(rel_obj_tol=1e-14, max_iters=5), op)
         assert not sol.converged
         assert sol.iterations == 5
 
@@ -222,11 +224,11 @@ class TestProxGradFit:
         X, Y = centered_problem(15, n=25, j=6, k=3)
         op = empty_operator(6, 3, lam=0.3)
         config = SolverConfig(mu=1e-4, rel_obj_tol=1e-16, max_iters=CHECK_EVERY)
-        joint = solve(X, Y, config, op)
+        joint = solve(Moments.from_data(X, Y), config, op)
         cols = []
         for k in range(3):
             opk = empty_operator(6, 1, lam=0.3)
-            cols.append(solve(X, Y[:, [k]], config, opk).B_hat[:, 0])
+            cols.append(solve(Moments.from_data(X, Y[:, [k]]), config, opk).B_hat[:, 0])
         assert joint.iterations == CHECK_EVERY
         assert np.linalg.norm(joint.B_hat - np.column_stack(cols)) < 1e-12
 
@@ -235,13 +237,13 @@ class TestProxGradFit:
         # of X^T Y, and F is 1-strongly convex: a fit certified to gap <= mu * D
         # lies within sqrt(2 mu D) = 2e-3 of it at mu = 4e-7, D = 5
         rng = np.random.default_rng(16)
-        Q, _ = np.linalg.qr(rng.standard_normal((30, 5)))
-        X = Q  # orthonormal columns
+        G = rng.standard_normal((30, 5))
+        X, _ = np.linalg.qr(G - G.mean(axis=0))  # orthonormal columns, centered as spans of centered columns
         Y = rng.standard_normal((30, 2))
         Y = Y - Y.mean(axis=0)
         lam = 0.6
         op = empty_operator(5, 2, lam=lam)
-        sol = solve(X, Y, SolverConfig(mu=4e-7, rel_obj_tol=1e-13, max_iters=200000), op)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(mu=4e-7, rel_obj_tol=1e-13, max_iters=200000), op)
         assert sol.converged
         XtY = X.T @ Y
         ref = np.sign(XtY) * np.maximum(np.abs(XtY) - lam, 0.0)
@@ -258,7 +260,7 @@ class TestProxGradFit:
         c = float(np.abs(X.T @ Y).max())
         lam = c * 1.5
         op = empty_operator(4, 2, lam=lam)
-        sol = solve(X, Y, SolverConfig(mu=1e-6, rel_obj_tol=1e-10, max_iters=50000), op)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(mu=1e-6, rel_obj_tol=1e-10, max_iters=50000), op)
         # B = 0 is the optimum, and F(B) - F(0) >= (lam - ||X^T Y||_max) ||B||_1,
         # so the certified gap pins the fit to zero; at mu = 1e-6 this bound
         # (about 2e-7) is below the old one for the smoothed optimum at mu = 1e-4
@@ -269,7 +271,7 @@ class TestProxGradFit:
         X, Y = centered_problem(17)
         op = empty_operator(3, 2)
         with pytest.raises(ValueError):
-            solve(X, Y, SolverConfig(), op)
+            solve(Moments.from_data(X, Y), SolverConfig(), op)
 
 
 def certificate_problems(seed):
@@ -291,8 +293,9 @@ class TestCertificate:
     def test_gap_bounds_the_excess_and_converged_means_within_target(self, seed):
         config = SolverConfig()
         for name, X, Y, penalty in certificate_problems(seed):
-            sol = solve(X, Y, config, penalty)
-            tight = solve(X, Y, SolverConfig(mu=1e-6, rel_obj_tol=1e-9, max_iters=100000), penalty)
+            m = Moments.from_data(X, Y)
+            sol = solve(m, config, penalty)
+            tight = solve(m, SolverConfig(mu=1e-6, rel_obj_tol=1e-9, max_iters=100000), penalty)
             assert tight.converged, name
             excess = sol.objective_exact - tight.objective_exact
             assert sol.gap >= excess - 1e-12 * abs(sol.objective_exact), name
@@ -310,7 +313,8 @@ class TestCertificate:
         spec = SimulationSpec(seed=replicate_seed(0, 0))
         ds = simulate_dataset(spec)
         graph = build_correlation_graph(ds.Y, 0.1)
-        sol = fit_gflasso(ds.X[:70], ds.Y[:70], graph, PenaltySpec(lam=10.0, gamma=10.0), SolverConfig()).solution
+        data = Moments.from_data(ds.X[:70], ds.Y[:70])
+        sol = fit_gflasso(data, graph, PenaltySpec(lam=10.0, gamma=10.0), SolverConfig()).solution
         assert sol.converged and sol.stop_reason == "gap"
         assert sol.iterations > 1000
         assert sol.objective_exact < 657.85
@@ -319,33 +323,65 @@ class TestCertificate:
     def test_capped_fit_is_not_converged_and_keeps_its_gap(self):
         X, Y = centered_problem(30, n=30, j=5, k=3)
         op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.9), (2, 3, -0.7))), lam=1.0, gamma=5.0, n_inputs=5)
-        sol = solve(X, Y, SolverConfig(mu=1e-6, max_iters=25), op)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(mu=1e-6, max_iters=25), op)
         assert (sol.iterations, sol.converged, sol.stop_reason) == (25, False, "iteration_cap")
         assert sol.gap > 0
 
     def test_tracing_changes_nothing(self):
         X, Y = centered_problem(31, n=30, j=6, k=3)
         op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8), (1, 3, -0.5))), lam=0.5, gamma=2.0, n_inputs=6)
-        plain = solve(X, Y, SolverConfig(), op)
-        traced = solve(X, Y, SolverConfig(record_trace=True), op)
+        plain = solve(Moments.from_data(X, Y), SolverConfig(), op)
+        traced = solve(Moments.from_data(X, Y), SolverConfig(record_trace=True), op)
         assert plain.iterations == traced.iterations == len(traced.trace)
         assert np.array_equal(plain.B_hat, traced.B_hat)
         assert (plain.gap, plain.stop_reason) == (traced.gap, traced.stop_reason)
+
+    def test_l1l2_restart_from_the_current_iterate_certifies(self):
+        # restarting from the best iterate replayed the same CHECK_EVERY steps: this fit hit 100,000 iterations
+        name, X, Y, penalty = list(certificate_problems(1))[3]
+        sol = solve(Moments.from_data(X, Y), SolverConfig(rel_obj_tol=1e-10, max_iters=100000), penalty)
+        assert name == "l1l2"
+        assert sol.converged and sol.stop_reason == "gap"
+        assert sol.iterations <= 5000
 
     def test_singular_gram_is_uncertified(self):
         # J > N: X^T X is singular, so no gap exists and the relative-change fallback stops the fit
         X, Y = centered_problem(32, n=20, j=30, k=3)
         op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8),)), lam=0.5, gamma=0.5, n_inputs=30)
-        sol = solve(X, Y, SolverConfig(), op)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(), op)
         assert (sol.converged, sol.stop_reason, sol.gap) == (False, "uncertified", None)
         assert sol.iterations < SolverConfig().max_iters
+
+
+class TestMoments:
+    def test_centers_and_keeps_the_means(self):
+        rng = np.random.default_rng(40)
+        X, Y = rng.standard_normal((12, 3)) + 5.0, rng.standard_normal((12, 2)) - 2.0
+        m = Moments.from_data(X, Y)
+        Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+        assert np.array_equal(m.x_mean, X.mean(axis=0)) and np.array_equal(m.y_mean, Y.mean(axis=0))
+        assert np.array_equal(m.XtX, Xc.T @ Xc) and np.array_equal(m.XtY, Xc.T @ Yc)
+
+    def test_all_constant_x_is_refused(self):
+        # centering 0.1-valued columns leaves rounding noise, so lam_max(X^T X) alone would not see this
+        X = np.full((10, 3), 0.1)
+        assert np.any(X - X.mean(axis=0))
+        with pytest.raises(DegenerateInputError, match="every column of X"):
+            Moments.from_data(X, np.arange(10.0))
+
+    def test_one_constant_column_leaves_the_gram_singular(self):
+        X, Y = centered_problem(41)
+        X[:, 0] = 0.1
+        m = Moments.from_data(X, Y)
+        assert m.inv_factor is None
+        assert solve(m, SolverConfig(), empty_operator(4, 2, lam=0.1)).stop_reason == "uncertified"
 
 
 class TestSubgradientFit:
     def test_quadratic_best_so_far_montone_toward_least_squares(self):
         X, Y = centered_problem(18)
         op = empty_operator(4, 2)
-        sol = subgradient_fit(X, Y, SolverConfig(max_iters=3000, record_trace=True), op)
+        sol = subgradient_fit(Moments.from_data(X, Y), SolverConfig(max_iters=3000, record_trace=True), op)
         best = [row[0] for row in sol.trace]
         assert all(a >= b - 1e-12 for a, b in zip(best, best[1:]))
         B_ls = np.linalg.solve(X.T @ X, X.T @ Y)
@@ -357,8 +393,8 @@ class TestSubgradientFit:
         X, Y = centered_problem(19, n=10, j=3, k=2)
         g = TaskGraph(2, ((1, 2, 0.9),))
         op = FusionOperator.from_graph(g, lam=0.5, gamma=0.5, n_inputs=3)
-        pg = solve(X, Y, SolverConfig(mu=1e-5, rel_obj_tol=1e-11, max_iters=300000), op)
-        sg = subgradient_fit(X, Y, SolverConfig(max_iters=1000000), op)
+        pg = solve(Moments.from_data(X, Y), SolverConfig(mu=1e-5, rel_obj_tol=1e-11, max_iters=300000), op)
+        sg = subgradient_fit(Moments.from_data(X, Y), SolverConfig(max_iters=1000000), op)
         assert sg.objective_exact == pytest.approx(pg.objective_exact, rel=1e-3)
 
     def test_never_claims_convergence(self):
@@ -366,25 +402,25 @@ class TestSubgradientFit:
         X, Y = centered_problem(21)
         g = TaskGraph(2, ((1, 2, 0.7),))
         op = FusionOperator.from_graph(g, lam=0.3, gamma=0.3, n_inputs=4)
-        sol = subgradient_fit(X, Y, SolverConfig(max_iters=3), op)
+        sol = subgradient_fit(Moments.from_data(X, Y), SolverConfig(max_iters=3), op)
         assert sol.iterations == 3
         assert sol.converged is False
 
     def test_one_apply_per_iterate(self, monkeypatch):
-        # one apply per iterate, shared by its objective and the next step, plus the start point and the result
+        # one apply per iterate, shared by its objective and the next step, plus the start point
         X, Y = centered_problem(23, n=12, j=3, k=2)
         op = FusionOperator.from_graph(TaskGraph(2, ((1, 2, 0.6),)), lam=0.2, gamma=0.3, n_inputs=3)
         calls = []
         apply = FusionOperator.apply
         monkeypatch.setattr(FusionOperator, "apply", lambda self, B: calls.append(1) or apply(self, B))
-        subgradient_fit(X, Y, SolverConfig(max_iters=7), op)
-        assert len(calls) == 7 + 2
+        subgradient_fit(Moments.from_data(X, Y), SolverConfig(max_iters=7), op)
+        assert len(calls) == 7 + 1
 
     def test_solution_is_best_iterate_on_exact_objective(self):
         X, Y = centered_problem(20, n=10, j=3, k=2)
         g = TaskGraph(2, ((1, 2, -0.8),))
         op = FusionOperator.from_graph(g, lam=0.2, gamma=0.3, n_inputs=3)
-        sol = subgradient_fit(X, Y, SolverConfig(max_iters=2000, record_trace=True), op)
+        sol = subgradient_fit(Moments.from_data(X, Y), SolverConfig(max_iters=2000, record_trace=True), op)
         assert sol.objective_exact == pytest.approx(sol.trace[-1][0], abs=1e-12)
         C = dense_fusion_matrix(2, g.edges, 0.2, 0.3)
         assert sol.objective_exact == pytest.approx(objective_dense(X, Y, sol.B_hat, C), abs=1e-10)
@@ -411,7 +447,8 @@ class TestIterationBound:
 def test_trace_csv_dump():
     X, Y = centered_problem(21, n=10, j=3, k=2)
     op = empty_operator(3, 2, lam=0.2)
-    sol = solve(X, Y, SolverConfig(mu=1e-3, rel_obj_tol=1e-8, max_iters=50, record_trace=True), op)
+    config = SolverConfig(mu=1e-3, rel_obj_tol=1e-8, max_iters=50, record_trace=True)
+    sol = solve(Moments.from_data(X, Y), config, op)
     lines = trace_csv_text(sol).splitlines()
     assert lines[0] == "iter,f_exact,grad_norm"
     assert len(lines) == 1 + sol.iterations
@@ -422,6 +459,6 @@ def test_trace_csv_dump():
 def test_trace_requires_recording():
     X, Y = centered_problem(22, n=10, j=3, k=2)
     op = empty_operator(3, 2)
-    sol = solve(X, Y, SolverConfig(max_iters=5, rel_obj_tol=1e-8), op)
+    sol = solve(Moments.from_data(X, Y), SolverConfig(max_iters=5, rel_obj_tol=1e-8), op)
     with pytest.raises(ValueError):
         trace_csv_text(sol)
