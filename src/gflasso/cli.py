@@ -1,8 +1,8 @@
 """Command-line interface binding the library to CSV/JSON files.
 
 Commands: simulate, fit, cv, bench, report. Exit codes: 0 success, 2 usage
-or input error, 3 the fit is not certified converged (it hit the iteration
-cap, or X^T X is singular and has no gap), 4 internal numeric error. Every
+or input error (lambda = 0 on a singular X^T X among them), 3 the fit hit the
+iteration cap before its duality gap certified it, 4 internal numeric error. Every
 command renders all of its files first, then writes each one atomically, and
 writes manifest.json (the resolved arguments, input digests and artifact
 names) last. A command that fails, also on a non-finite value in a flag its

@@ -4,8 +4,9 @@ The experiment harness regenerates the simulation study at desk scale: for
 each replicate it draws a fresh dataset, builds the output-correlation graph,
 selects regularization on a train/validation split per method, refits on the
 full training data, and scores support recovery (AUC) against the true
-coefficients plus prediction error on an independent test set. Each data
-split is read once, into one :class:`solver.Moments` that all of its fits share.
+coefficients plus prediction error on an independent test set. Selection
+builds one :class:`solver.Moments` per split (training rows, all rows) for all
+of its fits; each method selects anew, so a 3-method replicate builds six.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ penalty object: the graph-fused, lasso (an edgeless graph) and univariate
 fused (a graph over the covariates, solved as one row) models pass a fusion
 operator for the smoothed penalty, and the l1/l2 model passes a
 :class:`RowGroupNorm`, whose exact rowwise proximal map the solver uses.
-Both penalty objects give the solver's certificate its terms (``dual_terms``).
+Both give the solver's certificate its terms (``dual_terms``) and its c (``lam``).
 
 Every fit entry point takes the data as one :class:`solver.Moments`, whose
 ``from_data`` centers the raw arrays and keeps their column means; the result

@@ -20,18 +20,17 @@ through its exact proximal map instead: the composite form of the scheme
 
 Every fit stops on a duality-gap certificate. With P(B) = max <A, G(B)> over
 a dual ball (G(B) = B C, ||A||_inf <= 1; or G = identity, rows of A in the
-lam-ball) and X^T X = V diag(s) V^T nonsingular, each such A shows min F >= F(B) - gap,
-gap = (P(B) - <A, G(B)>) + (1/2) ||(V s^-1/2)^T (grad loss(B) + G*(A))||^2.
-A is the smoothing's maximizer clamp(B C / mu) (Nesterov 2005) or the rowwise
-projection of -grad loss(B); each penalty's ``dual_terms`` returns P(B), the
-slack P(B) - <A, G(B)> and G*(A) at its A. F and the gap run only at checks, every
-CHECK_EVERY iterations and at the cap; ``converged`` means gap <=
-max(rel_obj_tol * |F(B)|, mu * D) there. A check that did not improve
-restarts the loop from the current iterate (O'Donoghue & Candes 2015),
-and a smoothed penalty runs through the mu stages MU_STAGES * mu, each ending
-at gap <= mu_s * D (Becker, Bobin & Candes 2011, "NESTA"). A singular X^T X
-(J >= N, collinear columns) certifies nothing: the fit stops when F changes by
-less than rel_obj_tol between checks and reports ``converged=False``.
+lam-ball), R = grad loss(B) + G*(A), eigh(X^T X) = (N, V) diag(0, s) (N, V)^T
+and P(B) >= c ||B||_1 (so ||B*||_1 <= F(B) / c), each such A shows min F >= F(B) - gap,
+gap = P(B) - <A, G(B)> + (1/2) ||(V s^-1/2)^T R||^2 + ||N N^T R||_inf (F(B) / c + ||B||_1);
+N is empty unless X^T X is singular (J >= N, collinear columns). A is the smoothing's maximizer
+clamp(B C / mu) (Nesterov 2005) or the rowwise projection of -grad loss(B);
+each penalty's ``dual_terms`` returns P(B), the slack P(B) - <A, G(B)> and
+G*(A) at its A. F and the gap run only at checks, every CHECK_EVERY iterations
+and at the cap; ``converged`` means gap <= max(rel_obj_tol * |F(B)|, mu * D)
+there. A check that did not improve restarts the loop from the current iterate
+(O'Donoghue & Candes 2015), and a smoothed penalty runs through the mu stages
+MU_STAGES * mu, each ending at gap <= mu_s * D (Becker, Bobin & Candes 2011, "NESTA").
 
 A plain subgradient method with step c / sqrt(t+1) is included as the
 baseline with the slower O(1/eps^2) rate.
@@ -50,7 +49,6 @@ from .smoothing import FusionOperator
 
 CHECK_EVERY = 10
 MU_STAGES = (100.0, 10.0, 1.0)
-_REL_DENOM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -85,16 +83,16 @@ class Solution:
 
     ``trace`` rows are (exact objective, gradient norm) per iteration when
     tracing was requested. ``gap`` is F(B_hat) minus the best certified lower
-    bound on the optimum, so ``objective_exact - gap`` is that bound (None when
-    X^T X is singular); ``stop_reason`` is ``gap``, ``iteration_cap`` or
-    ``uncertified``. ``mu_used`` and ``lipschitz_used`` are the final stage's.
+    bound on the optimum, so ``objective_exact - gap`` is that bound (inf for
+    the subgradient baseline); ``stop_reason`` is ``gap`` or ``iteration_cap``.
+    ``mu_used`` and ``lipschitz_used`` are the final stage's.
     """
 
     B_hat: np.ndarray
     objective_exact: float
     iterations: int
     converged: bool
-    gap: float | None
+    gap: float
     stop_reason: str
     lipschitz_used: float
     mu_used: float
@@ -108,9 +106,9 @@ class Moments:
     """The sample moments of one data split, built once and shared by every fit on it.
 
     Holds the column means of X and Y and, of the centered data, X^T X,
-    X^T Y, ||Y||_F^2, lam_max(X^T X) and the factor V s^-1/2 of (X^T X)^-1
-    from eigh(X^T X) = V diag(s) V^T (None when X^T X is singular to
-    rounding); every later evaluation reads these, free of the sample count.
+    X^T Y, ||Y||_F^2, lam_max(X^T X) and two views of eigh(X^T X): the null
+    basis N (eigenvalues <= J eps lam_max; J x 0 when nonsingular) and V s^-1/2
+    over the rest; every later evaluation reads these, free of the sample count.
     A 1-d response gives the row layout of the univariate fused model: the
     coefficients are one 1 x J row W, X^T Y is stored as that row, and the
     Gram product is W X^T X instead of X^T X B.
@@ -120,7 +118,8 @@ class Moments:
     XtY: np.ndarray
     ynorm2: float
     lam_max: float
-    inv_factor: np.ndarray | None
+    null_basis: np.ndarray
+    inv_factor: np.ndarray
     rows: bool
     x_mean: np.ndarray
     y_mean: np.ndarray
@@ -139,13 +138,11 @@ class Moments:
         if not np.all(np.isfinite(XtX)):
             raise NumericError("X^T X contains non-finite entries")
         s, V = np.linalg.eigh(XtX)
-        if s[0] > s.size * np.finfo(float).eps * s[-1]:
-            V *= s**-0.5  # in place: the one J x J array kept besides X^T X
-        else:
-            V = None
+        r = int(np.count_nonzero(s <= s.size * np.finfo(float).eps * s[-1]))  # s ascends: the null ones first
+        V[:, r:] *= s[r:] ** -0.5  # in place: the one J x J array kept besides X^T X
         rows = Y.ndim == 1
         XtY = (X.T @ Y)[None, :] if rows else X.T @ Y
-        return cls(XtX, XtY, float(np.vdot(Y, Y)), float(s[-1]), V, rows, x_mean, y_mean)
+        return cls(XtX, XtY, float(np.vdot(Y, Y)), float(s[-1]), V[:, :r], V[:, r:], rows, x_mean, y_mean)
 
     @property
     def gram(self) -> Callable[[np.ndarray], np.ndarray]:
@@ -166,7 +163,7 @@ def three_sequence_minimize(
     B0: np.ndarray, lipschitz: float, max_iters: int,
     prox: Callable[[np.ndarray, float], np.ndarray] | None,
     trace: Callable[[np.ndarray, np.ndarray], None] | None,
-) -> tuple[np.ndarray, int, bool, tuple]:
+) -> tuple[np.ndarray, int, tuple]:
     """Run the three-sequence loop from W^0 = ``B0`` for at most ``max_iters`` iterations.
 
     ``check(B)`` runs every CHECK_EVERY iterations and at the cap and returns
@@ -177,7 +174,7 @@ def three_sequence_minimize(
     penalty, B and Z become prox(W - g/L, 1/L) and prox(anchor - S/L, A_k/L),
     with A_k = (k+1)(k+2)/4. ``trace(B, g)`` runs every iteration and decides nothing.
 
-    Returns (B, iterations, done, record of B): the iterate ``check`` accepted, else the best checked one.
+    Returns (B, iterations, record of B): the iterate ``check`` accepted, else the best checked one.
     """
     if lipschitz <= 0:
         raise ValueError(f"Lipschitz bound must be positive, got {lipschitz}")
@@ -199,13 +196,13 @@ def three_sequence_minimize(
             continue
         record, done = check(B)
         if done:
-            return B, t, True, record
+            return B, t, record
         if record[0] < best[0]:
             best_B, best = B, record
         else:
             anchor = W = B
             weighted_grad_sum, k = np.zeros_like(B0), 0
-    return best_B, max_iters, False, best
+    return best_B, max_iters, best
 
 
 def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
@@ -217,8 +214,9 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
     penalty runs unsmoothed (mu = 0, L = lam_max(X^T X)) and must provide
     ``penalty_exact(B)`` and ``prox(V, step)`` (the proximal map of step * penalty).
     Both kinds provide ``dual_terms(B, g_loss, mu)``, the certificate's terms at
-    their dual point (see :meth:`FusionOperator.dual_terms`). The data enter only
-    through ``m``; moments in the row layout (see :class:`Moments`) still return
+    their dual point (see :meth:`FusionOperator.dual_terms`), and ``lam``, which gives c (lam /
+    sqrt(K) for the l1/l2 norm); lam = 0 with a singular X^T X is refused. The data enter
+    only through ``m``; moments in the row layout (see :class:`Moments`) still return
     B_hat as a J x 1 column. ``objective_exact`` is the F of the check that
     accepted B_hat, so ``objective_exact - gap`` is the certified lower bound itself.
     """
@@ -229,10 +227,13 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
         if not mu > 0:
             raise ValueError(f"accuracy {config.accuracy} is too small: mu = accuracy / (2 D) underflows to {mu}")
         D, norm2, prox = penalty.gap_constant(), penalty.norm_bound() ** 2, None
-        stages = [c * mu for c in MU_STAGES] if m.inv_factor is not None else [mu]
+        stages, c = [k * mu for k in MU_STAGES], float(penalty.lam)
     else:
         mu, D, norm2, prox, stages = 0.0, 0.0, 0.0, penalty.prox, [0.0]
-    tol, max_iters, lower, f_prev = config.rel_obj_tol, config.max_iters, -np.inf, None
+        c = float(penalty.lam) / XtY.shape[1] ** 0.5
+    tol, max_iters, lower, N = config.rel_obj_tol, config.max_iters, -np.inf, m.null_basis
+    if N.shape[1] and not c > 0:
+        raise DegenerateInputError("lambda = 0 on a singular X^T X (J >= N or collinear columns) cannot be certified")
 
     # grad and check read mu_s, the mu of the stage the loop below runs
     def lipschitz(mu_s: float) -> float:
@@ -247,27 +248,26 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
 
     def stops(f: float, mu_s: float) -> bool:
         # the stop test: F(B) minus the best lower bound so far is within max(tol |F|, mu_s D)
-        return m.inv_factor is not None and max(f - lower, 0.0) <= max(tol * abs(f), mu_s * D)
+        return max(f - lower, 0.0) <= max(tol * abs(f), mu_s * D)
 
     def check(B: np.ndarray) -> tuple[tuple[float, float], bool]:
         # ((stage objective, F(B)), whether B ends the stage) from one Gram product and one dual_terms
-        nonlocal lower, f_prev
+        nonlocal lower
         g_loss = gram(B) - XtY
         f_loss = m.loss(B, g_loss)
         pen, slack, dual_grad, stage_pen = penalty.dual_terms(B, g_loss, mu_s)
         f = f_loss + pen
         if not np.isfinite(f):
             raise NumericError("objective became non-finite")
-        record = (f_loss + stage_pen, f)
-        if m.inv_factor is None:
-            # uncertified fallback: relative change of F between consecutive checks
-            done = f_prev is not None and abs(f - f_prev) < tol * max(abs(f_prev), _REL_DENOM_FLOOR)
-            f_prev = f
-            return record, done
         R = g_loss + dual_grad
         P = R @ m.inv_factor if m.rows else m.inv_factor.T @ R
-        lower = max(lower, f - slack - 0.5 * float(np.vdot(P, P)))
-        return record, stops(f, mu_s)
+        bound = f - slack - 0.5 * float(np.vdot(P, P))
+        if N.shape[1]:
+            # Hoelder on the null-space part of R, with ||B* - B||_1 <= F(B) / c + ||B||_1
+            R_null = (R @ N) @ N.T if m.rows else N @ (N.T @ R)
+            bound -= float(np.abs(R_null).max()) * (f / c + float(np.abs(B).sum()))
+        lower = max(lower, bound)
+        return (f_loss + stage_pen, f), stops(f, mu_s)
 
     trace: list[tuple[float, float]] = []
 
@@ -278,7 +278,7 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
     t_loop = time.perf_counter()
     B, iters = np.zeros(XtY.shape), 0
     for mu_s in stages:
-        B, n, done, (_, f) = three_sequence_minimize(
+        B, n, (_, f) = three_sequence_minimize(
             grad, check, B, lipschitz(mu_s), max_iters - iters, prox, trace_row if config.record_trace else None
         )
         iters += n
@@ -287,14 +287,13 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
             break
     t_end = time.perf_counter()
 
-    gap = max(f - lower, 0.0) if m.inv_factor is not None else None
     return Solution(
         B_hat=B.T if m.rows else B,
         objective_exact=f,
         iterations=iters,
         converged=converged,
-        gap=gap,
-        stop_reason="gap" if converged else "uncertified" if done and gap is None else "iteration_cap",
+        gap=max(f - lower, 0.0),
+        stop_reason="gap" if converged else "iteration_cap",
         lipschitz_used=lipschitz(stages[-1]),
         mu_used=mu,
         trace=tuple(trace) if config.record_trace else None,
@@ -340,7 +339,7 @@ def subgradient_fit(m: Moments, config: SolverConfig, op: FusionOperator) -> Sol
         objective_exact=best_f,
         iterations=config.max_iters,
         converged=False,
-        gap=None,
+        gap=np.inf,
         stop_reason="iteration_cap",
         lipschitz_used=m.lam_max,
         mu_used=0.0,

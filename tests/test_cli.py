@@ -11,7 +11,8 @@ import gflasso
 from gflasso.cli import build_parser, main
 from gflasso.fileio import default_headers, json_text, read_matrix_csv, sha256_file, write_matrix_csv
 from gflasso.graph import build_correlation_graph
-from gflasso.models import PenaltySpec, objective_gflasso
+from gflasso.models import PenaltySpec, fit_lasso, objective_gflasso
+from gflasso.solver import Moments, SolverConfig
 
 from oracles import center_columns
 
@@ -61,6 +62,15 @@ class TestSimulateCommand:
 
         ds = simulate_dataset(SimulationSpec(seed=7))
         assert np.array_equal(Y, ds.Y)
+
+
+@pytest.fixture()
+def wide_dir(tmp_path):
+    # N = 20 samples of J = 30 inputs: X^T X is singular
+    data = tmp_path / "wide"
+    data.mkdir()
+    assert run_simulate(data, seed=4, extra=["--n-samples", "20"]) == 0
+    return data
 
 
 class TestFitCommand:
@@ -125,19 +135,27 @@ class TestFitCommand:
         assert json.loads((out / "fit.json").read_text())["converged"] is False
         assert (out / "B_hat.csv").exists()
 
-    def test_singular_gram_exits_3_with_outputs(self, tmp_path):
-        # N = 20 rows, J = 30 columns: X^T X is singular, so the fit cannot be certified
-        data = tmp_path / "wide"
+    def test_singular_gram_exits_0_with_a_numeric_gap(self, wide_dir, tmp_path):
+        # N = 20 rows, J = 30 columns: X^T X is singular, and the certificate bounds its null-space part
         out = tmp_path / "fit"
-        data.mkdir()
         out.mkdir()
-        assert run_simulate(data, seed=4, extra=["--n-samples", "20"]) == 0
-        code = main(["fit", "--method", "gflasso", "--x", str(data / "X.csv"), "--y", str(data / "Y.csv"),
+        code = main(["fit", "--method", "gflasso", "--x", str(wide_dir / "X.csv"), "--y", str(wide_dir / "Y.csv"),
                      "--out-dir", str(out)])
-        assert code == 3
+        assert code == 0
         doc = json.loads((out / "fit.json").read_text())
-        assert (doc["converged"], doc["stop_reason"], doc["gap"]) == (False, "uncertified", None)
-        assert {"B_hat.csv", "graph.csv", "manifest.json"} <= {p.name for p in out.iterdir()}
+        assert (doc["converged"], doc["stop_reason"]) == (True, "gap")
+        gap_floor = doc["mu"] * 30 * (10 + doc["graph_edges"]) / 2  # mu * D, D = J (K + |E|) / 2
+        assert isinstance(doc["gap"], float) and 0 <= doc["gap"] <= max(1e-6 * doc["objective"], gap_floor)
+
+    @pytest.mark.parametrize("method", ["gflasso", "lasso", "l1l2"])
+    def test_lambda_zero_on_a_singular_gram_exits_2_without_outputs(self, wide_dir, tmp_path, capsys, method):
+        out = tmp_path / "fit"
+        out.mkdir()
+        code = main(["fit", "--method", method, "--lambda", "0", "--x", str(wide_dir / "X.csv"),
+                     "--y", str(wide_dir / "Y.csv"), "--out-dir", str(out)])
+        assert code == 2
+        assert "lambda = 0" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("method", ["gflasso", "lasso", "l1l2", "fused"])
     def test_all_constant_x_exits_2_without_outputs(self, tmp_path, capsys, method):
@@ -216,6 +234,30 @@ class TestCvCommand:
         code = main(["cv", "--method", "lasso", "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
                      "--out-dir", str(out), "--holdout", "60", *FAST])
         assert code == 2
+
+    def test_lambda_zero_on_a_singular_gram_is_an_error_row(self, wide_dir, tmp_path):
+        # the 15 training rows leave X^T X singular: lambda = 0 is refused, and selection goes on over the rest
+        out = tmp_path / "cv"
+        out.mkdir()
+        code = main(["cv", "--method", "lasso", "--x", str(wide_dir / "X.csv"), "--y", str(wide_dir / "Y.csv"),
+                     "--out-dir", str(out), "--lambdas", "0,0.3,3", "--holdout", "5"])
+        assert code == 0
+        doc = json.loads((out / "cv.json").read_text())
+        errors = [row for row in doc["table"] if "error" in row]
+        assert [row["lambda"] for row in errors] == [0.0] and "lambda = 0" in errors[0]["error"]
+        assert doc["selected"]["lambda"] in (0.3, 3.0)
+        assert doc["final_fit"]["stop_reason"] == "gap"
+
+    def test_l1l2_on_a_singular_gram_writes_json(self, wide_dir, tmp_path):
+        # a NumPy scalar c = lam / sqrt(K) would make ``converged`` a numpy.bool_, which json_text refuses
+        out = tmp_path / "cv"
+        out.mkdir()
+        code = main(["cv", "--method", "l1l2", "--x", str(wide_dir / "X.csv"), "--y", str(wide_dir / "Y.csv"),
+                     "--out-dir", str(out), "--lambdas", "0.3,3", "--holdout", "5"])
+        assert code == 0
+        doc = json.loads((out / "cv.json").read_text())
+        assert [row["stop_reason"] for row in doc["table"]] == ["gap", "gap"]
+        assert doc["final_fit"]["converged"] is True
 
     def test_rerun_identical(self, data_dir, tmp_path):
         outs = []
@@ -463,16 +505,28 @@ class TestManifestOutputs:
         assert set(os.listdir(tmp_path)) == set(manifest["outputs"]) | {"manifest.json"}
 
 
+SCHEMA_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "schemas")
+
+
 class TestSchemas:
+    def test_stop_reason_enum_is_what_fits_produce(self):
+        # the enum lists exactly the stops of a certified and of a capped fit, so a dead value fails here
+        with open(os.path.join(SCHEMA_DIR, "fit.schema.json")) as fh:
+            enum = json.load(fh)["properties"]["stop_reason"]["enum"]
+        rng = np.random.default_rng(6)
+        data = Moments.from_data(rng.standard_normal((20, 4)), rng.standard_normal((20, 2)))
+        fits = [fit_lasso(data, PenaltySpec(lam=0.5), SolverConfig(max_iters=n)).solution for n in (50000, 1)]
+        assert [(s.converged, s.stop_reason) for s in fits] == [(True, "gap"), (False, "iteration_cap")]
+        assert sorted(enum) == sorted(s.stop_reason for s in fits)
+
     def test_artifacts_validate(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         referencing = pytest.importorskip("referencing")
         from referencing.jsonschema import DRAFT7
 
-        schema_dir = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "schemas")
         schemas = {}
         for name in ("fit", "cv", "report"):
-            with open(os.path.join(schema_dir, f"{name}.schema.json")) as fh:
+            with open(os.path.join(SCHEMA_DIR, f"{name}.schema.json")) as fh:
                 schemas[name] = json.load(fh)
         # cv.schema.json refers to fit.schema.json by relative name; resolve it locally
         registry = referencing.Registry().with_resources(

@@ -274,11 +274,14 @@ class TestProxGradFit:
             solve(Moments.from_data(X, Y), SolverConfig(), op)
 
 
-def certificate_problems(seed):
-    """(name, X, Y, penalty) on one seeded random problem: gflasso, lasso, 1 x J fused and l1/l2."""
+def certificate_problems(seed, wide=False):
+    """(name, X, Y, penalty) on one seeded random problem: gflasso, lasso, 1 x J fused and l1/l2.
+
+    ``wide`` takes N = 6 rows and J in [8, 14) covariates, so X^T X is singular.
+    """
     rng = np.random.default_rng(seed)
-    j, k = int(rng.integers(3, 8)), int(rng.integers(2, 5))
-    X, Y = centered_problem(seed, n=30, j=j, k=k, noise=0.5)
+    j, k = int(rng.integers(8, 14) if wide else rng.integers(3, 8)), int(rng.integers(2, 5))
+    X, Y = centered_problem(seed, n=6 if wide else 30, j=j, k=k, noise=0.5)
     pairs = [(m, l) for m in range(1, k + 1) for l in range(m + 1, k + 1)]
     edges = tuple((m, l, float(rng.choice([-1, 1]) * rng.uniform(0.2, 1.0))) for m, l in pairs if rng.random() < 0.6)
     lam, gamma = 10.0 ** rng.uniform(-2, 1, size=2)
@@ -289,17 +292,23 @@ def certificate_problems(seed):
 
 
 class TestCertificate:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_gap_bounds_the_excess_and_converged_means_within_target(self, seed):
+    @pytest.mark.parametrize(
+        "seed, wide", [(s, False) for s in range(6)] + [(s, True) for s in range(6)],
+        ids=[*map(str, range(6)), *(f"wide{s}" for s in range(6))],
+    )
+    def test_gap_bounds_the_excess_and_converged_means_within_target(self, seed, wide):
         config = SolverConfig()
-        for name, X, Y, penalty in certificate_problems(seed):
+        for name, X, Y, penalty in certificate_problems(seed, wide):
             m = Moments.from_data(X, Y)
+            # centered, 6 rows span 5 dimensions
+            assert m.null_basis.shape[1] == (X.shape[1] - 5 if wide else 0), name
             sol = solve(m, config, penalty)
             tight = solve(m, SolverConfig(mu=1e-6, rel_obj_tol=1e-9, max_iters=100000), penalty)
-            assert tight.converged, name
+            # a wide tight run may hit its cap; its objective still bounds the optimum from above
+            assert wide or tight.converged, name
             excess = sol.objective_exact - tight.objective_exact
-            assert sol.gap >= excess - 1e-12 * abs(sol.objective_exact), name
             # every certified lower bound lies below every objective value
+            assert sol.gap >= excess - 1e-12 * abs(sol.objective_exact), name
             assert tight.objective_exact - tight.gap <= sol.objective_exact + 1e-12, name
             floor = sol.mu_used * (penalty.gap_constant() if sol.mu_used else 0.0)
             assert sol.converged and sol.stop_reason == "gap", name
@@ -344,13 +353,25 @@ class TestCertificate:
         assert sol.converged and sol.stop_reason == "gap"
         assert sol.iterations <= 5000
 
-    def test_singular_gram_is_uncertified(self):
-        # J > N: X^T X is singular, so no gap exists and the relative-change fallback stops the fit
+    def test_singular_gram_is_certified_through_its_null_space(self):
+        # J > N: the null-space part of the certificate's residual is bounded through ||B*||_1 <= F / lam
         X, Y = centered_problem(32, n=20, j=30, k=3)
         op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8),)), lam=0.5, gamma=0.5, n_inputs=30)
-        sol = solve(Moments.from_data(X, Y), SolverConfig(), op)
-        assert (sol.converged, sol.stop_reason, sol.gap) == (False, "uncertified", None)
-        assert sol.iterations < SolverConfig().max_iters
+        m = Moments.from_data(X, Y)
+        sol = solve(m, SolverConfig(), op)
+        tight = solve(m, SolverConfig(mu=1e-6, rel_obj_tol=1e-9, max_iters=100000), op)
+        assert (sol.converged, sol.stop_reason) == (True, "gap")
+        assert sol.gap <= max(SolverConfig().rel_obj_tol * abs(sol.objective_exact), sol.mu_used * op.gap_constant())
+        assert sol.gap >= sol.objective_exact - tight.objective_exact - 1e-12 * abs(sol.objective_exact)
+
+    @pytest.mark.parametrize("penalty", [
+        FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8),)), lam=0.0, gamma=0.5, n_inputs=30), RowGroupNorm(0.0),
+    ], ids=["fusion", "l1l2"])
+    def test_lam_zero_with_a_singular_gram_is_refused(self, penalty):
+        # nothing bounds ||B*||_1 when lam = 0, so no certificate exists on a singular X^T X
+        X, Y = centered_problem(32, n=20, j=30, k=3)
+        with pytest.raises(DegenerateInputError, match="lambda = 0"):
+            solve(Moments.from_data(X, Y), SolverConfig(), penalty)
 
 
 class TestMoments:
@@ -373,8 +394,8 @@ class TestMoments:
         X, Y = centered_problem(41)
         X[:, 0] = 0.1
         m = Moments.from_data(X, Y)
-        assert m.inv_factor is None
-        assert solve(m, SolverConfig(), empty_operator(4, 2, lam=0.1)).stop_reason == "uncertified"
+        assert m.null_basis.shape == (4, 1) and m.inv_factor.shape == (4, 3)
+        assert solve(m, SolverConfig(), empty_operator(4, 2, lam=0.1)).stop_reason == "gap"
 
 
 class TestSubgradientFit:
