@@ -175,7 +175,7 @@ def cmd_fit(ns: argparse.Namespace) -> int:
     fused = ns.method == "fused"
     if fused and Y.shape[1] != 1:
         raise ValueError(f"method=fused needs a single-column response, got {Y.shape[1]} columns")
-    data = Moments.from_data(X, Y[:, 0] if fused else Y)
+    data = Moments.from_data(X, Y)
     if fused:
         if ns.input_graph is not None:
             input_graph = load_edge_list(ns.input_graph, node_count=X.shape[1])

@@ -342,6 +342,9 @@ def run_benchmark(
     unknown = [m for m in methods if m not in ("proxgrad", "subgrad")]
     if not methods or unknown:
         raise ValueError(f"bench methods must be a non-empty subset of proxgrad,subgrad, got {','.join(methods)!r}")
+    fractional = [v for v in values if axis != "rho" and not float(v).is_integer()]
+    if fractional:
+        raise ValueError(f"axis {axis} takes integer values, got {fractional[0]}")
     rows: list[dict] = []
     for value in values:
         n, j, k, r = n_samples, n_inputs, n_outputs, rho

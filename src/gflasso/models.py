@@ -2,7 +2,7 @@
 
 Each model is a thin front-end to :func:`solver.solve` that builds its own
 penalty object: the graph-fused, lasso (an edgeless graph) and univariate
-fused (a graph over the covariates, solved as one row) models pass a fusion
+fused (a graph over the covariates of a J x 1 column) models pass a fusion
 operator for the smoothed penalty, and the l1/l2 model passes a
 :class:`RowGroupNorm`, whose exact rowwise proximal map the solver uses.
 Both give the solver's certificate its terms (``dual_terms``) and its c (``lam``).
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import TaskGraph, sign
-from .smoothing import FusionOperator
+from .smoothing import CovariateFusionOperator, FusionOperator
 from .solver import Moments, Solution, SolverConfig, solve
 
 
@@ -127,13 +127,11 @@ def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGr
 
 
 def _fit(
-    kind: str, data: Moments, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig,
+    kind: str, data: Moments, graph: TaskGraph, n_nodes: int, spec: PenaltySpec, config: SolverConfig,
     penalty: FusionOperator | RowGroupNorm,
 ) -> FitResult:
-    # Checks that ``graph`` has a node per task (per covariate in the row
-    # layout of a 1-d response), solves and records the means.
+    # Checks that ``graph`` has the n_nodes nodes of the model (tasks or covariates), solves and records the means.
     t0 = time.perf_counter()
-    n_nodes = data.XtX.shape[0] if data.rows else data.XtY.shape[1]
     if graph.node_count != n_nodes:
         raise ValueError(f"graph has {graph.node_count} nodes but the model needs {n_nodes}")
     solution = solve(data, config, penalty)
@@ -143,27 +141,29 @@ def _fit(
         penalty=spec,
         graph_summary=(graph.node_count, graph.n_edges, graph.threshold),
         x_mean=data.x_mean,
-        y_mean=np.atleast_1d(data.y_mean),
+        y_mean=data.y_mean,
         runtime_s=time.perf_counter() - t0,
     )
 
 
-def _fusion_operator(graph: TaskGraph, lam: float, gamma: float, n_inputs: int) -> FusionOperator:
+def _fusion_operator(
+    cls: type[FusionOperator], graph: TaskGraph, lam: float, gamma: float, n_inputs: int
+) -> FusionOperator:
     # at gamma = 0 the edge columns of C are zero: left out, they cost no work and do not widen the gap floor mu * D
-    return FusionOperator.from_graph(graph if gamma > 0 else TaskGraph(graph.node_count), lam, gamma, n_inputs)
+    return cls.from_graph(graph if gamma > 0 else TaskGraph(graph.node_count), lam, gamma, n_inputs)
 
 
 def fit_gflasso(data: Moments, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
-    op = _fusion_operator(graph, spec.lam, spec.gamma, data.XtX.shape[0])
-    return _fit("gflasso", data, graph, spec, config, op)
+    op = _fusion_operator(FusionOperator, graph, spec.lam, spec.gamma, data.XtX.shape[0])
+    return _fit("gflasso", data, graph, data.XtY.shape[1], spec, config, op)
 
 
 def fit_lasso(data: Moments, spec: PenaltySpec, config: SolverConfig) -> FitResult:
     """Entrywise-l1 multi-task fit; the edgeless special case of the fused model."""
     empty = TaskGraph(node_count=data.XtY.shape[1])
     op = FusionOperator.from_graph(empty, lam=spec.lam, gamma=0.0, n_inputs=data.XtX.shape[0])
-    return _fit("lasso", data, empty, PenaltySpec(lam=spec.lam), config, op)
+    return _fit("lasso", data, empty, data.XtY.shape[1], PenaltySpec(lam=spec.lam), config, op)
 
 
 def fit_group_l1l2(data: Moments, lam: float, config: SolverConfig) -> FitResult:
@@ -173,8 +173,8 @@ def fit_group_l1l2(data: Moments, lam: float, config: SolverConfig) -> FitResult
     rowwise shrink), so it runs unsmoothed in the composite form of the
     shared accelerated loop.
     """
-    spec = PenaltySpec(lam=lam, gamma=0.0)
-    return _fit("group_l1l2", data, TaskGraph(node_count=data.XtY.shape[1]), spec, config, RowGroupNorm(lam))
+    k = data.XtY.shape[1]
+    return _fit("group_l1l2", data, TaskGraph(node_count=k), k, PenaltySpec(lam=lam), config, RowGroupNorm(lam))
 
 
 def fit_fused_univariate(
@@ -182,9 +182,11 @@ def fit_fused_univariate(
 ) -> FitResult:
     """Univariate-response fused fit with the fusion graph over the covariates.
 
-    ``data`` is built from a 1-d y, which lays the coefficient vector out as a
-    single-row matrix so the same operator and loop drive this model; a chain
-    graph with unit weights reproduces the classic adjacent-difference fused penalty.
+    ``data`` has a single response column, and :class:`smoothing.CovariateFusionOperator`
+    puts the graph on the rows of the J x 1 coefficients; a chain graph with unit
+    weights reproduces the classic adjacent-difference fused penalty.
     """
-    op = _fusion_operator(input_graph, lam, gamma, 1)
-    return _fit("fused_univariate", data, input_graph, PenaltySpec(lam=lam, gamma=gamma), config, op)
+    if data.XtY.shape[1] != 1:
+        raise ValueError(f"the univariate fused model needs a single-column response, got {data.XtY.shape[1]} columns")
+    op = _fusion_operator(CovariateFusionOperator, input_graph, lam, gamma, 1)
+    return _fit("fused_univariate", data, input_graph, data.XtX.shape[0], PenaltySpec(lam=lam, gamma=gamma), config, op)

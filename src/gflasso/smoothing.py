@@ -16,10 +16,10 @@ The operator holds C in one of two forms, chosen by its own shape alone.
 When K <= J it builds the dense K x (K + |E|) matrix C once, so apply, adjoint
 and the exact penalty are single BLAS products (B C, A C^T). The rule keeps C
 no larger than the J x (K + |E|) auxiliary matrix every iteration already
-holds. When K > J (the 1 x J row layout of the univariate fused model is the
-common case) a dense C would outweigh the products it replaces, so the
-operator works on the edge arrays instead: column gathers for B C and one
-``np.bincount`` scatter for A C^T, at O(J*K + J*|E|) per application.
+holds. When K > J (the common case is the 1 x J operator inside
+:class:`CovariateFusionOperator`) a dense C would outweigh the products it
+replaces, so the operator works on the edge arrays instead: column gathers for
+B C and one ``np.bincount`` scatter for A C^T, at O(J*K + J*|E|) per application.
 """
 
 from __future__ import annotations
@@ -171,9 +171,13 @@ class FusionOperator:
         return np.bincount(np.concatenate((self.edge_m, self.edge_l)), np.concatenate((w2, w2)), self.n_tasks)
 
     def norm_bound(self) -> float:
-        """sqrt(lam^2 + 2 gamma^2 max_k d_k), an upper bound on sigma_max(C); lam when there are no edges."""
+        """sqrt(lam^2 + 2 gamma^2 max_k d_k), an upper bound on sigma_max(C); lam when there are no edges.
+
+        inf, not an OverflowError, past the float range.
+        """
         max_d = float(self.degrees().max())
-        return float(np.sqrt(self.lam**2 + 2.0 * self.gamma**2 * max_d))
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.float64(self.lam) ** 2 + 2.0 * np.float64(self.gamma) ** 2 * max_d))
 
     def gap_constant(self) -> float:
         """Smoothing gap constant D = J (K + |E|) / 2.
@@ -182,3 +186,13 @@ class FusionOperator:
         the all-ones J x (K + |E|) matrix.
         """
         return 0.5 * self.n_inputs * (self.n_tasks + self.n_edges)
+
+
+class CovariateFusionOperator(FusionOperator):
+    """The univariate fused model's penalty on a J x 1 column b: the 1 x J operator (n_inputs=1, n_tasks=J) on b^T."""
+
+    def apply(self, B: np.ndarray) -> np.ndarray:
+        return super().apply(B.T)
+
+    def adjoint(self, A: np.ndarray) -> np.ndarray:
+        return super().adjoint(A).T

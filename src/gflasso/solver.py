@@ -109,9 +109,6 @@ class Moments:
     X^T Y, ||Y||_F^2, lam_max(X^T X) and two views of eigh(X^T X): the null
     basis N (eigenvalues <= J eps lam_max; J x 0 when nonsingular) and V s^-1/2
     over the rest; every later evaluation reads these, free of the sample count.
-    A 1-d response gives the row layout of the univariate fused model: the
-    coefficients are one 1 x J row W, X^T Y is stored as that row, and the
-    Gram product is W X^T X instead of X^T X B.
     """
 
     XtX: np.ndarray
@@ -120,15 +117,14 @@ class Moments:
     lam_max: float
     null_basis: np.ndarray
     inv_factor: np.ndarray
-    rows: bool
     x_mean: np.ndarray
     y_mean: np.ndarray
 
     @classmethod
     def from_data(cls, X: np.ndarray, Y: np.ndarray) -> "Moments":
-        """Center the raw X (N x J) and Y (N x K, or N for the row layout) and take their moments."""
+        """Center the raw X (N x J) and Y (N x K) and take their moments."""
         X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-        if X.ndim != 2 or Y.ndim not in (1, 2) or X.shape[0] != Y.shape[0]:
+        if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
             raise ValueError(f"incompatible shapes X {X.shape}, Y {Y.shape}")
         if not np.ptp(X, axis=0).any():
             raise DegenerateInputError("every column of X is constant: centered, X is zero and there is nothing to fit")
@@ -140,20 +136,10 @@ class Moments:
         s, V = np.linalg.eigh(XtX)
         r = int(np.count_nonzero(s <= s.size * np.finfo(float).eps * s[-1]))  # s ascends: the null ones first
         V[:, r:] *= s[r:] ** -0.5  # in place: the one J x J array kept besides X^T X
-        rows = Y.ndim == 1
-        XtY = (X.T @ Y)[None, :] if rows else X.T @ Y
-        return cls(XtX, XtY, float(np.vdot(Y, Y)), float(s[-1]), V[:, :r], V[:, r:], rows, x_mean, y_mean)
-
-    @property
-    def gram(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The Gram product B -> X^T X B (W -> W X^T X in the row layout).
-
-        A bound ndarray method: the layout is picked once, and a call adds no Python frame.
-        """
-        return self.XtX.__rmatmul__ if self.rows else self.XtX.__matmul__
+        return cls(XtX, X.T @ Y, float(np.vdot(Y, Y)), float(s[-1]), V[:, :r], V[:, r:], x_mean, y_mean)
 
     def loss(self, B: np.ndarray, g_loss: np.ndarray) -> float:
-        """(1/2) ||Y - X B||_F^2 through the moments, given the loss gradient g_loss = gram(B) - X^T Y at B."""
+        """(1/2) ||Y - X B||_F^2 through the moments, given the loss gradient g_loss = X^T X B - X^T Y at B."""
         return 0.5 * (self.ynorm2 - float(np.vdot(B, self.XtY)) + float(np.vdot(B, g_loss)))
 
 
@@ -210,23 +196,26 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
 
     A :class:`FusionOperator` penalty ||B C||_1 runs through its smooth surrogate;
     mu (``config.mu``, or accuracy / (2 D)) and the step 1/L, with L = lam_max(X^T X)
-    + op.norm_bound()^2 / mu, are derived here alone, once per mu stage. Any other
-    penalty runs unsmoothed (mu = 0, L = lam_max(X^T X)) and must provide
-    ``penalty_exact(B)`` and ``prox(V, step)`` (the proximal map of step * penalty).
+    + op.norm_bound()^2 / mu, are derived here alone, once per mu stage; an L past the
+    float range is refused. Any other penalty runs unsmoothed (mu = 0, L = lam_max(X^T X))
+    and must provide ``penalty_exact(B)`` and ``prox(V, step)`` (the proximal map of step * penalty).
     Both kinds provide ``dual_terms(B, g_loss, mu)``, the certificate's terms at
     their dual point (see :meth:`FusionOperator.dual_terms`), and ``lam``, which gives c (lam /
     sqrt(K) for the l1/l2 norm); lam = 0 with a singular X^T X is refused. The data enter
-    only through ``m``; moments in the row layout (see :class:`Moments`) still return
-    B_hat as a J x 1 column. ``objective_exact`` is the F of the check that
+    only through ``m``. ``objective_exact`` is the F of the check that
     accepted B_hat, so ``objective_exact - gap`` is the certified lower bound itself.
     """
     t_start = time.perf_counter()
-    gram, XtY = m.gram, m.XtY
+    XtX, XtY = m.XtX, m.XtY
     if isinstance(penalty, FusionOperator):
         mu = config.mu if config.accuracy is None else config.accuracy / (2.0 * penalty.gap_constant())
         if not mu > 0:
             raise ValueError(f"accuracy {config.accuracy} is too small: mu = accuracy / (2 D) underflows to {mu}")
-        D, norm2, prox = penalty.gap_constant(), penalty.norm_bound() ** 2, None
+        with np.errstate(over="ignore"):  # inf past the float range, refused below
+            D, norm2, prox = penalty.gap_constant(), float(np.float64(penalty.norm_bound()) ** 2), None
+        if not m.lam_max + norm2 / mu < np.inf:
+            raise ValueError(f"the step bound L = lam_max + ||C||^2 / mu overflows at lambda={penalty.lam}, "
+                             f"gamma={penalty.gamma}, mu={mu}")
         stages, c = [k * mu for k in MU_STAGES], float(penalty.lam)
     else:
         mu, D, norm2, prox, stages = 0.0, 0.0, 0.0, penalty.prox, [0.0]
@@ -240,7 +229,7 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
         return m.lam_max + norm2 / mu_s if mu_s > 0 else m.lam_max
 
     def grad(W: np.ndarray) -> np.ndarray:
-        g = gram(W)
+        g = XtX @ W
         g -= XtY
         if mu_s > 0:
             g += penalty.adjoint(penalty.aux_optimum(W, mu_s))
@@ -253,19 +242,18 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
     def check(B: np.ndarray) -> tuple[tuple[float, float], bool]:
         # ((stage objective, F(B)), whether B ends the stage) from one Gram product and one dual_terms
         nonlocal lower
-        g_loss = gram(B) - XtY
+        g_loss = XtX @ B - XtY
         f_loss = m.loss(B, g_loss)
         pen, slack, dual_grad, stage_pen = penalty.dual_terms(B, g_loss, mu_s)
         f = f_loss + pen
         if not np.isfinite(f):
             raise NumericError("objective became non-finite")
         R = g_loss + dual_grad
-        P = R @ m.inv_factor if m.rows else m.inv_factor.T @ R
+        P = m.inv_factor.T @ R
         bound = f - slack - 0.5 * float(np.vdot(P, P))
         if N.shape[1]:
             # Hoelder on the null-space part of R, with ||B* - B||_1 <= F(B) / c + ||B||_1
-            R_null = (R @ N) @ N.T if m.rows else N @ (N.T @ R)
-            bound -= float(np.abs(R_null).max()) * (f / c + float(np.abs(B).sum()))
+            bound -= float(np.abs(N @ (N.T @ R)).max()) * (f / c + float(np.abs(B).sum()))
         lower = max(lower, bound)
         return (f_loss + stage_pen, f), stops(f, mu_s)
 
@@ -273,7 +261,7 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
 
     def trace_row(B: np.ndarray, g: np.ndarray) -> None:
         # the exact objective every iteration, for the trace only: checks alone decide
-        trace.append((m.loss(B, gram(B) - XtY) + penalty.penalty_exact(B), float(np.linalg.norm(g))))
+        trace.append((m.loss(B, XtX @ B - XtY) + penalty.penalty_exact(B), float(np.linalg.norm(g))))
 
     t_loop = time.perf_counter()
     B, iters = np.zeros(XtY.shape), 0
@@ -288,7 +276,7 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
     t_end = time.perf_counter()
 
     return Solution(
-        B_hat=B.T if m.rows else B,
+        B_hat=B,
         objective_exact=f,
         iterations=iters,
         converged=converged,
@@ -314,17 +302,17 @@ def subgradient_fit(m: Moments, config: SolverConfig, op: FusionOperator) -> Sol
     Of ``config`` it reads only ``max_iters`` and ``record_trace``.
     """
     t_start = time.perf_counter()
-    gram, XtY = m.gram, m.XtY
+    XtX, XtY = m.XtX, m.XtY
     c = 1.0 / m.lam_max if m.lam_max > 0 else 1.0
-    B = best_B = np.zeros((op.n_inputs, op.n_tasks))
-    g_loss, G = gram(B) - XtY, op.apply(B)
+    B = best_B = np.zeros(XtY.shape)
+    g_loss, G = XtX @ B - XtY, op.apply(B)
     best_f = m.loss(B, g_loss) + float(np.abs(G).sum())
     trace: list[tuple[float, float]] | None = [] if config.record_trace else None
     t_loop = time.perf_counter()
     for t in range(config.max_iters):
         g = g_loss + op.adjoint(np.sign(G))
         B = B - c / np.sqrt(t + 1.0) * g
-        g_loss, G = gram(B) - XtY, op.apply(B)
+        g_loss, G = XtX @ B - XtY, op.apply(B)
         f_t = m.loss(B, g_loss) + float(np.abs(G).sum())
         if not np.isfinite(f_t):
             raise NumericError(f"objective became non-finite at iteration {t}")

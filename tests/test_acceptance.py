@@ -146,7 +146,7 @@ def _solve_tiny(spec):
         op = FusionOperator.from_graph(g, lam=spec["lam"], gamma=spec["gamma"], n_inputs=spec["X"].shape[1])
         return solve(Moments.from_data(spec["X"], spec["Y"]), config, op).objective_exact
     g = TaskGraph(spec["X"].shape[1], spec["edges"])
-    fit = fit_fused_univariate(Moments.from_data(spec["X"], spec["y"]), g, spec["lam"], spec["gamma"], config)
+    fit = fit_fused_univariate(Moments.from_data(spec["X"], spec["y"][:, None]), g, spec["lam"], spec["gamma"], config)
     return fit.solution.objective_exact
 
 
@@ -177,12 +177,12 @@ def _plain_scheme_objectives(X, Y, op, eps, max_iters):
     fs = []
 
     def grad(W):
-        return m.gram(W) - m.XtY + op.adjoint(op.aux_optimum(W, mu))
+        return m.XtX @ W - m.XtY + op.adjoint(op.aux_optimum(W, mu))
 
     falling = itertools.count(0, -1)
     three_sequence_minimize(
         grad, lambda B: ((next(falling),), False), np.zeros(m.XtY.shape), m.lam_max + op.norm_bound() ** 2 / mu,
-        max_iters, None, lambda B, g: fs.append(m.loss(B, m.gram(B) - m.XtY) + op.penalty_exact(B)),
+        max_iters, None, lambda B, g: fs.append(m.loss(B, m.XtX @ B - m.XtY) + op.penalty_exact(B)),
     )
     return np.array(fs)
 

@@ -157,6 +157,18 @@ class TestFitCommand:
         assert "lambda = 0" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("flag,value", [("--lambda", "1e+200"), ("--gamma", "1e+200"), ("--mu", "1e-320")])
+    def test_overflowing_step_bound_exits_2_without_outputs(self, data_dir, tmp_path, capsys, flag, value):
+        # L = lam_max + ||C||^2 / mu is past the float range: a zero step, so the fit is refused before it iterates
+        out = tmp_path / "fit"
+        out.mkdir()
+        code = main(["fit", "--method", "gflasso", "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
+                     "--out-dir", str(out), flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "step bound" in err and f"{flag[2:]}={value}" in err, err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("method", ["gflasso", "lasso", "l1l2", "fused"])
     def test_all_constant_x_exits_2_without_outputs(self, tmp_path, capsys, method):
         k = 1 if method == "fused" else 3
@@ -248,6 +260,18 @@ class TestCvCommand:
         assert doc["selected"]["lambda"] in (0.3, 3.0)
         assert doc["final_fit"]["stop_reason"] == "gap"
 
+    def test_overflowing_step_bound_is_an_error_row(self, data_dir, tmp_path):
+        out = tmp_path / "cv"
+        out.mkdir()
+        code = main(["cv", "--method", "lasso", "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
+                     "--out-dir", str(out), "--lambdas", "0.4,1e200", "--holdout", "20", *FAST])
+        assert code == 0
+        doc = json.loads((out / "cv.json").read_text())
+        assert [row.get("error") for row in doc["table"]] == [
+            None, "the step bound L = lam_max + ||C||^2 / mu overflows at lambda=1e+200, gamma=0.0, mu=0.001",
+        ]
+        assert doc["selected"]["lambda"] == 0.4
+
     def test_l1l2_on_a_singular_gram_writes_json(self, wide_dir, tmp_path):
         # a NumPy scalar c = lam / sqrt(K) would make ``converged`` a numpy.bool_, which json_text refuses
         out = tmp_path / "cv"
@@ -275,10 +299,14 @@ class TestCvCommand:
 class TestBenchCommand:
     @pytest.mark.parametrize(
         "flag,value,message",
-        [("--values", "", "at least one axis value"), ("--methods", ",", "got ''")],
+        [
+            ("--values", "", "at least one axis value"),
+            ("--methods", ",", "got ''"),
+            ("--values", "30.7", "axis J takes integer values, got 30.7"),
+        ],
     )
     def test_empty_sweep_exits_2_without_csv(self, tmp_path, capsys, flag, value, message):
-        args = ["bench", "--axis", "rho", "--values", "0.5", "--out-dir", str(tmp_path), "--max-iters", "5"]
+        args = ["bench", "--axis", "J", "--values", "30", "--out-dir", str(tmp_path), "--max-iters", "5"]
         assert main([*args, flag, value]) == 2
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []

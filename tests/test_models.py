@@ -72,7 +72,7 @@ class TestDegeneracyLattice:
     def test_fused_univariate_gamma_zero_matches_lasso(self):
         X, Y = make_problem(7, k=1)
         config = SolverConfig(rel_obj_tol=1e-16, max_iters=4000)
-        a = fit_fused_univariate(Moments.from_data(X, Y[:, 0]), chain_graph(6), lam=0.3, gamma=0.0, config=config)
+        a = fit_fused_univariate(Moments.from_data(X, Y), chain_graph(6), lam=0.3, gamma=0.0, config=config)
         b = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.3), config)
         assert np.linalg.norm(a.solution.B_hat - b.solution.B_hat) < 1e-5
 
@@ -206,7 +206,7 @@ class TestFitFusedUnivariate:
         y = X @ beta + 0.2 * rng.standard_normal(15)
         # the fit stops at gap <= mu * D; this mu makes that finer than the 1e-3 comparison
         config = SolverConfig(mu=2e-7, rel_obj_tol=1e-14, max_iters=400000)
-        fit = fit_fused_univariate(Moments.from_data(X, y), chain_graph(4), lam=0.0, gamma=10.0, config=config)
+        fit = fit_fused_univariate(Moments.from_data(X, y[:, None]), chain_graph(4), lam=0.0, gamma=10.0, config=config)
         b = fit.solution.B_hat[:, 0]
         Xc, _ = center_columns(X)
         yc = y - y.mean()
@@ -233,7 +233,7 @@ class TestFitFusedUnivariate:
         g = TaskGraph(k, ((1, 2, 0.8), (1, 3, -0.6), (2, 4, 0.5)))
         config = SolverConfig(rel_obj_tol=1e-300, max_iters=CHECK_EVERY)
         joint = fit_gflasso(Moments.from_data(X, Y), g, PenaltySpec(lam=0.2, gamma=0.3), config).solution
-        rows = [fit_fused_univariate(Moments.from_data(Xf, Xf @ z), g, 0.2, 0.3, config).solution for z in Z]
+        rows = [fit_fused_univariate(Moments.from_data(Xf, Xf @ z[:, None]), g, 0.2, 0.3, config).solution for z in Z]
         assert [joint.iterations] + [r.iterations for r in rows] == [CHECK_EVERY] * (j + 1)
         assert np.abs(joint.B_hat - np.vstack([r.B_hat[:, 0] for r in rows])).max() <= 1e-10
         offset = 0.5 * float(np.vdot(Yc - X @ Z, Yc - X @ Z))
@@ -242,7 +242,12 @@ class TestFitFusedUnivariate:
     def test_rejects_mismatched_graph(self):
         X = np.random.default_rng(0).standard_normal((10, 4))
         with pytest.raises(ValueError):
-            fit_fused_univariate(Moments.from_data(X, X[:, 0]), chain_graph(3), 0.1, 0.1, SolverConfig())
+            fit_fused_univariate(Moments.from_data(X, X[:, :1]), chain_graph(3), 0.1, 0.1, SolverConfig())
+
+    def test_rejects_more_than_one_response(self):
+        X = np.random.default_rng(0).standard_normal((10, 4))
+        with pytest.raises(ValueError, match="single-column response, got 2 columns"):
+            fit_fused_univariate(Moments.from_data(X, X[:, :2]), chain_graph(4), 0.1, 0.1, SolverConfig())
 
 
 class TestSignSemantics:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gflasso.graph import TaskGraph
-from gflasso.smoothing import FusionOperator, shrink
+from gflasso.smoothing import CovariateFusionOperator, FusionOperator, shrink
 
 from oracles import dense_fusion_matrix
 
@@ -53,6 +53,11 @@ class TestAdjoint:
             A = rng.standard_normal((5, op.width))
             B = rng.standard_normal((5, 4))
             assert abs(np.vdot(A, op.apply(B)) - np.vdot(op.adjoint(A), B)) < 1e-10
+            # the univariate fused operator: J x 1 coefficients, a 1 x (J + |E|) auxiliary matrix
+            cov = CovariateFusionOperator.from_graph(random_graph(rng, 6), lam=0.7, gamma=1.3, n_inputs=1)
+            A, b = rng.standard_normal((1, cov.width)), rng.standard_normal((6, 1))
+            assert cov.apply(b).shape == A.shape and cov.adjoint(A).shape == b.shape
+            assert abs(np.vdot(A, cov.apply(b)) - np.vdot(cov.adjoint(A), b)) < 1e-10
 
     def test_matches_dense_transpose(self):
         rng = np.random.default_rng(4)

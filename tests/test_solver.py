@@ -5,7 +5,7 @@ from gflasso.errors import DegenerateInputError, NumericError
 from gflasso.graph import TaskGraph, build_correlation_graph, chain_graph
 from gflasso.models import PenaltySpec, RowGroupNorm, fit_gflasso
 from gflasso.simulate import SimulationSpec, replicate_seed, simulate_dataset
-from gflasso.smoothing import FusionOperator
+from gflasso.smoothing import CovariateFusionOperator, FusionOperator
 from gflasso.solver import (
     CHECK_EVERY,
     Moments,
@@ -275,7 +275,7 @@ class TestProxGradFit:
 
 
 def certificate_problems(seed, wide=False):
-    """(name, X, Y, penalty) on one seeded random problem: gflasso, lasso, 1 x J fused and l1/l2.
+    """(name, X, Y, penalty) on one seeded random problem: gflasso, lasso, univariate fused and l1/l2.
 
     ``wide`` takes N = 6 rows and J in [8, 14) covariates, so X^T X is singular.
     """
@@ -287,7 +287,7 @@ def certificate_problems(seed, wide=False):
     lam, gamma = 10.0 ** rng.uniform(-2, 1, size=2)
     yield "gflasso", X, Y, FusionOperator.from_graph(TaskGraph(k, edges), lam=lam, gamma=gamma, n_inputs=j)
     yield "lasso", X, Y, empty_operator(j, k, lam=lam)
-    yield "fused", X, Y[:, 0], FusionOperator.from_graph(chain_graph(j), lam=lam, gamma=gamma, n_inputs=1)
+    yield "fused", X, Y[:, :1], CovariateFusionOperator.from_graph(chain_graph(j), lam=lam, gamma=gamma, n_inputs=1)
     yield "l1l2", X, Y, RowGroupNorm(lam)
 
 
@@ -388,7 +388,13 @@ class TestMoments:
         X = np.full((10, 3), 0.1)
         assert np.any(X - X.mean(axis=0))
         with pytest.raises(DegenerateInputError, match="every column of X"):
-            Moments.from_data(X, np.arange(10.0))
+            Moments.from_data(X, np.arange(10.0)[:, None])
+
+    @pytest.mark.parametrize("Y", [np.arange(10.0), np.ones((9, 1))], ids=["1-d y", "row mismatch"])
+    def test_incompatible_shapes_are_refused(self, Y):
+        X = np.random.default_rng(42).standard_normal((10, 3))
+        with pytest.raises(ValueError, match="incompatible shapes"):
+            Moments.from_data(X, Y)
 
     def test_one_constant_column_leaves_the_gram_singular(self):
         X, Y = centered_problem(41)
