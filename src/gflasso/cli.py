@@ -5,9 +5,11 @@ or input error (lambda = 0 on a singular X^T X among them), 3 the fit hit the
 iteration cap before its duality gap certified it, 4 internal numeric error. Every
 command renders all of its files first, then writes each one atomically, and
 writes manifest.json (the resolved arguments, input digests and artifact
-names) last. A command that fails, also on a non-finite value in a flag its
-method ignores, writes nothing; only an OS error during the writes can leave
-earlier files behind.
+names) last. The arguments of fit, cv and bench are every parsed flag but
+--out-dir, under its long name; simulate records its SimulationSpec and report
+its ExperimentConfig. A command that fails, also on a non-finite value in a
+flag its method ignores, writes nothing; only an OS error during the writes can
+leave earlier files behind.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip() != "")
 
 
+def _str_list(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip() != "")
+
+
 def _require_out_dir(path: str) -> None:
     if not os.path.isdir(path):
         raise ValueError(f"output directory does not exist: {path}")
@@ -65,10 +71,16 @@ def _config_digest(args: dict) -> str:
     return hashlib.sha256(json.dumps(args, sort_keys=True).encode()).hexdigest()
 
 
+def _flag_args(ns: argparse.Namespace) -> dict:
+    """The manifest args of fit, cv and bench: every parsed flag but --out-dir, input paths made absolute."""
+    args = {("lambda" if k == "lam" else k): v for k, v in vars(ns).items() if k not in ("command", "func", "out_dir")}
+    return {k: os.path.abspath(v) if k in ("x", "y", "input_graph") and v is not None else v for k, v in args.items()}
+
+
 def _check_finite(args: dict) -> None:
     """Name the flag of a non-finite float; json_text would refuse it without saying which."""
     for key, value in args.items():
-        for v in value if isinstance(value, list) else [value]:
+        for v in value if isinstance(value, (list, tuple)) else [value]:
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"--{key.replace('_', '-')} must be finite, got {v}")
 
@@ -100,7 +112,7 @@ def _solver_config(ns: argparse.Namespace) -> SolverConfig:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int, accuracy: bool) -> None:
-    p.add_argument("--mu", type=float, default=1e-4, help="smoothing parameter (default 1e-4)")
+    p.add_argument("--mu", type=float, default=SolverConfig.mu, help="smoothing parameter (default %(default)s)")
     if accuracy:
         p.add_argument(
             "--accuracy",
@@ -108,20 +120,31 @@ def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int, accuracy: bool
             default=None,
             help="target accuracy eps; when set, mu = eps / (2 D) overrides --mu, so the gap floor mu * D is eps / 2",
         )
-    p.add_argument("--tol", type=float, default=1e-6, help="stop at duality gap <= max(tol * |objective|, mu * D)")
+    p.add_argument("--tol", type=float, default=SolverConfig.rel_obj_tol,
+                   help="stop at duality gap <= max(tol * |objective|, mu * D)")
     p.add_argument("--max-iters", type=int, default=max_iters)
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    # each dest is the name of a SimulationSpec field; _sim_spec relies on it
-    p.add_argument("--n-samples", type=int, default=100)
-    p.add_argument("--n-inputs", type=int, default=30)
-    p.add_argument("--n-outputs", type=int, default=10)
-    p.add_argument("--signal", type=float, default=0.8, help="value of every non-zero true coefficient")
-    p.add_argument("--noise-sd", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--group-sizes", type=_int_list, default=(3, 3, 4))
-    p.add_argument("--inputs-per-group", type=_int_list, default=(3, 4, 4))
+    # one flag per SimulationSpec field, its dest and default taken from the field; _sim_spec reads them back
+    helps = {"signal": "value of every non-zero true coefficient"}
+    for f in dataclasses.fields(SimulationSpec):
+        parse = _int_list if isinstance(f.default, tuple) else type(f.default)
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=parse, default=f.default, help=helps.get(f.name))
+
+
+def _add_data_flags(p: argparse.ArgumentParser, methods: tuple[str, ...]) -> None:
+    p.add_argument("--method", choices=methods, required=True)
+    p.add_argument("--x", required=True, help="input matrix CSV")
+    p.add_argument("--y", required=True, help="output matrix CSV, one column per response")
+    p.add_argument("--out-dir", required=True)
+    p.add_argument(
+        "--rho",
+        type=float,
+        default=0.1,
+        help="gflasso graph threshold on |correlation|, strict; edges at exactly rho are excluded "
+        "(studied values: 0.1, 0.3, 0.5, 0.7)",
+    )
 
 
 def _sim_spec(ns: argparse.Namespace) -> SimulationSpec:
@@ -131,20 +154,6 @@ def _sim_spec(ns: argparse.Namespace) -> SimulationSpec:
 def _b_hat_text(fit: FitResult) -> str:
     B = fit.solution.B_hat
     return matrix_csv_text(B, default_headers("y", B.shape[1]))
-
-
-def _fit_args(ns: argparse.Namespace) -> dict:
-    """The manifest args that fit and cv share."""
-    return {
-        "method": ns.method,
-        "x": os.path.abspath(ns.x),
-        "y": os.path.abspath(ns.y),
-        "rho": ns.rho,
-        "mu": ns.mu,
-        "accuracy": ns.accuracy,
-        "tol": ns.tol,
-        "max_iters": ns.max_iters,
-    }
 
 
 def cmd_simulate(ns: argparse.Namespace) -> int:
@@ -169,14 +178,13 @@ def _load_xy(ns: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_fit(ns: argparse.Namespace) -> int:
+    if ns.input_graph is not None and ns.method != "fused":
+        raise ValueError(f"--input-graph applies to method=fused only, got method={ns.method}")
     X, Y = _load_xy(ns)
     config = _solver_config(ns)
     graph = build_correlation_graph(Y, ns.rho) if ns.method == "gflasso" else None
-    fused = ns.method == "fused"
-    if fused and Y.shape[1] != 1:
-        raise ValueError(f"method=fused needs a single-column response, got {Y.shape[1]} columns")
     data = Moments.from_data(X, Y)
-    if fused:
+    if ns.method == "fused":
         if ns.input_graph is not None:
             input_graph = load_edge_list(ns.input_graph, node_count=X.shape[1])
         else:
@@ -190,15 +198,8 @@ def cmd_fit(ns: argparse.Namespace) -> int:
         artifacts["graph.csv"] = edge_list_text(graph)
     if ns.trace:
         artifacts["trace.csv"] = trace_csv_text(fit.solution)
-    args = {
-        **_fit_args(ns),
-        "lambda": ns.lam,
-        "gamma": ns.gamma,
-        "input_graph": os.path.abspath(ns.input_graph) if ns.input_graph else None,
-        "trace": ns.trace,
-    }
     inputs = [ns.x, ns.y] + ([ns.input_graph] if ns.input_graph else [])
-    _write_outputs(ns.out_dir, "fit", args, inputs, artifacts)
+    _write_outputs(ns.out_dir, "fit", _flag_args(ns), inputs, artifacts)
     return EXIT_OK if fit.solution.converged else EXIT_NOT_CONVERGED
 
 
@@ -216,27 +217,15 @@ def cmd_cv(ns: argparse.Namespace) -> int:
         "final_fit": sel.fit.to_json_dict(),
     }
     artifacts = {"cv.json": json_text(cv_doc), "B_hat.csv": _b_hat_text(sel.fit)}
-    args = {**_fit_args(ns), "lambdas": list(ns.lambdas), "gammas": list(ns.gammas), "holdout": ns.holdout}
-    _write_outputs(ns.out_dir, "cv", args, [ns.x, ns.y], artifacts)
+    _write_outputs(ns.out_dir, "cv", _flag_args(ns), [ns.x, ns.y], artifacts)
     return EXIT_OK if sel.fit.solution.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_bench(ns: argparse.Namespace) -> int:
-    methods = tuple(m.strip() for m in ns.methods.split(",") if m.strip())
-    # the problem settings the sweep holds fixed, by their run_benchmark and manifest name
+    # the problem settings the sweep holds fixed, by their run_benchmark name
     fixed = {name: getattr(ns, name) for name in ("n_samples", "n_inputs", "n_outputs", "rho", "gamma", "seed")}
-    rows = run_benchmark(ns.axis, list(ns.values), lam=ns.lam, methods=methods, config=_solver_config(ns), **fixed)
-    args = {
-        "axis": ns.axis,
-        "values": list(ns.values),
-        **fixed,
-        "lambda": ns.lam,
-        "methods": list(methods),
-        "mu": ns.mu,
-        "tol": ns.tol,
-        "max_iters": ns.max_iters,
-    }
-    _write_outputs(ns.out_dir, "bench", args, [], {"bench.csv": benchmark_csv_text(rows)})
+    rows = run_benchmark(ns.axis, list(ns.values), lam=ns.lam, methods=ns.methods, config=_solver_config(ns), **fixed)
+    _write_outputs(ns.out_dir, "bench", _flag_args(ns), [], {"bench.csv": benchmark_csv_text(rows)})
     return EXIT_OK
 
 
@@ -244,7 +233,7 @@ def cmd_report(ns: argparse.Namespace) -> int:
     config = ExperimentConfig(
         sim=_sim_spec(ns),
         rho=ns.rho,
-        methods=tuple(m.strip() for m in ns.methods.split(",") if m.strip()),
+        methods=ns.methods,
         n_replicates=ns.replicates,
         test_n=ns.test_n,
         holdout=ns.holdout,
@@ -268,38 +257,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit one model to X.csv/Y.csv and write B_hat.csv + fit.json")
-    p_fit.add_argument("--method", choices=(*METHODS, "fused"), required=True)
-    p_fit.add_argument("--x", required=True, help="input matrix CSV")
-    p_fit.add_argument("--y", required=True, help="output matrix CSV (single column for method=fused)")
-    p_fit.add_argument("--out-dir", required=True)
-    p_fit.add_argument(
-        "--rho",
-        type=float,
-        default=0.1,
-        help="graph threshold on |correlation|, strict; edges at exactly rho are excluded "
-        "(studied values: 0.1, 0.3, 0.5, 0.7)",
-    )
+    _add_data_flags(p_fit, (*METHODS, "fused"))
     p_fit.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p_fit.add_argument("--gamma", type=float, default=0.1)
     p_fit.add_argument(
         "--input-graph",
         default=None,
-        help="edge-list CSV (m,l,r) over the covariates for method=fused; default is a chain",
+        help="edge-list CSV (m,l,r) over the covariates for method=fused, whose --y has a single column; "
+        "default is a chain",
     )
     p_fit.add_argument("--trace", action="store_true", help="also write per-iteration trace.csv")
-    _add_solver_flags(p_fit, max_iters=50000, accuracy=True)
+    _add_solver_flags(p_fit, max_iters=SolverConfig.max_iters, accuracy=True)
     p_fit.set_defaults(func=cmd_fit)
 
     p_cv = sub.add_parser("cv", help="select lambda/gamma on a tail holdout and refit on all samples")
-    p_cv.add_argument("--method", choices=METHODS, required=True)
-    p_cv.add_argument("--x", required=True)
-    p_cv.add_argument("--y", required=True)
-    p_cv.add_argument("--out-dir", required=True)
-    p_cv.add_argument("--rho", type=float, default=0.1)
+    _add_data_flags(p_cv, METHODS)
     p_cv.add_argument("--lambdas", type=_float_list, default=DEFAULT_GRID)
     p_cv.add_argument("--gammas", type=_float_list, default=DEFAULT_GRID)
     p_cv.add_argument("--holdout", type=int, default=30, help="validation rows taken from the end")
-    _add_solver_flags(p_cv, max_iters=50000, accuracy=True)
+    _add_solver_flags(p_cv, max_iters=SolverConfig.max_iters, accuracy=True)
     p_cv.set_defaults(func=cmd_cv)
 
     p_bench = sub.add_parser("bench", help="wall-time scaling sweep along one axis; writes bench.csv")
@@ -312,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--rho", type=float, default=0.5)
     p_bench.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p_bench.add_argument("--gamma", type=float, default=0.1)
-    p_bench.add_argument("--methods", default="proxgrad", help="comma-separated: proxgrad,subgrad")
+    p_bench.add_argument("--methods", type=_str_list, default="proxgrad", help="comma-separated: proxgrad,subgrad")
     p_bench.add_argument("--seed", type=int, default=0)
     _add_solver_flags(p_bench, max_iters=2000, accuracy=False)
     p_bench.set_defaults(func=cmd_bench)
@@ -321,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out-dir", required=True)
     _add_sim_flags(p_rep)
     p_rep.add_argument("--rho", type=float, default=0.1)
-    p_rep.add_argument("--methods", default=",".join(METHODS))
+    p_rep.add_argument("--methods", type=_str_list, default=",".join(METHODS))
     p_rep.add_argument("--replicates", type=int, default=10)
     p_rep.add_argument("--test-n", type=int, default=50)
     p_rep.add_argument("--holdout", type=int, default=30)
@@ -330,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Ignored: replicates run serially. Kept parseable only because the
     # perfbench report_paper workload still passes --threads 1.
     p_rep.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    _add_solver_flags(p_rep, max_iters=50000, accuracy=False)
+    _add_solver_flags(p_rep, max_iters=SolverConfig.max_iters, accuracy=False)
     p_rep.set_defaults(func=cmd_report)
 
     return parser

@@ -205,22 +205,9 @@ class ExperimentConfig:
         _check_grid_values((*self.lambda_grid, *self.gamma_grid))
 
     def to_json_dict(self) -> dict:
-        return {
-            "sim": self.sim.to_json_dict(),
-            "rho": self.rho,
-            "methods": list(self.methods),
-            "n_replicates": self.n_replicates,
-            "test_n": self.test_n,
-            "holdout": self.holdout,
-            "lambda_grid": list(self.lambda_grid),
-            "gamma_grid": list(self.gamma_grid),
-            "solver": {
-                "mu": self.solver.mu,
-                "accuracy": self.solver.accuracy,
-                "rel_obj_tol": self.solver.rel_obj_tol,
-                "max_iters": self.solver.max_iters,
-            },
-        }
+        d = dataclasses.asdict(self)
+        del d["solver"]["record_trace"]
+        return d
 
 
 @dataclass(frozen=True)

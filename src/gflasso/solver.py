@@ -215,7 +215,8 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
             D, norm2, prox = penalty.gap_constant(), float(np.float64(penalty.norm_bound()) ** 2), None
         if not m.lam_max + norm2 / mu < np.inf:
             raise ValueError(f"the step bound L = lam_max + ||C||^2 / mu overflows at lambda={penalty.lam}, "
-                             f"gamma={penalty.gamma}, mu={mu}")
+                             f"gamma={penalty.gamma}, mu={mu}"
+                             + ("" if config.accuracy is None else f", accuracy={config.accuracy}"))
         stages, c = [k * mu for k in MU_STAGES], float(penalty.lam)
     else:
         mu, D, norm2, prox, stages = 0.0, 0.0, 0.0, penalty.prox, [0.0]

@@ -28,6 +28,19 @@ def run_simulate(out_dir, seed=7, extra=()):
     return main(["simulate", "--out-dir", str(out_dir), "--seed", str(seed), *extra])
 
 
+def replay_argv(manifest, out_dir):
+    """The command line of a manifest's args: each as ``--name value``, a list comma-joined, True as a bare
+    flag; None and False, the values of an option left unset, are left out."""
+    argv = [manifest["command"], "--out-dir", str(out_dir)]
+    for key, value in manifest["args"].items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv += [flag, ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    return argv
+
+
 class TestSimulateCommand:
     def test_default_shapes(self, tmp_path):
         assert run_simulate(tmp_path) == 0
@@ -157,7 +170,9 @@ class TestFitCommand:
         assert "lambda = 0" in capsys.readouterr().err
         assert os.listdir(out) == []
 
-    @pytest.mark.parametrize("flag,value", [("--lambda", "1e+200"), ("--gamma", "1e+200"), ("--mu", "1e-320")])
+    @pytest.mark.parametrize(
+        "flag,value", [("--lambda", "1e+200"), ("--gamma", "1e+200"), ("--mu", "1e-320"), ("--accuracy", "1e-320")]
+    )
     def test_overflowing_step_bound_exits_2_without_outputs(self, data_dir, tmp_path, capsys, flag, value):
         # L = lam_max + ||C||^2 / mu is past the float range: a zero step, so the fit is refused before it iterates
         out = tmp_path / "fit"
@@ -180,6 +195,18 @@ class TestFitCommand:
                      "--out-dir", str(out)])
         assert code == 2
         assert "every column of X" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("method", ["gflasso", "lasso", "l1l2"])
+    def test_input_graph_without_fused_exits_2_without_outputs(self, data_dir, tmp_path, capsys, method):
+        # only the fused model reads a covariate graph; any other method would ignore the file
+        (tmp_path / "edges.csv").write_text("m,l,r\n1,2,0.5\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["fit", "--method", method, "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
+                     "--out-dir", str(out), "--input-graph", str(tmp_path / "edges.csv")])
+        assert code == 2
+        assert "--input-graph" in capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_fused_requires_single_column(self, data_dir, tmp_path):
@@ -214,13 +241,9 @@ class TestFitCommand:
         # replaying the manifest's arguments reproduces identical artifacts
         out2 = tmp_path / "m2"
         out2.mkdir()
-        a = manifest["args"]
-        replay = ["fit", "--method", a["method"], "--lambda", str(a["lambda"]), "--gamma", str(a["gamma"]),
-                  "--rho", str(a["rho"]), "--x", a["x"], "--y", a["y"], "--out-dir", str(out2),
-                  "--mu", str(a["mu"]), "--tol", str(a["tol"]), "--max-iters", str(a["max_iters"])]
-        assert main(replay) == 0
-        assert read_bytes(out / "B_hat.csv") == read_bytes(out2 / "B_hat.csv")
-        assert read_bytes(out / "fit.json") == read_bytes(out2 / "fit.json")
+        assert main(replay_argv(manifest, out2)) == 0
+        for name in [*manifest["outputs"], "manifest.json"]:
+            assert read_bytes(out / name) == read_bytes(out2 / name), name
 
 
 class TestCvCommand:
@@ -503,6 +526,21 @@ class TestManifestOutputs:
         (path / "edges.csv").write_text("m,l,r\n1,2,0.5\n3,7,-0.25\n")
         return path
 
+    @staticmethod
+    def argv(data_dir, case):
+        X, Y, y1 = (str(data_dir / name) for name in ("X.csv", "Y.csv", "y1.csv"))
+        return {
+            "simulate": ["simulate", *SMALL_SIM],
+            "fit_gflasso": ["fit", "--method", "gflasso", "--x", X, "--y", Y, "--trace", *FAST],
+            "fit_fused_input_graph": ["fit", "--method", "fused", "--x", X, "--y", y1, "--trace",
+                                      "--input-graph", str(data_dir / "edges.csv"), *FAST],
+            "cv": ["cv", "--method", "gflasso", "--x", X, "--y", Y, "--lambdas", "0.1,1", "--gammas", "0.5",
+                   "--holdout", "10", *FAST],
+            "bench": ["bench", "--axis", "rho", "--values", "0.5", "--n-samples", "30", "--n-inputs", "15",
+                      "--n-outputs", "6", "--max-iters", "5"],
+            "report": ["report", *TINY_REPORT],
+        }[case]
+
     @pytest.mark.parametrize(
         "case,outputs",
         [
@@ -515,22 +553,24 @@ class TestManifestOutputs:
         ],
     )
     def test_directory_matches_manifest(self, data_dir, tmp_path, case, outputs):
-        X, Y, y1 = (str(data_dir / name) for name in ("X.csv", "Y.csv", "y1.csv"))
-        argv = {
-            "simulate": ["simulate", *SMALL_SIM],
-            "fit_gflasso": ["fit", "--method", "gflasso", "--x", X, "--y", Y, "--trace", *FAST],
-            "fit_fused_input_graph": ["fit", "--method", "fused", "--x", X, "--y", y1, "--trace",
-                                      "--input-graph", str(data_dir / "edges.csv"), *FAST],
-            "cv": ["cv", "--method", "gflasso", "--x", X, "--y", Y, "--lambdas", "0.1,1", "--gammas", "0.5",
-                   "--holdout", "10", *FAST],
-            "bench": ["bench", "--axis", "rho", "--values", "0.5", "--n-samples", "30", "--n-inputs", "15",
-                      "--n-outputs", "6", "--max-iters", "5"],
-            "report": ["report", *TINY_REPORT],
-        }[case]
-        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        assert main([*self.argv(data_dir, case), "--out-dir", str(tmp_path)]) == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["outputs"] == outputs
         assert set(os.listdir(tmp_path)) == set(manifest["outputs"]) | {"manifest.json"}
+
+    @pytest.mark.parametrize("case", ["fit_gflasso", "fit_fused_input_graph", "cv", "bench"])
+    def test_replay_from_manifest_args_is_byte_identical(self, data_dir, tmp_path, case):
+        first, again = tmp_path / "first", tmp_path / "again"
+        first.mkdir()
+        again.mkdir()
+        assert main([*self.argv(data_dir, case), "--out-dir", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert main(replay_argv(manifest, again)) == 0
+        for name in [*manifest["outputs"], "manifest.json"]:
+            a, b = read_bytes(first / name), read_bytes(again / name)
+            if name == "bench.csv":  # total_s and periter_s, the last two columns, are wall times
+                a, b = ([line.rsplit(b",", 2)[0] for line in text.splitlines()] for text in (a, b))
+            assert a == b, name
 
 
 SCHEMA_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs", "schemas")
@@ -640,7 +680,7 @@ FLAG_INVENTORY = {
         ("--rho", 0.5, "float", None, False),
         ("--lambda", 0.1, "float", None, False),
         ("--gamma", 0.1, "float", None, False),
-        ("--methods", "proxgrad", None, None, False),
+        ("--methods", "proxgrad", "_str_list", None, False),
         ("--seed", 0, "int", None, False),
         ("--mu", 0.0001, "float", None, False),
         ("--tol", 1e-06, "float", None, False),
@@ -650,7 +690,7 @@ FLAG_INVENTORY = {
         ("--out-dir", None, None, None, True),
         *SIM_FLAGS,
         ("--rho", 0.1, "float", None, False),
-        ("--methods", "gflasso,lasso,l1l2", None, None, False),
+        ("--methods", "gflasso,lasso,l1l2", "_str_list", None, False),
         ("--replicates", 10, "int", None, False),
         ("--test-n", 50, "int", None, False),
         ("--holdout", 30, "int", None, False),
