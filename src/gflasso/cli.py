@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -31,6 +32,7 @@ from .evaluate import (
     DEFAULT_GRID,
     METHODS,
     ExperimentConfig,
+    HoldoutSplit,
     benchmark_csv_text,
     fit_method,
     method_grid,
@@ -208,7 +210,7 @@ def cmd_cv(ns: argparse.Namespace) -> int:
     config = _solver_config(ns)
     graph = build_correlation_graph(Y, ns.rho) if ns.method == "gflasso" else None
     grid = method_grid(ns.method, ns.lambdas, ns.gammas)
-    sel = select_regularization(X, Y, graph, ns.method, grid, ns.holdout, config)
+    sel = select_regularization(HoldoutSplit.from_data(X, Y, ns.holdout), graph, ns.method, grid, config)
     cv_doc = {
         "method": ns.method,
         "selected": {"lambda": sel.lam, "gamma": sel.gamma},
@@ -312,10 +314,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser as it was, and every default is immutable
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

@@ -4,9 +4,10 @@ The experiment harness regenerates the simulation study at desk scale: for
 each replicate it draws a fresh dataset, builds the output-correlation graph,
 selects regularization on a train/validation split per method, refits on the
 full training data, and scores support recovery (AUC) against the true
-coefficients plus prediction error on an independent test set. Selection
-builds one :class:`solver.Moments` per split (training rows, all rows) for all
-of its fits; each method selects anew, so a 3-method replicate builds six.
+coefficients plus prediction error on an independent test set. A
+:class:`HoldoutSplit` holds one :class:`solver.Moments` per split (training
+rows, all rows); a replicate builds it once and shares it between every
+method's selection fits and refit, so it builds two Moments for any number of methods.
 """
 
 from __future__ import annotations
@@ -134,37 +135,48 @@ class SelectionResult:
     fit: FitResult
 
 
+@dataclass(frozen=True)
+class HoldoutSplit:
+    """A deterministic tail holdout: the moments of the training rows and of all rows, and the validation rows."""
+
+    train: Moments
+    full: Moments
+    X_val: np.ndarray
+    Y_val: np.ndarray
+
+    @classmethod
+    def from_data(cls, X: np.ndarray, Y: np.ndarray, holdout: int) -> "HoldoutSplit":
+        """The last ``holdout`` rows validate; the two moments are built here, once for every selection on the split."""
+        n = len(X)
+        if not 0 < holdout < n:
+            raise ValueError(f"holdout must be in (0, {n}), got {holdout}")
+        train = Moments.from_data(X[: n - holdout], Y[: n - holdout])
+        return cls(train, Moments.from_data(X, Y), X[n - holdout :], Y[n - holdout :])
+
+
 def select_regularization(
-    X: np.ndarray,
-    Y: np.ndarray,
+    split: HoldoutSplit,
     graph: TaskGraph | None,
     method: str,
     grid: list[tuple[float, float]],
-    holdout: int,
     config: SolverConfig,
 ) -> SelectionResult:
-    """Pick (lam, gamma) by validation MSE on a deterministic tail holdout.
+    """Pick (lam, gamma) by validation MSE on the split's holdout rows.
 
-    The last ``holdout`` rows form the validation set. Ties in validation
+    Every grid point is fitted on the training rows. Ties in validation
     MSE break toward larger lam, then larger gamma. The returned fit is
-    re-estimated on all samples at the selected values. The moments are built
-    twice, once for the training rows and once for all rows.
+    re-estimated on all samples at the selected values.
     """
-    n = len(X)
-    if not 0 < holdout < n:
-        raise ValueError(f"holdout must be in (0, {n}), got {holdout}")
     if not grid:
         raise ValueError("grid is empty")
     _check_grid_values([v for point in grid for v in point])
-    train = Moments.from_data(X[: n - holdout], Y[: n - holdout])
-    X_val, Y_val = X[n - holdout :], Y[n - holdout :]
 
     table: list[dict] = []
     for lam, gamma in grid:
         row: dict = {"lambda": float(lam), "gamma": float(gamma)}
         try:
-            fit = fit_method(method, train, graph, lam, gamma, config)
-            row["val_mse"] = prediction_error(fit, X_val, Y_val)
+            fit = fit_method(method, split.train, graph, lam, gamma, config)
+            row["val_mse"] = prediction_error(fit, split.X_val, split.Y_val)
             row.update(_certificate(fit))
         except (ValueError, ArithmeticError) as exc:
             row["error"] = str(exc)
@@ -174,7 +186,7 @@ def select_regularization(
     if not ok:
         raise ValueError("every grid point failed during selection")
     best = min(ok, key=lambda row: (row["val_mse"], -row["lambda"], -row["gamma"]))
-    final = fit_method(method, Moments.from_data(X, Y), graph, best["lambda"], best["gamma"], config)
+    final = fit_method(method, split.full, graph, best["lambda"], best["gamma"], config)
     return SelectionResult(lam=best["lambda"], gamma=best["gamma"], table=tuple(table), fit=final)
 
 
@@ -257,11 +269,15 @@ def _run_one_replicate(config: ExperimentConfig, r: int) -> tuple[dict, list[dic
     X_test, Y_test = simulate_test_set(spec_r, ds.B_true, config.test_n)
     graph = build_correlation_graph(ds.Y, config.rho)
     rep: dict = {"replicate": r, "seed": seed_r, "n_edges": graph.n_edges, "methods": {}}
+    try:
+        split = HoldoutSplit.from_data(ds.X, ds.Y, config.holdout)
+    except (ValueError, ArithmeticError) as exc:
+        return rep, [{"replicate": r, "method": method, "error": str(exc)} for method in config.methods]
     failures: list[dict] = []
     for method in config.methods:
         grid = method_grid(method, config.lambda_grid, config.gamma_grid)
         try:
-            sel = select_regularization(ds.X, ds.Y, graph, method, grid, config.holdout, config.solver)
+            sel = select_regularization(split, graph, method, grid, config.solver)
             rep["methods"][method] = {
                 "lambda": sel.lam,
                 "gamma": sel.gamma,

@@ -37,10 +37,8 @@ def matrix_csv_text(M: np.ndarray, header: list[str]) -> str:
         raise ValueError(f"matrix must be 2-d, got shape {M.shape}")
     if len(header) != M.shape[1]:
         raise ValueError(f"header has {len(header)} names for {M.shape[1]} columns")
-    lines = [",".join(header)]
-    for row in M:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    return "\n".join(lines) + "\n"
+    row_format = ",".join(["%.17g"] * M.shape[1])
+    return "\n".join([",".join(header), *(row_format % tuple(row) for row in M.tolist())]) + "\n"
 
 
 def write_matrix_csv(path, M: np.ndarray, header: list[str]) -> None:

@@ -7,7 +7,8 @@ dual gives a max over auxiliary matrices A with ||A||_inf <= 1; subtracting
 (mu/2) * ||A||_F^2 from the max yields a smooth lower bound whose gap is at
 most mu * D with D = J * (K + |E|) / 2. The maximizing A has the closed form
 clamp(B C / mu), which makes both the smoothed value and its gradient
-adjoint(A*) cheap; the same A is the dual point of the solver's duality-gap
+adjoint(A*) cheap; ``gradient_map(mu)`` builds that gradient once per mu for
+the solver's loop. The same A is the dual point of the solver's duality-gap
 certificate (``dual_terms``). D and the norm bound of B -> B C are defined
 here alone (``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu
 and L from them.
@@ -25,6 +26,7 @@ B C and one ``np.bincount`` scatter for A C^T, at O(J*K + J*|E|) per application
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -147,6 +149,26 @@ class FusionOperator:
         G = self.apply(B)
         np.divide(G, mu, out=G)
         return np.clip(G, -1.0, 1.0, out=G)
+
+    def gradient_map(self, mu: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The gradient of f_mu for one fixed mu: the map B -> adjoint(aux_optimum(B, mu)) = clamp(B C / mu) C^T.
+
+        With the dense C the map is two BLAS products around one in-place clamp,
+        with C / mu built here once, and it does not check B's shape: the caller
+        owns it. Otherwise the map runs through ``aux_optimum`` and ``adjoint``.
+        """
+        mu = _check_mu(mu)
+        if self._C is None:
+            return lambda B: self.adjoint(self.aux_optimum(B, mu))
+        # CovariateFusionOperator is dense only at J = 1, where its transposes are identities on the 1 x 1 B
+        C_mu, C_T = self._C / mu, self._C.T
+
+        def smoothed_gradient(B: np.ndarray) -> np.ndarray:
+            G = B @ C_mu
+            G.clip(-1.0, 1.0, out=G)
+            return G @ C_T
+
+        return smoothed_gradient
 
     def penalty_exact(self, B: np.ndarray) -> float:
         """The non-smooth penalty value ||B C||_1."""

@@ -9,14 +9,17 @@ t, counted from the anchor (the start point, or the iterate of the last restart)
 
     1. g_t = grad(W^t)
     2. B^t = W^t - g_t / L
-    3. Z^t = anchor - (1/L) * sum_{i<=t} ((i+1)/2) * g_i    (kept as one running sum)
-    4. W^{t+1} = ((t+1) B^t + 2 Z^t) / (t+3)
+    3. V^t = V^{t-1} - ((t+1)/2) * g_t / L, with V^{-1} = anchor; Z^t = V^t
+       (so V^t = anchor - (1/L) * sum_{i<=t} ((i+1)/2) * g_i, one running point updated in place)
+    4. W^{t+1} = ((t+1)/(t+3)) B^t + (2/(t+3)) Z^t
 
 The fusion penalty ||B C||_1 enters the gradient through its smooth
 surrogate f_mu, with mu and L derived in :func:`solve` from the operator's
-gap constant and norm bound. The row-grouped l1/l2 norm enters steps 2 and 3
-through its exact proximal map instead: the composite form of the scheme
-(Nesterov 2013, "Gradient methods for minimizing composite functions").
+gap constant and norm bound; the operator's ``gradient_map`` builds that
+gradient once per mu stage, so step 1 makes one call into the penalty.
+The row-grouped l1/l2 norm enters steps 2 and 3 through its exact proximal
+map instead (B^t = prox(W^t - g_t / L), Z^t = prox(V^t)): the composite form
+of the scheme (Nesterov 2013, "Gradient methods for minimizing composite functions").
 
 Every fit stops on a duality-gap certificate. With P(B) = max <A, G(B)> over
 a dual ball (G(B) = B C, ||A||_inf <= 1; or G = identity, rows of A in the
@@ -152,29 +155,35 @@ def three_sequence_minimize(
 ) -> tuple[np.ndarray, int, tuple]:
     """Run the three-sequence loop from W^0 = ``B0`` for at most ``max_iters`` iterations.
 
-    ``check(B)`` runs every CHECK_EVERY iterations and at the cap and returns
-    (record, whether B ends the run); ``record[0]`` is the value of the
-    objective the loop minimizes. At a check whose value is not below the best
-    checked one, the loop restarts from the current iterate: W = anchor = B,
-    S = 0, k = 0. With ``prox(V, s)``, the proximal map of s times a non-smooth
-    penalty, B and Z become prox(W - g/L, 1/L) and prox(anchor - S/L, A_k/L),
-    with A_k = (k+1)(k+2)/4. ``trace(B, g)`` runs every iteration and decides nothing.
+    The loop keeps one running point V = anchor - S/L, with S the weighted
+    gradient sum of the module docstring's step 3, and lowers it in place by
+    ((k+1)/2) g/L; Z is V and W = ((k+1) B + 2 Z) / (k+3), seven array
+    operations per iteration besides ``grad``. ``check(B)`` runs every
+    CHECK_EVERY iterations and at the cap and returns (record, whether B ends
+    the run); ``record[0]`` is the value of the objective the loop minimizes.
+    At a check whose value is not below the best checked one, the loop
+    restarts from the current iterate: W = B, V = a copy of B, k = 0. With
+    ``prox(V, s)``, the proximal map of s times a non-smooth penalty, B and Z
+    become prox(W - g/L, 1/L) and prox(V, A_k/L), with A_k = (k+1)(k+2)/4.
+    ``trace(B, g)`` gets the unscaled gradient g every iteration and decides nothing.
 
     Returns (B, iterations, record of B): the iterate ``check`` accepted, else the best checked one.
     """
     if lipschitz <= 0:
         raise ValueError(f"Lipschitz bound must be positive, got {lipschitz}")
-    anchor = W = best_B = B0
-    best, weighted_grad_sum, k = (np.inf,), np.zeros_like(B0), 0
+    W = best_B = B0
+    V, best, k = B0.copy(), (np.inf,), 0
     for t in range(1, max_iters + 1):
         g = grad(W)
-        B = W - g / lipschitz
-        weighted_grad_sum += (0.5 * (k + 1)) * g
-        Z = anchor - weighted_grad_sum / lipschitz
+        step = g / lipschitz
+        B = W - step
+        V -= (0.5 * (k + 1)) * step
+        Z = V
         if prox is not None:
             B = prox(B, 1.0 / lipschitz)
-            Z = prox(Z, (k + 1.0) * (k + 2.0) / (4.0 * lipschitz))
-        W = ((k + 1.0) * B + 2.0 * Z) / (k + 3.0)
+            Z = prox(V, (k + 1.0) * (k + 2.0) / (4.0 * lipschitz))
+        W = ((k + 1.0) / (k + 3.0)) * B
+        W += (2.0 / (k + 3.0)) * Z
         k += 1
         if trace is not None:
             trace(B, g)
@@ -186,8 +195,7 @@ def three_sequence_minimize(
         if record[0] < best[0]:
             best_B, best = B, record
         else:
-            anchor = W = B
-            weighted_grad_sum, k = np.zeros_like(B0), 0
+            W, V, k = B, B.copy(), 0
     return best_B, max_iters, best
 
 
@@ -225,15 +233,15 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
     if N.shape[1] and not c > 0:
         raise DegenerateInputError("lambda = 0 on a singular X^T X (J >= N or collinear columns) cannot be certified")
 
-    # grad and check read mu_s, the mu of the stage the loop below runs
+    # check reads mu_s, the mu of the stage the loop below runs, and grad that stage's penalty_grad
     def lipschitz(mu_s: float) -> float:
         return m.lam_max + norm2 / mu_s if mu_s > 0 else m.lam_max
 
     def grad(W: np.ndarray) -> np.ndarray:
         g = XtX @ W
         g -= XtY
-        if mu_s > 0:
-            g += penalty.adjoint(penalty.aux_optimum(W, mu_s))
+        if penalty_grad is not None:
+            g += penalty_grad(W)
         return g
 
     def stops(f: float, mu_s: float) -> bool:
@@ -267,6 +275,7 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
     t_loop = time.perf_counter()
     B, iters = np.zeros(XtY.shape), 0
     for mu_s in stages:
+        penalty_grad = penalty.gradient_map(mu_s) if mu_s > 0 else None
         B, n, (_, f) = three_sequence_minimize(
             grad, check, B, lipschitz(mu_s), max_iters - iters, prox, trace_row if config.record_trace else None
         )

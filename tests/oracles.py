@@ -118,6 +118,14 @@ def roc_csv_text(curves) -> str:
     return "\n".join(lines) + "\n"
 
 
+def matrix_csv_text_per_cell(M, header) -> str:
+    """Matrix CSV as ``fileio.matrix_csv_text`` writes it, one ``format(v, ".17g")`` per cell."""
+    lines = [",".join(header)]
+    for row in np.asarray(M, dtype=float):
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def spec_from_json_dict(d: dict):
     """Rebuild a ``SimulationSpec`` from its ``to_json_dict`` form (spec.json)."""
     from gflasso.simulate import SimulationSpec

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gflasso
+from gflasso import cli
 from gflasso.cli import build_parser, main
 from gflasso.fileio import default_headers, json_text, read_matrix_csv, sha256_file, write_matrix_csv
 from gflasso.graph import build_correlation_graph
@@ -262,6 +263,17 @@ class TestCvCommand:
         doc = json.loads((out / "cv.json").read_text())
         assert doc["selected"]["lambda"] == 0.4
         assert len(doc["table"]) == 1
+
+    def test_builds_the_moments_once_per_split(self, data_dir, tmp_path, monkeypatch):
+        builds = []
+        build = Moments.from_data
+        monkeypatch.setattr(Moments, "from_data", lambda X, Y: builds.append(X.shape[0]) or build(X, Y))
+        out = tmp_path / "cv"
+        out.mkdir()
+        code = main(["cv", "--method", "gflasso", "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
+                     "--out-dir", str(out), "--lambdas", "0.1,1", "--gammas", "0.1,1", "--holdout", "20", *FAST])
+        assert code == 0
+        assert builds == [40, 60]
 
     def test_holdout_too_large(self, data_dir, tmp_path):
         out = tmp_path / "cv"
@@ -724,6 +736,21 @@ class TestFlagInventory:
         threads = [a for a in self.subcommands()["report"]._actions if "--threads" in a.option_strings]
         assert threads[0].help == argparse.SUPPRESS
 
+    def test_every_default_is_immutable(self):
+        # main parses every command with one parser, so a default one command mutated would leak into the next
+        def immutable(value):
+            if isinstance(value, tuple):
+                return all(map(immutable, value))
+            return value is None or isinstance(value, (bool, int, float, str))
+
+        mutable = [
+            (name, a.dest, a.default)
+            for name, sub in self.subcommands().items()
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction) and not immutable(a.default)
+        ]
+        assert mutable == []
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
@@ -742,3 +769,14 @@ class TestEntryPoint:
 
     def test_usage_error_exit_code(self):
         assert main(["fit", "--method", "bogus", "--x", "a", "--y", "b", "--out-dir", "c"]) == 2
+
+    def test_main_builds_the_parser_once(self, monkeypatch, tmp_path):
+        builds = []
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            assert run_simulate(tmp_path, seed=1) == 0
+            assert main(["fit", "--method", "bogus", "--x", "a", "--y", "b", "--out-dir", "c"]) == 2
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]

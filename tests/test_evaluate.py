@@ -8,6 +8,7 @@ from gflasso.errors import DegenerateInputError
 from gflasso.evaluate import (
     BENCH_CSV_HEADER,
     ExperimentConfig,
+    HoldoutSplit,
     benchmark_csv_text,
     prediction_error,
     roc_curve,
@@ -135,7 +136,7 @@ class TestSelectRegularization:
 
     def test_single_point_grid(self):
         X, Y = self._data()
-        sel = select_regularization(X, Y, None, "lasso", [(0.3, 0.0)], holdout=30, config=FAST_SOLVER)
+        sel = select_regularization(HoldoutSplit.from_data(X, Y, 30), None, "lasso", [(0.3, 0.0)], FAST_SOLVER)
         assert (sel.lam, sel.gamma) == (0.3, 0.0)
 
     def test_pure_noise_prefers_largest_lambda(self):
@@ -143,27 +144,28 @@ class TestSelectRegularization:
         grid = [(l, 0.0) for l in (0.01, 0.1, 1.0, 10.0)]
         for seed in range(5):
             X, Y = self._data(seed, pure_noise=True)
-            sel = select_regularization(X, Y, None, "lasso", grid, holdout=30, config=FAST_SOLVER)
+            sel = select_regularization(HoldoutSplit.from_data(X, Y, 30), None, "lasso", grid, FAST_SOLVER)
             hits += sel.lam == 10.0
         assert hits >= 3
 
     def test_dominated_points_do_not_change_selection(self):
         X, Y = self._data(3)
         grid = [(0.05, 0.0), (0.5, 0.0)]
-        base = select_regularization(X, Y, None, "lasso", grid, holdout=30, config=FAST_SOLVER)
+        base = select_regularization(HoldoutSplit.from_data(X, Y, 30), None, "lasso", grid, FAST_SOLVER)
         mses = {row["lambda"]: row["val_mse"] for row in base.table}
         # add a point with clearly worse validation error than the winner
         worse = 1e6
         assert all(m < worse for m in mses.values())
         bigger = select_regularization(
-            X, Y, None, "lasso", grid + [(1e6, 0.0)], holdout=30, config=FAST_SOLVER
+            HoldoutSplit.from_data(X, Y, 30), None, "lasso", grid + [(1e6, 0.0)], FAST_SOLVER
         )
         assert (bigger.lam, bigger.gamma) == (base.lam, base.gamma) or mses[bigger.lam] <= min(mses.values())
 
     def test_tie_breaks_toward_larger_penalty(self):
         X, Y = self._data(4)
         # duplicate grid point forces an exact tie; larger lambda wins
-        sel = select_regularization(X, Y, None, "lasso", [(0.2, 0.0), (0.2, 0.0)], holdout=30, config=FAST_SOLVER)
+        grid = [(0.2, 0.0), (0.2, 0.0)]
+        sel = select_regularization(HoldoutSplit.from_data(X, Y, 30), None, "lasso", grid, FAST_SOLVER)
         assert sel.lam == 0.2
 
     def test_builds_the_moments_once_per_split(self, monkeypatch):
@@ -174,14 +176,14 @@ class TestSelectRegularization:
         monkeypatch.setattr(Moments, "from_data", lambda X, Y: builds.append(X.shape[0]) or build(X, Y))
         grid = [(lam, gamma) for lam in (0.1, 1.0) for gamma in (0.1, 1.0, 10.0)]
         graph = build_correlation_graph(Y, 0.3)
-        sel = select_regularization(X, Y, graph, "gflasso", grid, holdout=30, config=FAST_SOLVER)
+        sel = select_regularization(HoldoutSplit.from_data(X, Y, 30), graph, "gflasso", grid, FAST_SOLVER)
         assert len(sel.table) == 6
         assert builds == [70, 100]
 
     def test_holdout_bounds(self):
         X, Y = self._data(5)
-        with pytest.raises(ValueError):
-            select_regularization(X, Y, None, "lasso", [(0.1, 0.0)], holdout=X.shape[0], config=FAST_SOLVER)
+        with pytest.raises(ValueError, match=r"holdout must be in \(0, 100\), got 100"):
+            HoldoutSplit.from_data(X, Y, X.shape[0])
 
 
 def tiny_experiment(seed=0, rho=0.3, replicates=1, methods=("gflasso", "lasso")):
@@ -213,6 +215,15 @@ class TestRunReplicates:
             assert rep["n_edges"] == 0
             diff = abs(rep["methods"]["gflasso"]["auc"] - rep["methods"]["lasso"]["auc"])
             assert diff < 0.01
+
+    def test_one_replicate_builds_the_moments_once_per_split(self, monkeypatch):
+        # the three methods share one build for the 30 training rows and one for all 40 rows
+        builds = []
+        build = Moments.from_data
+        monkeypatch.setattr(Moments, "from_data", lambda X, Y: builds.append(X.shape[0]) or build(X, Y))
+        report = run_replicates(tiny_experiment(methods=("gflasso", "lasso", "l1l2")))
+        assert list(report.replicates[0]["methods"]) == ["gflasso", "lasso", "l1l2"]
+        assert builds == [30, 40]
 
     def test_timing_excluded_by_default(self):
         report = run_replicates(tiny_experiment(seed=2))

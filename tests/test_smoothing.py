@@ -193,6 +193,17 @@ class TestPenaltyGradient:
             fd = (op.dual_terms(B + E, None, mu)[3] - op.dual_terms(B - E, None, mu)[3]) / (2 * h)
             assert G[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
+    @pytest.mark.parametrize("n_covariates", [6, 1])
+    def test_covariate_gradient_map_matches_adjoint_of_aux_optimum(self, n_covariates):
+        # the 1 x J operator works on the edge arrays, but on the dense C when J = 1
+        rng = np.random.default_rng(18)
+        op = CovariateFusionOperator.from_graph(random_graph(rng, n_covariates), lam=0.7, gamma=1.3, n_inputs=1)
+        assert (op._C is not None) == (n_covariates == 1)
+        b = rng.standard_normal((n_covariates, 1))
+        for mu in (0.05, 5.0):
+            ref = penalty_gradient(op, b, mu)
+            assert np.linalg.norm(op.gradient_map(mu)(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_gradient_lipschitz_constant(self):
         rng = np.random.default_rng(17)
         op, _ = random_operator(rng)
@@ -309,6 +320,13 @@ class TestBothRepresentations:
         _, g, op, _ = self._setup(label, J, K, edge_prob, lam, gamma)
         H = dense_fusion_matrix(K, g.edges, 0.0, 1.0)[:, K:]
         assert np.allclose(op.degrees(), (H**2).sum(axis=1), rtol=1e-12, atol=0.0)
+
+    def test_gradient_map_matches_adjoint_of_aux_optimum(self, label, J, K, edge_prob, lam, gamma):
+        rng, _, op, _ = self._setup(label, J, K, edge_prob, lam, gamma)
+        B = rng.standard_normal((J, K))
+        for mu in (0.05, 5.0):  # most entries of B C / mu clamped, then most inside [-1, 1]
+            ref = penalty_gradient(op, B, mu)
+            assert np.linalg.norm(op.gradient_map(mu)(B) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_shape_is_checked(self, label, J, K, edge_prob, lam, gamma):
         _, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)

@@ -16,6 +16,7 @@ from gflasso.solver import (
 )
 
 from oracles import (
+    center_columns,
     dense_fusion_matrix,
     ista_lasso,
     iteration_bound,
@@ -344,6 +345,19 @@ class TestCertificate:
         assert plain.iterations == traced.iterations == len(traced.trace)
         assert np.array_equal(plain.B_hat, traced.B_hat)
         assert (plain.gap, plain.stop_reason) == (traced.gap, traced.stop_reason)
+
+    @pytest.mark.parametrize("method", ["gflasso", "l1l2"])
+    def test_first_trace_row_holds_the_unscaled_gradient(self, method):
+        # W^0 = 0, where the penalty's gradient vanishes: g_0 = -X^T Y of the centered data, not g_0 / L
+        rng = np.random.default_rng(33)
+        X, Y = rng.standard_normal((30, 6)) + 2.0, rng.standard_normal((30, 3)) - 1.0
+        if method == "gflasso":
+            penalty = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8), (2, 3, -0.5))), 0.5, 2.0, n_inputs=6)
+        else:
+            penalty = RowGroupNorm(0.8)
+        sol = solve(Moments.from_data(X, Y), SolverConfig(record_trace=True, max_iters=3), penalty)
+        Xc, Yc = center_columns(X)[0], center_columns(Y)[0]
+        assert sol.trace[0][1] == pytest.approx(float(np.linalg.norm(Xc.T @ Yc)), rel=1e-12)
 
     def test_l1l2_restart_from_the_current_iterate_certifies(self):
         # restarting from the best iterate replayed the same CHECK_EVERY steps: this fit hit 100,000 iterations
