@@ -114,16 +114,15 @@ def _solver_config(ns: argparse.Namespace) -> SolverConfig:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int, accuracy: bool) -> None:
-    p.add_argument("--mu", type=float, default=SolverConfig.mu, help="smoothing parameter (default %(default)s)")
+    p.add_argument("--mu", type=float, default=SolverConfig.mu,
+                   help="smoothing parameter of fits with a fusion term (default %(default)s)")
     if accuracy:
-        p.add_argument(
-            "--accuracy",
-            type=float,
-            default=None,
-            help="target accuracy eps; when set, mu = eps / (2 D) overrides --mu, so the gap floor mu * D is eps / 2",
-        )
+        p.add_argument("--accuracy", type=float, default=None,
+                       help="target accuracy eps of fits with a fusion term: mu = eps / (2 D) overrides --mu, "
+                       "so the gap floor mu * D is eps / 2")
     p.add_argument("--tol", type=float, default=SolverConfig.rel_obj_tol,
-                   help="stop at duality gap <= max(tol * |objective|, mu * D)")
+                   help="stop at duality gap <= max(tol * |objective|, mu * D), with the floor mu * D only in fits "
+                   "with a fusion term")
     p.add_argument("--max-iters", type=int, default=max_iters)
 
 

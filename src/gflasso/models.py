@@ -1,11 +1,11 @@
 """Estimator front-ends: graph-fused, lasso, row-group l1/l2, univariate fused.
 
 Each model is a thin front-end to :func:`solver.solve` that builds its own
-penalty object: the graph-fused, lasso (an edgeless graph) and univariate
-fused (a graph over the covariates of a J x 1 column) models pass a fusion
-operator for the smoothed penalty, and the l1/l2 model passes a
-:class:`RowGroupNorm`, whose exact rowwise proximal map the solver uses.
-Both give the solver's certificate its terms (``dual_terms``) and its c (``lam``).
+penalty object. Only a fusion term (gamma > 0 and an edge) is smoothed: the
+graph-fused and univariate fused (a graph over the covariates of a J x 1 column)
+models then pass a fusion operator. Every other fit passes a :class:`GroupNorm`,
+run through its exact proximal map: width 1 for lasso, width K for l1/l2.
+Both give the solver's certificate its terms (``dual_terms``) and its c (``l1_factor``).
 
 Every fit entry point takes the data as one :class:`solver.Moments`, whose
 ``from_data`` centers the raw arrays and keeps their column means; the result
@@ -38,34 +38,43 @@ class PenaltySpec:
 
 
 @dataclass(frozen=True)
-class RowGroupNorm:
-    """The row-grouped l1/l2 penalty lam * sum_j ||B_j||_2 over the rows B_j of B."""
+class GroupNorm:
+    """lam * sum_g ||B_g||_2 over the runs B_g of ``width`` entries of row-major B: rows at width K, entries at 1."""
 
     lam: float
+    width: int
 
     def __post_init__(self) -> None:
         if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam and gamma must be finite and non-negative, got lam={self.lam}")
+            raise ValueError(f"lam must be finite and non-negative, got lam={self.lam}")
+
+    @property
+    def l1_factor(self) -> float:
+        """The c of penalty(B) >= c ||B||_1: lam / sqrt(width), by Cauchy-Schwarz on each group."""
+        return self.lam / self.width**0.5
 
     def penalty_exact(self, B: np.ndarray) -> float:
-        return self.lam * float(np.linalg.norm(B, axis=1).sum())
+        return self.lam * float(np.linalg.norm(B.reshape(-1, self.width), axis=1).sum())
 
     def prox(self, V: np.ndarray, step: float) -> np.ndarray:
-        """Proximal map of step * penalty, a rowwise shrink: row <- max(0, 1 - lam * step / ||row||) * row."""
-        norms = np.linalg.norm(V, axis=1)
-        scale = np.zeros_like(norms)
-        nz = norms > 0
-        scale[nz] = np.maximum(0.0, 1.0 - self.lam * step / norms[nz])
-        return V * scale[:, None]
+        """The proximal map of step * penalty: each group g <- (1 - t / max(||g||, t)) g, with t = lam * step."""
+        t = self.lam * step
+        if t == 0:  # the identity, where the shrink factor would be 0 / 0 on a zero group
+            return V
+        if self.width == 1:  # the soft threshold
+            return V - V.clip(-t, t)
+        G = V.reshape(-1, self.width)
+        norms = np.linalg.norm(G, axis=1, keepdims=True)
+        return (G * (1.0 - t / np.maximum(norms, t))).reshape(V.shape)
 
     def dual_terms(self, B: np.ndarray, g_loss: np.ndarray, mu: float) -> tuple[float, float, np.ndarray, float]:
-        """The certificate's terms at the dual point A: the rows of -g_loss projected onto the lam-ball.
+        """The certificate's terms at A, each group of -g_loss projected onto the lam-ball; ``mu`` is unused.
 
-        Returns (penalty, penalty - <A, B>, A, penalty), the layout of
-        ``FusionOperator.dual_terms``; the penalty runs unsmoothed, so ``mu`` is unused.
+        Returns (penalty, penalty - <A, B>, A, penalty), the layout of ``FusionOperator.dual_terms``.
         """
-        norms = np.linalg.norm(g_loss, axis=1, keepdims=True)
-        A = -g_loss * np.divide(self.lam, norms, out=np.ones_like(norms), where=norms > self.lam)
+        G = g_loss.reshape(-1, self.width)
+        norms = np.linalg.norm(G, axis=1, keepdims=True)
+        A = (-G * np.divide(self.lam, norms, out=np.ones_like(norms), where=norms > self.lam)).reshape(B.shape)
         pen = self.penalty_exact(B)
         return pen, pen - float(np.vdot(A, B)), A, pen
 
@@ -128,7 +137,7 @@ def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGr
 
 def _fit(
     kind: str, data: Moments, graph: TaskGraph, n_nodes: int, spec: PenaltySpec, config: SolverConfig,
-    penalty: FusionOperator | RowGroupNorm,
+    penalty: FusionOperator | GroupNorm,
 ) -> FitResult:
     # Checks that ``graph`` has the n_nodes nodes of the model (tasks or covariates), solves and records the means.
     t0 = time.perf_counter()
@@ -146,35 +155,29 @@ def _fit(
     )
 
 
-def _fusion_operator(
-    cls: type[FusionOperator], graph: TaskGraph, lam: float, gamma: float, n_inputs: int
-) -> FusionOperator:
-    # at gamma = 0 the edge columns of C are zero: left out, they cost no work and do not widen the gap floor mu * D
-    return cls.from_graph(graph if gamma > 0 else TaskGraph(graph.node_count), lam, gamma, n_inputs)
+def _fused_penalty(cls: type[FusionOperator], graph: TaskGraph, lam: float, gamma: float, n_inputs: int):
+    # the fusion operator only for a fusion term; without one the penalty is lam * ||B||_1, whose prox is exact
+    if gamma > 0 and graph.n_edges:
+        return cls.from_graph(graph, lam, gamma, n_inputs)
+    return GroupNorm(lam, 1)
 
 
 def fit_gflasso(data: Moments, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
-    op = _fusion_operator(FusionOperator, graph, spec.lam, spec.gamma, data.XtX.shape[0])
-    return _fit("gflasso", data, graph, data.XtY.shape[1], spec, config, op)
+    penalty = _fused_penalty(FusionOperator, graph, spec.lam, spec.gamma, data.XtX.shape[0])
+    return _fit("gflasso", data, graph, data.XtY.shape[1], spec, config, penalty)
 
 
 def fit_lasso(data: Moments, spec: PenaltySpec, config: SolverConfig) -> FitResult:
-    """Entrywise-l1 multi-task fit; the edgeless special case of the fused model."""
-    empty = TaskGraph(node_count=data.XtY.shape[1])
-    op = FusionOperator.from_graph(empty, lam=spec.lam, gamma=0.0, n_inputs=data.XtX.shape[0])
-    return _fit("lasso", data, empty, data.XtY.shape[1], PenaltySpec(lam=spec.lam), config, op)
+    """Entrywise-l1 multi-task fit: the width-1 group norm, run unsmoothed through its soft threshold."""
+    k = data.XtY.shape[1]
+    return _fit("lasso", data, TaskGraph(node_count=k), k, PenaltySpec(lam=spec.lam), config, GroupNorm(spec.lam, 1))
 
 
 def fit_group_l1l2(data: Moments, lam: float, config: SolverConfig) -> FitResult:
-    """Row-grouped l1/l2 multi-task fit.
-
-    The penalty lam * sum_j ||beta_row_j||_2 has an exact proximal step (a
-    rowwise shrink), so it runs unsmoothed in the composite form of the
-    shared accelerated loop.
-    """
+    """Row-grouped l1/l2 multi-task fit: the width-K group norm, run unsmoothed through its rowwise shrink."""
     k = data.XtY.shape[1]
-    return _fit("group_l1l2", data, TaskGraph(node_count=k), k, PenaltySpec(lam=lam), config, RowGroupNorm(lam))
+    return _fit("group_l1l2", data, TaskGraph(node_count=k), k, PenaltySpec(lam=lam), config, GroupNorm(lam, k))
 
 
 def fit_fused_univariate(
@@ -188,5 +191,6 @@ def fit_fused_univariate(
     """
     if data.XtY.shape[1] != 1:
         raise ValueError(f"the univariate fused model needs a single-column response, got {data.XtY.shape[1]} columns")
-    op = _fusion_operator(CovariateFusionOperator, input_graph, lam, gamma, 1)
-    return _fit("fused_univariate", data, input_graph, data.XtX.shape[0], PenaltySpec(lam=lam, gamma=gamma), config, op)
+    penalty = _fused_penalty(CovariateFusionOperator, input_graph, lam, gamma, 1)
+    spec = PenaltySpec(lam=lam, gamma=gamma)
+    return _fit("fused_univariate", data, input_graph, data.XtX.shape[0], spec, config, penalty)

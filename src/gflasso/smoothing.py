@@ -1,26 +1,22 @@
 """Smooth approximation of the combined l1 + graph-fusion penalty.
 
 The penalty lam * ||B||_1 + gam * sum_e |r_e| * sum_j |b_jm - sign(r_e) b_jl|
-equals ||B C||_1 for the block operator C = (lam * I, gam * H), with H the
-signed incidence matrix of the task graph. Writing the l1 norm through its
-dual gives a max over auxiliary matrices A with ||A||_inf <= 1; subtracting
-(mu/2) * ||A||_F^2 from the max yields a smooth lower bound whose gap is at
-most mu * D with D = J * (K + |E|) / 2. The maximizing A has the closed form
-clamp(B C / mu), which makes both the smoothed value and its gradient
-adjoint(A*) cheap; ``gradient_map(mu)`` builds that gradient once per mu for
-the solver's loop. The same A is the dual point of the solver's duality-gap
-certificate (``dual_terms``). D and the norm bound of B -> B C are defined
-here alone (``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu
-and L from them.
+equals ||B C||_1 for C = (lam * I, gam * H), H the signed incidence matrix of
+the task graph. The models build it only for a fusion term (gam > 0 and an
+edge): lam * ||B||_1 alone has an exact prox. Through the dual of the l1 norm,
+||B C||_1 is a max over ||A||_inf <= 1; subtracting (mu/2) ||A||_F^2 gives a
+smooth lower bound within mu * D, D = J (K + |E|) / 2, maximized at
+A = clamp(B C / mu). ``gradient_map(mu)`` builds its gradient A C^T once per mu
+for the solver's loop, and the same A is the dual point of the duality-gap
+certificate (``dual_terms``). D and the norm bound of B -> B C are defined here
+alone (``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu and L from them.
 
-The operator holds C in one of two forms, chosen by its own shape alone.
-When K <= J it builds the dense K x (K + |E|) matrix C once, so apply, adjoint
-and the exact penalty are single BLAS products (B C, A C^T). The rule keeps C
-no larger than the J x (K + |E|) auxiliary matrix every iteration already
-holds. When K > J (the common case is the 1 x J operator inside
-:class:`CovariateFusionOperator`) a dense C would outweigh the products it
-replaces, so the operator works on the edge arrays instead: column gathers for
-B C and one ``np.bincount`` scatter for A C^T, at O(J*K + J*|E|) per application.
+The operator holds C in one of two forms, chosen by its own shape alone. When
+K <= J it builds the dense K x (K + |E|) C once, no larger than the J x (K + |E|)
+auxiliary matrix, so apply, adjoint and the exact penalty are BLAS products.
+When K > J (mostly the 1 x J operator of :class:`CovariateFusionOperator`) it
+works on the edge arrays: column gathers for B C and one ``np.bincount``
+scatter for A C^T, at O(J*K + J*|E|) per application.
 """
 
 from __future__ import annotations
@@ -114,6 +110,11 @@ class FusionOperator:
         """Number of columns of C, i.e. K + |E|."""
         return self.n_tasks + self.n_edges
 
+    @property
+    def l1_factor(self) -> float:
+        """The c of ||B C||_1 >= c ||B||_1: lam, from the first K columns of C."""
+        return self.lam
+
     def _check_coef(self, B: np.ndarray) -> np.ndarray:
         B = np.asarray(B, dtype=float)
         if B.shape != (self.n_inputs, self.n_tasks):
@@ -127,10 +128,8 @@ class FusionOperator:
             return B @ self._C
         out = np.empty((B.shape[0], self.width))
         out[:, : self.n_tasks] = self.lam * B
-        if self.n_edges:
-            out[:, self.n_tasks :] = (B[:, self.edge_m] - self.edge_sign * B[:, self.edge_l]) * (
-                self.gamma * self.edge_weight
-            )
+        coef = self.gamma * self.edge_weight
+        out[:, self.n_tasks :] = (B[:, self.edge_m] - self.edge_sign * B[:, self.edge_l]) * coef
         return out
 
     def adjoint(self, A: np.ndarray) -> np.ndarray:

@@ -13,27 +13,26 @@ t, counted from the anchor (the start point, or the iterate of the last restart)
        (so V^t = anchor - (1/L) * sum_{i<=t} ((i+1)/2) * g_i, one running point updated in place)
     4. W^{t+1} = ((t+1)/(t+3)) B^t + (2/(t+3)) Z^t
 
-The fusion penalty ||B C||_1 enters the gradient through its smooth
-surrogate f_mu, with mu and L derived in :func:`solve` from the operator's
-gap constant and norm bound; the operator's ``gradient_map`` builds that
-gradient once per mu stage, so step 1 makes one call into the penalty.
-The row-grouped l1/l2 norm enters steps 2 and 3 through its exact proximal
-map instead (B^t = prox(W^t - g_t / L), Z^t = prox(V^t)): the composite form
-of the scheme (Nesterov 2013, "Gradient methods for minimizing composite functions").
+A penalty with a fusion term, ||B C||_1, enters step 1 through its smooth
+surrogate f_mu (mu and L derived in :func:`solve`), whose gradient the operator's
+``gradient_map`` builds once per mu stage. A separable group norm (lasso, l1/l2)
+needs no smoothing: it enters steps 2 and 3 through its exact proximal map,
+B^t = prox(W^t - g_t / L) and Z^t = prox(V^t), the composite form of the scheme
+(Nesterov 2013, "Gradient methods for minimizing composite functions").
 
 Every fit stops on a duality-gap certificate. With P(B) = max <A, G(B)> over
-a dual ball (G(B) = B C, ||A||_inf <= 1; or G = identity, rows of A in the
+a dual ball (G(B) = B C, ||A||_inf <= 1; or G = identity, groups of A in the
 lam-ball), R = grad loss(B) + G*(A), eigh(X^T X) = (N, V) diag(0, s) (N, V)^T
 and P(B) >= c ||B||_1 (so ||B*||_1 <= F(B) / c), each such A shows min F >= F(B) - gap,
 gap = P(B) - <A, G(B)> + (1/2) ||(V s^-1/2)^T R||^2 + ||N N^T R||_inf (F(B) / c + ||B||_1);
 N is empty unless X^T X is singular (J >= N, collinear columns). A is the smoothing's maximizer
-clamp(B C / mu) (Nesterov 2005) or the rowwise projection of -grad loss(B);
+clamp(B C / mu) (Nesterov 2005) or the groupwise projection of -grad loss(B);
 each penalty's ``dual_terms`` returns P(B), the slack P(B) - <A, G(B)> and
 G*(A) at its A. F and the gap run only at checks, every CHECK_EVERY iterations
 and at the cap; ``converged`` means gap <= max(rel_obj_tol * |F(B)|, mu * D)
-there. A check that did not improve restarts the loop from the current iterate
-(O'Donoghue & Candes 2015), and a smoothed penalty runs through the mu stages
-MU_STAGES * mu, each ending at gap <= mu_s * D (Becker, Bobin & Candes 2011, "NESTA").
+there (mu = 0 unsmoothed). A check that did not improve restarts the loop from
+the current iterate (O'Donoghue & Candes 2015), and a smoothed penalty runs
+through the stages MU_STAGES * mu, each ending at gap <= mu_s * D (Becker, Bobin & Candes 2011, "NESTA").
 
 A plain subgradient method with step c / sqrt(t+1) is included as the
 baseline with the slower O(1/eps^2) rate.
@@ -58,9 +57,9 @@ MU_STAGES = (100.0, 10.0, 1.0)
 class SolverConfig:
     """Solver settings.
 
-    Exactly one smoothing mode is active: the fixed ``mu`` (default 1e-4), or
-    the accuracy-driven rule mu = accuracy / (2 D) when ``accuracy`` is set.
-    ``rel_obj_tol`` is the relative duality gap to stop at, floored at mu * D.
+    ``mu`` (default 1e-4), or mu = accuracy / (2 D) when ``accuracy`` is set, smooths a fit
+    with a fusion term; no other fit reads them. ``rel_obj_tol`` is the relative duality
+    gap to stop at, floored at mu * D in a fit with a fusion term.
     """
 
     mu: float = 1e-4
@@ -208,8 +207,8 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
     float range is refused. Any other penalty runs unsmoothed (mu = 0, L = lam_max(X^T X))
     and must provide ``penalty_exact(B)`` and ``prox(V, step)`` (the proximal map of step * penalty).
     Both kinds provide ``dual_terms(B, g_loss, mu)``, the certificate's terms at
-    their dual point (see :meth:`FusionOperator.dual_terms`), and ``lam``, which gives c (lam /
-    sqrt(K) for the l1/l2 norm); lam = 0 with a singular X^T X is refused. The data enter
+    their dual point (see :meth:`FusionOperator.dual_terms`), and ``l1_factor``, the c of
+    P(B) >= c ||B||_1; lam = 0, so c = 0, with a singular X^T X is refused. The data enter
     only through ``m``. ``objective_exact`` is the F of the check that
     accepted B_hat, so ``objective_exact - gap`` is the certified lower bound itself.
     """
@@ -225,11 +224,10 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
             raise ValueError(f"the step bound L = lam_max + ||C||^2 / mu overflows at lambda={penalty.lam}, "
                              f"gamma={penalty.gamma}, mu={mu}"
                              + ("" if config.accuracy is None else f", accuracy={config.accuracy}"))
-        stages, c = [k * mu for k in MU_STAGES], float(penalty.lam)
+        stages = [k * mu for k in MU_STAGES]
     else:
         mu, D, norm2, prox, stages = 0.0, 0.0, 0.0, penalty.prox, [0.0]
-        c = float(penalty.lam) / XtY.shape[1] ** 0.5
-    tol, max_iters, lower, N = config.rel_obj_tol, config.max_iters, -np.inf, m.null_basis
+    c, tol, max_iters, lower, N = float(penalty.l1_factor), config.rel_obj_tol, config.max_iters, -np.inf, m.null_basis
     if N.shape[1] and not c > 0:
         raise DegenerateInputError("lambda = 0 on a singular X^T X (J >= N or collinear columns) cannot be certified")
 

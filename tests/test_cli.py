@@ -296,14 +296,15 @@ class TestCvCommand:
         assert doc["final_fit"]["stop_reason"] == "gap"
 
     def test_overflowing_step_bound_is_an_error_row(self, data_dir, tmp_path):
+        # only a fit with a fusion term has the ||C||^2 / mu term; a lasso at lambda=1e200 certifies B = 0
         out = tmp_path / "cv"
         out.mkdir()
-        code = main(["cv", "--method", "lasso", "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
-                     "--out-dir", str(out), "--lambdas", "0.4,1e200", "--holdout", "20", *FAST])
+        code = main(["cv", "--method", "gflasso", "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
+                     "--out-dir", str(out), "--lambdas", "0.4,1e200", "--gammas", "0.1", "--holdout", "20", *FAST])
         assert code == 0
         doc = json.loads((out / "cv.json").read_text())
         assert [row.get("error") for row in doc["table"]] == [
-            None, "the step bound L = lam_max + ||C||^2 / mu overflows at lambda=1e+200, gamma=0.0, mu=0.001",
+            None, "the step bound L = lam_max + ||C||^2 / mu overflows at lambda=1e+200, gamma=0.1, mu=0.001",
         ]
         assert doc["selected"]["lambda"] == 0.4
 

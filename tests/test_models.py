@@ -3,17 +3,18 @@ import pytest
 
 from gflasso.graph import TaskGraph, build_correlation_graph, chain_graph
 from gflasso.models import (
+    GroupNorm,
     PenaltySpec,
-    RowGroupNorm,
     fit_fused_univariate,
     fit_gflasso,
     fit_group_l1l2,
     fit_lasso,
     objective_gflasso,
 )
+from gflasso.simulate import SimulationSpec, simulate_dataset
 from gflasso.solver import CHECK_EVERY, Moments, SolverConfig, solve
 
-from oracles import center_columns, largest_eigenvalue
+from oracles import center_columns, ista_lasso, largest_eigenvalue
 
 
 def make_problem(seed, n=40, j=6, k=3, noise=0.3):
@@ -77,15 +78,50 @@ class TestDegeneracyLattice:
         assert np.linalg.norm(a.solution.B_hat - b.solution.B_hat) < 1e-5
 
 
+def fits_without_fusion_term(X, Y, lam, config):
+    """(name, fit) of each fit whose penalty is lam * ||B||_1 alone: lasso, gflasso at gamma = 0, fused at gamma = 0."""
+    data = Moments.from_data(X, Y)
+    yield "lasso", fit_lasso(data, PenaltySpec(lam=lam), config)
+    yield "gflasso", fit_gflasso(data, build_correlation_graph(Y, 0.1), PenaltySpec(lam=lam, gamma=0.0), config)
+    fused_data = Moments.from_data(X, Y[:, :1])
+    yield "fused", fit_fused_univariate(fused_data, chain_graph(X.shape[1]), lam=lam, gamma=0.0, config=config)
+
+
+class TestFitsWithoutFusionTerm:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("lam", [0.3, 3.0])
+    def test_run_unsmoothed_and_certify_the_lasso_optimum(self, seed, lam):
+        # smoothed, the mu * D floor stopped these fits 17-37x above tol * |F| and 1.5e-2-5.8e-2 from the optimum
+        ds = simulate_dataset(SimulationSpec(seed=seed))
+        config = SolverConfig()
+        Xc, Yc = center_columns(ds.X)[0], center_columns(ds.Y)[0]
+        ref = ista_lasso(Xc, Yc, lam)
+        for name, fit in fits_without_fusion_term(ds.X, ds.Y, lam, config):
+            sol = fit.solution
+            assert sol.mu_used == 0.0, name
+            assert sol.stop_reason == "gap" and sol.gap <= config.rel_obj_tol * abs(sol.objective_exact), name
+            expected = ref[:, :1] if name == "fused" else ref
+            assert np.abs(sol.B_hat - expected).max() <= 1e-3, name
+
+    def test_edgeless_gflasso_runs_the_lasso(self):
+        X, Y = make_problem(6)
+        g = build_correlation_graph(Y, 0.99)
+        assert g.n_edges == 0
+        config = SolverConfig(rel_obj_tol=1e-8)
+        a = fit_gflasso(Moments.from_data(X, Y), g, PenaltySpec(lam=0.3, gamma=0.8), config).solution
+        b = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.3), config).solution
+        assert a.mu_used == 0.0 and np.array_equal(a.B_hat, b.B_hat)
+
+
 class TestFitLasso:
     def test_no_penalty_is_least_squares(self):
         X, Y = make_problem(8)
-        # with lam = 0, mu only sets the gap floor mu * D; a tiny mu lets the fit reach rel_obj_tol
-        fit = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.0), SolverConfig(mu=1e-12, rel_obj_tol=1e-12))
+        # the lasso runs unsmoothed, so rel_obj_tol alone sets how close the fit gets
+        fit = fit_lasso(Moments.from_data(X, Y), PenaltySpec(lam=0.0), SolverConfig(rel_obj_tol=1e-12))
         Xc, _ = center_columns(X)
         Yc, _ = center_columns(Y)
         B_ls = np.linalg.solve(Xc.T @ Xc, Xc.T @ Yc)
-        assert np.linalg.norm(fit.solution.B_hat - B_ls) < 1e-5
+        assert np.linalg.norm(fit.solution.B_hat - B_ls) < 1e-6
 
     def test_orthonormal_design_soft_threshold(self):
         rng = np.random.default_rng(9)
@@ -96,11 +132,12 @@ class TestFitLasso:
         ortho, _ = np.linalg.qr(Q)
         Y = Y - Y.mean(axis=0)
         lam = 0.5
-        # certified to gap <= mu * D with D = 5 on a 1-strongly convex F: within sqrt(2 mu D) = 2e-3 of ref
-        config = SolverConfig(mu=4e-7, rel_obj_tol=1e-13, max_iters=200000)
+        # certified to gap <= 1e-13 |F|, |F| < 50, on a 1-strongly convex F: within sqrt(2 gap) < 1e-5 of ref
+        config = SolverConfig(rel_obj_tol=1e-13, max_iters=200000)
         fit = fit_lasso(Moments.from_data(ortho, Y), PenaltySpec(lam=lam), config)
         ref = np.sign(ortho.T @ Y) * np.maximum(np.abs(ortho.T @ Y) - lam, 0.0)
-        assert np.abs(fit.solution.B_hat - ref).max() < 2e-3
+        assert fit.solution.converged and abs(fit.solution.objective_exact) < 50
+        assert np.abs(fit.solution.B_hat - ref).max() < 1e-5
 
     def test_zero_above_kkt_threshold(self):
         X, Y = make_problem(10)
@@ -151,48 +188,70 @@ class TestFitGroupL1L2:
                 assert np.all(fit.solution.B_hat[j] == 0.0)
 
 
-class TestRowGroupNorm:
+class TestGroupNorm:
     def test_prox_zero_row_stays_zero(self):
-        out = RowGroupNorm(0.5).prox(np.array([[0.0, 0.0], [3.0, 4.0]]), 1.0)
+        out = GroupNorm(0.5, 2).prox(np.array([[0.0, 0.0], [3.0, 4.0]]), 1.0)
         assert np.array_equal(out[0], [0.0, 0.0])
 
     def test_prox_row_inside_the_ball_maps_to_zero(self):
         # ||v|| = 5 <= lam * step = 2 * 2.5
-        out = RowGroupNorm(2.0).prox(np.array([[3.0, 4.0], [-3.0, 4.0]]), 2.5)
+        out = GroupNorm(2.0, 2).prox(np.array([[3.0, 4.0], [-3.0, 4.0]]), 2.5)
         assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_prox_shrinks_other_rows_toward_zero(self):
         V = np.random.default_rng(5).standard_normal((6, 3)) * 3.0
         lam, step = 0.7, 0.4
-        out = RowGroupNorm(lam).prox(V, step)
+        out = GroupNorm(lam, 3).prox(V, step)
         for v, o in zip(V, out):
             nrm = np.linalg.norm(v)
             assert nrm > lam * step
             assert o == pytest.approx((1.0 - lam * step / nrm) * v, rel=1e-14, abs=1e-15)
 
+    def test_width_one_prox_is_the_soft_threshold(self):
+        V = np.random.default_rng(8).standard_normal((7, 4))
+        out = GroupNorm(0.6, 1).prox(V, 0.5)
+        assert np.array_equal(out == 0.0, np.abs(V) <= 0.3)
+        assert out == pytest.approx(np.sign(V) * np.maximum(np.abs(V) - 0.3, 0.0), rel=1e-15, abs=1e-16)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_prox_at_lam_zero_is_the_identity(self, width):
+        V = np.random.default_rng(9).standard_normal((5, 3))
+        V[1] = 0.0
+        assert np.array_equal(GroupNorm(0.0, width).prox(V, 0.5), V)
+
     def test_penalty_exact_sums_row_norms(self):
         B = np.random.default_rng(6).standard_normal((5, 3))
         expected = 1.3 * sum(np.linalg.norm(B[j]) for j in range(5))
-        assert RowGroupNorm(1.3).penalty_exact(B) == pytest.approx(expected, rel=1e-14)
+        assert GroupNorm(1.3, 3).penalty_exact(B) == pytest.approx(expected, rel=1e-14)
+        assert GroupNorm(1.3, 1).penalty_exact(B) == pytest.approx(1.3 * np.abs(B).sum(), rel=1e-14)
+
+    def test_l1_factor_bounds_the_penalty_by_the_l1_norm(self):
+        B = np.random.default_rng(10).standard_normal((5, 4))
+        assert GroupNorm(1.3, 1).l1_factor == 1.3
+        for width in (1, 2, 4):
+            norm = GroupNorm(1.3, width)
+            assert norm.penalty_exact(B) >= norm.l1_factor * np.abs(B).sum()
 
     @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
     def test_rejects_bad_lam(self, lam):
-        with pytest.raises(ValueError, match="lam and gamma must be finite and non-negative"):
-            RowGroupNorm(lam)
+        with pytest.raises(ValueError, match=f"^lam must be finite and non-negative, got lam={lam}$"):
+            GroupNorm(lam, 2)
 
-    def test_dual_terms_point_lies_in_the_lam_ball(self):
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_dual_terms_point_lies_in_the_lam_ball(self, width):
         rng = np.random.default_rng(7)
         B, g_loss = rng.standard_normal((6, 3)), 2.0 * rng.standard_normal((6, 3))
-        pen, slack, A, stage_pen = RowGroupNorm(1.1).dual_terms(B, g_loss, 0.0)
-        assert np.linalg.norm(A, axis=1).max() <= 1.1 * (1 + 1e-15)
-        assert pen == stage_pen == RowGroupNorm(1.1).penalty_exact(B)
+        pen, slack, A, stage_pen = GroupNorm(1.1, width).dual_terms(B, g_loss, 0.0)
+        assert A.shape == B.shape
+        assert np.linalg.norm(A.reshape(-1, width), axis=1).max() <= 1.1 * (1 + 1e-15)
+        assert pen == stage_pen == GroupNorm(1.1, width).penalty_exact(B)
         assert slack >= 0.0
 
     def test_solve_runs_it_unsmoothed_and_matches_the_model(self):
         X, Y = make_problem(11)
         Xc, _ = center_columns(X)
         config = SolverConfig(rel_obj_tol=1e-10)
-        sol = solve(Moments.from_data(X, Y), config, RowGroupNorm(0.8))
+        sol = solve(Moments.from_data(X, Y), config, GroupNorm(0.8, 3))
         assert sol.mu_used == 0.0
         assert sol.lipschitz_used == largest_eigenvalue(Xc.T @ Xc)
         assert np.array_equal(sol.B_hat, fit_group_l1l2(Moments.from_data(X, Y), 0.8, config).solution.B_hat)

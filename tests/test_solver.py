@@ -3,7 +3,7 @@ import pytest
 
 from gflasso.errors import DegenerateInputError, NumericError
 from gflasso.graph import TaskGraph, build_correlation_graph, chain_graph
-from gflasso.models import PenaltySpec, RowGroupNorm, fit_gflasso
+from gflasso.models import GroupNorm, PenaltySpec, fit_gflasso
 from gflasso.simulate import SimulationSpec, replicate_seed, simulate_dataset
 from gflasso.smoothing import CovariateFusionOperator, FusionOperator
 from gflasso.solver import (
@@ -287,9 +287,9 @@ def certificate_problems(seed, wide=False):
     edges = tuple((m, l, float(rng.choice([-1, 1]) * rng.uniform(0.2, 1.0))) for m, l in pairs if rng.random() < 0.6)
     lam, gamma = 10.0 ** rng.uniform(-2, 1, size=2)
     yield "gflasso", X, Y, FusionOperator.from_graph(TaskGraph(k, edges), lam=lam, gamma=gamma, n_inputs=j)
-    yield "lasso", X, Y, empty_operator(j, k, lam=lam)
+    yield "lasso", X, Y, GroupNorm(lam, 1)
     yield "fused", X, Y[:, :1], CovariateFusionOperator.from_graph(chain_graph(j), lam=lam, gamma=gamma, n_inputs=1)
-    yield "l1l2", X, Y, RowGroupNorm(lam)
+    yield "l1l2", X, Y, GroupNorm(lam, k)
 
 
 class TestCertificate:
@@ -354,7 +354,7 @@ class TestCertificate:
         if method == "gflasso":
             penalty = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8), (2, 3, -0.5))), 0.5, 2.0, n_inputs=6)
         else:
-            penalty = RowGroupNorm(0.8)
+            penalty = GroupNorm(0.8, 3)
         sol = solve(Moments.from_data(X, Y), SolverConfig(record_trace=True, max_iters=3), penalty)
         Xc, Yc = center_columns(X)[0], center_columns(Y)[0]
         assert sol.trace[0][1] == pytest.approx(float(np.linalg.norm(Xc.T @ Yc)), rel=1e-12)
@@ -379,8 +379,9 @@ class TestCertificate:
         assert sol.gap >= sol.objective_exact - tight.objective_exact - 1e-12 * abs(sol.objective_exact)
 
     @pytest.mark.parametrize("penalty", [
-        FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8),)), lam=0.0, gamma=0.5, n_inputs=30), RowGroupNorm(0.0),
-    ], ids=["fusion", "l1l2"])
+        FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8),)), lam=0.0, gamma=0.5, n_inputs=30), GroupNorm(0.0, 3),
+        GroupNorm(0.0, 1),
+    ], ids=["fusion", "l1l2", "lasso"])
     def test_lam_zero_with_a_singular_gram_is_refused(self, penalty):
         # nothing bounds ||B*||_1 when lam = 0, so no certificate exists on a singular X^T X
         X, Y = centered_problem(32, n=20, j=30, k=3)
