@@ -2,7 +2,8 @@
 
 The estimator couples an entrywise l1 penalty with a fusion penalty along the
 edges of a task-correlation graph, and is solved by an accelerated
-proximal-gradient method on a smoothed surrogate of the non-smooth penalty.
+proximal-gradient method: the l1 penalty through its exact proximal map, the
+fusion penalty through a smooth surrogate.
 Companion baselines (lasso, row-grouped l1/l2, univariate fused regression),
 a synthetic-data benchmark harness, and a CLI round out the package.
 """

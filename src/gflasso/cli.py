@@ -115,14 +115,14 @@ def _solver_config(ns: argparse.Namespace) -> SolverConfig:
 
 def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int, accuracy: bool) -> None:
     p.add_argument("--mu", type=float, default=SolverConfig.mu,
-                   help="smoothing parameter of fits with a fusion term (default %(default)s)")
+                   help="smoothing parameter of the fusion term; lambda is never smoothed (default %(default)s)")
     if accuracy:
         p.add_argument("--accuracy", type=float, default=None,
-                       help="target accuracy eps of fits with a fusion term: mu = eps / (2 D) overrides --mu, "
-                       "so the gap floor mu * D is eps / 2")
+                       help="target accuracy eps of fits with a fusion term: mu = eps / (2 D), D = J |E| / 2 over "
+                       "the fusion columns alone, overrides --mu, so the gap floor mu * D is eps / 2")
     p.add_argument("--tol", type=float, default=SolverConfig.rel_obj_tol,
-                   help="stop at duality gap <= max(tol * |objective|, mu * D), with the floor mu * D only in fits "
-                   "with a fusion term")
+                   help="stop at duality gap <= max(tol * |objective|, mu * D), with the floor mu * D, D = J |E| / 2, "
+                   "only in fits with a fusion term")
     p.add_argument("--max-iters", type=int, default=max_iters)
 
 

@@ -3,7 +3,7 @@
 A task graph connects pairs of output variables whose sample correlation is
 strong; edge weights keep the signed correlation. The fusion penalty reads
 the graph through :class:`smoothing.FusionOperator`, which holds its signed,
-weighted vertex-edge incidence structure as edge arrays.
+weighted vertex-edge incidence matrix dense when K <= J, else as edge arrays.
 """
 
 from __future__ import annotations

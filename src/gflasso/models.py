@@ -1,11 +1,11 @@
 """Estimator front-ends: graph-fused, lasso, row-group l1/l2, univariate fused.
 
 Each model is a thin front-end to :func:`solver.solve` that builds its own
-penalty object. Only a fusion term (gamma > 0 and an edge) is smoothed: the
-graph-fused and univariate fused (a graph over the covariates of a J x 1 column)
-models then pass a fusion operator. Every other fit passes a :class:`GroupNorm`,
-run through its exact proximal map: width 1 for lasso, width K for l1/l2.
-Both give the solver's certificate its terms (``dual_terms``) and its c (``l1_factor``).
+penalty object. The graph-fused and univariate fused (a graph over the
+covariates of a J x 1 column) models pass the paper's fusion operator, which
+``solve`` splits into lam * ||B||_1, run through its exact prox, and the fusion
+term, the one part it smooths. Lasso (width 1) and l1/l2 (width K) pass a
+:class:`GroupNorm`.
 
 Every fit entry point takes the data as one :class:`solver.Moments`, whose
 ``from_data`` centers the raw arrays and keeps their column means; the result
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import TaskGraph, sign
-from .smoothing import CovariateFusionOperator, FusionOperator
+from .smoothing import CovariateFusionOperator, FusionOperator, GroupNorm
 from .solver import Moments, Solution, SolverConfig, solve
 
 
@@ -35,48 +35,6 @@ class PenaltySpec:
     def __post_init__(self) -> None:
         if not (0 <= self.lam < np.inf and 0 <= self.gamma < np.inf):
             raise ValueError(f"lam and gamma must be finite and non-negative, got lam={self.lam}, gamma={self.gamma}")
-
-
-@dataclass(frozen=True)
-class GroupNorm:
-    """lam * sum_g ||B_g||_2 over the runs B_g of ``width`` entries of row-major B: rows at width K, entries at 1."""
-
-    lam: float
-    width: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.lam < np.inf:
-            raise ValueError(f"lam must be finite and non-negative, got lam={self.lam}")
-
-    @property
-    def l1_factor(self) -> float:
-        """The c of penalty(B) >= c ||B||_1: lam / sqrt(width), by Cauchy-Schwarz on each group."""
-        return self.lam / self.width**0.5
-
-    def penalty_exact(self, B: np.ndarray) -> float:
-        return self.lam * float(np.linalg.norm(B.reshape(-1, self.width), axis=1).sum())
-
-    def prox(self, V: np.ndarray, step: float) -> np.ndarray:
-        """The proximal map of step * penalty: each group g <- (1 - t / max(||g||, t)) g, with t = lam * step."""
-        t = self.lam * step
-        if t == 0:  # the identity, where the shrink factor would be 0 / 0 on a zero group
-            return V
-        if self.width == 1:  # the soft threshold
-            return V - V.clip(-t, t)
-        G = V.reshape(-1, self.width)
-        norms = np.linalg.norm(G, axis=1, keepdims=True)
-        return (G * (1.0 - t / np.maximum(norms, t))).reshape(V.shape)
-
-    def dual_terms(self, B: np.ndarray, g_loss: np.ndarray, mu: float) -> tuple[float, float, np.ndarray, float]:
-        """The certificate's terms at A, each group of -g_loss projected onto the lam-ball; ``mu`` is unused.
-
-        Returns (penalty, penalty - <A, B>, A, penalty), the layout of ``FusionOperator.dual_terms``.
-        """
-        G = g_loss.reshape(-1, self.width)
-        norms = np.linalg.norm(G, axis=1, keepdims=True)
-        A = (-G * np.divide(self.lam, norms, out=np.ones_like(norms), where=norms > self.lam)).reshape(B.shape)
-        pen = self.penalty_exact(B)
-        return pen, pen - float(np.vdot(A, B)), A, pen
 
 
 @dataclass(frozen=True)
@@ -155,16 +113,9 @@ def _fit(
     )
 
 
-def _fused_penalty(cls: type[FusionOperator], graph: TaskGraph, lam: float, gamma: float, n_inputs: int):
-    # the fusion operator only for a fusion term; without one the penalty is lam * ||B||_1, whose prox is exact
-    if gamma > 0 and graph.n_edges:
-        return cls.from_graph(graph, lam, gamma, n_inputs)
-    return GroupNorm(lam, 1)
-
-
 def fit_gflasso(data: Moments, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
-    penalty = _fused_penalty(FusionOperator, graph, spec.lam, spec.gamma, data.XtX.shape[0])
+    penalty = FusionOperator.from_graph(graph, spec.lam, spec.gamma, data.XtX.shape[0])
     return _fit("gflasso", data, graph, data.XtY.shape[1], spec, config, penalty)
 
 
@@ -191,6 +142,6 @@ def fit_fused_univariate(
     """
     if data.XtY.shape[1] != 1:
         raise ValueError(f"the univariate fused model needs a single-column response, got {data.XtY.shape[1]} columns")
-    penalty = _fused_penalty(CovariateFusionOperator, input_graph, lam, gamma, 1)
+    penalty = CovariateFusionOperator.from_graph(input_graph, lam, gamma, 1)
     spec = PenaltySpec(lam=lam, gamma=gamma)
     return _fit("fused_univariate", data, input_graph, data.XtX.shape[0], spec, config, penalty)

@@ -1,22 +1,22 @@
-"""Smooth approximation of the combined l1 + graph-fusion penalty.
+"""The fit's penalties: an exact group norm, and a smooth approximation of the graph fusion.
 
 The penalty lam * ||B||_1 + gam * sum_e |r_e| * sum_j |b_jm - sign(r_e) b_jl|
 equals ||B C||_1 for C = (lam * I, gam * H), H the signed incidence matrix of
-the task graph. The models build it only for a fusion term (gam > 0 and an
-edge): lam * ||B||_1 alone has an exact prox. Through the dual of the l1 norm,
-||B C||_1 is a max over ||A||_inf <= 1; subtracting (mu/2) ||A||_F^2 gives a
-smooth lower bound within mu * D, D = J (K + |E|) / 2, maximized at
+the task graph, the paper's :class:`FusionOperator`. ``solver.solve`` reads it
+as :class:`GroupNorm` (lam, 1), whose prox is exact, plus the operator at
+lam = 0, the fusion term alone, and smooths only that: ||B C||_1 is a max over
+||A||_inf <= 1, and subtracting (mu/2) ||A||_F^2 gives a smooth lower bound
+within mu * D, D = J * width / 2 (J |E| / 2 at lam = 0), maximized at
 A = clamp(B C / mu). ``gradient_map(mu)`` builds its gradient A C^T once per mu
 for the solver's loop, and the same A is the dual point of the duality-gap
 certificate (``dual_terms``). D and the norm bound of B -> B C are defined here
 alone (``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu and L from them.
 
 The operator holds C in one of two forms, chosen by its own shape alone. When
-K <= J it builds the dense K x (K + |E|) C once, no larger than the J x (K + |E|)
-auxiliary matrix, so apply, adjoint and the exact penalty are BLAS products.
-When K > J (mostly the 1 x J operator of :class:`CovariateFusionOperator`) it
-works on the edge arrays: column gathers for B C and one ``np.bincount``
-scatter for A C^T, at O(J*K + J*|E|) per application.
+K <= J it builds the dense K x width C once, no larger than the J x width
+auxiliary matrix, so its products are BLAS products. When K > J (mostly the
+1 x J :class:`CovariateFusionOperator`) it keeps the nonzeros of C: B C and
+A C^T are each one column gather and one ``np.bincount``, O(J*K + J*|E|).
 """
 
 from __future__ import annotations
@@ -34,6 +34,11 @@ def shrink(x):
     return np.clip(x, -1.0, 1.0)
 
 
+def _scatter_sum(M: np.ndarray, gather: np.ndarray, weight: np.ndarray, scatter: np.ndarray, width: int) -> np.ndarray:
+    """The rows of M times a sparse matrix: each row's columns ``gather`` times ``weight``, summed at ``scatter``."""
+    return np.bincount(scatter, (M[:, gather] * weight).ravel(), M.shape[0] * width).reshape(M.shape[0], width)
+
+
 def _check_mu(mu: float) -> float:
     if not mu > 0:
         raise ValueError(f"smoothness parameter mu must be positive, got {mu}")
@@ -41,14 +46,59 @@ def _check_mu(mu: float) -> float:
 
 
 @dataclass(frozen=True)
+class GroupNorm:
+    """lam * sum_g ||B_g||_2 over the runs B_g of ``width`` entries of row-major B: rows at width K, entries at 1."""
+
+    lam: float
+    width: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be finite and non-negative, got lam={self.lam}")
+
+    @property
+    def l1_factor(self) -> float:
+        """The c of penalty(B) >= c ||B||_1: lam / sqrt(width), by Cauchy-Schwarz on each group."""
+        return self.lam / self.width**0.5
+
+    def penalty_exact(self, B: np.ndarray) -> float:
+        norms = B if self.width == 1 else np.linalg.norm(B.reshape(-1, self.width), axis=1)
+        return self.lam * float(np.abs(norms).sum())
+
+    def prox(self, V: np.ndarray, step: float) -> np.ndarray:
+        """The proximal map of step * penalty: each group g <- (1 - t / max(||g||, t)) g, with t = lam * step."""
+        t = self.lam * step
+        if t == 0:  # the identity, where the shrink factor would be 0 / 0 on a zero group
+            return V
+        if self.width == 1:  # the soft threshold
+            return V - V.clip(-t, t)
+        G = V.reshape(-1, self.width)
+        norms = np.linalg.norm(G, axis=1, keepdims=True)
+        return (G * (1.0 - t / np.maximum(norms, t))).reshape(V.shape)
+
+    def dual_terms(self, B: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, float, np.ndarray, float]:
+        """(penalty, penalty - <A, B>, A, penalty), the layout of ``FusionOperator.dual_terms``, at A in the lam-ball.
+
+        A is each group of -g, the rest of the objective's gradient at B, projected onto the ball; with a
+        fusion term (mu > 0) at width 1 the support takes lam * sign(B) instead, which leaves no slack.
+        """
+        pen = self.penalty_exact(B)
+        if mu > 0 and self.width == 1:
+            return pen, 0.0, np.where(B, np.copysign(self.lam, B), -g.clip(-self.lam, self.lam)), pen
+        G = g.reshape(-1, self.width)
+        norms = np.linalg.norm(G, axis=1, keepdims=True)
+        A = (-G * np.divide(self.lam, norms, out=np.ones_like(norms), where=norms > self.lam)).reshape(B.shape)
+        return pen, pen - float(np.vdot(A, B)), A, pen
+
+
+@dataclass(frozen=True)
 class FusionOperator:
     """The linear map B -> B C with C = (lam * I, gam * H), plus its adjoint.
 
-    Maps (J, K) coefficient matrices to (J, K + |E|); the first K columns are
-    lam * B and column K + e is gam * |r_e| * (B[:, m_e] - sign(r_e) * B[:, l_e]).
-    Edge structure is stored as flat arrays. On construction the operator
-    builds what its representation needs (see the module docstring): the
-    dense C when K <= J, else the gather and scatter indices of the adjoint.
+    Maps (J, K) coefficient matrices to (J, width): K columns lam * B (none at
+    lam = 0), then gam * |r_e| * (B[:, m_e] - sign(r_e) * B[:, l_e]) per edge e.
+    Edges are stored as flat arrays; construction builds the dense C when
+    K <= J, else the gather and scatter indices of B C and A C^T.
     """
 
     lam: float
@@ -65,25 +115,22 @@ class FusionOperator:
             raise ValueError(f"lam and gamma must be finite and non-negative, got lam={self.lam}, gamma={self.gamma}")
         if self.n_inputs < 1 or self.n_tasks < 1:
             raise ValueError("n_inputs and n_tasks must be >= 1")
-        k, n_edges = self.n_tasks, self.n_edges
-        node = np.arange(k)
-        edge = np.arange(k, k + n_edges)
+        k, n_diag = self.n_tasks, self.width - self.n_edges
+        node, edge = np.arange(n_diag), np.arange(n_diag, self.width)
         coef = self.gamma * self.edge_weight
+        # the nonzeros of C, entry i at (rows[i], cols[i]): lam on the diagonal, then each edge at its m and its l end
+        rows, cols = np.concatenate((node, self.edge_m, self.edge_l)), np.concatenate((node, edge, edge))
+        weight = np.concatenate((np.full(n_diag, self.lam), coef, -self.edge_sign * coef))
         if k <= self.n_inputs:
-            C = np.zeros((k, k + n_edges))
-            C[node, node] = self.lam
-            C[self.edge_m, edge] = coef
-            C[self.edge_l, edge] = -self.edge_sign * coef
+            C = np.zeros((k, self.width))
+            C[rows, cols] = weight
             object.__setattr__(self, "_C", C)
             return
-        # A C^T as one bincount over a J x (K + 2|E|) array: column i of A,
-        # times weight i, is added to node i of the same row, for i over the
-        # K diagonal columns, then each edge at its m end, then at its l end.
+        # B C and A C^T as one gather of the J x (width + |E|) weighted entries and one bincount each
+        rank = np.arange(self.n_inputs)[:, None]
         object.__setattr__(self, "_C", None)
-        object.__setattr__(self, "_gather", np.concatenate((node, edge, edge)))
-        object.__setattr__(self, "_weight", np.concatenate((np.full(k, self.lam), coef, -self.edge_sign * coef)))
-        nodes = np.concatenate((node, self.edge_m, self.edge_l))
-        object.__setattr__(self, "_scatter", (k * np.arange(self.n_inputs)[:, None] + nodes).ravel())
+        object.__setattr__(self, "_forward", (rows, weight, (self.width * rank + cols).ravel(), self.width))
+        object.__setattr__(self, "_backward", (cols, weight, (k * rank + rows).ravel(), k))
 
     @classmethod
     def from_graph(cls, graph: TaskGraph, lam: float, gamma: float, n_inputs: int) -> "FusionOperator":
@@ -107,58 +154,48 @@ class FusionOperator:
 
     @property
     def width(self) -> int:
-        """Number of columns of C, i.e. K + |E|."""
-        return self.n_tasks + self.n_edges
+        """Number of columns of C: K + |E|, or |E| at lam = 0, where C holds no lam columns."""
+        return (self.n_tasks if self.lam > 0 else 0) + self.n_edges
 
     @property
-    def l1_factor(self) -> float:
-        """The c of ||B C||_1 >= c ||B||_1: lam, from the first K columns of C."""
-        return self.lam
+    def coef_shape(self) -> tuple[int, int]:
+        """The shape of the coefficient matrices B the operator maps."""
+        return self.n_inputs, self.n_tasks
 
-    def _check_coef(self, B: np.ndarray) -> np.ndarray:
+    def apply(self, B: np.ndarray) -> np.ndarray:
+        """Gamma(B) = B C, shape (J, width)."""
         B = np.asarray(B, dtype=float)
         if B.shape != (self.n_inputs, self.n_tasks):
             raise ValueError(f"coefficient matrix must have shape {(self.n_inputs, self.n_tasks)}, got {B.shape}")
-        return B
-
-    def apply(self, B: np.ndarray) -> np.ndarray:
-        """Gamma(B) = B C, shape (J, K + |E|)."""
-        B = self._check_coef(B)
         if self._C is not None:
             return B @ self._C
-        out = np.empty((B.shape[0], self.width))
-        out[:, : self.n_tasks] = self.lam * B
-        coef = self.gamma * self.edge_weight
-        out[:, self.n_tasks :] = (B[:, self.edge_m] - self.edge_sign * B[:, self.edge_l]) * coef
-        return out
+        return _scatter_sum(B, *self._forward)
 
     def adjoint(self, A: np.ndarray) -> np.ndarray:
-        """Gamma*(A) = A C^T, mapping (J, K + |E|) back to (J, K)."""
+        """Gamma*(A) = A C^T, mapping (J, width) back to (J, K)."""
         A = np.asarray(A, dtype=float)
         if A.shape != (self.n_inputs, self.width):
             raise ValueError(f"auxiliary matrix must have shape {(self.n_inputs, self.width)}, got {A.shape}")
         if self._C is not None:
             return A @ self._C.T
-        weights = (A[:, self._gather] * self._weight).ravel()
-        return np.bincount(self._scatter, weights, self.n_inputs * self.n_tasks).reshape(self.n_inputs, self.n_tasks)
+        return _scatter_sum(A, *self._backward)
 
     def aux_optimum(self, B: np.ndarray, mu: float) -> np.ndarray:
         """Maximizer A* = clamp(B C / mu) of <A, B C> - (mu/2) ||A||_F^2 over ||A||_inf <= 1."""
-        mu = _check_mu(mu)
         G = self.apply(B)
-        np.divide(G, mu, out=G)
-        return np.clip(G, -1.0, 1.0, out=G)
+        G /= _check_mu(mu)
+        return G.clip(-1.0, 1.0, out=G)
 
     def gradient_map(self, mu: float) -> Callable[[np.ndarray], np.ndarray]:
         """The gradient of f_mu for one fixed mu: the map B -> adjoint(aux_optimum(B, mu)) = clamp(B C / mu) C^T.
 
         With the dense C the map is two BLAS products around one in-place clamp,
         with C / mu built here once, and it does not check B's shape: the caller
-        owns it. Otherwise the map runs through ``aux_optimum`` and ``adjoint``.
+        owns it. Otherwise it is ``aux_optimum`` and the scatter of the adjoint.
         """
         mu = _check_mu(mu)
-        if self._C is None:
-            return lambda B: self.adjoint(self.aux_optimum(B, mu))
+        if self._C is None:  # CovariateFusionOperator has one row: the transpose of A C^T is a reshape
+            return lambda B: _scatter_sum(self.aux_optimum(B, mu), *self._backward).reshape(B.shape)
         # CovariateFusionOperator is dense only at J = 1, where its transposes are identities on the 1 x 1 B
         C_mu, C_T = self._C / mu, self._C.T
 
@@ -201,16 +238,20 @@ class FusionOperator:
             return float(np.sqrt(np.float64(self.lam) ** 2 + 2.0 * np.float64(self.gamma) ** 2 * max_d))
 
     def gap_constant(self) -> float:
-        """Smoothing gap constant D = J (K + |E|) / 2.
+        """Smoothing gap constant D = J * width / 2: J (K + |E|) / 2, or J |E| / 2 at lam = 0.
 
         This is the maximum of (1/2) ||A||_F^2 over ||A||_inf <= 1, attained by
-        the all-ones J x (K + |E|) matrix.
+        the all-ones J x width matrix.
         """
-        return 0.5 * self.n_inputs * (self.n_tasks + self.n_edges)
+        return 0.5 * self.n_inputs * self.width
 
 
 class CovariateFusionOperator(FusionOperator):
     """The univariate fused model's penalty on a J x 1 column b: the 1 x J operator (n_inputs=1, n_tasks=J) on b^T."""
+
+    @property
+    def coef_shape(self) -> tuple[int, int]:
+        return self.n_tasks, self.n_inputs
 
     def apply(self, B: np.ndarray) -> np.ndarray:
         return super().apply(B.T)

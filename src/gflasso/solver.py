@@ -13,26 +13,26 @@ t, counted from the anchor (the start point, or the iterate of the last restart)
        (so V^t = anchor - (1/L) * sum_{i<=t} ((i+1)/2) * g_i, one running point updated in place)
     4. W^{t+1} = ((t+1)/(t+3)) B^t + (2/(t+3)) Z^t
 
-A penalty with a fusion term, ||B C||_1, enters step 1 through its smooth
-surrogate f_mu (mu and L derived in :func:`solve`), whose gradient the operator's
-``gradient_map`` builds once per mu stage. A separable group norm (lasso, l1/l2)
-needs no smoothing: it enters steps 2 and 3 through its exact proximal map,
-B^t = prox(W^t - g_t / L) and Z^t = prox(V^t), the composite form of the scheme
-(Nesterov 2013, "Gradient methods for minimizing composite functions").
+Every penalty is an exact group norm plus at most one smoothed fusion term (Chen, Lin,
+Kim, Carbonell & Xing 2012, "Smoothing proximal gradient method for general structured
+sparse regression"). The norm (lam ||B||_1, or l1/l2's row norms) enters steps 2 and 3
+through its exact prox, B^t = prox(W^t - g_t / L) and Z^t = prox(V^t) (Nesterov 2013);
+the fusion term ||B C||_1, C = gam H, enters step 1 through its smooth surrogate f_mu,
+whose gradient the operator's ``gradient_map`` builds once per mu stage.
 
-Every fit stops on a duality-gap certificate. With P(B) = max <A, G(B)> over
-a dual ball (G(B) = B C, ||A||_inf <= 1; or G = identity, groups of A in the
-lam-ball), R = grad loss(B) + G*(A), eigh(X^T X) = (N, V) diag(0, s) (N, V)^T
-and P(B) >= c ||B||_1 (so ||B*||_1 <= F(B) / c), each such A shows min F >= F(B) - gap,
-gap = P(B) - <A, G(B)> + (1/2) ||(V s^-1/2)^T R||^2 + ||N N^T R||_inf (F(B) / c + ||B||_1);
-N is empty unless X^T X is singular (J >= N, collinear columns). A is the smoothing's maximizer
-clamp(B C / mu) (Nesterov 2005) or the groupwise projection of -grad loss(B);
-each penalty's ``dual_terms`` returns P(B), the slack P(B) - <A, G(B)> and
-G*(A) at its A. F and the gap run only at checks, every CHECK_EVERY iterations
-and at the cap; ``converged`` means gap <= max(rel_obj_tol * |F(B)|, mu * D)
-there (mu = 0 unsmoothed). A check that did not improve restarts the loop from
-the current iterate (O'Donoghue & Candes 2015), and a smoothed penalty runs
-through the stages MU_STAGES * mu, each ending at gap <= mu_s * D (Becker, Bobin & Candes 2011, "NESTA").
+Every fit stops on a duality-gap certificate. With P(B) = max <A, B C> + <U, B> over
+||A||_inf <= 1 and the groups of U in the lam-ball, R = grad loss(B) + A C^T + U,
+eigh(X^T X) = (N, V) diag(0, s) (N, V)^T and P(B) >= c ||B||_1 (so ||B*||_1 <= F(B) / c),
+each such (A, U) shows min F >= F(B) - gap, gap = P(B) - <A, B C> - <U, B>
++ (1/2) ||(V s^-1/2)^T R||^2 + ||N N^T R||_inf (F(B) / c + ||B||_1); N is empty unless
+X^T X is singular (J >= N, collinear columns). A is clamp(B C / mu) (Nesterov 2005), U
+the groupwise projection of -(grad loss(B) + A C^T), with lam * sign(B) on the support
+in a fit with a fusion term; each part's ``dual_terms`` returns its terms. F and the gap
+run only at checks, every CHECK_EVERY iterations and at the cap; ``converged`` means
+gap <= max(rel_obj_tol * |F(B)|, mu * D) there (mu = 0 without a fusion term). A check
+that did not improve restarts the loop from the current iterate (O'Donoghue & Candes
+2015), and a fusion term runs through the stages MU_STAGES * mu, each ending at
+gap <= mu_s * D (Becker, Bobin & Candes 2011, "NESTA").
 
 A plain subgradient method with step c / sqrt(t+1) is included as the
 baseline with the slower O(1/eps^2) rate.
@@ -41,13 +41,13 @@ baseline with the slower O(1/eps^2) rate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateInputError, NumericError
-from .smoothing import FusionOperator
+from .smoothing import FusionOperator, GroupNorm
 
 CHECK_EVERY = 10
 MU_STAGES = (100.0, 10.0, 1.0)
@@ -57,8 +57,8 @@ MU_STAGES = (100.0, 10.0, 1.0)
 class SolverConfig:
     """Solver settings.
 
-    ``mu`` (default 1e-4), or mu = accuracy / (2 D) when ``accuracy`` is set, smooths a fit
-    with a fusion term; no other fit reads them. ``rel_obj_tol`` is the relative duality
+    ``mu`` (default 1e-4), or mu = accuracy / (2 D), D = J |E| / 2, smooths a fit's fusion term;
+    lam is never smoothed, and no other fit reads them. ``rel_obj_tol`` is the relative duality
     gap to stop at, floored at mu * D in a fit with a fusion term.
     """
 
@@ -198,36 +198,39 @@ def three_sequence_minimize(
     return best_B, max_iters, best
 
 
-def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
+def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm) -> Solution:
     """Minimize (1/2) ||Y - X B||_F^2 plus ``penalty``; the core behind every model.
 
-    A :class:`FusionOperator` penalty ||B C||_1 runs through its smooth surrogate;
-    mu (``config.mu``, or accuracy / (2 D)) and the step 1/L, with L = lam_max(X^T X)
-    + op.norm_bound()^2 / mu, are derived here alone, once per mu stage; an L past the
-    float range is refused. Any other penalty runs unsmoothed (mu = 0, L = lam_max(X^T X))
-    and must provide ``penalty_exact(B)`` and ``prox(V, step)`` (the proximal map of step * penalty).
-    Both kinds provide ``dual_terms(B, g_loss, mu)``, the certificate's terms at
-    their dual point (see :meth:`FusionOperator.dual_terms`), and ``l1_factor``, the c of
-    P(B) >= c ||B||_1; lam = 0, so c = 0, with a singular X^T X is refused. The data enter
-    only through ``m``. ``objective_exact`` is the F of the check that
-    accepted B_hat, so ``objective_exact - gap`` is the certified lower bound itself.
+    ``penalty`` is a :class:`GroupNorm`, run through its exact prox, or a :class:`FusionOperator`
+    ||B C||_1, read as GroupNorm(lam, 1) plus its fusion term, the operator at lam = 0, which is
+    smoothed when there is one (gamma > 0 and an edge). mu (``config.mu``, or accuracy / (2 D),
+    D = J |E| / 2) and the step 1/L, L = lam_max(X^T X) + norm_bound()^2 / mu, are derived here
+    alone, once per mu stage; an L past the float range is refused. Without a fusion term mu = 0
+    and L = lam_max(X^T X). c is the norm's ``l1_factor``; lam = 0, so c = 0, with a singular
+    X^T X is refused. The data enter only through ``m``. ``objective_exact`` is the F of the check
+    that accepted B_hat, so ``objective_exact - gap`` is the certified lower bound itself.
     """
     t_start = time.perf_counter()
     XtX, XtY = m.XtX, m.XtY
+    norm, fusion, mu, D, norm2, stages = penalty, None, 0.0, 0.0, 0.0, [0.0]
     if isinstance(penalty, FusionOperator):
-        mu = config.mu if config.accuracy is None else config.accuracy / (2.0 * penalty.gap_constant())
+        if penalty.coef_shape != XtY.shape:
+            raise ValueError(f"the penalty operator has coefficient shape {penalty.coef_shape}, the data {XtY.shape}")
+        norm = GroupNorm(penalty.lam, 1)
+        if penalty.gamma > 0 and penalty.n_edges:
+            fusion = replace(penalty, lam=0.0)
+    if fusion is not None:
+        D = fusion.gap_constant()
+        mu = config.mu if config.accuracy is None else config.accuracy / (2.0 * D)
         if not mu > 0:
             raise ValueError(f"accuracy {config.accuracy} is too small: mu = accuracy / (2 D) underflows to {mu}")
         with np.errstate(over="ignore"):  # inf past the float range, refused below
-            D, norm2, prox = penalty.gap_constant(), float(np.float64(penalty.norm_bound()) ** 2), None
+            norm2 = float(np.float64(fusion.norm_bound()) ** 2)
         if not m.lam_max + norm2 / mu < np.inf:
-            raise ValueError(f"the step bound L = lam_max + ||C||^2 / mu overflows at lambda={penalty.lam}, "
-                             f"gamma={penalty.gamma}, mu={mu}"
+            raise ValueError(f"the step bound L = lam_max + ||C||^2 / mu overflows at gamma={fusion.gamma}, mu={mu}"
                              + ("" if config.accuracy is None else f", accuracy={config.accuracy}"))
         stages = [k * mu for k in MU_STAGES]
-    else:
-        mu, D, norm2, prox, stages = 0.0, 0.0, 0.0, penalty.prox, [0.0]
-    c, tol, max_iters, lower, N = float(penalty.l1_factor), config.rel_obj_tol, config.max_iters, -np.inf, m.null_basis
+    c, tol, max_iters, lower, N = float(norm.l1_factor), config.rel_obj_tol, config.max_iters, -np.inf, m.null_basis
     if N.shape[1] and not c > 0:
         raise DegenerateInputError("lambda = 0 on a singular X^T X (J >= N or collinear columns) cannot be certified")
 
@@ -247,22 +250,26 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
         return max(f - lower, 0.0) <= max(tol * abs(f), mu_s * D)
 
     def check(B: np.ndarray) -> tuple[tuple[float, float], bool]:
-        # ((stage objective, F(B)), whether B ends the stage) from one Gram product and one dual_terms
+        # ((stage objective, F(B)), whether B ends the stage); the norm's terms at g = grad loss(B) + A C^T
         nonlocal lower
-        g_loss = XtX @ B - XtY
-        f_loss = m.loss(B, g_loss)
-        pen, slack, dual_grad, stage_pen = penalty.dual_terms(B, g_loss, mu_s)
-        f = f_loss + pen
+        g = XtX @ B - XtY
+        f_loss = m.loss(B, g)
+        pen = slack = stage_pen = 0.0
+        if fusion is not None:
+            pen, slack, dual_grad, stage_pen = fusion.dual_terms(B, g, mu_s)
+            g += dual_grad
+        norm_pen, norm_slack, U, _ = norm.dual_terms(B, g, mu_s)
+        f = f_loss + pen + norm_pen
         if not np.isfinite(f):
             raise NumericError("objective became non-finite")
-        R = g_loss + dual_grad
+        R = g + U
         P = m.inv_factor.T @ R
-        bound = f - slack - 0.5 * float(np.vdot(P, P))
+        bound = f - slack - norm_slack - 0.5 * float(np.vdot(P, P))
         if N.shape[1]:
             # Hoelder on the null-space part of R, with ||B* - B||_1 <= F(B) / c + ||B||_1
             bound -= float(np.abs(N @ (N.T @ R)).max()) * (f / c + float(np.abs(B).sum()))
         lower = max(lower, bound)
-        return (f_loss + stage_pen, f), stops(f, mu_s)
+        return (f_loss + stage_pen + norm_pen, f), stops(f, mu_s)
 
     trace: list[tuple[float, float]] = []
 
@@ -273,9 +280,9 @@ def solve(m: Moments, config: SolverConfig, penalty) -> Solution:
     t_loop = time.perf_counter()
     B, iters = np.zeros(XtY.shape), 0
     for mu_s in stages:
-        penalty_grad = penalty.gradient_map(mu_s) if mu_s > 0 else None
+        penalty_grad = fusion.gradient_map(mu_s) if mu_s > 0 else None
         B, n, (_, f) = three_sequence_minimize(
-            grad, check, B, lipschitz(mu_s), max_iters - iters, prox, trace_row if config.record_trace else None
+            grad, check, B, lipschitz(mu_s), max_iters - iters, norm.prox, trace_row if config.record_trace else None
         )
         iters += n
         converged = stops(f, mu)

@@ -175,11 +175,17 @@ class TestFitCommand:
         "flag,value", [("--lambda", "1e+200"), ("--gamma", "1e+200"), ("--mu", "1e-320"), ("--accuracy", "1e-320")]
     )
     def test_overflowing_step_bound_exits_2_without_outputs(self, data_dir, tmp_path, capsys, flag, value):
-        # L = lam_max + ||C||^2 / mu is past the float range: a zero step, so the fit is refused before it iterates
+        # L = lam_max + ||C||^2 / mu is past the float range: a zero step, so the fit is refused before it
+        # iterates. lambda is not smoothed and stays out of L: at lambda = 1e200 the fit certifies B = 0
         out = tmp_path / "fit"
         out.mkdir()
         code = main(["fit", "--method", "gflasso", "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
                      "--out-dir", str(out), flag, value])
+        if flag == "--lambda":
+            assert code == 0
+            assert not read_matrix_csv(out / "B_hat.csv")[0].any()
+            assert json.loads((out / "fit.json").read_text())["stop_reason"] == "gap"
+            return
         assert code == 2
         err = capsys.readouterr().err
         assert "step bound" in err and f"{flag[2:]}={value}" in err, err
@@ -296,17 +302,17 @@ class TestCvCommand:
         assert doc["final_fit"]["stop_reason"] == "gap"
 
     def test_overflowing_step_bound_is_an_error_row(self, data_dir, tmp_path):
-        # only a fit with a fusion term has the ||C||^2 / mu term; a lasso at lambda=1e200 certifies B = 0
+        # only the fusion term has the ||C||^2 / mu term, C = gamma H; lambda never enters L
         out = tmp_path / "cv"
         out.mkdir()
         code = main(["cv", "--method", "gflasso", "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
-                     "--out-dir", str(out), "--lambdas", "0.4,1e200", "--gammas", "0.1", "--holdout", "20", *FAST])
+                     "--out-dir", str(out), "--lambdas", "0.4", "--gammas", "0.1,1e200", "--holdout", "20", *FAST])
         assert code == 0
         doc = json.loads((out / "cv.json").read_text())
         assert [row.get("error") for row in doc["table"]] == [
-            None, "the step bound L = lam_max + ||C||^2 / mu overflows at lambda=1e+200, gamma=0.1, mu=0.001",
+            None, "the step bound L = lam_max + ||C||^2 / mu overflows at gamma=1e+200, mu=0.001",
         ]
-        assert doc["selected"]["lambda"] == 0.4
+        assert doc["selected"]["gamma"] == 0.1
 
     def test_l1l2_on_a_singular_gram_writes_json(self, wide_dir, tmp_path):
         # a NumPy scalar c = lam / sqrt(K) would make ``converged`` a numpy.bool_, which json_text refuses

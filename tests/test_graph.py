@@ -122,9 +122,9 @@ class TestTaskGraphValidation:
 
 
 def incidence_matrix(g):
-    # with lam = 0 and gamma = 1 the operator maps the identity to C = (0, H)
+    # with lam = 0 and gamma = 1 the operator holds the edge columns alone and maps the identity to H
     k = g.node_count
-    return FusionOperator.from_graph(g, lam=0.0, gamma=1.0, n_inputs=k).apply(np.eye(k))[:, k:]
+    return FusionOperator.from_graph(g, lam=0.0, gamma=1.0, n_inputs=k).apply(np.eye(k))
 
 
 def weighted_degrees(g):

@@ -113,6 +113,22 @@ class TestFitsWithoutFusionTerm:
         assert a.mu_used == 0.0 and np.array_equal(a.B_hat, b.B_hat)
 
 
+class TestFitsWithFusionTerm:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_lam_past_the_kkt_threshold_certifies_an_exact_zero(self, seed):
+        # lam goes through the soft threshold, never the smoothing: past max |X^T Y| the iterates stay
+        # exactly 0, the certificate closes, and L = lam_max + ||gamma H||^2 / mu does not see lam
+        ds = simulate_dataset(SimulationSpec(seed=seed))
+        data, graph, config = Moments.from_data(ds.X, ds.Y), build_correlation_graph(ds.Y, 0.1), SolverConfig()
+        lam = 1.01 * float(np.abs(data.XtY).max())
+        sol = fit_gflasso(data, graph, PenaltySpec(lam=lam, gamma=1.0), config).solution
+        ref = fit_gflasso(data, graph, PenaltySpec(lam=0.1, gamma=1.0), config).solution
+        assert graph.n_edges and sol.mu_used > 0
+        assert not sol.B_hat.any()
+        assert (sol.gap, sol.stop_reason) == (0.0, "gap")
+        assert sol.lipschitz_used == ref.lipschitz_used
+
+
 class TestFitLasso:
     def test_no_penalty_is_least_squares(self):
         X, Y = make_problem(8)
@@ -246,6 +262,14 @@ class TestGroupNorm:
         assert np.linalg.norm(A.reshape(-1, width), axis=1).max() <= 1.1 * (1 + 1e-15)
         assert pen == stage_pen == GroupNorm(1.1, width).penalty_exact(B)
         assert slack >= 0.0
+
+    def test_dual_terms_with_a_fusion_term_take_the_sign_on_the_support(self):
+        # mu > 0: lam * sign(B) on the support, the projection of -g elsewhere; the slack is exactly 0
+        rng = np.random.default_rng(12)
+        B, g = rng.standard_normal((6, 3)) * (rng.random((6, 3)) < 0.5), 2.0 * rng.standard_normal((6, 3))
+        pen, slack, A, stage_pen = GroupNorm(1.1, 1).dual_terms(B, g, 1e-3)
+        assert np.array_equal(A, np.where(B != 0, 1.1 * np.sign(B), -np.clip(g, -1.1, 1.1)))
+        assert (pen, slack, stage_pen) == (GroupNorm(1.1, 1).penalty_exact(B), 0.0, pen)
 
     def test_solve_runs_it_unsmoothed_and_matches_the_model(self):
         X, Y = make_problem(11)

@@ -242,6 +242,14 @@ class TestConstants:
         assert FusionOperator.from_graph(TaskGraph(4), lam=3.0, gamma=0.0, n_inputs=2).norm_bound() == 3.0
         assert FusionOperator.from_graph(TaskGraph(1), lam=3.0, gamma=2.0, n_inputs=2).norm_bound() == 3.0
 
+    def test_lam_zero_holds_the_edge_columns_alone(self):
+        # the fusion term that solve smooths: width |E|, D = J |E| / 2, bound sqrt(2 gamma^2 max d)
+        g = TaskGraph(3, ((1, 2, 0.5), (1, 3, -0.5)))
+        op = FusionOperator.from_graph(g, lam=0.0, gamma=2.0, n_inputs=4)
+        assert (op.width, op.gap_constant()) == (2, 4.0)
+        assert op.norm_bound() == pytest.approx(np.sqrt(2.0 * 4.0 * 0.5))
+        assert op.apply(np.eye(4, 3)).shape == (4, 2)
+
     def test_singular_value_never_exceeds_bound(self):
         rng = np.random.default_rng(18)
         for _ in range(100):
@@ -295,7 +303,9 @@ class TestBothRepresentations:
             assert any(l - m > 1 for m, l, _ in g.edges)
         op = FusionOperator.from_graph(g, lam=lam, gamma=gamma, n_inputs=J)
         assert (op._C is not None) == label.startswith("dense")
-        return rng, g, op, dense_fusion_matrix(K, g.edges, lam, gamma)
+        C = dense_fusion_matrix(K, g.edges, lam, gamma)
+        # at lam = 0 the operator holds no lam columns, only the |E| edge columns of C
+        return rng, g, op, C if lam > 0 else C[:, K:]
 
     def test_apply_matches_oracle(self, label, J, K, edge_prob, lam, gamma):
         rng, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)

@@ -39,6 +39,11 @@ def empty_operator(j, k, lam=0.0):
     return FusionOperator.from_graph(TaskGraph(k), lam=lam, gamma=0.0, n_inputs=j)
 
 
+def fusion_gap_constant(op):
+    # D = J |E| / 2 of the fusion term alone, the part of the operator that solve smooths
+    return 0.5 * op.n_inputs * op.n_edges
+
+
 class TestLargestEigenvalue:
     def test_identity(self):
         assert largest_eigenvalue(np.eye(3)) == pytest.approx(1.0, rel=1e-10)
@@ -75,36 +80,39 @@ class TestLipschitzUpper:
         assert sol.lipschitz_used == pytest.approx(lm, rel=1e-8)
 
     def test_arithmetic(self):
-        # lam=1, gamma=2, max degree 0.5, mu=0.1, lam_max=4 -> 4 + 5/0.1 = 54
+        # lam=1, gamma=2, max degree 0.5, mu=0.1, lam_max=4 -> 4 + 2 * 4 * 0.5 / 0.1 = 44; lam is not smoothed
         g = TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5)))
         op = FusionOperator.from_graph(g, lam=1.0, gamma=2.0, n_inputs=2)
         X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0], [-1.0, 0.0]])  # centered, X^T X = diag(4, 2)
         sol = solve(Moments.from_data(X, np.ones((4, 3))), SolverConfig(mu=0.1, max_iters=1), op)
-        assert sol.lipschitz_used == pytest.approx(54.0)
+        assert sol.lipschitz_used == pytest.approx(44.0)
 
     def test_gradient_lipschitz_inequality(self):
         rng = np.random.default_rng(2)
         X, Y = centered_problem(3, n=15, j=5, k=3)
         g = TaskGraph(3, ((1, 2, 0.8), (2, 3, -0.5)))
         op = FusionOperator.from_graph(g, lam=0.4, gamma=0.7, n_inputs=5)
+        fusion = FusionOperator.from_graph(g, lam=0.0, gamma=0.7, n_inputs=5)  # the smoothed part of op
         mu = 0.05
         XtX, XtY = X.T @ X, X.T @ Y
         L = solve(Moments.from_data(X, Y), SolverConfig(mu=mu, max_iters=1), op).lipschitz_used
         for _ in range(100):
             B1 = rng.standard_normal((5, 3))
             B2 = rng.standard_normal((5, 3))
-            g1 = smooth_objective_gradient(X, Y, op, B1, mu, XtX, XtY)
-            g2 = smooth_objective_gradient(X, Y, op, B2, mu, XtX, XtY)
+            g1 = smooth_objective_gradient(X, Y, fusion, B1, mu, XtX, XtY)
+            g2 = smooth_objective_gradient(X, Y, fusion, B2, mu, XtX, XtY)
             assert np.linalg.norm(g1 - g2) <= L * np.linalg.norm(B1 - B2) + 1e-9
 
     def test_accuracy_mode_derives_mu_and_step_from_the_operator(self):
         X, Y = centered_problem(8, n=15, j=5, k=3)
         g = TaskGraph(3, ((1, 2, 0.8), (2, 3, -0.5)))
         op = FusionOperator.from_graph(g, lam=0.4, gamma=0.7, n_inputs=5)
+        fusion = FusionOperator.from_graph(g, lam=0.0, gamma=0.7, n_inputs=5)  # D = J |E| / 2 = 5
         eps = 0.05
         sol = solve(Moments.from_data(X, Y), SolverConfig(accuracy=eps, max_iters=1), op)
-        assert sol.mu_used == eps / (2 * op.gap_constant())
-        assert sol.lipschitz_used == largest_eigenvalue(X.T @ X) + op.norm_bound() ** 2 / sol.mu_used
+        assert fusion.gap_constant() == fusion_gap_constant(op) == 5.0
+        assert sol.mu_used == eps / (2 * fusion.gap_constant())
+        assert sol.lipschitz_used == largest_eigenvalue(X.T @ X) + fusion.norm_bound() ** 2 / sol.mu_used
 
 
 class TestSmoothObjectiveGradient:
@@ -161,7 +169,7 @@ class TestProxGradFit:
         ref, _ = subgradient_dense(X, Y, C, 200000)
         assert sol.objective_exact == pytest.approx(ref, rel=5e-3)
         # never worse than the reference by more than the smoothing gap
-        assert sol.objective_exact <= ref + sol.mu_used * op.gap_constant() + 1e-6
+        assert sol.objective_exact <= ref + sol.mu_used * fusion_gap_constant(op) + 1e-6
 
     def test_fusion_limit_two_tasks(self):
         X, Y = centered_problem(10, n=12, j=3, k=2, noise=0.2)
@@ -194,7 +202,7 @@ class TestProxGradFit:
         sol = solve(Moments.from_data(X, Y), config, op)
         # the pointwise sandwich f_mu <= f <= f_mu + mu D is checked in test_smoothing; the traced
         # fit ends within its certified gap
-        mu_d = sol.mu_used * op.gap_constant()
+        mu_d = sol.mu_used * fusion_gap_constant(op)
         assert len(sol.trace) == sol.iterations
         assert sol.converged and 0 <= sol.gap <= max(config.rel_obj_tol * abs(sol.objective_exact), mu_d)
 
@@ -270,9 +278,10 @@ class TestProxGradFit:
 
     def test_shape_validation(self):
         X, Y = centered_problem(17)
-        op = empty_operator(3, 2)
-        with pytest.raises(ValueError):
-            solve(Moments.from_data(X, Y), SolverConfig(), op)
+        # no fusion term reaches apply here, so solve itself compares the shapes
+        for op in (empty_operator(3, 2), FusionOperator.from_graph(TaskGraph(2, ((1, 2, 0.5),)), 0.1, 0.0, n_inputs=3)):
+            with pytest.raises(ValueError, match=r"coefficient shape \(3, 2\), the data \(4, 2\)$"):
+                solve(Moments.from_data(X, Y), SolverConfig(), op)
 
 
 def certificate_problems(seed, wide=False):
@@ -311,7 +320,7 @@ class TestCertificate:
             # every certified lower bound lies below every objective value
             assert sol.gap >= excess - 1e-12 * abs(sol.objective_exact), name
             assert tight.objective_exact - tight.gap <= sol.objective_exact + 1e-12, name
-            floor = sol.mu_used * (penalty.gap_constant() if sol.mu_used else 0.0)
+            floor = sol.mu_used * (fusion_gap_constant(penalty) if sol.mu_used else 0.0)
             assert sol.converged and sol.stop_reason == "gap", name
             assert sol.gap <= max(config.rel_obj_tol * abs(sol.objective_exact), floor), name
             assert excess <= max(config.rel_obj_tol * abs(sol.objective_exact), floor), name
@@ -375,7 +384,7 @@ class TestCertificate:
         sol = solve(m, SolverConfig(), op)
         tight = solve(m, SolverConfig(mu=1e-6, rel_obj_tol=1e-9, max_iters=100000), op)
         assert (sol.converged, sol.stop_reason) == (True, "gap")
-        assert sol.gap <= max(SolverConfig().rel_obj_tol * abs(sol.objective_exact), sol.mu_used * op.gap_constant())
+        assert sol.gap <= max(SolverConfig().rel_obj_tol * abs(sol.objective_exact), sol.mu_used * fusion_gap_constant(op))
         assert sol.gap >= sol.objective_exact - tight.objective_exact - 1e-12 * abs(sol.objective_exact)
 
     @pytest.mark.parametrize("penalty", [
