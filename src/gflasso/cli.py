@@ -297,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="multi-replicate simulate/select/fit/score experiment; writes report.json")
     p_rep.add_argument("--out-dir", required=True)
     _add_sim_flags(p_rep)
-    p_rep.add_argument("--rho", type=float, default=0.1)
-    p_rep.add_argument("--methods", type=_str_list, default=",".join(METHODS))
-    p_rep.add_argument("--replicates", type=int, default=10)
-    p_rep.add_argument("--test-n", type=int, default=50)
-    p_rep.add_argument("--holdout", type=int, default=30)
-    p_rep.add_argument("--lambdas", type=_float_list, default=DEFAULT_GRID)
-    p_rep.add_argument("--gammas", type=_float_list, default=DEFAULT_GRID)
+    p_rep.add_argument("--rho", type=float, default=ExperimentConfig.rho)
+    p_rep.add_argument("--methods", type=_str_list, default=",".join(ExperimentConfig.methods))
+    p_rep.add_argument("--replicates", type=int, default=ExperimentConfig.n_replicates)
+    p_rep.add_argument("--test-n", type=int, default=ExperimentConfig.test_n)
+    p_rep.add_argument("--holdout", type=int, default=ExperimentConfig.holdout)
+    p_rep.add_argument("--lambdas", type=_float_list, default=ExperimentConfig.lambda_grid)
+    p_rep.add_argument("--gammas", type=_float_list, default=ExperimentConfig.gamma_grid)
     # Ignored: replicates run serially. Kept parseable only because the
     # perfbench report_paper workload still passes --threads 1.
     p_rep.add_argument("--threads", type=int, help=argparse.SUPPRESS)

@@ -46,15 +46,15 @@ def write_matrix_csv(path, M: np.ndarray, header: list[str]) -> None:
 
 
 def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Parse a matrix CSV; malformed or non-finite cells are reported with row and column."""
+    """Parse a matrix CSV; malformed or non-finite cells are reported with row (the file line) and column."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip() != ""]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     width = len(header)
     rows = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         cells = line.split(",")
         if len(cells) != width:
             raise ValueError(f"{path}: line {i} has {len(cells)} cells, expected {width}")
@@ -72,8 +72,8 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     M = np.array(rows, dtype=float)
     bad = np.argwhere(~np.isfinite(M))
     if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"{path}: non-finite cell at row {i + 2}, column {j + 1}: {lines[i + 1].split(',')[j]!r}")
+        (i, line), j = lines[bad[0][0] + 1], bad[0][1]
+        raise ValueError(f"{path}: non-finite cell at row {i}, column {j + 1}: {line.split(',')[j]!r}")
     return M, header
 
 

@@ -1,9 +1,10 @@
 """Correlation graphs over output tasks.
 
 A task graph connects pairs of output variables whose sample correlation is
-strong; edge weights keep the signed correlation. The fusion penalty reads
-the graph through :class:`smoothing.FusionOperator`, which holds its signed,
-weighted vertex-edge incidence matrix dense when K <= J, else as edge arrays.
+strong; edge weights keep the signed correlation. The fused model reads the
+same kind of graph over its covariates (:func:`chain_graph`, :func:`load_edge_list`).
+:class:`smoothing.FusionOperator` reads either one's signed, weighted incidence
+matrix, dense or as edge arrays, chosen once by its shape.
 """
 
 from __future__ import annotations
@@ -37,23 +38,30 @@ class TaskGraph:
     def __post_init__(self) -> None:
         if self.node_count < 1:
             raise ValueError(f"node_count must be >= 1, got {self.node_count}")
-        seen: set[tuple[int, int]] = set()
-        for m, l, r in self.edges:
-            if m == l:
-                raise ValueError(f"self-loop at node {m}")
-            if not (1 <= m < l <= self.node_count):
-                raise ValueError(f"edge ({m}, {l}) out of range for {self.node_count} nodes (need 1 <= m < l <= K)")
-            if (m, l) in seen:
-                raise ValueError(f"duplicate edge ({m}, {l})")
-            if not -1.0 <= r <= 1.0:
-                raise ValueError(f"edge weight {r} outside [-1, 1]")
-            if self.threshold is not None and abs(r) <= self.threshold:
-                raise ValueError(f"edge ({m}, {l}) weight {r} does not exceed threshold {self.threshold}")
-            seen.add((m, l))
+        if (problem := _edge_problem(enumerate(self.edges), self.node_count, self.threshold)) is not None:
+            raise ValueError(problem[1])
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+
+def _edge_problem(keyed_edges, node_count: int, threshold: float | None) -> tuple[int, str] | None:
+    """(key, reason) of the first of the (key, edge) pairs that breaks the invariants of :class:`TaskGraph`, or None."""
+    seen: set[tuple[int, int]] = set()
+    for i, (m, l, r) in keyed_edges:
+        if m == l:
+            return i, f"self-loop at node {m}"
+        if not (1 <= m < l <= node_count):
+            return i, f"edge ({m}, {l}) out of range for {node_count} nodes (need 1 <= m < l <= {node_count})"
+        if (m, l) in seen:
+            return i, f"duplicate edge ({m}, {l})"
+        if not -1.0 <= r <= 1.0:
+            return i, f"edge ({m}, {l}) weight {r} outside [-1, 1]"
+        if threshold is not None and abs(r) <= threshold:
+            return i, f"edge ({m}, {l}) weight {r} does not exceed threshold {threshold}"
+        seen.add((m, l))
+    return None
 
 
 _UNIT_SNAP = 4 * np.finfo(float).eps
@@ -116,8 +124,8 @@ def edge_list_text(graph: TaskGraph) -> str:
 
 
 def load_edge_list(path, node_count: int) -> TaskGraph:
-    """Read an edge list in the :func:`edge_list_text` format over ``node_count`` nodes."""
-    edges: list[tuple[int, int, float]] = []
+    """Read an edge list in the :func:`edge_list_text` format over ``node_count`` nodes; errors name the file line."""
+    edges: list[tuple[int, tuple[int, int, float]]] = []  # (file line, edge)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -127,8 +135,9 @@ def load_edge_list(path, node_count: int) -> TaskGraph:
             if not row:
                 continue
             try:
-                m, l, r = int(row[0]), int(row[1]), float(row[2])
+                edges.append((i, (int(row[0]), int(row[1]), float(row[2]))))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}: malformed edge at line {i}: {row}") from exc
-            edges.append((m, l, r))
-    return TaskGraph(node_count=node_count, edges=tuple(edges))
+    if (problem := _edge_problem(edges, node_count, None)) is not None:
+        raise ValueError(f"{path}: line {problem[0]}: {problem[1]}")
+    return TaskGraph(node_count=node_count, edges=tuple(edge for _, edge in edges))

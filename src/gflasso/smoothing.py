@@ -12,11 +12,13 @@ for the solver's loop, and the same A is the dual point of the duality-gap
 certificate (``dual_terms``). D and the norm bound of B -> B C are defined here
 alone (``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu and L from them.
 
-The operator holds C in one of two forms, chosen by its own shape alone. When
-K <= J it builds the dense K x width C once, no larger than the J x width
-auxiliary matrix, so its products are BLAS products. When K > J (mostly the
-1 x J :class:`CovariateFusionOperator`) it keeps the nonzeros of C: B C and
-A C^T are each one column gather and one ``np.bincount``, O(J*K + J*|E|).
+Construction picks the form of C once, by the operator's shape, and keeps the
+maps B -> B C and A -> A C^T that ``apply`` and ``adjoint`` call after a shape
+check. When K <= J they are BLAS products on the dense K x width C, no larger
+than the J x width auxiliary matrix. When K > J (mostly the 1 x J
+:class:`CovariateFusionOperator`) each is one gather and one ``np.bincount`` over
+flat entries, O(J*K + J*|E|): a row-major J x 1 column has the flat entries of a
+1 x J row, so neither coefficient layout is transposed.
 """
 
 from __future__ import annotations
@@ -32,11 +34,6 @@ from .graph import TaskGraph
 def shrink(x):
     """Entrywise clamp to [-1, 1]; boundary inputs map to the boundary value."""
     return np.clip(x, -1.0, 1.0)
-
-
-def _scatter_sum(M: np.ndarray, gather: np.ndarray, weight: np.ndarray, scatter: np.ndarray, width: int) -> np.ndarray:
-    """The rows of M times a sparse matrix: each row's columns ``gather`` times ``weight``, summed at ``scatter``."""
-    return np.bincount(scatter, (M[:, gather] * weight).ravel(), M.shape[0] * width).reshape(M.shape[0], width)
 
 
 def _check_mu(mu: float) -> float:
@@ -97,8 +94,7 @@ class FusionOperator:
 
     Maps (J, K) coefficient matrices to (J, width): K columns lam * B (none at
     lam = 0), then gam * |r_e| * (B[:, m_e] - sign(r_e) * B[:, l_e]) per edge e.
-    Edges are stored as flat arrays; construction builds the dense C when
-    K <= J, else the gather and scatter indices of B C and A C^T.
+    Edges are stored as flat arrays, B C and A C^T as two maps built at construction.
     """
 
     lam: float
@@ -121,16 +117,21 @@ class FusionOperator:
         # the nonzeros of C, entry i at (rows[i], cols[i]): lam on the diagonal, then each edge at its m and its l end
         rows, cols = np.concatenate((node, self.edge_m, self.edge_l)), np.concatenate((node, edge, edge))
         weight = np.concatenate((np.full(n_diag, self.lam), coef, -self.edge_sign * coef))
-        if k <= self.n_inputs:
+        if k <= self.n_inputs:  # the maps capture arrays and shapes, not self: an operator holds no reference cycle
             C = np.zeros((k, self.width))
             C[rows, cols] = weight
-            object.__setattr__(self, "_C", C)
-            return
-        # B C and A C^T as one gather of the J x (width + |E|) weighted entries and one bincount each
-        rank = np.arange(self.n_inputs)[:, None]
-        object.__setattr__(self, "_C", None)
-        object.__setattr__(self, "_forward", (rows, weight, (self.width * rank + cols).ravel(), self.width))
-        object.__setattr__(self, "_backward", (cols, weight, (k * rank + rows).ravel(), k))
+            forward, backward = (lambda B: B @ C), (lambda A: A @ C.T)
+        else:  # flat entry (j, rows[i]) of the coefficients times weight[i] adds to (j, cols[i]) of B C, and back
+            C, rank = None, np.arange(self.n_inputs)[:, None]
+            at_coef, at_aux = k * rank + rows, self.width * rank + cols
+
+            def edge_map(gather, scatter, shape):
+                size = shape[0] * shape[1]
+                return lambda M: np.bincount(scatter, (np.take(M, gather) * weight).ravel(), size).reshape(shape)
+
+            forward = edge_map(at_coef, at_aux.ravel(), (self.n_inputs, self.width))
+            backward = edge_map(at_aux, at_coef.ravel(), self.coef_shape)
+        vars(self).update(_C=C, _forward=forward, _backward=backward)  # past the frozen __setattr__
 
     @classmethod
     def from_graph(cls, graph: TaskGraph, lam: float, gamma: float, n_inputs: int) -> "FusionOperator":
@@ -165,20 +166,16 @@ class FusionOperator:
     def apply(self, B: np.ndarray) -> np.ndarray:
         """Gamma(B) = B C, shape (J, width)."""
         B = np.asarray(B, dtype=float)
-        if B.shape != (self.n_inputs, self.n_tasks):
-            raise ValueError(f"coefficient matrix must have shape {(self.n_inputs, self.n_tasks)}, got {B.shape}")
-        if self._C is not None:
-            return B @ self._C
-        return _scatter_sum(B, *self._forward)
+        if B.shape != self.coef_shape:
+            raise ValueError(f"coefficient matrix must have shape {self.coef_shape}, got {B.shape}")
+        return self._forward(B)
 
     def adjoint(self, A: np.ndarray) -> np.ndarray:
-        """Gamma*(A) = A C^T, mapping (J, width) back to (J, K)."""
+        """Gamma*(A) = A C^T, mapping (J, width) back to ``coef_shape``."""
         A = np.asarray(A, dtype=float)
         if A.shape != (self.n_inputs, self.width):
             raise ValueError(f"auxiliary matrix must have shape {(self.n_inputs, self.width)}, got {A.shape}")
-        if self._C is not None:
-            return A @ self._C.T
-        return _scatter_sum(A, *self._backward)
+        return self._backward(A)
 
     def aux_optimum(self, B: np.ndarray, mu: float) -> np.ndarray:
         """Maximizer A* = clamp(B C / mu) of <A, B C> - (mu/2) ||A||_F^2 over ||A||_inf <= 1."""
@@ -191,12 +188,11 @@ class FusionOperator:
 
         With the dense C the map is two BLAS products around one in-place clamp,
         with C / mu built here once, and it does not check B's shape: the caller
-        owns it. Otherwise it is ``aux_optimum`` and the scatter of the adjoint.
+        owns it. Otherwise it is ``aux_optimum`` and the adjoint's map.
         """
         mu = _check_mu(mu)
-        if self._C is None:  # CovariateFusionOperator has one row: the transpose of A C^T is a reshape
-            return lambda B: _scatter_sum(self.aux_optimum(B, mu), *self._backward).reshape(B.shape)
-        # CovariateFusionOperator is dense only at J = 1, where its transposes are identities on the 1 x 1 B
+        if self._C is None:
+            return lambda B: self._backward(self.aux_optimum(B, mu))
         C_mu, C_T = self._C / mu, self._C.T
 
         def smoothed_gradient(B: np.ndarray) -> np.ndarray:
@@ -247,14 +243,8 @@ class FusionOperator:
 
 
 class CovariateFusionOperator(FusionOperator):
-    """The univariate fused model's penalty on a J x 1 column b: the 1 x J operator (n_inputs=1, n_tasks=J) on b^T."""
+    """The fused model's penalty on a J x 1 column b: the 1 x J operator (n_inputs=1, n_tasks=J), read on b as it is."""
 
     @property
     def coef_shape(self) -> tuple[int, int]:
         return self.n_tasks, self.n_inputs
-
-    def apply(self, B: np.ndarray) -> np.ndarray:
-        return super().apply(B.T)
-
-    def adjoint(self, A: np.ndarray) -> np.ndarray:
-        return super().adjoint(A).T

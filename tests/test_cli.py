@@ -139,6 +139,44 @@ class TestFitCommand:
             assert "row 3" in err and "column 2" in err and str(x) in err, err
             assert not (out / "B_hat.csv").exists()
 
+    @pytest.mark.parametrize(
+        "last, expected", [("3,oops", "row 5, column 2"), ("3,inf", "row 5, column 2"), ("3", "line 5 has 1 cells")]
+    )
+    def test_blank_lines_count_in_the_reported_row(self, tmp_path, capsys, last, expected):
+        # the row named is the line of the file, blank lines included
+        y = tmp_path / "Y.csv"
+        y.write_text("y1\n\n0.5\n\n-0.5\n")
+        x = tmp_path / "X.csv"
+        x.write_text(f"x1,x2\n\n1,2\n\n{last}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["fit", "--method", "lasso", "--x", str(x), "--y", str(y), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{x}: " in err and expected in err, err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize(
+        "edge, reason",
+        [
+            ("3,999,0.5", "edge (3, 999) out of range for 5 nodes (need 1 <= m < l <= 5)"),
+            ("1,2,-0.25", "duplicate edge (1, 2)"),
+            ("2,3,1.5", "edge (2, 3) weight 1.5 outside [-1, 1]"),
+        ],
+    )
+    def test_refused_input_graph_names_its_file_and_line(self, tmp_path, capsys, edge, reason):
+        rng = np.random.default_rng(1)
+        write_matrix_csv(tmp_path / "X.csv", rng.standard_normal((12, 5)), default_headers("x", 5))
+        write_matrix_csv(tmp_path / "Y.csv", rng.standard_normal((12, 1)), ["y1"])
+        graph = tmp_path / "edges.csv"
+        graph.write_text(f"m,l,r\n1,2,0.5\n\n{edge}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["fit", "--method", "fused", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+                     "--input-graph", str(graph), "--out-dir", str(out)])
+        assert code == 2
+        assert f"{graph}: line 4: {reason}" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_max_iters_exit_code(self, data_dir, tmp_path):
         out = tmp_path / "slow"
         out.mkdir()
@@ -158,7 +196,7 @@ class TestFitCommand:
         assert code == 0
         doc = json.loads((out / "fit.json").read_text())
         assert (doc["converged"], doc["stop_reason"]) == (True, "gap")
-        gap_floor = doc["mu"] * 30 * (10 + doc["graph_edges"]) / 2  # mu * D, D = J (K + |E|) / 2
+        gap_floor = doc["mu"] * 30 * doc["graph_edges"] / 2  # mu * D, D = J |E| / 2 of the smoothed fusion term
         assert isinstance(doc["gap"], float) and 0 <= doc["gap"] <= max(1e-6 * doc["objective"], gap_floor)
 
     @pytest.mark.parametrize("method", ["gflasso", "lasso", "l1l2"])

@@ -285,20 +285,34 @@ class TestProxGradFit:
 
 
 def certificate_problems(seed, wide=False):
-    """(name, X, Y, penalty) on one seeded random problem: gflasso, lasso, univariate fused and l1/l2.
+    """(name, X, Y, penalty) on one seeded random problem: gflasso, lasso, univariate fused and l1/l2, plus,
+    unless ``wide``, gflasso on more tasks than covariates (K > J), where the operator keeps edge arrays.
 
-    ``wide`` takes N = 6 rows and J in [8, 14) covariates, so X^T X is singular.
+    ``wide`` takes N = 6 rows and J in [8, 14) covariates, so X^T X is singular; there the tight reference run
+    of a K > J fit ends at its 100,000-iteration cap, which would double the test's time.
     """
     rng = np.random.default_rng(seed)
     j, k = int(rng.integers(8, 14) if wide else rng.integers(3, 8)), int(rng.integers(2, 5))
     X, Y = centered_problem(seed, n=6 if wide else 30, j=j, k=k, noise=0.5)
-    pairs = [(m, l) for m in range(1, k + 1) for l in range(m + 1, k + 1)]
-    edges = tuple((m, l, float(rng.choice([-1, 1]) * rng.uniform(0.2, 1.0))) for m, l in pairs if rng.random() < 0.6)
+
+    def random_graph(k, p):
+        pairs = [(m, l) for m in range(1, k + 1) for l in range(m + 1, k + 1)]
+        return TaskGraph(k, tuple((m, l, float(rng.choice([-1, 1]) * rng.uniform(0.2, 1.0)))
+                                  for m, l in pairs if rng.random() < p))
+
+    graph = random_graph(k, 0.6)
     lam, gamma = 10.0 ** rng.uniform(-2, 1, size=2)
-    yield "gflasso", X, Y, FusionOperator.from_graph(TaskGraph(k, edges), lam=lam, gamma=gamma, n_inputs=j)
+    yield "gflasso", X, Y, FusionOperator.from_graph(graph, lam=lam, gamma=gamma, n_inputs=j)
     yield "lasso", X, Y, GroupNorm(lam, 1)
     yield "fused", X, Y[:, :1], CovariateFusionOperator.from_graph(chain_graph(j), lam=lam, gamma=gamma, n_inputs=1)
     yield "l1l2", X, Y, GroupNorm(lam, k)
+    if wide:
+        return
+    many = j + int(rng.integers(1, 4))
+    _, Y_many = centered_problem(seed, n=30, j=j, k=many, noise=0.5)  # the same X
+    op = FusionOperator.from_graph(random_graph(many, 0.3), lam=lam, gamma=gamma, n_inputs=j)
+    assert op._C is None
+    yield "gflasso K > J", X, Y_many, op
 
 
 class TestCertificate:
