@@ -124,19 +124,24 @@ def edge_list_text(graph: TaskGraph) -> str:
 
 
 def load_edge_list(path, node_count: int) -> TaskGraph:
-    """Read an edge list in the :func:`edge_list_text` format over ``node_count`` nodes; errors name the file line."""
+    """Read an edge list in the :func:`edge_list_text` format over ``node_count`` nodes; errors name the file line.
+
+    The header and every row hold exactly three cells: an extra cell is refused, never dropped.
+    """
     edges: list[tuple[int, tuple[int, int, float]]] = []  # (file line, edge)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != ["m", "l", "r"]:
-            raise ValueError(f"{path}: expected header m,l,r")
+        if header is None or [h.strip().lower() for h in header] != ["m", "l", "r"]:
+            raise ValueError(f"{path}: line 1: expected the header m,l,r, got {header}")
         for i, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != 3:
+                raise ValueError(f"{path}: line {i}: expected 3 cells m,l,r, got {len(row)}: {row}")
             try:
                 edges.append((i, (int(row[0]), int(row[1]), float(row[2]))))
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}: malformed edge at line {i}: {row}") from exc
     if (problem := _edge_problem(edges, node_count, None)) is not None:
         raise ValueError(f"{path}: line {problem[0]}: {problem[1]}")

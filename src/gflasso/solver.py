@@ -3,22 +3,19 @@
 :func:`solve` minimizes F(B) = (1/2) ||Y - X B||_F^2 + P(B) on centered data
 that it sees only as the moments X^T X and X^T Y (:class:`Moments`, built once
 per data split), so the per-iteration cost is independent of the sample count.
-Its loop is the three-sequence accelerated scheme: a gradient point W, a
-descent iterate B, and a weighted running gradient aggregate Z. Per iteration
-t, counted from the anchor (the start point, or the iterate of the last restart):
+Its loop is the accelerated step of smoothing proximal gradient (SPG; Chen, Lin, Kim,
+Carbonell & Xing 2012, "Smoothing proximal gradient method for general structured sparse
+regression", Algorithm 1), a FISTA step (Beck & Teboulle 2009) with theta_t = 2/(t+2):
+search points W, iterates B and those weights. Per iteration t, counted from the anchor
+(the start point, or the iterate of the last restart), with W^0 = B^{-1} = anchor:
 
-    1. g_t = grad(W^t)
-    2. B^t = W^t - g_t / L
-    3. V^t = V^{t-1} - ((t+1)/2) * g_t / L, with V^{-1} = anchor; Z^t = V^t
-       (so V^t = anchor - (1/L) * sum_{i<=t} ((i+1)/2) * g_i, one running point updated in place)
-    4. W^{t+1} = ((t+1)/(t+3)) B^t + (2/(t+3)) Z^t
+    1. B^t = prox(W^t - grad(W^t) / L, 1/L)
+    2. W^{t+1} = B^t + (t/(t+3)) (B^t - B^{t-1})
 
-Every penalty is an exact group norm plus at most one smoothed fusion term (Chen, Lin,
-Kim, Carbonell & Xing 2012, "Smoothing proximal gradient method for general structured
-sparse regression"). The norm (lam ||B||_1, or l1/l2's row norms) enters steps 2 and 3
-through its exact prox, B^t = prox(W^t - g_t / L) and Z^t = prox(V^t) (Nesterov 2013);
-the fusion term ||B C||_1, C = gam H, enters step 1 through its smooth surrogate f_mu,
-whose gradient the operator's ``gradient_map`` builds once per mu stage.
+Every penalty is an exact group norm plus at most one smoothed fusion term, SPG's split.
+The norm (lam ||B||_1, or l1/l2's row norms) enters step 1 through its exact prox; the
+fusion term ||B C||_1, C = gam H, enters grad through its smooth surrogate f_mu, whose
+gradient the operator's ``gradient_map`` builds once per mu stage.
 
 Every fit stops on a duality-gap certificate. With P(B) = max <A, B C> + <U, B> over
 ||A||_inf <= 1 and the groups of U in the lam-ball, R = grad loss(B) + A C^T + U,
@@ -152,37 +149,34 @@ def three_sequence_minimize(
     prox: Callable[[np.ndarray, float], np.ndarray] | None,
     trace: Callable[[np.ndarray, np.ndarray], None] | None,
 ) -> tuple[np.ndarray, int, tuple]:
-    """Run the three-sequence loop from W^0 = ``B0`` for at most ``max_iters`` iterations.
+    """Run the accelerated loop from W^0 = ``B0`` for at most ``max_iters`` iterations.
 
-    The loop keeps one running point V = anchor - S/L, with S the weighted
-    gradient sum of the module docstring's step 3, and lowers it in place by
-    ((k+1)/2) g/L; Z is V and W = ((k+1) B + 2 Z) / (k+3), seven array
-    operations per iteration besides ``grad``. ``check(B)`` runs every
-    CHECK_EVERY iterations and at the cap and returns (record, whether B ends
-    the run); ``record[0]`` is the value of the objective the loop minimizes.
+    Its three sequences are the iterates B, the search points W and the weights
+    theta_t = 2/(t+2) of the module docstring's steps: B = prox(W - g/L, 1/L), or
+    W - g/L without ``prox(V, s)``, the proximal map of s times a non-smooth
+    penalty; then W = B + (k/(k+3)) (B - B_prev). That is one prox per iteration
+    and, the soft threshold's two included, seven array operations besides
+    ``grad``. ``check(B)`` runs every CHECK_EVERY iterations and at the cap and
+    returns (record, whether B ends the run); ``record[0]`` is the value of the
+    objective the loop minimizes.
     At a check whose value is not below the best checked one, the loop
-    restarts from the current iterate: W = B, V = a copy of B, k = 0. With
-    ``prox(V, s)``, the proximal map of s times a non-smooth penalty, B and Z
-    become prox(W - g/L, 1/L) and prox(V, A_k/L), with A_k = (k+1)(k+2)/4.
+    restarts from the current iterate with no momentum: W = B, k = 0.
     ``trace(B, g)`` gets the unscaled gradient g every iteration and decides nothing.
 
     Returns (B, iterations, record of B): the iterate ``check`` accepted, else the best checked one.
     """
     if lipschitz <= 0:
         raise ValueError(f"Lipschitz bound must be positive, got {lipschitz}")
-    W = best_B = B0
-    V, best, k = B0.copy(), (np.inf,), 0
+    W = best_B = B = B0
+    best, k = (np.inf,), 0
     for t in range(1, max_iters + 1):
         g = grad(W)
-        step = g / lipschitz
-        B = W - step
-        V -= (0.5 * (k + 1)) * step
-        Z = V
+        B_prev, B = B, W - g / lipschitz
         if prox is not None:
             B = prox(B, 1.0 / lipschitz)
-            Z = prox(V, (k + 1.0) * (k + 2.0) / (4.0 * lipschitz))
-        W = ((k + 1.0) / (k + 3.0)) * B
-        W += (2.0 / (k + 3.0)) * Z
+        W = B - B_prev
+        W *= k / (k + 3.0)
+        W += B
         k += 1
         if trace is not None:
             trace(B, g)
@@ -194,7 +188,7 @@ def three_sequence_minimize(
         if record[0] < best[0]:
             best_B, best = B, record
         else:
-            W, V, k = B, B.copy(), 0
+            W, k = B, 0
     return best_B, max_iters, best
 
 

@@ -161,6 +161,8 @@ class TestFitCommand:
             ("3,999,0.5", "edge (3, 999) out of range for 5 nodes (need 1 <= m < l <= 5)"),
             ("1,2,-0.25", "duplicate edge (1, 2)"),
             ("2,3,1.5", "edge (2, 3) weight 1.5 outside [-1, 1]"),
+            ("2,3,0.5,9", "expected 3 cells m,l,r, got 4: ['2', '3', '0.5', '9']"),
+            ("2,3", "expected 3 cells m,l,r, got 2: ['2', '3']"),
         ],
     )
     def test_refused_input_graph_names_its_file_and_line(self, tmp_path, capsys, edge, reason):
@@ -175,6 +177,21 @@ class TestFitCommand:
                      "--input-graph", str(graph), "--out-dir", str(out)])
         assert code == 2
         assert f"{graph}: line 4: {reason}" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("header", ["m,l,r,w", "m,l"])
+    def test_input_graph_header_of_other_than_three_cells_is_refused(self, tmp_path, capsys, header):
+        rng = np.random.default_rng(1)
+        write_matrix_csv(tmp_path / "X.csv", rng.standard_normal((12, 5)), default_headers("x", 5))
+        write_matrix_csv(tmp_path / "Y.csv", rng.standard_normal((12, 1)), ["y1"])
+        graph = tmp_path / "edges.csv"
+        graph.write_text(f"{header}\n1,2,0.5\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["fit", "--method", "fused", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+                     "--input-graph", str(graph), "--out-dir", str(out)])
+        assert code == 2
+        assert f"{graph}: line 1: expected the header m,l,r" in capsys.readouterr().err
         assert os.listdir(out) == []
 
     def test_max_iters_exit_code(self, data_dir, tmp_path):

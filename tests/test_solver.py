@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gflasso.solver import (
     SolverConfig,
     solve,
     subgradient_fit,
+    three_sequence_minimize,
     trace_csv_text,
 )
 
@@ -410,6 +413,68 @@ class TestCertificate:
         X, Y = centered_problem(32, n=20, j=30, k=3)
         with pytest.raises(DegenerateInputError, match="lambda = 0"):
             solve(Moments.from_data(X, Y), SolverConfig(), penalty)
+
+
+class TestAcceleratedLoop:
+    @staticmethod
+    def lasso_parts(seed, width):
+        # the moments, the norm, the loss gradient and F of one lasso (width 1) or l1/l2 (width K) problem
+        X, Y = centered_problem(seed, n=30, j=6, k=3)
+        m, norm = Moments.from_data(X, Y), GroupNorm(0.5, width)
+
+        def grad(W):
+            return m.XtX @ W - m.XtY
+
+        return m, norm, grad, lambda B: m.loss(B, grad(B)) + norm.penalty_exact(B)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_one_prox_per_iteration_at_step_one_over_l(self, width):
+        m, norm, grad, F = self.lasso_parts(40, width)
+        steps = []
+
+        def prox(V, s):
+            steps.append(s)
+            return norm.prox(V, s)
+
+        _, iters, _ = three_sequence_minimize(grad, lambda B: ((F(B),), False), np.zeros(m.XtY.shape),
+                                              m.lam_max, 37, prox, None)
+        assert iters == 37
+        assert steps == [1.0 / m.lam_max] * 37
+
+    def test_a_check_that_does_not_improve_restarts_from_the_checked_iterate(self):
+        # the first check sets the best value; the second equals it, so the loop restarts from B^20 with no momentum
+        m, norm, grad, _ = self.lasso_parts(41, 1)
+        points, iterates = [], []
+
+        def grad_at(W):
+            points.append(W.copy())
+            return grad(W)
+
+        three_sequence_minimize(grad_at, lambda B: ((1.0,), False), np.zeros(m.XtY.shape), m.lam_max,
+                                2 * CHECK_EVERY + 2, norm.prox, lambda B, g: iterates.append(B.copy()))
+        first, second = CHECK_EVERY, 2 * CHECK_EVERY  # 1-based iterations of the two checks
+        assert not np.array_equal(points[first], iterates[first - 1])  # improved: the momentum carries on
+        assert np.array_equal(points[second], iterates[second - 1])
+        assert np.array_equal(points[second + 1], iterates[second])
+
+    @pytest.mark.parametrize("name", ["lasso", "l1l2"])
+    def test_rate_without_restart(self, name):
+        # F(B^t) - F* <= 2 L ||B0 - B*||^2 / (t+1)^2 from B0 = 0 on 20 random problems, F* the certified lower bound
+        worst = 0.0
+        for seed in range(20):
+            _, X, Y, norm = next(p for p in certificate_problems(seed) if p[0] == name)
+            m = Moments.from_data(X, Y)
+            star = solve(m, SolverConfig(rel_obj_tol=1e-13, max_iters=100000), norm)
+            assert star.converged
+            f_star, falling, fs = star.objective_exact - star.gap, itertools.count(0, -1), []
+            three_sequence_minimize(
+                lambda W: m.XtX @ W - m.XtY, lambda B: ((next(falling),), False), np.zeros(m.XtY.shape), m.lam_max,
+                300, norm.prox, lambda B, g: fs.append(m.loss(B, m.XtX @ B - m.XtY) + norm.penalty_exact(B)),
+            )
+            t = np.arange(1, len(fs) + 1)
+            bound = 2.0 * m.lam_max * float(np.vdot(star.B_hat, star.B_hat)) / (t + 1.0) ** 2
+            worst = max(worst, float(np.max((np.array(fs) - f_star) / bound)))
+        assert worst <= 1.0
 
 
 class TestMoments:
