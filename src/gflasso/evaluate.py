@@ -121,12 +121,6 @@ def _check_grid_values(values) -> None:
         raise ValueError(f"grid values must be finite and non-negative, got {bad[0]}")
 
 
-def _certificate(fit: FitResult) -> dict:
-    """How a fit stopped, as the artifacts record it: iterations, converged, stop_reason and gap."""
-    s = fit.solution
-    return {"iterations": s.iterations, "converged": s.converged, "stop_reason": s.stop_reason, "gap": s.gap}
-
-
 @dataclass(frozen=True)
 class SelectionResult:
     lam: float
@@ -177,7 +171,7 @@ def select_regularization(
         try:
             fit = fit_method(method, split.train, graph, lam, gamma, config)
             row["val_mse"] = prediction_error(fit, split.X_val, split.Y_val)
-            row.update(_certificate(fit))
+            row.update(fit.solution.certificate())
         except (ValueError, ArithmeticError) as exc:
             row["error"] = str(exc)
         table.append(row)
@@ -283,7 +277,7 @@ def _run_one_replicate(config: ExperimentConfig, r: int) -> tuple[dict, list[dic
                 "gamma": sel.gamma,
                 "auc": roc_curve(sel.fit.solution.B_hat, ds.B_true).auc,
                 "test_mse": prediction_error(sel.fit, X_test, Y_test),
-                **_certificate(sel.fit),
+                **sel.fit.solution.certificate(),
             }
         except (ValueError, ArithmeticError) as exc:
             failures.append({"replicate": r, "method": method, "error": str(exc)})

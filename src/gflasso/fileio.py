@@ -1,9 +1,9 @@
-"""CSV/JSON file formats shared by the library and the CLI.
+"""CSV/JSON file formats shared by the library and the CLI; the only module that opens files.
 
-Matrices are CSV with a header row of column ids and one row per sample,
-written with %.17g so float64 values round-trip exactly. This is the only
-module that writes files: every write goes through :func:`atomic_write_text`,
-a temp-file-then-rename, so a failed write leaves no partial file.
+Matrices are CSV with a header row of column ids and one row per sample, written with %.17g so float64
+values round-trip exactly. Matrices and edge lists are read by :func:`read_csv_lines`, in one dialect: plain
+comma-separated cells, no quoting, blank and whitespace-only lines skipped but counted. Every write goes
+through :func:`atomic_write_text`, a temp-file-then-rename, so a failed write leaves no partial file.
 """
 
 from __future__ import annotations
@@ -45,12 +45,18 @@ def write_matrix_csv(path, M: np.ndarray, header: list[str]) -> None:
     atomic_write_text(path, matrix_csv_text(M, header))
 
 
-def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Parse a matrix CSV; malformed or non-finite cells are reported with row (the file line) and column."""
+def read_csv_lines(path) -> list[tuple[int, str]]:
+    """(file line, text) of every line of ``path`` that is not blank or whitespace-only; an empty file is refused."""
     with open(path) as fh:
         lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip() != ""]
     if not lines:
         raise ValueError(f"{path}: empty file")
+    return lines
+
+
+def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
+    """Parse a matrix CSV; malformed or non-finite cells are reported with their file line and column."""
+    lines = read_csv_lines(path)
     header = [h.strip() for h in lines[0][1].split(",")]
     width = len(header)
     rows = []
@@ -65,7 +71,7 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
                 try:
                     float(c)
                 except ValueError:
-                    raise ValueError(f"{path}: non-numeric cell at row {i}, column {j}: {c!r}") from None
+                    raise ValueError(f"{path}: non-numeric cell at line {i}, column {j}: {c!r}") from None
             raise
     if not rows:
         raise ValueError(f"{path}: no data rows")
@@ -73,7 +79,7 @@ def read_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     bad = np.argwhere(~np.isfinite(M))
     if bad.size:
         (i, line), j = lines[bad[0][0] + 1], bad[0][1]
-        raise ValueError(f"{path}: non-finite cell at row {i}, column {j + 1}: {line.split(',')[j]!r}")
+        raise ValueError(f"{path}: non-finite cell at line {i}, column {j + 1}: {line.split(',')[j]!r}")
     return M, header
 
 

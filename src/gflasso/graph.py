@@ -4,17 +4,18 @@ A task graph connects pairs of output variables whose sample correlation is
 strong; edge weights keep the signed correlation. The fused model reads the
 same kind of graph over its covariates (:func:`chain_graph`, :func:`load_edge_list`).
 :class:`smoothing.FusionOperator` reads either one's signed, weighted incidence
-matrix, dense or as edge arrays, chosen once by its shape.
+matrix, dense or as edge arrays, chosen once by its shape. An edge list is read
+through :func:`fileio.read_csv_lines`, like a matrix; this module opens no file.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateInputError
+from .fileio import read_csv_lines
 
 
 def sign(r: float) -> float:
@@ -126,23 +127,20 @@ def edge_list_text(graph: TaskGraph) -> str:
 def load_edge_list(path, node_count: int) -> TaskGraph:
     """Read an edge list in the :func:`edge_list_text` format over ``node_count`` nodes; errors name the file line.
 
-    The header and every row hold exactly three cells: an extra cell is refused, never dropped.
+    Lines come from :func:`fileio.read_csv_lines`, in the matrices' dialect: the header m,l,r is the first
+    non-blank line, and the header and every edge hold exactly three cells: an extra cell is refused, never dropped.
     """
+    (first, header), *rows = [(i, line.split(",")) for i, line in read_csv_lines(path)]
+    if [h.strip().lower() for h in header] != ["m", "l", "r"]:
+        raise ValueError(f"{path}: line {first}: expected the header m,l,r, got {header}")
     edges: list[tuple[int, tuple[int, int, float]]] = []  # (file line, edge)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["m", "l", "r"]:
-            raise ValueError(f"{path}: line 1: expected the header m,l,r, got {header}")
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {i}: expected 3 cells m,l,r, got {len(row)}: {row}")
-            try:
-                edges.append((i, (int(row[0]), int(row[1]), float(row[2]))))
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed edge at line {i}: {row}") from exc
+    for i, row in rows:
+        if len(row) != 3:
+            raise ValueError(f"{path}: line {i}: expected 3 cells m,l,r, got {len(row)}: {row}")
+        try:
+            edges.append((i, (int(row[0]), int(row[1]), float(row[2]))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed edge at line {i}: {row}") from exc
     if (problem := _edge_problem(edges, node_count, None)) is not None:
         raise ValueError(f"{path}: line {problem[0]}: {problem[1]}")
     return TaskGraph(node_count=node_count, edges=tuple(edge for _, edge in edges))

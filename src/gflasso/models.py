@@ -65,10 +65,7 @@ class FitResult:
             "rho": rho,
             "graph_nodes": nodes,
             "graph_edges": edges,
-            "iterations": s.iterations,
-            "converged": s.converged,
-            "stop_reason": s.stop_reason,
-            "gap": s.gap,
+            **s.certificate(),
             "objective": s.objective_exact,
             "mu": s.mu_used,
             "lipschitz_bound": s.lipschitz_used,

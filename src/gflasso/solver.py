@@ -83,14 +83,13 @@ class Solution:
     ``trace`` rows are (exact objective, gradient norm) per iteration when
     tracing was requested. ``gap`` is F(B_hat) minus the best certified lower
     bound on the optimum, so ``objective_exact - gap`` is that bound (inf for
-    the subgradient baseline); ``stop_reason`` is ``gap`` or ``iteration_cap``.
+    the subgradient baseline); ``stop_reason`` is ``gap`` (``converged``) or ``iteration_cap``.
     ``mu_used`` and ``lipschitz_used`` are the final stage's.
     """
 
     B_hat: np.ndarray
     objective_exact: float
     iterations: int
-    converged: bool
     gap: float
     stop_reason: str
     lipschitz_used: float
@@ -98,6 +97,14 @@ class Solution:
     trace: tuple[tuple[float, float], ...] | None
     runtime_total_s: float
     runtime_periter_s: float
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "gap"
+
+    def certificate(self) -> dict:
+        """How the run stopped, as the artifacts record it: iterations, converged, stop_reason and gap."""
+        return {k: getattr(self, k) for k in ("iterations", "converged", "stop_reason", "gap")}
 
 
 @dataclass(frozen=True)
@@ -288,7 +295,6 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm)
         B_hat=B,
         objective_exact=f,
         iterations=iters,
-        converged=converged,
         gap=max(f - lower, 0.0),
         stop_reason="gap" if converged else "iteration_cap",
         lipschitz_used=lipschitz(stages[-1]),
@@ -335,7 +341,6 @@ def subgradient_fit(m: Moments, config: SolverConfig, op: FusionOperator) -> Sol
         B_hat=best_B,
         objective_exact=best_f,
         iterations=config.max_iters,
-        converged=False,
         gap=np.inf,
         stop_reason="iteration_cap",
         lipschitz_used=m.lam_max,

@@ -136,14 +136,14 @@ class TestFitCommand:
             code = main(["fit", "--method", "lasso", "--x", str(x), "--y", str(y), "--out-dir", str(out)])
             assert code == 2, cell
             err = capsys.readouterr().err
-            assert "row 3" in err and "column 2" in err and str(x) in err, err
+            assert "line 3, column 2" in err and str(x) in err, err
             assert not (out / "B_hat.csv").exists()
 
     @pytest.mark.parametrize(
-        "last, expected", [("3,oops", "row 5, column 2"), ("3,inf", "row 5, column 2"), ("3", "line 5 has 1 cells")]
+        "last, expected", [("3,oops", "line 5, column 2"), ("3,inf", "line 5, column 2"), ("3", "line 5 has 1 cells")]
     )
     def test_blank_lines_count_in_the_reported_row(self, tmp_path, capsys, last, expected):
-        # the row named is the line of the file, blank lines included
+        # the line named is the line of the file, blank lines included
         y = tmp_path / "Y.csv"
         y.write_text("y1\n\n0.5\n\n-0.5\n")
         x = tmp_path / "X.csv"

@@ -198,3 +198,43 @@ def test_edge_list_roundtrip(tmp_path):
     path.write_bytes(text.encode())
     loaded = load_edge_list(path, node_count=5)
     assert loaded.edges == g.edges
+
+
+def edges_file(tmp_path, text):
+    path = tmp_path / "edges.csv"
+    path.write_text(text)
+    return path
+
+
+def refusal(tmp_path, text) -> str:
+    """What ``load_edge_list`` says after the file's path when it refuses ``text`` over 5 nodes."""
+    path = edges_file(tmp_path, text)
+    with pytest.raises(ValueError) as exc:
+        load_edge_list(path, 5)
+    prefix = f"{path}: "
+    assert str(exc.value).startswith(prefix), exc.value
+    return str(exc.value)[len(prefix):]
+
+
+class TestLoadEdgeList:
+    """Edge lists are read in the matrices' dialect: blank and whitespace-only lines are skipped but counted, and
+    every refusal names the file line."""
+
+    def test_blank_line_before_the_header(self, tmp_path):
+        assert load_edge_list(edges_file(tmp_path, "\nm,l,r\n1,2,0.5\n"), 5).edges == ((1, 2, 0.5),)
+
+    def test_whitespace_only_line_between_edges(self, tmp_path):
+        path = edges_file(tmp_path, "m,l,r\n1,2,0.5\n  \n2,3,-0.25\n")
+        assert load_edge_list(path, 5).edges == ((1, 2, 0.5), (2, 3, -0.25))
+
+    def test_quoted_newline_is_refused_at_its_file_line(self, tmp_path):
+        message = refusal(tmp_path, 'm,l,r\n"1\n",2,0.5\n3,999,0.5\n')
+        assert message == "line 2: expected 3 cells m,l,r, got 1: ['\"1']", message
+
+    def test_quoted_cells_are_refused(self, tmp_path):
+        message = refusal(tmp_path, 'm,l,r\n"1","2","0.5"\n')
+        assert message.startswith("malformed edge at line 2: "), message
+
+    def test_header_after_blank_lines_is_named_by_its_file_line(self, tmp_path):
+        message = refusal(tmp_path, "\n\nm,l\n1,2,0.5\n")
+        assert message == "line 3: expected the header m,l,r, got ['m', 'l']", message

@@ -1,6 +1,6 @@
-"""Layout guards: no module of the package but fileio.py writes files, no public
-name of the package is there only for the tests, and the number of settable
-values is pinned."""
+"""Layout guards: no module of the package but fileio.py opens or writes files,
+no public name of the package is there only for the tests, and the number of
+settable values is pinned."""
 
 import argparse
 import ast
@@ -14,6 +14,11 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 WRITE_MODE_CHARS = set("wax+")
 OS_WRITERS = {"replace", "fdopen"}
 PATH_WRITERS = {"write_text", "write_bytes"}
+
+
+def _call_name(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
 
 
 def _opens_for_writing(call: ast.Call) -> bool:
@@ -38,8 +43,7 @@ def file_writes(path: pathlib.Path) -> list[tuple[int, str]]:
             if node.value.id == "os" and node.attr in OS_WRITERS:
                 found.append((node.lineno, f"os.{node.attr}"))
         elif isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+            name = _call_name(node)
             if name == "open" and _opens_for_writing(node):
                 found.append((node.lineno, "open for writing"))
             elif name in PATH_WRITERS:
@@ -55,6 +59,26 @@ def test_only_fileio_writes_files():
 def test_guard_sees_the_writes_in_fileio():
     kinds = {kind for _, kind in file_writes(PACKAGE / "fileio.py")}
     assert {"tempfile", "os.replace", "os.fdopen"} <= kinds
+
+
+def file_opens(path: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, enclosing top-level definition) of each call named ``open`` in a module: the builtin, ``os.open``,
+    ``Path.open`` and the like, whatever the mode."""
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _call_name(node) == "open":
+                found.append((node.lineno, getattr(top, "name", "<module>")))
+    return sorted(found)
+
+
+def test_only_fileio_opens_files():
+    offenders = {p.name: file_opens(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "fileio.py"}
+    assert {name: opens for name, opens in offenders.items() if opens} == {}
+
+
+def test_open_guard_sees_the_opens_in_fileio():
+    assert {"read_csv_lines", "read_json", "sha256_file"} <= {name for _, name in file_opens(PACKAGE / "fileio.py")}
 
 
 def public_definitions(tree: ast.Module) -> list[tuple[str, str]]:

@@ -106,6 +106,35 @@ class TestLipschitzUpper:
             g2 = smooth_objective_gradient(X, Y, fusion, B2, mu, XtX, XtY)
             assert np.linalg.norm(g1 - g2) <= L * np.linalg.norm(B1 - B2) + 1e-9
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("form", ["dense", "edge arrays", "covariate"])
+    def test_step_comes_from_a_true_lipschitz_bound(self, form, seed):
+        # in every form of C: L >= lam_max(X^T X) + sigma_max(gamma H)^2 / mu, and grad F_mu is L-Lipschitz
+        rng = np.random.default_rng(seed)
+        j = int(rng.integers(3, 8))
+        k = {"dense": int(rng.integers(2, j + 1)), "edge arrays": j + int(rng.integers(1, 5)), "covariate": j}[form]
+        edges = [(m, l, float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.0)))
+                 for m in range(1, k + 1) for l in range(m + 1, k + 1) if (m, l) == (1, 2) or rng.random() < 0.5]
+        graph = TaskGraph(k, tuple(edges))
+        lam, gamma, mu = 10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-1, 1), 10.0 ** rng.uniform(-3, 0)
+        X, Y = centered_problem(seed, n=20, j=j, k=1 if form == "covariate" else k)
+        cls, n_inputs = (CovariateFusionOperator, 1) if form == "covariate" else (FusionOperator, j)
+        op = cls.from_graph(graph, lam=lam, gamma=gamma, n_inputs=n_inputs)
+        fusion = cls.from_graph(graph, lam=0.0, gamma=gamma, n_inputs=n_inputs)  # the smoothed part of op
+        assert (fusion._C is None) == (form != "dense")
+
+        L = solve(Moments.from_data(X, Y), SolverConfig(mu=mu, max_iters=1), op).lipschitz_used
+        sigma_max = np.linalg.norm(dense_fusion_matrix(k, graph.edges, 0.0, gamma), 2)
+        XtX, XtY = X.T @ X, X.T @ Y
+        assert L >= (np.linalg.eigvalsh(XtX).max() + sigma_max**2 / mu) * (1 - 1e-12)
+        for scale in (mu / 10, mu, 1.0):
+            for _ in range(30):
+                B1 = scale * rng.standard_normal(XtY.shape)
+                B2 = B1 + scale * rng.standard_normal(XtY.shape)
+                g1 = smooth_objective_gradient(X, Y, fusion, B1, mu, XtX, XtY)
+                g2 = smooth_objective_gradient(X, Y, fusion, B2, mu, XtX, XtY)
+                assert np.linalg.norm(g1 - g2) <= L * np.linalg.norm(B1 - B2) * (1 + 1e-12) + 1e-12
+
     def test_accuracy_mode_derives_mu_and_step_from_the_operator(self):
         X, Y = centered_problem(8, n=15, j=5, k=3)
         g = TaskGraph(3, ((1, 2, 0.8), (2, 3, -0.5)))
