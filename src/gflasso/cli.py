@@ -1,15 +1,16 @@
 """Command-line interface binding the library to CSV/JSON files.
 
-Commands: simulate, fit, cv, bench, report. Exit codes: 0 success, 2 usage
-or input error (lambda = 0 on a singular X^T X among them), 3 the fit hit the
-iteration cap before its duality gap certified it, 4 internal numeric error. Every
-command renders all of its files first, then writes each one atomically, and
-writes manifest.json (the resolved arguments, input digests and artifact
-names) last. The arguments of fit, cv and bench are every parsed flag but
---out-dir, under its long name; simulate records its SimulationSpec and report
-its ExperimentConfig. A command that fails, also on a non-finite value in a
-flag its method ignores, writes nothing; only an OS error during the writes can
-leave earlier files behind.
+Commands: simulate, fit, cv, bench, report. Every model fit goes through
+evaluate.fit_method, and a graph is read or built only for a model that has one.
+Exit codes: 0 success, 2 usage or input error (lambda = 0 on a singular X^T X
+among them), 3 the fit hit the iteration cap before its duality gap certified it,
+4 internal numeric error. Every command renders all of its files first, then
+writes each one atomically, and writes manifest.json (the resolved arguments,
+input digests and artifact names) last. The arguments of fit, cv and bench are
+every parsed flag but --out-dir, under its long name; simulate records its
+SimulationSpec and report its ExperimentConfig. A command that fails, also on a
+non-finite value in a flag its method ignores, writes nothing; only an OS error
+during the writes can leave earlier files behind.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import __version__
 from .errors import DegenerateInputError, NumericError
 from .evaluate import (
     BENCH_AXES,
-    DEFAULT_GRID,
+    FIT_METHODS,
     METHODS,
     ExperimentConfig,
     HoldoutSplit,
@@ -41,8 +42,8 @@ from .evaluate import (
     select_regularization,
 )
 from .fileio import atomic_write_text, default_headers, json_text, matrix_csv_text, read_matrix_csv, sha256_file
-from .graph import build_correlation_graph, chain_graph, edge_list_text, load_edge_list
-from .models import FitResult, fit_fused_univariate
+from .graph import TaskGraph, build_correlation_graph, chain_graph, edge_list_text, load_edge_list
+from .models import FitResult
 from .simulate import SimulationSpec, simulate_dataset
 from .solver import Moments, SolverConfig, trace_csv_text
 
@@ -142,7 +143,7 @@ def _add_data_flags(p: argparse.ArgumentParser, methods: tuple[str, ...]) -> Non
     p.add_argument(
         "--rho",
         type=float,
-        default=0.1,
+        default=ExperimentConfig.rho,
         help="gflasso graph threshold on |correlation|, strict; edges at exactly rho are excluded "
         "(studied values: 0.1, 0.3, 0.5, 0.7)",
     )
@@ -178,24 +179,25 @@ def _load_xy(ns: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
     return X, Y
 
 
+def _method_graph(ns: argparse.Namespace, X: np.ndarray, Y: np.ndarray) -> TaskGraph | None:
+    """The graph ``ns.method`` reads: Y's correlation graph (gflasso), --input-graph or a chain (fused), else None."""
+    if ns.method == "gflasso":
+        return build_correlation_graph(Y, ns.rho)
+    if ns.method == "fused":
+        return chain_graph(X.shape[1]) if ns.input_graph is None else load_edge_list(ns.input_graph, X.shape[1])
+    return None
+
+
 def cmd_fit(ns: argparse.Namespace) -> int:
     if ns.input_graph is not None and ns.method != "fused":
         raise ValueError(f"--input-graph applies to method=fused only, got method={ns.method}")
     X, Y = _load_xy(ns)
     config = _solver_config(ns)
-    graph = build_correlation_graph(Y, ns.rho) if ns.method == "gflasso" else None
-    data = Moments.from_data(X, Y)
-    if ns.method == "fused":
-        if ns.input_graph is not None:
-            input_graph = load_edge_list(ns.input_graph, node_count=X.shape[1])
-        else:
-            input_graph = chain_graph(X.shape[1])
-        fit = fit_fused_univariate(data, input_graph, ns.lam, ns.gamma, config)
-    else:
-        fit = fit_method(ns.method, data, graph, ns.lam, ns.gamma, config)
+    graph = _method_graph(ns, X, Y)
+    fit = fit_method(ns.method, Moments.from_data(X, Y), graph, ns.lam, ns.gamma, config)
 
     artifacts = {"B_hat.csv": _b_hat_text(fit), "fit.json": json_text(fit.to_json_dict())}
-    if graph is not None:
+    if ns.method == "gflasso":
         artifacts["graph.csv"] = edge_list_text(graph)
     if ns.trace:
         artifacts["trace.csv"] = trace_csv_text(fit.solution)
@@ -207,7 +209,7 @@ def cmd_fit(ns: argparse.Namespace) -> int:
 def cmd_cv(ns: argparse.Namespace) -> int:
     X, Y = _load_xy(ns)
     config = _solver_config(ns)
-    graph = build_correlation_graph(Y, ns.rho) if ns.method == "gflasso" else None
+    graph = _method_graph(ns, X, Y)
     grid = method_grid(ns.method, ns.lambdas, ns.gammas)
     sel = select_regularization(HoldoutSplit.from_data(X, Y, ns.holdout), graph, ns.method, grid, config)
     cv_doc = {
@@ -258,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_fit = sub.add_parser("fit", help="fit one model to X.csv/Y.csv and write B_hat.csv + fit.json")
-    _add_data_flags(p_fit, (*METHODS, "fused"))
+    _add_data_flags(p_fit, FIT_METHODS)
     p_fit.add_argument("--lambda", dest="lam", type=float, default=0.1)
     p_fit.add_argument("--gamma", type=float, default=0.1)
     p_fit.add_argument(
@@ -273,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cv = sub.add_parser("cv", help="select lambda/gamma on a tail holdout and refit on all samples")
     _add_data_flags(p_cv, METHODS)
-    p_cv.add_argument("--lambdas", type=_float_list, default=DEFAULT_GRID)
-    p_cv.add_argument("--gammas", type=_float_list, default=DEFAULT_GRID)
-    p_cv.add_argument("--holdout", type=int, default=30, help="validation rows taken from the end")
+    p_cv.add_argument("--lambdas", type=_float_list, default=ExperimentConfig.lambda_grid)
+    p_cv.add_argument("--gammas", type=_float_list, default=ExperimentConfig.gamma_grid)
+    p_cv.add_argument("--holdout", type=int, default=ExperimentConfig.holdout, help="validation rows from the end")
     _add_solver_flags(p_cv, max_iters=SolverConfig.max_iters, accuracy=True)
     p_cv.set_defaults(func=cmd_cv)
 

@@ -21,12 +21,13 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .graph import TaskGraph, build_correlation_graph
-from .models import FitResult, PenaltySpec, fit_gflasso, fit_group_l1l2, fit_lasso
+from .models import FitResult, PenaltySpec, fit_fused_univariate, fit_gflasso, fit_group_l1l2, fit_lasso
 from .simulate import SimulationSpec, replicate_seed, simulate_dataset, simulate_test_set
 from .smoothing import FusionOperator
 from .solver import Moments, SolverConfig, subgradient_fit
 
 METHODS = ("gflasso", "lasso", "l1l2")
+FIT_METHODS = (*METHODS, "fused")
 DEFAULT_GRID: tuple[float, ...] = tuple(float(v) for v in np.logspace(-3.0, 1.0, 10))
 
 
@@ -92,20 +93,23 @@ def fit_method(
     gamma: float,
     config: SolverConfig,
 ) -> FitResult:
-    """Fit one of :data:`METHODS` at (lam, gamma); lasso and l1/l2 ignore gamma and the graph.
+    """Fit one of :data:`FIT_METHODS` at (lam, gamma); the one place that maps a method name to a model.
 
+    gflasso reads ``graph`` over the tasks and fused over the covariates; lasso and l1/l2 ignore it and gamma.
     Both weights are validated for every method, so a bad gamma is refused even where it is unused.
     """
     spec = PenaltySpec(lam=lam, gamma=gamma)
+    if method in ("gflasso", "fused") and graph is None:
+        raise ValueError(f"{method} needs a graph")
     if method == "gflasso":
-        if graph is None:
-            raise ValueError("gflasso needs a task graph")
         return fit_gflasso(data, graph, spec, config)
+    if method == "fused":
+        return fit_fused_univariate(data, graph, lam, gamma, config)
     if method == "lasso":
         return fit_lasso(data, spec, config)
     if method == "l1l2":
         return fit_group_l1l2(data, spec.lam, config)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    raise ValueError(f"unknown method {method!r}; expected one of {FIT_METHODS}")
 
 
 def method_grid(method: str, lambdas: tuple[float, ...], gammas: tuple[float, ...]) -> list[tuple[float, float]]:
@@ -360,7 +364,7 @@ def run_benchmark(
         build_s = time.perf_counter() - t0
         for method in methods:
             if method == "proxgrad":
-                sol = fit_gflasso(data, graph, PenaltySpec(lam=lam, gamma=gamma), config).solution
+                sol = fit_method("gflasso", data, graph, lam, gamma, config).solution
             else:
                 op = FusionOperator.from_graph(graph, lam=lam, gamma=gamma, n_inputs=j)
                 sol = subgradient_fit(data, config, op)

@@ -1,9 +1,9 @@
 """CSV/JSON file formats shared by the library and the CLI; the only module that opens files.
 
 Matrices are CSV with a header row of column ids and one row per sample, written with %.17g so float64
-values round-trip exactly. Matrices and edge lists are read by :func:`read_csv_lines`, in one dialect: plain
-comma-separated cells, no quoting, blank and whitespace-only lines skipped but counted. Every write goes
-through :func:`atomic_write_text`, a temp-file-then-rename, so a failed write leaves no partial file.
+values round-trip exactly. Matrices and edge lists are read by :func:`read_csv_lines` in one dialect: UTF-8, a
+leading byte-order mark ignored, plain comma-separated cells, no quoting, blank and whitespace-only lines skipped but
+counted. Writes go through :func:`atomic_write_text`, a UTF-8 temp-file-then-rename that leaves no partial file.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ def atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -47,7 +47,7 @@ def write_matrix_csv(path, M: np.ndarray, header: list[str]) -> None:
 
 def read_csv_lines(path) -> list[tuple[int, str]]:
     """(file line, text) of every line of ``path`` that is not blank or whitespace-only; an empty file is refused."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip() != ""]
     if not lines:
         raise ValueError(f"{path}: empty file")
@@ -93,7 +93,7 @@ def json_text(obj) -> str:
 
 
 def read_json(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 

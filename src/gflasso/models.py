@@ -90,20 +90,17 @@ def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGr
     return total
 
 
-def _fit(
-    kind: str, data: Moments, graph: TaskGraph, n_nodes: int, spec: PenaltySpec, config: SolverConfig,
-    penalty: FusionOperator | GroupNorm,
-) -> FitResult:
-    # Checks that ``graph`` has the n_nodes nodes of the model (tasks or covariates), solves and records the means.
+def _fit(kind: str, data: Moments, graph: TaskGraph | None, spec: PenaltySpec, config: SolverConfig,
+         penalty: FusionOperator | GroupNorm) -> FitResult:
+    # Solves and records the means and graph, (K, 0, None) without one; solve refuses a graph of the wrong size.
     t0 = time.perf_counter()
-    if graph.node_count != n_nodes:
-        raise ValueError(f"graph has {graph.node_count} nodes but the model needs {n_nodes}")
     solution = solve(data, config, penalty)
+    summary = (data.XtY.shape[1], 0, None) if graph is None else (graph.node_count, graph.n_edges, graph.threshold)
     return FitResult(
         solution=solution,
         model_kind=kind,
         penalty=spec,
-        graph_summary=(graph.node_count, graph.n_edges, graph.threshold),
+        graph_summary=summary,
         x_mean=data.x_mean,
         y_mean=data.y_mean,
         runtime_s=time.perf_counter() - t0,
@@ -113,24 +110,20 @@ def _fit(
 def fit_gflasso(data: Moments, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
     penalty = FusionOperator.from_graph(graph, spec.lam, spec.gamma, data.XtX.shape[0])
-    return _fit("gflasso", data, graph, data.XtY.shape[1], spec, config, penalty)
+    return _fit("gflasso", data, graph, spec, config, penalty)
 
 
 def fit_lasso(data: Moments, spec: PenaltySpec, config: SolverConfig) -> FitResult:
     """Entrywise-l1 multi-task fit: the width-1 group norm, run unsmoothed through its soft threshold."""
-    k = data.XtY.shape[1]
-    return _fit("lasso", data, TaskGraph(node_count=k), k, PenaltySpec(lam=spec.lam), config, GroupNorm(spec.lam, 1))
+    return _fit("lasso", data, None, PenaltySpec(lam=spec.lam), config, GroupNorm(spec.lam, 1))
 
 
 def fit_group_l1l2(data: Moments, lam: float, config: SolverConfig) -> FitResult:
     """Row-grouped l1/l2 multi-task fit: the width-K group norm, run unsmoothed through its rowwise shrink."""
-    k = data.XtY.shape[1]
-    return _fit("group_l1l2", data, TaskGraph(node_count=k), k, PenaltySpec(lam=lam), config, GroupNorm(lam, k))
+    return _fit("group_l1l2", data, None, PenaltySpec(lam=lam), config, GroupNorm(lam, data.XtY.shape[1]))
 
 
-def fit_fused_univariate(
-    data: Moments, input_graph: TaskGraph, lam: float, gamma: float, config: SolverConfig
-) -> FitResult:
+def fit_fused_univariate(data: Moments, graph: TaskGraph, lam: float, gamma: float, config: SolverConfig) -> FitResult:
     """Univariate-response fused fit with the fusion graph over the covariates.
 
     ``data`` has a single response column, and :class:`smoothing.CovariateFusionOperator`
@@ -139,6 +132,6 @@ def fit_fused_univariate(
     """
     if data.XtY.shape[1] != 1:
         raise ValueError(f"the univariate fused model needs a single-column response, got {data.XtY.shape[1]} columns")
-    penalty = CovariateFusionOperator.from_graph(input_graph, lam, gamma, 1)
+    penalty = CovariateFusionOperator.from_graph(graph, lam, gamma, 1)
     spec = PenaltySpec(lam=lam, gamma=gamma)
-    return _fit("fused_univariate", data, input_graph, data.XtX.shape[0], spec, config, penalty)
+    return _fit("fused_univariate", data, graph, spec, config, penalty)

@@ -158,15 +158,15 @@ def three_sequence_minimize(
 ) -> tuple[np.ndarray, int, tuple]:
     """Run the accelerated loop from W^0 = ``B0`` for at most ``max_iters`` iterations.
 
-    Its three sequences are the iterates B, the search points W and the weights
-    theta_t = 2/(t+2) of the module docstring's steps: B = prox(W - g/L, 1/L), or
-    W - g/L without ``prox(V, s)``, the proximal map of s times a non-smooth
-    penalty; then W = B + (k/(k+3)) (B - B_prev). That is one prox per iteration
-    and, the soft threshold's two included, seven array operations besides
-    ``grad``. ``check(B)`` runs every CHECK_EVERY iterations and at the cap and
-    returns (record, whether B ends the run); ``record[0]`` is the value of the
-    objective the loop minimizes.
-    At a check whose value is not below the best checked one, the loop
+    The name is older than the step: the loop once kept three sequences and now runs the
+    module docstring's two-sequence FISTA step, the iterates B and the search points W
+    with theta_t = 2/(t+2). It keeps the name because tests/test_acceptance.py imports
+    it. B = prox(W - g/L, 1/L), or W - g/L without ``prox(V, s)``, the proximal map of s
+    times a non-smooth penalty; then W = B + (k/(k+3)) (B - B_prev). That is one prox
+    per iteration and, the soft threshold's two included, seven array operations besides
+    ``grad``. ``check(B)`` runs every CHECK_EVERY iterations and at the cap and returns
+    (record, whether B ends the run); ``record[0]`` is the value of the objective the
+    loop minimizes. At a check whose value is not below the best checked one, the loop
     restarts from the current iterate with no momentum: W = B, k = 0.
     ``trace(B, g)`` gets the unscaled gradient g every iteration and decides nothing.
 

@@ -271,6 +271,17 @@ class TestFitCommand:
         assert "--input-graph" in capsys.readouterr().err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("method", ["lasso", "l1l2"])
+    def test_fit_json_of_a_model_without_a_graph(self, data_dir, tmp_path, method):
+        # no graph is built: fit.json records the K = 10 tasks, no edge and no threshold, and no graph.csv is written
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["fit", "--method", method, "--x", str(data_dir / "X.csv"), "--y", str(data_dir / "Y.csv"),
+                     "--out-dir", str(out), *FAST]) == 0
+        doc = json.loads((out / "fit.json").read_text())
+        assert (doc["graph_nodes"], doc["graph_edges"], doc["rho"]) == (10, 0, None)
+        assert sorted(os.listdir(out)) == ["B_hat.csv", "fit.json", "manifest.json"]
+
     def test_fused_requires_single_column(self, data_dir, tmp_path):
         out = tmp_path / "fused"
         out.mkdir()

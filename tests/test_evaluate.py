@@ -1,22 +1,27 @@
+import argparse
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+from gflasso.cli import build_parser
 from gflasso.errors import DegenerateInputError
 from gflasso.evaluate import (
     BENCH_CSV_HEADER,
+    FIT_METHODS,
     ExperimentConfig,
     HoldoutSplit,
     benchmark_csv_text,
+    fit_method,
     prediction_error,
     roc_curve,
     run_benchmark,
     run_replicates,
     select_regularization,
 )
-from gflasso.graph import build_correlation_graph
+from gflasso.graph import TaskGraph, build_correlation_graph, chain_graph
 from gflasso.models import PenaltySpec, fit_lasso
 from gflasso.simulate import SimulationSpec, simulate_dataset
 from gflasso.solver import Moments, SolverConfig
@@ -122,6 +127,42 @@ class TestPredictionError:
         fit, X, Y = self._fit(3)
         with pytest.raises(ValueError):
             prediction_error(fit, X[:0], Y[:0])
+
+
+class TestFitMethod:
+    """fit_method is the one map from a method name to a model: the names the fit command offers, a graph for the
+    two models that read one, and a graph of the models' size."""
+
+    @staticmethod
+    def data(k=1):
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((20, 4))
+        return Moments.from_data(X, X[:, :k] + 0.1 * rng.standard_normal((20, k)))
+
+    def test_accepts_every_method_the_fit_command_offers(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices["fit"]
+        choices = next(a for a in sub._actions if a.dest == "method").choices
+        assert tuple(choices) == FIT_METHODS
+        graphs = {"gflasso": TaskGraph(1), "fused": chain_graph(4)}
+        kinds = {m: fit_method(m, self.data(), graphs.get(m), 0.1, 0.1, FAST_SOLVER).model_kind for m in choices}
+        assert kinds == {"gflasso": "gflasso", "lasso": "lasso", "l1l2": "group_l1l2", "fused": "fused_univariate"}
+
+    @pytest.mark.parametrize("method", ["gflasso", "fused"])
+    def test_a_model_with_a_graph_refuses_none(self, method):
+        with pytest.raises(ValueError, match=f"^{method} needs a graph$"):
+            fit_method(method, self.data(), None, 0.1, 0.1, FAST_SOLVER)
+
+    def test_unknown_method_lists_every_fit_method(self):
+        with pytest.raises(ValueError, match=re.escape(f"unknown method 'ridge'; expected one of {FIT_METHODS}")):
+            fit_method("ridge", self.data(), None, 0.1, 0.1, FAST_SOLVER)
+
+    @pytest.mark.parametrize("method, k, graph, shapes", [
+        ("gflasso", 2, TaskGraph(3, ((1, 2, 0.5),)), r"\(4, 3\), the data \(4, 2\)"),
+        ("fused", 1, chain_graph(3), r"\(3, 1\), the data \(4, 1\)"),
+    ], ids=["gflasso", "fused"])
+    def test_a_graph_of_the_wrong_size_is_refused(self, method, k, graph, shapes):
+        with pytest.raises(ValueError, match=f"coefficient shape {shapes}$"):
+            fit_method(method, self.data(k), graph, 0.1, 0.1, FAST_SOLVER)
 
 
 class TestSelectRegularization:

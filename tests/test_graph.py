@@ -223,6 +223,11 @@ class TestLoadEdgeList:
     def test_blank_line_before_the_header(self, tmp_path):
         assert load_edge_list(edges_file(tmp_path, "\nm,l,r\n1,2,0.5\n"), 5).edges == ((1, 2, 0.5),)
 
+    def test_byte_order_mark_before_the_header_is_ignored(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_bytes(b"\xef\xbb\xbfm,l,r\r\n1,2,0.5\r\n")
+        assert load_edge_list(path, 5).edges == ((1, 2, 0.5),)
+
     def test_whitespace_only_line_between_edges(self, tmp_path):
         path = edges_file(tmp_path, "m,l,r\n1,2,0.5\n  \n2,3,-0.25\n")
         assert load_edge_list(path, 5).edges == ((1, 2, 0.5), (2, 3, -0.25))

@@ -1,6 +1,6 @@
 """Layout guards: no module of the package but fileio.py opens or writes files,
-no public name of the package is there only for the tests, and the number of
-settable values is pinned."""
+no module but evaluate.py calls a model's fit, no public name of the package
+is there only for the tests, and the number of settable values is pinned."""
 
 import argparse
 import ast
@@ -79,6 +79,29 @@ def test_only_fileio_opens_files():
 
 def test_open_guard_sees_the_opens_in_fileio():
     assert {"read_csv_lines", "read_json", "sha256_file"} <= {name for _, name in file_opens(PACKAGE / "fileio.py")}
+
+
+MODEL_FITS = {"fit_gflasso", "fit_lasso", "fit_group_l1l2", "fit_fused_univariate"}
+
+
+def model_fit_calls(path: pathlib.Path) -> list[tuple[int, str]]:
+    """(line, name) of each call in a module to one of the models' fit functions, by bare or attribute name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        (node.lineno, _call_name(node))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _call_name(node) in MODEL_FITS
+    )
+
+
+def test_only_evaluate_calls_the_model_fits():
+    # every command reaches a model through evaluate.fit_method; models.py defines the fits and calls none of them
+    offenders = {p.name: model_fit_calls(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "evaluate.py"}
+    assert {name: calls for name, calls in offenders.items() if calls} == {}
+
+
+def test_fit_guard_sees_the_calls_in_evaluate():
+    assert {name for _, name in model_fit_calls(PACKAGE / "evaluate.py")} == MODEL_FITS
 
 
 def public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
