@@ -3,7 +3,8 @@
 The estimator couples an entrywise l1 penalty with a fusion penalty along the
 edges of a task-correlation graph, and is solved by an accelerated
 proximal-gradient method: the l1 penalty through its exact proximal map, the
-fusion penalty through a smooth surrogate.
+fusion penalty through a smooth surrogate, or, where smoothing would shrink
+the step most, through a primal-dual loop that keeps it exact.
 Companion baselines (lasso, row-grouped l1/l2, univariate fused regression),
 a synthetic-data benchmark harness, and a CLI round out the package.
 """

@@ -45,7 +45,7 @@ from .fileio import atomic_write_text, default_headers, json_text, matrix_csv_te
 from .graph import TaskGraph, build_correlation_graph, chain_graph, edge_list_text, load_edge_list
 from .models import FitResult
 from .simulate import SimulationSpec, simulate_dataset
-from .solver import Moments, SolverConfig, trace_csv_text
+from .solver import PRIMAL_DUAL_RHO, STEP_RATIO, Moments, SolverConfig, trace_csv_text
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -116,14 +116,17 @@ def _solver_config(ns: argparse.Namespace) -> SolverConfig:
 
 def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int, accuracy: bool) -> None:
     p.add_argument("--mu", type=float, default=SolverConfig.mu,
-                   help="smoothing parameter of the fusion term; lambda is never smoothed (default %(default)s)")
+                   help="fits with a fusion term stop at the gap floor mu * D, D = J |E| / 2, and smooth the term "
+                   "with mu unless they take the primal-dual loop (nonsingular X^T X and rho = ||gamma H||^2 / "
+                   f"(mu lam_max(X^T X)) > {PRIMAL_DUAL_RHO:g}, step ratio r = {STEP_RATIO:g}); lambda is never smoothed "
+                   "(default %(default)s)")
     if accuracy:
         p.add_argument("--accuracy", type=float, default=None,
                        help="target accuracy eps of fits with a fusion term: mu = eps / (2 D), D = J |E| / 2 over "
-                       "the fusion columns alone, overrides --mu, so the gap floor mu * D is eps / 2")
+                       "the fusion columns alone, overrides --mu, so the gap floor mu * D is eps / 2 in either loop")
     p.add_argument("--tol", type=float, default=SolverConfig.rel_obj_tol,
                    help="stop at duality gap <= max(tol * |objective|, mu * D), with the floor mu * D, D = J |E| / 2, "
-                   "only in fits with a fusion term")
+                   "only in fits with a fusion term, smoothed or primal-dual")
     p.add_argument("--max-iters", type=int, default=max_iters)
 
 

@@ -46,9 +46,18 @@ def write_matrix_csv(path, M: np.ndarray, header: list[str]) -> None:
 
 
 def read_csv_lines(path) -> list[tuple[int, str]]:
-    """(file line, text) of every line of ``path`` that is not blank or whitespace-only; an empty file is refused."""
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip() != ""]
+    """(file line, text) of every line of ``path`` that is not blank or whitespace-only; an empty or non-UTF-8 file is refused."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = [(i, ln.rstrip("\n")) for i, ln in enumerate(fh, start=1) if ln.strip() != ""]
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:  # the decoder counts bytes, not lines: find the first line that does not decode
+            for i, raw in enumerate(fh.read().splitlines(), start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}: line {i} is not UTF-8: {exc}") from None
+        raise
     if not lines:
         raise ValueError(f"{path}: empty file")
     return lines

@@ -4,7 +4,7 @@ Each model is a thin front-end to :func:`solver.solve` that builds its own
 penalty object. The graph-fused and univariate fused (a graph over the
 covariates of a J x 1 column) models pass the paper's fusion operator, which
 ``solve`` splits into lam * ||B||_1, run through its exact prox, and the fusion
-term, the one part it smooths. Lasso (width 1) and l1/l2 (width K) pass a
+term, the one part it may smooth. Lasso (width 1) and l1/l2 (width K) pass a
 :class:`GroupNorm`.
 
 Every fit entry point takes the data as one :class:`solver.Moments`, whose

@@ -8,9 +8,12 @@ lam = 0, the fusion term alone, and smooths only that: ||B C||_1 is a max over
 ||A||_inf <= 1, and subtracting (mu/2) ||A||_F^2 gives a smooth lower bound
 within mu * D, D = J * width / 2 (J |E| / 2 at lam = 0), maximized at
 A = clamp(B C / mu). ``gradient_map(mu)`` builds its gradient A C^T once per mu
-for the solver's loop, and the same A is the dual point of the duality-gap
-certificate (``dual_terms``). D and the norm bound of B -> B C are defined here
-alone (``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu and L from them.
+for the solver's smoothed loop, and the same A is the dual point of the duality-gap
+certificate (``dual_terms``). The solver's primal-dual loop leaves the term
+unsmoothed and keeps A as an iterate, advanced by ``dual_step(sigma)``; its
+certificate passes that A to ``dual_terms``. D and the norm bound of B -> B C are
+defined here alone (``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu,
+L and the primal-dual steps from them.
 
 Construction picks the form of C once, by the operator's shape, and keeps the
 maps B -> B C and A -> A C^T that ``apply`` and ``adjoint`` call after a shape
@@ -202,20 +205,45 @@ class FusionOperator:
 
         return smoothed_gradient
 
+    def dual_step(self, sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The primal-dual loop's step on the fusion term for one fixed sigma: (A, B) -> A C^T after A = clamp(A + sigma B C).
+
+        A is updated in place. With the dense C, sigma C is built here once and the map is
+        two BLAS products around one in-place clamp; otherwise it is the two stored maps. Like
+        ``gradient_map``, it does not check shapes: the caller owns A and B.
+        """
+        if self._C is None:
+
+            def step(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+                A += sigma * self._forward(B)
+                return self._backward(A.clip(-1.0, 1.0, out=A))
+
+            return step
+        C_sigma, C_T = sigma * self._C, self._C.T
+
+        def dense_step(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+            A += B @ C_sigma
+            return A.clip(-1.0, 1.0, out=A) @ C_T
+
+        return dense_step
+
     def penalty_exact(self, B: np.ndarray) -> float:
         """The non-smooth penalty value ||B C||_1."""
         G = self.apply(B)
         return float(np.abs(G, out=G).sum())
 
-    def dual_terms(self, B: np.ndarray, g_loss: np.ndarray, mu: float) -> tuple[float, float, np.ndarray, float]:
-        """What the duality-gap certificate needs at the dual point A = clamp(B C / mu), from one ``apply``.
+    def dual_terms(self, B: np.ndarray, g_loss: np.ndarray, mu: float,
+                   A: np.ndarray | None = None) -> tuple[float, float, np.ndarray, float]:
+        """What the duality-gap certificate needs at a dual point A in the box, by default clamp(B C / mu), from one ``apply``.
 
         Returns (||B C||_1, the slack ||B C||_1 - <A, B C>, the dual gradient A C^T,
-        f_mu(B) = <A, B C> - (mu/2) ||A||_F^2). ``g_loss`` is unused: A depends on B alone.
+        <A, B C> - (mu/2) ||A||_F^2, which is f_mu(B) at the default A). The primal-dual loop
+        passes its dual iterate as A. ``g_loss`` is unused: the default A depends on B alone.
         """
         mu = _check_mu(mu)
         G = self.apply(B)
-        A = shrink(G / mu)
+        if A is None:
+            A = shrink(G / mu)
         pen, pairing = float(np.abs(G).sum()), float(np.vdot(A, G))
         return pen, pen - pairing, self.adjoint(A), pairing - 0.5 * mu * float(np.vdot(A, A))
 

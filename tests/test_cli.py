@@ -139,6 +139,18 @@ class TestFitCommand:
             assert "line 3, column 2" in err and str(x) in err, err
             assert not (out / "B_hat.csv").exists()
 
+    def test_header_that_is_not_utf8_names_its_file_and_line(self, tmp_path, capsys):
+        y = tmp_path / "Y.csv"
+        y.write_text("y1\n0.5\n-0.5\n")
+        x = tmp_path / "X.csv"
+        x.write_bytes(b"x1,x\xe9\n1,2\n3,5\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["fit", "--method", "lasso", "--x", str(x), "--y", str(y), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{x}: line 1 is not UTF-8" in err and "byte 0xe9" in err, err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize(
         "last, expected", [("3,oops", "line 5, column 2"), ("3,inf", "line 5, column 2"), ("3", "line 5 has 1 cells")]
     )

@@ -6,10 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from gflasso.cli import build_parser
+from gflasso import evaluate
+from gflasso.cli import build_parser, main
 from gflasso.errors import DegenerateInputError
 from gflasso.evaluate import (
     BENCH_CSV_HEADER,
+    DEFAULT_GRID,
     FIT_METHODS,
     ExperimentConfig,
     HoldoutSplit,
@@ -87,6 +89,12 @@ class TestRocCurve:
             points, auc = roc_points_threshold_loop(np.abs(B_hat).ravel(), truth.ravel())
             assert curve.points == points, seed
             assert curve.auc == auc, seed
+
+    def test_a_perfect_ranking_scores_exactly_one(self):
+        # the trapezoid over these 8 steps of 1/18 summed to 1.0000000000000002
+        B_true = np.array([1.0] + [0.0] * 18)[:, None]
+        B_hat = np.array([2.0] + [1.0 / (i + 1) for i in range(6)] + [0.0] * 12)[:, None]
+        assert roc_curve(B_hat, B_true).auc == 1.0
 
     def test_degenerate_supports_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -271,6 +279,56 @@ class TestRunReplicates:
         doc = report.to_json_dict()
         assert "timing" not in doc["methods"]["lasso"]
         assert not {"fit_s", "periter_s"} & set(doc["replicates"][0]["methods"]["lasso"])
+
+
+REPORT_GRID = ",".join(repr(v) for v in DEFAULT_GRID[::4])  # 1e-3, 0.0599, 3.59
+
+
+def run_report(out_dir, seed, *extra):
+    """One replicate of ``gflasso report`` on the 3x3 grid of every fourth default value; returns report.json."""
+    out_dir.mkdir()
+    argv = ["report", "--out-dir", str(out_dir), "--replicates", "1", "--seed", str(seed), "--rho", "0.1", *extra,
+            "--lambdas", REPORT_GRID, "--gammas", REPORT_GRID]
+    assert main(argv) == 0, argv
+    return json.loads((out_dir / "report.json").read_text())
+
+
+class TestReportOnTheBenchmarkGrid:
+    @pytest.mark.parametrize("seed, expected", [
+        (4, (DEFAULT_GRID[8], DEFAULT_GRID[8])),
+        (4005, (DEFAULT_GRID[4], DEFAULT_GRID[8])),
+    ])
+    def test_selection_matches_tight_solves(self, tmp_path, seed, expected):
+        # the (lambda, gamma) that runs at mu = 1e-12 and tol 1e-12 select on this split; a fit stopped at the
+        # smoothed loop's floor mu * D selected the other point of the same gamma
+        doc = run_report(tmp_path / "out", seed, "--methods", "gflasso")
+        chosen = doc["replicates"][0]["methods"]["gflasso"]
+        assert (chosen["lambda"], chosen["gamma"]) == expected
+
+    def test_benchmark_datasets_report_certified_fits_and_aucs_in_range(self, tmp_path, monkeypatch):
+        # the report_paper workload's command on the datasets of its run seeds 0-2 (seed 1000 s + i, 6 per run):
+        # it exits 0 with no failures, every gflasso grid point and refit is certified, and every AUC is in [0, 1]
+        tables = []
+        select = evaluate.select_regularization
+
+        def recording_select(split, graph, method, grid, config):
+            result = select(split, graph, method, grid, config)
+            tables.append((method, result.table))
+            return result
+
+        monkeypatch.setattr(evaluate, "select_regularization", recording_select)
+        # plus dataset 2 of run seed 10, whose gflasso fit ranks the support perfectly: its AUC summed past 1
+        for seed in [*(1000 * s + i for s in range(3) for i in range(6)), 10002]:
+            tables.clear()
+            doc = run_report(tmp_path / str(seed), seed, "--threads", "1")
+            assert doc["failures"] == [], seed
+            rep = doc["replicates"][0]["methods"]
+            assert rep["gflasso"]["converged"], seed
+            gflasso_rows = [row for method, table in tables if method == "gflasso" for row in table]
+            assert len(gflasso_rows) == 9 and all(row["converged"] for row in gflasso_rows), (seed, gflasso_rows)
+            for method in ("gflasso", "lasso", "l1l2"):
+                aucs = (rep[method]["auc"], doc["methods"][method]["auc"]["mean"])
+                assert all(0.0 <= a <= 1.0 for a in aucs), (seed, method, aucs)
 
 
 class TestBenchmark:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gflasso.fileio import atomic_write_text, default_headers, matrix_csv_text, read_json, read_matrix_csv
 
@@ -30,3 +31,11 @@ def test_files_are_written_and_read_as_utf8(tmp_path):
     assert read_json(tmp_path / "doc.json") == {"name": "\u00e9"}
     (tmp_path / "Y.csv").write_bytes("\u00e9,y2\n1,2\n".encode("utf-8"))
     assert read_matrix_csv(tmp_path / "Y.csv")[1] == ["\u00e9", "y2"]
+
+
+def test_a_line_that_is_not_utf8_is_named(tmp_path):
+    # blank lines count: the Latin-1 byte 0xE9 sits on the fourth line of the file
+    path = tmp_path / "X.csv"
+    path.write_bytes(b"x1,x2\n1,2\n\n3,\xe9\n")
+    with pytest.raises(ValueError, match=r"X\.csv: line 4 is not UTF-8: .*byte 0xe9 in position 2"):
+        read_matrix_csv(path)

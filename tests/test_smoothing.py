@@ -338,6 +338,28 @@ class TestBothRepresentations:
             ref = penalty_gradient(op, B, mu)
             assert np.linalg.norm(op.gradient_map(mu)(B) - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    def test_dual_step_matches_oracle(self, label, J, K, edge_prob, lam, gamma):
+        # A <- clamp(A + sigma B C) in place, and A C^T returned, for a step that clamps some entries
+        rng, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)
+        A = rng.uniform(-1.0, 1.0, (J, C.shape[1]))
+        B = rng.standard_normal((J, K))
+        expected = np.clip(A + 0.7 * (B @ C), -1.0, 1.0)
+        AC = op.dual_step(0.7)(A, B)
+        assert np.allclose(A, expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(AC, expected @ C.T, rtol=0.0, atol=1e-12)
+
+    def test_dual_terms_at_a_given_dual_point(self, label, J, K, edge_prob, lam, gamma):
+        rng, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)
+        A = rng.uniform(-1.0, 1.0, (J, C.shape[1]))
+        B = rng.standard_normal((J, K))
+        pen, slack, dual_grad, value = op.dual_terms(B, None, 0.3, A)
+        G = B @ C
+        assert pen == pytest.approx(np.abs(G).sum(), rel=1e-12)
+        assert slack == pytest.approx(pen - np.vdot(A, G), rel=1e-12)
+        assert np.allclose(dual_grad, A @ C.T, rtol=0.0, atol=1e-12)
+        assert value == pytest.approx(np.vdot(A, G) - 0.15 * np.vdot(A, A), rel=1e-12)
+        assert slack >= 0.0  # any A in the box pairs to at most ||B C||_1
+
     def test_shape_is_checked(self, label, J, K, edge_prob, lam, gamma):
         _, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)
         with pytest.raises(ValueError):

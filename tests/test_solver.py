@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from gflasso.simulate import SimulationSpec, replicate_seed, simulate_dataset
 from gflasso.smoothing import CovariateFusionOperator, FusionOperator
 from gflasso.solver import (
     CHECK_EVERY,
+    PRIMAL_DUAL_RHO,
+    STEP_RATIO,
     Moments,
     SolverConfig,
     solve,
@@ -122,8 +125,11 @@ class TestLipschitzUpper:
         op = cls.from_graph(graph, lam=lam, gamma=gamma, n_inputs=n_inputs)
         fusion = cls.from_graph(graph, lam=0.0, gamma=gamma, n_inputs=n_inputs)  # the smoothed part of op
         assert (fusion._C is None) == (form != "dense")
+        # keep the fit on the smoothed loop: rho = ||C||^2 / (mu lam_max) <= PRIMAL_DUAL_RHO / 2
+        m = Moments.from_data(X, Y)
+        mu = max(mu, 2.0 * fusion.norm_bound() ** 2 / (PRIMAL_DUAL_RHO * m.lam_max))
 
-        L = solve(Moments.from_data(X, Y), SolverConfig(mu=mu, max_iters=1), op).lipschitz_used
+        L = solve(m, SolverConfig(mu=mu, max_iters=1), op).lipschitz_used
         sigma_max = np.linalg.norm(dense_fusion_matrix(k, graph.edges, 0.0, gamma), 2)
         XtX, XtY = X.T @ X, X.T @ Y
         assert L >= (np.linalg.eigvalsh(XtX).max() + sigma_max**2 / mu) * (1 - 1e-12)
@@ -134,6 +140,32 @@ class TestLipschitzUpper:
                 g1 = smooth_objective_gradient(X, Y, fusion, B1, mu, XtX, XtY)
                 g2 = smooth_objective_gradient(X, Y, fusion, B2, mu, XtX, XtY)
                 assert np.linalg.norm(g1 - g2) <= L * np.linalg.norm(B1 - B2) * (1 + 1e-12) + 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("form", ["dense", "edge arrays", "covariate"])
+    def test_primal_dual_step_meets_condats_condition(self, form, seed):
+        # in every form of C: 1/tau - sigma sigma_max(C)^2 >= lam_max(X^T X) / 2, sigma = STEP_RATIO / norm_bound
+        rng = np.random.default_rng(100 + seed)
+        j = int(rng.integers(3, 8))
+        k = {"dense": int(rng.integers(2, j + 1)), "edge arrays": j + int(rng.integers(1, 5)), "covariate": j}[form]
+        edges = [(m, l, float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.0)))
+                 for m in range(1, k + 1) for l in range(m + 1, k + 1) if (m, l) == (1, 2) or rng.random() < 0.5]
+        graph = TaskGraph(k, tuple(edges))
+        lam, gamma = 10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-1, 1)
+        X, Y = centered_problem(seed, n=20, j=j, k=1 if form == "covariate" else k)
+        cls, n_inputs = (CovariateFusionOperator, 1) if form == "covariate" else (FusionOperator, j)
+        op = cls.from_graph(graph, lam=lam, gamma=gamma, n_inputs=n_inputs)
+        fusion = cls.from_graph(graph, lam=0.0, gamma=gamma, n_inputs=n_inputs)
+        assert (fusion._C is None) == (form != "dense")
+        m = Moments.from_data(X, Y)
+        norm2 = fusion.norm_bound() ** 2
+        mu = 10.0 ** rng.uniform(-2, 0) * norm2 / (PRIMAL_DUAL_RHO * m.lam_max)  # rho in (10, 1000)
+
+        inv_tau = solve(m, SolverConfig(mu=mu, max_iters=1), op).lipschitz_used
+        sigma = STEP_RATIO / fusion.norm_bound()
+        assert inv_tau == pytest.approx((m.lam_max / 2 + sigma * norm2) / 0.99, rel=1e-12)  # the primal-dual loop
+        sigma_max = np.linalg.svd(dense_fusion_matrix(k, graph.edges, 0.0, gamma), compute_uv=False)[0]
+        assert inv_tau - sigma * sigma_max**2 >= np.linalg.eigvalsh(X.T @ X).max() / 2
 
     def test_accuracy_mode_derives_mu_and_step_from_the_operator(self):
         X, Y = centered_problem(8, n=15, j=5, k=3)
@@ -381,9 +413,9 @@ class TestCertificate:
         data = Moments.from_data(ds.X[:70], ds.Y[:70])
         sol = fit_gflasso(data, graph, PenaltySpec(lam=10.0, gamma=10.0), SolverConfig()).solution
         assert sol.converged and sol.stop_reason == "gap"
-        assert sol.iterations > 1000
         assert sol.objective_exact < 657.85
-        assert sol.objective_exact - sol.gap <= 657.81
+        # a run to gap 5e-10 (mu = 1e-12, tol 1e-12) ends at F = 657.8036624
+        assert sol.objective_exact - sol.gap <= 657.80367
 
     def test_capped_fit_is_not_converged_and_keeps_its_gap(self):
         X, Y = centered_problem(30, n=30, j=5, k=3)
@@ -442,6 +474,127 @@ class TestCertificate:
         X, Y = centered_problem(32, n=20, j=30, k=3)
         with pytest.raises(DegenerateInputError, match="lambda = 0"):
             solve(Moments.from_data(X, Y), SolverConfig(), penalty)
+
+
+def report_split(seed):
+    """The moments of report seed ``seed``'s replicate 0 on its 70-row training split, and its rho = 0.1 graph."""
+    ds = simulate_dataset(SimulationSpec(seed=replicate_seed(seed, 0)))
+    return Moments.from_data(ds.X[:70], ds.Y[:70]), build_correlation_graph(ds.Y, 0.1)
+
+
+def long_chain(seed, n=500, j=400, segment=40):
+    """A 400-covariate chain on Gaussian covariates, with the fused_chain_long workload's shape and lam, gamma."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, j))
+    beta = np.array([(0.0, 1.0, 0.0, -1.0)[(i // segment) % 4] for i in range(j)])
+    y = X @ beta + rng.standard_normal(n)
+    return Moments.from_data(X, y[:, None]), CovariateFusionOperator.from_graph(chain_graph(j), 0.5, 5.0, n_inputs=1)
+
+
+def two_task_fusion():
+    """c05's two-task problem at gamma = 10, drawn from the same stream as the acceptance test."""
+    rng = np.random.default_rng(505)
+    rng.standard_normal((40, 6))
+    rng.standard_normal((6, 3)) * (rng.random((6, 3)) < 0.5)
+    rng.standard_normal((40, 3))
+    X2 = rng.standard_normal((12, 3))
+    Y2 = np.column_stack([X2 @ np.array([1.0, 0.0, -0.5]), X2 @ np.array([0.9, 0.1, -0.4])])
+    Y2 += 0.1 * rng.standard_normal(Y2.shape)
+    return Moments.from_data(X2, Y2), FusionOperator.from_graph(TaskGraph(2, ((1, 2, 1.0),)), 0.4, 10.0, n_inputs=3)
+
+
+def primal_dual_step_bound(m, op):
+    """1/tau of the primal-dual loop on ``op``'s fusion term: (lam_max / 2 + sigma ||C||^2) / 0.99, sigma = r / ||C||."""
+    norm = replace(op, lam=0.0).norm_bound()
+    return (m.lam_max / 2 + STEP_RATIO * norm) / 0.99
+
+
+def smoothed_step_bound(m, op, mu):
+    return m.lam_max + replace(op, lam=0.0).norm_bound() ** 2 / mu
+
+
+class TestLoopChoice:
+    # solve runs the primal-dual loop only on a nonsingular X^T X at rho = ||C||^2 / (mu lam_max) > PRIMAL_DUAL_RHO;
+    # lipschitz_used tells the loops apart: lam_max + ||C||^2 / mu on the smoothed loop, 1/tau on the primal-dual one
+
+    @staticmethod
+    def step_bound(m, op, config=SolverConfig()):
+        return solve(m, replace(config, max_iters=1), op).lipschitz_used
+
+    def test_a_fusion_heavy_fit_stays_smoothed(self):
+        # the fit_fusion_heavy shape: N = 200, J = 100, K = 45 in three groups, exactly 300 edges, lam = gamma = 0.1
+        ds = simulate_dataset(SimulationSpec(n_samples=200, n_inputs=100, n_outputs=45, group_sizes=(15, 15, 15)))
+        r = np.abs(np.corrcoef(ds.Y, rowvar=False)[np.triu_indices(45, 1)])
+        s = np.sort(r)[::-1]
+        graph = build_correlation_graph(ds.Y, 0.5 * (s[299] + s[300]))
+        m = Moments.from_data(ds.X, ds.Y)
+        op = FusionOperator.from_graph(graph, 0.1, 0.1, n_inputs=100)
+        assert graph.n_edges == 300 and not m.null_basis.shape[1]
+        assert self.step_bound(m, op) == smoothed_step_bound(m, op, SolverConfig().mu)
+
+    def test_a_singular_gram_stays_smoothed(self):
+        X, Y = centered_problem(32, n=20, j=30, k=3)
+        m = Moments.from_data(X, Y)
+        op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8),)), lam=0.5, gamma=5.0, n_inputs=30)
+        assert m.null_basis.shape[1] and replace(op, lam=0.0).norm_bound() ** 2 > 1e3 * 1e-4 * m.lam_max
+        assert self.step_bound(m, op) == smoothed_step_bound(m, op, 1e-4)
+
+    def test_a_small_gamma_stays_smoothed(self):
+        m, graph = report_split(0)
+        op = FusionOperator.from_graph(graph, 0.0599, 0.01, n_inputs=30)
+        assert self.step_bound(m, op) == smoothed_step_bound(m, op, 1e-4)
+
+    def test_a_large_gamma_report_point_takes_the_primal_dual_loop(self):
+        m, graph = report_split(0)
+        op = FusionOperator.from_graph(graph, 0.0599, 3.59, n_inputs=30)
+        assert self.step_bound(m, op) == pytest.approx(primal_dual_step_bound(m, op), rel=1e-12)
+
+    def test_a_long_chain_takes_the_primal_dual_loop(self):
+        m, op = long_chain(0)
+        assert self.step_bound(m, op) == pytest.approx(primal_dual_step_bound(m, op), rel=1e-12)
+
+    def test_the_loop_switches_where_rho_passes_the_threshold(self):
+        # rho just below PRIMAL_DUAL_RHO stays smoothed, just above it switches
+        m, graph = report_split(0)
+        op = FusionOperator.from_graph(graph, 0.0599, 1.0, n_inputs=30)
+        at = replace(op, lam=0.0).norm_bound() ** 2 / (PRIMAL_DUAL_RHO * m.lam_max)
+        assert self.step_bound(m, op, SolverConfig(mu=at * 1.001)) == smoothed_step_bound(m, op, at * 1.001)
+        assert self.step_bound(m, op, SolverConfig(mu=at * 0.999)) == pytest.approx(primal_dual_step_bound(m, op),
+                                                                                    rel=1e-12)
+
+
+class TestPrimalDualCertificate:
+    # validity on the primal-dual side: every certified lower bound F - gap lies at or below the
+    # objective of a tight run, also at capped runs, whose bound comes from fewer checks
+
+    @staticmethod
+    def assert_valid(m, op, configs):
+        tight = solve(m, SolverConfig(mu=1e-12, rel_obj_tol=1e-12, max_iters=200000), op)
+        assert tight.converged
+        for config in configs:
+            sol = solve(m, config, op)
+            assert sol.lipschitz_used == pytest.approx(primal_dual_step_bound(m, op), rel=1e-12)
+            assert sol.objective_exact - sol.gap <= tight.objective_exact + 1e-12 * abs(tight.objective_exact)
+            assert sol.objective_exact >= tight.objective_exact - tight.gap - 1e-12 * abs(tight.objective_exact)
+            if sol.converged:
+                floor = config.mu * replace(op, lam=0.0).gap_constant()
+                assert sol.gap <= max(config.rel_obj_tol * abs(sol.objective_exact), floor)
+
+    CONFIGS = [SolverConfig(), SolverConfig(max_iters=CHECK_EVERY), SolverConfig(max_iters=5 * CHECK_EVERY),
+               SolverConfig(mu=1e-8, rel_obj_tol=1e-9)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_report_points_at_the_largest_gamma(self, seed):
+        m, graph = report_split(seed)
+        for lam in (1e-3, 0.0599, 3.59):
+            self.assert_valid(m, FusionOperator.from_graph(graph, lam, 3.59, n_inputs=30), self.CONFIGS)
+
+    def test_a_long_chain(self):
+        self.assert_valid(*long_chain(1), self.CONFIGS)
+
+    def test_the_two_task_fusion_limit(self):
+        m, op = two_task_fusion()
+        self.assert_valid(m, op, [*self.CONFIGS, SolverConfig(mu=2e-7, rel_obj_tol=1e-13, max_iters=400000)])
 
 
 class TestAcceleratedLoop:
