@@ -10,7 +10,14 @@ search points W, iterates B and those weights. Per iteration t, counted from the
 (the start point, or the iterate of the last restart), with W^0 = B^{-1} = anchor:
 
     1. B^t = prox(W^t - grad(W^t) / L, 1/L)
-    2. W^{t+1} = B^t + (t/(t+3)) (B^t - B^{t-1})
+    2. W^{t+1} = B^t + min(t/(t+3), beta) (B^t - B^{t-1})
+
+The cap beta = (1 - sqrt(q)) / (1 + sqrt(q)), q = lam_min(X^T X) / L, is the constant momentum of
+V-FISTA (Beck 2017, "First-Order Methods in Optimization", 10.7.7, Thm 10.42): a nonsingular X^T X
+makes the loss lam_min-strongly convex, and the rate improves from O(1/t^2) to (1 - sqrt(q))^t.
+``solve`` passes lam_min only to unsmoothed stages (lasso, l1/l2, and a fusion operator at gamma = 0
+or without edges); a smoothed stage's L overstates the curvature by up to 1 + rho, so it passes 0,
+where beta = 1 and the step is SPG's. So is every fit on a singular X^T X, whose lam_min is 0.
 
 Every penalty is an exact group norm plus at most one fusion term, SPG's split. The norm
 (lam ||B||_1, or l1/l2's row norms) enters step 1 through its exact prox; the fusion term
@@ -27,11 +34,12 @@ takes ||B C||_1 through the exact prox of its conjugate, a clamp onto ||A||_inf 
     2. B^+ = prox(B - tau (grad loss(B) + A C^T), tau)
     3. B_bar = 2 B^+ - B
 
-from B = B_bar = 0 and A = 0, with sigma = STEP_RATIO / ||C|| and tau = 0.99 / (lam_max / 2
-+ sigma ||C||^2), so that 1/tau - sigma ||C||^2 > lam_max / 2, Condat's condition. Where the
-loss dominates, this unaccelerated step ties with the smoothed FISTA loop or loses to it (2x
-the iterations at gamma = 0.01 on J < N data, 4-35x at gamma <= 0.3 on J > N data), so fits
-with rho <= PRIMAL_DUAL_RHO, and every fit on a singular X^T X, keep the smoothed loop.
+from B = B_bar = 0 and A = clamp(B C / mu) = 0, with sigma = STEP_RATIO / ||C|| and
+tau = 0.99 / (lam_max / 2 + sigma ||C||^2), so that 1/tau - sigma ||C||^2 > lam_max / 2,
+Condat's condition. Where the loss dominates, this unaccelerated step ties with the smoothed
+FISTA loop or loses to it (2x the iterations at gamma = 0.01 on J < N data, 4-35x at
+gamma <= 0.3 on J > N data), so fits with rho <= PRIMAL_DUAL_RHO, and every fit on a
+singular X^T X, keep the smoothed loop.
 
 Every fit stops on a duality-gap certificate. With P(B) = max <A, B C> + <U, B> over
 ||A||_inf <= 1 and the groups of U in the lam-ball, R = grad loss(B) + A C^T + U,
@@ -138,15 +146,18 @@ class Moments:
     """The sample moments of one data split, built once and shared by every fit on it.
 
     Holds the column means of X and Y and, of the centered data, X^T X,
-    X^T Y, ||Y||_F^2, lam_max(X^T X) and two views of eigh(X^T X): the null
-    basis N (eigenvalues <= J eps lam_max; J x 0 when nonsingular) and V s^-1/2
-    over the rest; every later evaluation reads these, free of the sample count.
+    X^T Y, ||Y||_F^2, lam_max(X^T X) and, from the same eigh(X^T X), lam_min
+    (the smallest eigenvalue when X^T X is nonsingular, else 0: the loss's
+    strong convexity modulus) and two views: the null basis N (eigenvalues
+    <= J eps lam_max; J x 0 when nonsingular) and V s^-1/2 over the rest; every
+    later evaluation reads these, free of the sample count.
     """
 
     XtX: np.ndarray
     XtY: np.ndarray
     ynorm2: float
     lam_max: float
+    lam_min: float
     null_basis: np.ndarray
     inv_factor: np.ndarray
     x_mean: np.ndarray
@@ -168,7 +179,8 @@ class Moments:
         s, V = np.linalg.eigh(XtX)
         r = int(np.count_nonzero(s <= s.size * np.finfo(float).eps * s[-1]))  # s ascends: the null ones first
         V[:, r:] *= s[r:] ** -0.5  # in place: the one J x J array kept besides X^T X
-        return cls(XtX, X.T @ Y, float(np.vdot(Y, Y)), float(s[-1]), V[:, :r], V[:, r:], x_mean, y_mean)
+        lam_min = 0.0 if r else float(s[0])
+        return cls(XtX, X.T @ Y, float(np.vdot(Y, Y)), float(s[-1]), lam_min, V[:, :r], V[:, r:], x_mean, y_mean)
 
     def loss(self, B: np.ndarray, g_loss: np.ndarray) -> float:
         """(1/2) ||Y - X B||_F^2 through the moments, given the loss gradient g_loss = X^T X B - X^T Y at B."""
@@ -181,6 +193,7 @@ def three_sequence_minimize(
     B0: np.ndarray, lipschitz: float, max_iters: int,
     prox: Callable[[np.ndarray, float], np.ndarray] | None,
     trace: Callable[[np.ndarray, np.ndarray], None] | None,
+    modulus: float = 0.0,
 ) -> tuple[np.ndarray, int, tuple]:
     """Run the accelerated loop from W^0 = ``B0`` for at most ``max_iters`` iterations.
 
@@ -188,9 +201,12 @@ def three_sequence_minimize(
     module docstring's two-sequence FISTA step, the iterates B and the search points W
     with theta_t = 2/(t+2). It keeps the name because tests/test_acceptance.py imports
     it. B = prox(W - g/L, 1/L), or W - g/L without ``prox(V, s)``, the proximal map of s
-    times a non-smooth penalty; then W = B + (k/(k+3)) (B - B_prev). That is one prox
-    per iteration and, the soft threshold's two included, seven array operations besides
-    ``grad``. ``check(B)`` runs every CHECK_EVERY iterations and at the cap and returns
+    times a non-smooth penalty; then W = B + min(k/(k+3), beta) (B - B_prev). That is one
+    prox per iteration and, the soft threshold's two included, seven array operations besides
+    ``grad``. ``modulus`` is a strong convexity modulus of the smooth part, or 0: with
+    q = modulus / ``lipschitz``, beta = (1 - sqrt(q)) / (1 + sqrt(q)) is V-FISTA's constant
+    momentum (Beck 2017, Thm 10.42), and at 0, beta = 1 leaves the k/(k+3) step as it was, bit
+    for bit. ``check(B)`` runs every CHECK_EVERY iterations and at the cap and returns
     (record, whether B ends the run); ``record[0]`` is the value of the objective the
     loop minimizes. At a check whose value is not below the best checked one, the loop
     restarts from the current iterate with no momentum: W = B, k = 0.
@@ -200,6 +216,10 @@ def three_sequence_minimize(
     """
     if lipschitz <= 0:
         raise ValueError(f"Lipschitz bound must be positive, got {lipschitz}")
+    if not 0 <= modulus <= lipschitz:
+        raise ValueError(f"strong convexity modulus must lie in [0, {lipschitz}], got {modulus}")
+    root_q = (modulus / lipschitz) ** 0.5
+    beta = (1.0 - root_q) / (1.0 + root_q)
     W = best_B = B = B0
     best, k = (np.inf,), 0
     for t in range(1, max_iters + 1):
@@ -208,7 +228,7 @@ def three_sequence_minimize(
         if prox is not None:
             B = prox(B, 1.0 / lipschitz)
         W = B - B_prev
-        W *= k / (k + 3.0)
+        W *= min(k / (k + 3.0), beta)
         W += B
         k += 1
         if trace is not None:
@@ -274,8 +294,9 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm)
     an L past the float range is refused. The loop is chosen here once per fit: the primal-dual
     loop, with steps tau and sigma from lam_max and norm_bound(), if X^T X is nonsingular and
     norm_bound()^2 > PRIMAL_DUAL_RHO * mu * lam_max, else the smoothed one. Without a fusion term
-    mu = 0 and L = lam_max(X^T X). c is the norm's ``l1_factor``; lam = 0, so c = 0, with a singular
-    X^T X is refused. The data enter only through ``m``. ``objective_exact`` is the F of the check
+    mu = 0, L = lam_max(X^T X), and the loop caps its momentum by lam_min(X^T X) (module docstring).
+    c is the norm's ``l1_factor``; lam = 0, so c = 0, with a singular X^T X is refused. The data
+    enter only through ``m``. ``objective_exact`` is the F of the check
     that accepted B_hat, so ``objective_exact - gap`` is the certified lower bound itself.
     """
     t_start = time.perf_counter()
@@ -354,15 +375,17 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm)
         # Condat's condition 1/tau - sigma ||C||^2 > lam_max / 2, with sigma = STEP_RATIO / ||C||
         mu_s, penalty_grad, sigma = mu, None, STEP_RATIO / norm2**0.5
         tau = 0.99 / (0.5 * m.lam_max + sigma * norm2)
-        A = np.zeros((fusion.n_inputs, fusion.width))
+        A = fusion.aux_optimum(B, mu)  # the dual point the smoothed loop's check takes at B: 0 at B = 0
         B, iters, (_, f) = primal_dual_minimize(grad, check, fusion.dual_step(sigma), B, A, tau, max_iters, norm.prox,
                                                 trace_fn)
         step_bound = 1.0 / tau
     else:
         for mu_s in stages:
             penalty_grad = fusion.gradient_map(mu_s) if mu_s > 0 else None
+            # strongly convex by lam_min(X^T X) only unsmoothed: a smoothed stage's L overstates the curvature
             B, n, (_, f) = three_sequence_minimize(grad, lambda B: check(B, None), B, lipschitz(mu_s),
-                                                   max_iters - iters, norm.prox, trace_fn)
+                                                   max_iters - iters, norm.prox, trace_fn,
+                                                   m.lam_min if mu_s == 0 else 0.0)
             iters += n
             if stops(f, mu) or iters == max_iters:
                 break

@@ -658,6 +658,73 @@ class TestAcceleratedLoop:
             worst = max(worst, float(np.max((np.array(fs) - f_star) / bound)))
         assert worst <= 1.0
 
+    @pytest.mark.parametrize("name", ["lasso", "l1l2"])
+    def test_linear_rate_with_the_strong_convexity_modulus(self, name):
+        # V-FISTA's rate (Beck 2017, Thm 10.42) for the capped momentum, no restart, from B0 = 0 on 20 random J < N
+        # problems: F(B^t) - F* <= (1 - sqrt(q))^t (F(0) - F* + (lam_min / 2) ||B*||^2), q = lam_min / lam_max; F* is
+        # certified only to the reference's gap, and F(B^t) through the moments only to rounding
+        worst = 0.0
+        for seed in range(20):
+            _, X, Y, norm = next(p for p in certificate_problems(seed) if p[0] == name)
+            m = Moments.from_data(X, Y)
+            assert m.lam_min > 0
+            star = solve(m, SolverConfig(rel_obj_tol=1e-13, max_iters=100000), norm)
+            assert star.converged
+            f_star, falling, fs = star.objective_exact - star.gap, itertools.count(0, -1), []
+            three_sequence_minimize(
+                lambda W: m.XtX @ W - m.XtY, lambda B: ((next(falling),), False), np.zeros(m.XtY.shape), m.lam_max,
+                300, norm.prox, lambda B, g: fs.append(m.loss(B, m.XtX @ B - m.XtY) + norm.penalty_exact(B)),
+                m.lam_min,
+            )
+            t = np.arange(1, len(fs) + 1)
+            start = 0.5 * m.ynorm2 - f_star + 0.5 * m.lam_min * float(np.vdot(star.B_hat, star.B_hat))
+            bound = (1.0 - (m.lam_min / m.lam_max) ** 0.5) ** t * start
+            excess = np.array(fs) - f_star - star.gap
+            worst = max(worst, float(np.max(excess / (bound + 1e-13 * abs(f_star)))))
+        assert worst <= 1.0
+
+    def test_a_modulus_outside_zero_to_l_is_refused(self):
+        m, norm, grad, F = self.lasso_parts(42, 1)
+        for modulus in (-1e-3, 1.001 * m.lam_max):
+            with pytest.raises(ValueError, match="modulus"):
+                three_sequence_minimize(grad, lambda B: ((F(B),), False), np.zeros(m.XtY.shape), m.lam_max, 1,
+                                        norm.prox, None, modulus)
+
+
+class TestStrongConvexity:
+    # solve passes lam_min(X^T X) to the loop only at mu_s = 0: lasso, l1/l2, and gflasso at gamma = 0 or without
+    # edges; every smoothed stage runs the k/(k+3) momentum it ran before
+
+    @staticmethod
+    def moduli(monkeypatch, m, penalty, force_zero=False):
+        seen, loop = [], three_sequence_minimize
+
+        def recording(*args):
+            seen.append(args[7])
+            return loop(*args[:7], 0.0 if force_zero else args[7])
+
+        monkeypatch.setattr("gflasso.solver.three_sequence_minimize", recording)
+        return solve(m, SolverConfig(), penalty), seen
+
+    @pytest.mark.parametrize("kind", ["lasso", "l1l2", "gamma zero", "edgeless"])
+    def test_unsmoothed_fits_get_lam_min(self, monkeypatch, kind):
+        X, Y = centered_problem(43, n=30, j=6, k=3)
+        m = Moments.from_data(X, Y)
+        penalty = {"lasso": GroupNorm(0.5, 1), "l1l2": GroupNorm(0.5, 3),
+                   "gamma zero": FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8),)), 0.5, 0.0, n_inputs=6),
+                   "edgeless": FusionOperator.from_graph(TaskGraph(3), 0.5, 2.0, n_inputs=6)}[kind]
+        sol, seen = self.moduli(monkeypatch, m, penalty)
+        assert sol.converged and seen == [m.lam_min] and m.lam_min > 0
+
+    def test_a_smoothed_fit_keeps_its_momentum_bit_for_bit(self, monkeypatch):
+        m, graph = report_split(1)
+        op = FusionOperator.from_graph(graph, 0.0599, 0.0599, n_inputs=30)
+        sol, seen = self.moduli(monkeypatch, m, op)
+        zero, _ = self.moduli(monkeypatch, m, op, force_zero=True)
+        assert sol.lipschitz_used == smoothed_step_bound(m, op, SolverConfig().mu)
+        assert seen == [0.0] * len(seen) and len(seen) >= 2
+        assert np.array_equal(sol.B_hat, zero.B_hat) and sol.certificate() == zero.certificate()
+
 
 class TestMoments:
     def test_centers_and_keeps_the_means(self):
@@ -681,11 +748,19 @@ class TestMoments:
         with pytest.raises(ValueError, match="incompatible shapes"):
             Moments.from_data(X, Y)
 
+    def test_lam_min_is_the_smallest_eigenvalue(self):
+        X, Y = centered_problem(44, n=30, j=6, k=2)
+        m = Moments.from_data(X, Y)
+        assert not m.null_basis.shape[1]
+        assert m.lam_min == pytest.approx(float(np.linalg.eigvalsh(m.XtX)[0]), rel=1e-10)
+        assert 0 < m.lam_min < m.lam_max
+
     def test_one_constant_column_leaves_the_gram_singular(self):
         X, Y = centered_problem(41)
         X[:, 0] = 0.1
         m = Moments.from_data(X, Y)
         assert m.null_basis.shape == (4, 1) and m.inv_factor.shape == (4, 3)
+        assert m.lam_min == 0.0
         assert solve(m, SolverConfig(), empty_operator(4, 2, lam=0.1)).stop_reason == "gap"
 
 
