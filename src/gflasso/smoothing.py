@@ -190,20 +190,12 @@ class FusionOperator:
         """The gradient of f_mu for one fixed mu: the map B -> adjoint(aux_optimum(B, mu)) = clamp(B C / mu) C^T.
 
         With the dense C the map is two BLAS products around one in-place clamp,
-        with C / mu built here once; otherwise it is ``aux_optimum``'s steps between the
-        two stored maps: forward, divide by mu and clamp in place, backward. Neither
-        checks B's shape: the caller owns it.
+        with C / mu built here once, and it does not check B's shape: the caller
+        owns it. Otherwise it is ``aux_optimum`` and the adjoint's map.
         """
         mu = _check_mu(mu)
         if self._C is None:
-            forward, backward = self._forward, self._backward
-
-            def edge_gradient(B: np.ndarray) -> np.ndarray:
-                G = forward(B)
-                G /= mu
-                return backward(G.clip(-1.0, 1.0, out=G))
-
-            return edge_gradient
+            return lambda B: self._backward(self.aux_optimum(B, mu))
         C_mu, C_T = self._C / mu, self._C.T
 
         def smoothed_gradient(B: np.ndarray) -> np.ndarray:

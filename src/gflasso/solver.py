@@ -34,12 +34,11 @@ takes ||B C||_1 through the exact prox of its conjugate, a clamp onto ||A||_inf 
     2. B^+ = prox(B - tau (grad loss(B) + A C^T), tau)
     3. B_bar = 2 B^+ - B
 
-from B = B_bar = 0 and A = clamp(B C / mu) = 0, with sigma = STEP_RATIO / ||C|| and
-tau = 0.99 / (lam_max / 2 + sigma ||C||^2), so that 1/tau - sigma ||C||^2 > lam_max / 2,
-Condat's condition. Where the loss dominates, this unaccelerated step ties with the smoothed
-FISTA loop or loses to it (2x the iterations at gamma = 0.01 on J < N data, 4-35x at
-gamma <= 0.3 on J > N data), so fits with rho <= PRIMAL_DUAL_RHO, and every fit on a
-singular X^T X, keep the smoothed loop.
+from B = B_bar = 0 and A = 0, with sigma = STEP_RATIO / ||C|| and tau = 0.99 / (lam_max / 2
++ sigma ||C||^2), so that 1/tau - sigma ||C||^2 > lam_max / 2, Condat's condition. Where the
+loss dominates, this unaccelerated step ties with the smoothed FISTA loop or loses to it (2x
+the iterations at gamma = 0.01 on J < N data, 4-35x at gamma <= 0.3 on J > N data), so fits
+with rho <= PRIMAL_DUAL_RHO, and every fit on a singular X^T X, keep the smoothed loop.
 
 Every fit stops on a duality-gap certificate. With P(B) = max <A, B C> + <U, B> over
 ||A||_inf <= 1 and the groups of U in the lam-ball, R = grad loss(B) + A C^T + U,
@@ -375,7 +374,7 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm)
         # Condat's condition 1/tau - sigma ||C||^2 > lam_max / 2, with sigma = STEP_RATIO / ||C||
         mu_s, penalty_grad, sigma = mu, None, STEP_RATIO / norm2**0.5
         tau = 0.99 / (0.5 * m.lam_max + sigma * norm2)
-        A = fusion.aux_optimum(B, mu)  # the dual point the smoothed loop's check takes at B: 0 at B = 0
+        A = np.zeros((fusion.n_inputs, fusion.width))
         B, iters, (_, f) = primal_dual_minimize(grad, check, fusion.dual_step(sigma), B, A, tau, max_iters, norm.prox,
                                                 trace_fn)
         step_bound = 1.0 / tau

@@ -204,18 +204,6 @@ class TestPenaltyGradient:
             ref = penalty_gradient(op, b, mu)
             assert np.linalg.norm(op.gradient_map(mu)(b) - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("J,K,lam", [(3, 7, 0.7), (2, 6, 0.0), (1, 8, 0.5)])
-    def test_edge_gradient_map_is_the_adjoint_of_aux_optimum_bit_for_bit(self, J, K, lam):
-        # on the edge arrays the map runs aux_optimum's steps and the adjoint's map, without their checks
-        rng = np.random.default_rng(19 + J)
-        ops = [FusionOperator.from_graph(random_graph(rng, K, 0.6), lam=lam, gamma=1.3, n_inputs=J),
-               CovariateFusionOperator.from_graph(random_graph(rng, K, 0.6), lam=lam, gamma=1.3, n_inputs=1)]
-        for op in ops:
-            assert op._C is None
-            B = rng.standard_normal(op.coef_shape)
-            for mu in (0.05, 5.0):
-                assert np.array_equal(op.gradient_map(mu)(B), op.adjoint(op.aux_optimum(B, mu)))
-
     def test_gradient_lipschitz_constant(self):
         rng = np.random.default_rng(17)
         op, _ = random_operator(rng)
