@@ -93,23 +93,25 @@ def fit_method(
     lam: float,
     gamma: float,
     config: SolverConfig,
+    start: np.ndarray | None = None,
 ) -> FitResult:
     """Fit one of :data:`FIT_METHODS` at (lam, gamma); the one place that maps a method name to a model.
 
     gflasso reads ``graph`` over the tasks and fused over the covariates; lasso and l1/l2 ignore it and gamma.
     Both weights are validated for every method, so a bad gamma is refused even where it is unused.
+    ``start`` is the point the solver begins at (zeros when None); ``solve`` refuses one of the wrong shape.
     """
     spec = PenaltySpec(lam=lam, gamma=gamma)
     if method in ("gflasso", "fused") and graph is None:
         raise ValueError(f"{method} needs a graph")
     if method == "gflasso":
-        return fit_gflasso(data, graph, spec, config)
+        return fit_gflasso(data, graph, spec, config, start)
     if method == "fused":
-        return fit_fused_univariate(data, graph, lam, gamma, config)
+        return fit_fused_univariate(data, graph, lam, gamma, config, start)
     if method == "lasso":
-        return fit_lasso(data, spec, config)
+        return fit_lasso(data, spec, config, start)
     if method == "l1l2":
-        return fit_group_l1l2(data, spec.lam, config)
+        return fit_group_l1l2(data, spec.lam, config, start)
     raise ValueError(f"unknown method {method!r}; expected one of {FIT_METHODS}")
 
 
@@ -162,30 +164,41 @@ def select_regularization(
 ) -> SelectionResult:
     """Pick (lam, gamma) by validation MSE on the split's holdout rows.
 
-    Every grid point is fitted on the training rows. Ties in validation
-    MSE break toward larger lam, then larger gamma. The returned fit is
-    re-estimated on all samples at the selected values.
+    Every grid point is fitted on the training rows, each gamma's points as one
+    warm-started path (Friedman, Hastie & Tibshirani 2010): from the largest lam
+    down, each fit starts from the B_hat of the last fit on that path that
+    succeeded, the first from zeros. The table keeps the grid's order. Ties in
+    validation MSE break toward larger lam, then larger gamma, then the earlier
+    grid point. The returned fit is re-estimated on all samples at the selected
+    values, starting from the selected point's training-split B_hat; only the
+    iterate carries over, never a certificate.
     """
     if not grid:
         raise ValueError("grid is empty")
     _check_grid_values([v for point in grid for v in point])
 
-    table: list[dict] = []
-    for lam, gamma in grid:
-        row: dict = {"lambda": float(lam), "gamma": float(gamma)}
+    table: list[dict] = [{"lambda": float(lam), "gamma": float(gamma)} for lam, gamma in grid]
+    best_key, best_B, start, gamma_on_path = None, None, None, None
+    for i in sorted(range(len(grid)), key=lambda k: (grid[k][1], -grid[k][0], k)):
+        row = table[i]
+        if row["gamma"] != gamma_on_path:  # a new gamma's path: its largest lam starts from zeros
+            start, gamma_on_path = None, row["gamma"]
         try:
-            fit = fit_method(method, split.train, graph, lam, gamma, config)
+            fit = fit_method(method, split.train, graph, row["lambda"], row["gamma"], config, start)
             row["val_mse"] = prediction_error(fit, split.X_val, split.Y_val)
             row.update(fit.solution.certificate())
         except (ValueError, ArithmeticError) as exc:
             row["error"] = str(exc)
-        table.append(row)
+            continue
+        start = fit.solution.B_hat
+        key = (row["val_mse"], -row["lambda"], -row["gamma"], i)  # the last entry is the row's grid index
+        if best_key is None or key < best_key:
+            best_key, best_B = key, start
 
-    ok = [row for row in table if "val_mse" in row]
-    if not ok:
+    if best_key is None:
         raise ValueError("every grid point failed during selection")
-    best = min(ok, key=lambda row: (row["val_mse"], -row["lambda"], -row["gamma"]))
-    final = fit_method(method, split.full, graph, best["lambda"], best["gamma"], config)
+    best = table[best_key[-1]]
+    final = fit_method(method, split.full, graph, best["lambda"], best["gamma"], config, best_B)
     return SelectionResult(lam=best["lambda"], gamma=best["gamma"], table=tuple(table), fit=final)
 
 

@@ -8,9 +8,10 @@ term, the one part it may smooth. Lasso (width 1) and l1/l2 (width K) pass a
 :class:`GroupNorm`.
 
 Every fit entry point takes the data as one :class:`solver.Moments`, whose
-``from_data`` centers the raw arrays and keeps their column means; the result
-carries the means, so predictions for new data are
-(X_new - x_mean) @ B_hat + y_mean. Models carry no intercept.
+``from_data`` centers the raw arrays and keeps their column means, and an
+optional ``start`` point that it passes to ``solve`` (model selection
+warm-starts its fits with it). The result carries the means, so predictions
+for new data are (X_new - x_mean) @ B_hat + y_mean. Models carry no intercept.
 """
 
 from __future__ import annotations
@@ -91,10 +92,11 @@ def objective_gflasso(X: np.ndarray, Y: np.ndarray, B: np.ndarray, graph: TaskGr
 
 
 def _fit(kind: str, data: Moments, graph: TaskGraph | None, spec: PenaltySpec, config: SolverConfig,
-         penalty: FusionOperator | GroupNorm) -> FitResult:
-    # Solves and records the means and graph, (K, 0, None) without one; solve refuses a graph of the wrong size.
+         penalty: FusionOperator | GroupNorm, start: np.ndarray | None) -> FitResult:
+    # Solves from start and records the means and graph, (K, 0, None) without one; solve refuses a graph of the
+    # wrong size and a start of the wrong shape.
     t0 = time.perf_counter()
-    solution = solve(data, config, penalty)
+    solution = solve(data, config, penalty, start)
     summary = (data.XtY.shape[1], 0, None) if graph is None else (graph.node_count, graph.n_edges, graph.threshold)
     return FitResult(
         solution=solution,
@@ -107,23 +109,25 @@ def _fit(kind: str, data: Moments, graph: TaskGraph | None, spec: PenaltySpec, c
     )
 
 
-def fit_gflasso(data: Moments, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig) -> FitResult:
+def fit_gflasso(data: Moments, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig,
+                start: np.ndarray | None = None) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
     penalty = FusionOperator.from_graph(graph, spec.lam, spec.gamma, data.XtX.shape[0])
-    return _fit("gflasso", data, graph, spec, config, penalty)
+    return _fit("gflasso", data, graph, spec, config, penalty, start)
 
 
-def fit_lasso(data: Moments, spec: PenaltySpec, config: SolverConfig) -> FitResult:
+def fit_lasso(data: Moments, spec: PenaltySpec, config: SolverConfig, start: np.ndarray | None = None) -> FitResult:
     """Entrywise-l1 multi-task fit: the width-1 group norm, run unsmoothed through its soft threshold."""
-    return _fit("lasso", data, None, PenaltySpec(lam=spec.lam), config, GroupNorm(spec.lam, 1))
+    return _fit("lasso", data, None, PenaltySpec(lam=spec.lam), config, GroupNorm(spec.lam, 1), start)
 
 
-def fit_group_l1l2(data: Moments, lam: float, config: SolverConfig) -> FitResult:
+def fit_group_l1l2(data: Moments, lam: float, config: SolverConfig, start: np.ndarray | None = None) -> FitResult:
     """Row-grouped l1/l2 multi-task fit: the width-K group norm, run unsmoothed through its rowwise shrink."""
-    return _fit("group_l1l2", data, None, PenaltySpec(lam=lam), config, GroupNorm(lam, data.XtY.shape[1]))
+    return _fit("group_l1l2", data, None, PenaltySpec(lam=lam), config, GroupNorm(lam, data.XtY.shape[1]), start)
 
 
-def fit_fused_univariate(data: Moments, graph: TaskGraph, lam: float, gamma: float, config: SolverConfig) -> FitResult:
+def fit_fused_univariate(data: Moments, graph: TaskGraph, lam: float, gamma: float, config: SolverConfig,
+                         start: np.ndarray | None = None) -> FitResult:
     """Univariate-response fused fit with the fusion graph over the covariates.
 
     ``data`` has a single response column, and :class:`smoothing.CovariateFusionOperator`
@@ -134,4 +138,4 @@ def fit_fused_univariate(data: Moments, graph: TaskGraph, lam: float, gamma: flo
         raise ValueError(f"the univariate fused model needs a single-column response, got {data.XtY.shape[1]} columns")
     penalty = CovariateFusionOperator.from_graph(graph, lam, gamma, 1)
     spec = PenaltySpec(lam=lam, gamma=gamma)
-    return _fit("fused_univariate", data, graph, spec, config, penalty)
+    return _fit("fused_univariate", data, graph, spec, config, penalty, start)

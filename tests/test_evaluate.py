@@ -235,6 +235,106 @@ class TestSelectRegularization:
             HoldoutSplit.from_data(X, Y, X.shape[0])
 
 
+class TestWarmStartedPaths:
+    """Each gamma's lambda path runs from the largest lambda down, every fit from the B_hat of the last fit on the
+    path that succeeded; the refit starts from the selected point's training-split B_hat."""
+
+    @staticmethod
+    def recorded(monkeypatch, fail_at=()):
+        # every fit_method call as (lam, gamma, rows of the data, start, B_hat), raising at the lam in fail_at
+        calls, fit = [], evaluate.fit_method
+
+        def recording(method, data, graph, lam, gamma, config, start=None):
+            if lam in fail_at:
+                calls.append((lam, gamma, data, start, None))
+                raise ValueError(f"refused at {lam}")
+            result = fit(method, data, graph, lam, gamma, config, start)
+            calls.append((lam, gamma, data, start, result.solution.B_hat))
+            return result
+
+        monkeypatch.setattr(evaluate, "fit_method", recording)
+        return calls
+
+    def test_each_gamma_runs_its_lambdas_from_the_largest_down(self, monkeypatch):
+        X, Y = TestSelectRegularization()._data(6)
+        split, graph = HoldoutSplit.from_data(X, Y, 30), build_correlation_graph(Y, 0.3)
+        grid = [(lam, gamma) for lam in (0.1, 3.0, 1.0) for gamma in (1.0, 0.1)]
+        calls = self.recorded(monkeypatch)
+        sel = select_regularization(split, graph, "gflasso", grid, FAST_SOLVER)
+        *path, refit = calls
+        assert [(lam, gamma) for lam, gamma, *_ in path] == [(3.0, 0.1), (1.0, 0.1), (0.1, 0.1),
+                                                           (3.0, 1.0), (1.0, 1.0), (0.1, 1.0)]
+        for i, (lam, gamma, data, start, _) in enumerate(path):
+            assert data is split.train
+            if lam == 3.0:
+                assert start is None
+            else:
+                assert start is path[i - 1][4]
+        assert [(row["lambda"], row["gamma"]) for row in sel.table] == grid
+        chosen = next(call for call in path if call[:2] == (sel.lam, sel.gamma))
+        assert refit[:3] == (sel.lam, sel.gamma, split.full) and refit[3] is chosen[4]
+
+    def test_a_failed_fit_leaves_its_path_to_the_last_success(self, monkeypatch):
+        X, Y = TestSelectRegularization()._data(7)
+        split = HoldoutSplit.from_data(X, Y, 30)
+        calls = self.recorded(monkeypatch, fail_at=(1.0,))
+        sel = select_regularization(split, None, "lasso", [(0.1, 0.0), (1.0, 0.0), (3.0, 0.0)], FAST_SOLVER)
+        assert [call[0] for call in calls[:3]] == [3.0, 1.0, 0.1]
+        assert calls[1][3] is calls[0][4] and calls[2][3] is calls[0][4]
+        assert [row.get("error") for row in sel.table] == [None, "refused at 1.0", None]
+
+    @pytest.mark.parametrize("method, gammas", [("lasso", (0.0,)), ("gflasso", (0.3, 3.0))])
+    def test_lambda_zero_on_a_singular_gram_leaves_the_rest_of_its_path_as_it_was(self, method, gammas):
+        # 15 training rows of 30 inputs: lambda = 0, last on each path, is an error row, and the other rows are
+        # the ones of the grid without it
+        ds = simulate_dataset(SimulationSpec(n_samples=20, seed=4))
+        split, graph = HoldoutSplit.from_data(ds.X, ds.Y, 5), build_correlation_graph(ds.Y, 0.3)
+        assert split.train.null_basis.shape[1]
+        grid = [(lam, gamma) for lam in (0.3, 0.0, 3.0) for gamma in gammas]
+        with_zero = select_regularization(split, graph, method, grid, SolverConfig())
+        without = select_regularization(split, graph, method, [p for p in grid if p[0]], SolverConfig())
+        errors = [row for row in with_zero.table if "error" in row]
+        assert len(errors) == len(gammas) and all("lambda = 0" in row["error"] for row in errors)
+        assert [row for row in with_zero.table if "error" not in row] == list(without.table)
+        assert all(row["converged"] for row in without.table)
+        assert (with_zero.lam, with_zero.gamma) == (without.lam, without.gamma)
+
+    def test_the_cv_table_keeps_the_grid_order(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "cv"
+        data.mkdir()
+        out.mkdir()
+        assert main(["simulate", "--out-dir", str(data), "--seed", "5", "--n-samples", "60"]) == 0
+        assert main(["cv", "--method", "gflasso", "--x", str(data / "X.csv"), "--y", str(data / "Y.csv"),
+                     "--out-dir", str(out), "--lambdas", "0.1,3,0.01,1", "--gammas", "1,0.1", "--holdout", "20"]) == 0
+        doc = json.loads((out / "cv.json").read_text())
+        assert [(row["lambda"], row["gamma"]) for row in doc["table"]] == [
+            (lam, gamma) for lam in (0.1, 3.0, 0.01, 1.0) for gamma in (1.0, 0.1)]
+        assert all(row["converged"] for row in doc["table"])
+
+    def test_warm_paths_take_fewer_iterations_than_cold_fits(self, tmp_path, monkeypatch):
+        # the report_paper workload's command on the 6 datasets of its run seed 2; solver iterations are
+        # deterministic, so warm starts must take strictly fewer in total and select the same points
+        counted, fit = [], evaluate.fit_method
+
+        def counting(*args, cold=False):
+            result = fit(*args[:6], None if cold else args[6])
+            counted.append(result.solution.iterations)
+            return result
+
+        totals, selections = {}, {}
+        for cold in (False, True):
+            monkeypatch.setattr(evaluate, "fit_method", lambda *args, cold=cold: counting(*args, cold=cold))
+            counted.clear()
+            for seed in range(2000, 2006):
+                doc = run_report(tmp_path / f"{cold}{seed}", seed, "--threads", "1")
+                selections.setdefault(seed, []).append(
+                    {m: (v["lambda"], v["gamma"]) for m, v in doc["replicates"][0]["methods"].items()})
+            totals[cold] = sum(counted)
+        assert len(counted) == 6 * 18
+        assert totals[False] < totals[True]
+        assert all(warm == cold for warm, cold in selections.values())
+
+
 def tiny_experiment(seed=0, rho=0.3, replicates=1, methods=("gflasso", "lasso")):
     return ExperimentConfig(
         sim=SimulationSpec(n_samples=40, n_inputs=15, n_outputs=6, signal=0.8, seed=seed, group_sizes=(3, 3),

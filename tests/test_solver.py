@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -503,6 +504,15 @@ def two_task_fusion():
     return Moments.from_data(X2, Y2), FusionOperator.from_graph(TaskGraph(2, ((1, 2, 1.0),)), 0.4, 10.0, n_inputs=3)
 
 
+def fusion_heavy():
+    """The fit_fusion_heavy shape: N = 200, J = 100, K = 45 in three groups, exactly 300 edges, lam = gamma = 0.1."""
+    ds = simulate_dataset(SimulationSpec(n_samples=200, n_inputs=100, n_outputs=45, group_sizes=(15, 15, 15)))
+    r = np.abs(np.corrcoef(ds.Y, rowvar=False)[np.triu_indices(45, 1)])
+    s = np.sort(r)[::-1]
+    graph = build_correlation_graph(ds.Y, 0.5 * (s[299] + s[300]))
+    return Moments.from_data(ds.X, ds.Y), FusionOperator.from_graph(graph, 0.1, 0.1, n_inputs=100)
+
+
 def primal_dual_step_bound(m, op):
     """1/tau of the primal-dual loop on ``op``'s fusion term: (lam_max / 2 + sigma ||C||^2) / 0.99, sigma = r / ||C||."""
     norm = replace(op, lam=0.0).norm_bound()
@@ -522,14 +532,8 @@ class TestLoopChoice:
         return solve(m, replace(config, max_iters=1), op).lipschitz_used
 
     def test_a_fusion_heavy_fit_stays_smoothed(self):
-        # the fit_fusion_heavy shape: N = 200, J = 100, K = 45 in three groups, exactly 300 edges, lam = gamma = 0.1
-        ds = simulate_dataset(SimulationSpec(n_samples=200, n_inputs=100, n_outputs=45, group_sizes=(15, 15, 15)))
-        r = np.abs(np.corrcoef(ds.Y, rowvar=False)[np.triu_indices(45, 1)])
-        s = np.sort(r)[::-1]
-        graph = build_correlation_graph(ds.Y, 0.5 * (s[299] + s[300]))
-        m = Moments.from_data(ds.X, ds.Y)
-        op = FusionOperator.from_graph(graph, 0.1, 0.1, n_inputs=100)
-        assert graph.n_edges == 300 and not m.null_basis.shape[1]
+        m, op = fusion_heavy()
+        assert op.n_edges == 300 and not m.null_basis.shape[1]
         assert self.step_bound(m, op) == smoothed_step_bound(m, op, SolverConfig().mu)
 
     def test_a_singular_gram_stays_smoothed(self):
@@ -595,6 +599,103 @@ class TestPrimalDualCertificate:
     def test_the_two_task_fusion_limit(self):
         m, op = two_task_fusion()
         self.assert_valid(m, op, [*self.CONFIGS, SolverConfig(mu=2e-7, rel_obj_tol=1e-13, max_iters=400000)])
+
+
+def start_problem(kind):
+    """(moments, penalty, name of the loop solve runs) for one fit of each loop and norm a start point can enter."""
+    if kind in ("lasso", "l1l2"):
+        m, _ = report_split(0)
+        return m, GroupNorm(0.0599, 1 if kind == "lasso" else 10), "accelerated"
+    if kind == "smoothed":
+        return (*fusion_heavy(), "smoothed")
+    if kind == "report point":
+        m, graph = report_split(0)
+        return m, FusionOperator.from_graph(graph, 0.0599, 3.59, n_inputs=30), "primal-dual"
+    return (*long_chain(0), "primal-dual")
+
+
+class TestStartPoint:
+    # solve(start=None) begins at zeros, both loops begin at a given start, and the primal-dual dual iterate at
+    # aux_optimum(start, mu); only the iterate carries over, so every certificate stays valid from any start
+
+    KINDS = ["lasso", "l1l2", "smoothed", "report point", "chain"]
+
+    @staticmethod
+    def loop_of(m, penalty, sol):
+        if isinstance(penalty, GroupNorm):
+            return "accelerated"
+        smoothed = sol.lipschitz_used == smoothed_step_bound(m, penalty, SolverConfig().mu)
+        return "smoothed" if smoothed else "primal-dual"
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_zero_start_is_the_cold_fit_bit_for_bit(self, kind):
+        m, penalty, loop = start_problem(kind)
+        cold = solve(m, SolverConfig(), penalty)
+        zero = solve(m, SolverConfig(), penalty, np.zeros(m.XtY.shape))
+        assert self.loop_of(m, penalty, cold) == loop
+        assert np.array_equal(cold.B_hat, zero.B_hat)
+        assert (cold.objective_exact, cold.lipschitz_used) == (zero.objective_exact, zero.lipschitz_used)
+        assert cold.certificate() == zero.certificate() and cold.converged
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_start_of_the_wrong_shape_is_refused(self, kind):
+        m, penalty, _ = start_problem(kind)
+        J, K = m.XtY.shape
+        with pytest.raises(ValueError, match=re.escape(f"coefficient shape {(J, K)}, got {(J, K + 1)}")):
+            solve(m, SolverConfig(), penalty, np.zeros((J, K + 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_start_is_refused(self, bad):
+        m, penalty, _ = start_problem("report point")
+        start = np.zeros(m.XtY.shape)
+        start[3, 1] = bad
+        with pytest.raises(ValueError, match="start point has non-finite entries"):
+            solve(m, SolverConfig(), penalty, start)
+
+    def test_the_start_is_not_changed(self):
+        m, penalty, _ = start_problem("report point")
+        start = np.random.default_rng(50).standard_normal(m.XtY.shape)
+        kept = start.copy()
+        solve(m, SolverConfig(), penalty, start)
+        assert np.array_equal(start, kept)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("gamma, loop", [(0.0599, "smoothed"), (3.59, "primal-dual")])
+    def test_far_starts_certify_below_a_tight_run(self, seed, gamma, loop):
+        # the lam = 1e-3 solution as the start of the lam = 3.59 fit, and a random start: every F - gap lies at or
+        # below a tight cold run's F, and a converged fit is within its target
+        m, graph = report_split(seed)
+        op = FusionOperator.from_graph(graph, 3.59, gamma, n_inputs=30)
+        tight = solve(m, SolverConfig(mu=1e-12, rel_obj_tol=1e-12, max_iters=200000), op)
+        assert tight.converged
+        far = solve(m, SolverConfig(), FusionOperator.from_graph(graph, 1e-3, gamma, n_inputs=30)).B_hat
+        noise = 10.0 * np.random.default_rng(seed).standard_normal(m.XtY.shape)
+        config, eps = SolverConfig(), 1e-12 * abs(tight.objective_exact)
+        floor = config.mu * replace(op, lam=0.0).gap_constant()
+        for start in (far, noise):
+            for run in (config, replace(config, max_iters=CHECK_EVERY)):
+                sol = solve(m, run, op, start)
+                assert self.loop_of(m, op, sol) == loop
+                assert sol.objective_exact - sol.gap <= tight.objective_exact + eps
+                assert sol.objective_exact >= tight.objective_exact - tight.gap - eps
+                if run is config:
+                    assert sol.converged and sol.gap <= max(config.rel_obj_tol * abs(sol.objective_exact), floor)
+
+    @pytest.mark.parametrize("kind", ["lasso", "l1l2"])
+    def test_a_start_at_the_optimum_stops_at_the_first_check(self, kind):
+        # a proximal gradient step leaves the optimum where it is, so the first check certifies it
+        m, norm, _ = start_problem(kind)
+        tight = solve(m, SolverConfig(rel_obj_tol=1e-13, max_iters=100000), norm)
+        sol = solve(m, SolverConfig(), norm, tight.B_hat)
+        assert sol.converged and sol.iterations == CHECK_EVERY
+        assert sol.objective_exact - sol.gap <= tight.objective_exact + 1e-12 * abs(tight.objective_exact)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_start_near_the_optimum_saves_iterations(self, kind):
+        m, penalty, _ = start_problem(kind)
+        cold = solve(m, SolverConfig(), penalty)
+        warm = solve(m, SolverConfig(), penalty, cold.B_hat)
+        assert warm.converged and warm.iterations < cold.iterations
 
 
 class TestAcceleratedLoop:
