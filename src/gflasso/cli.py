@@ -118,7 +118,8 @@ def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int, accuracy: bool
     p.add_argument("--mu", type=float, default=SolverConfig.mu,
                    help="fits with a fusion term stop at the gap floor mu * D, D = J |E| / 2, and smooth the term "
                    "with mu unless they take the primal-dual loop (nonsingular X^T X and rho = ||gamma H||^2 / "
-                   f"(mu lam_max(X^T X)) > {PRIMAL_DUAL_RHO:g}, step ratio r = {STEP_RATIO:g}); lambda is never smoothed "
+                   f"(mu lam_max(X^T X)) > {PRIMAL_DUAL_RHO:g}, with per-edge steps sigma_e = r / sum_k |C_ke| and "
+                   f"step ratio r = {STEP_RATIO:g}); lambda is never smoothed "
                    "(default %(default)s)")
     if accuracy:
         p.add_argument("--accuracy", type=float, default=None,

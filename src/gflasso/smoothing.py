@@ -11,9 +11,10 @@ A = clamp(B C / mu). ``gradient_map(mu)`` builds its gradient A C^T once per mu
 for the solver's smoothed loop, and the same A is the dual point of the duality-gap
 certificate (``dual_terms``). The solver's primal-dual loop leaves the term
 unsmoothed and keeps A as an iterate, advanced by ``dual_step(sigma)``; its
-certificate passes that A to ``dual_terms``. D and the norm bound of B -> B C are
-defined here alone (``gap_constant``, ``norm_bound``); ``solver.solve`` derives mu,
-L and the primal-dual steps from them.
+certificate passes that A to ``dual_terms``. D, the norm bound of B -> B C and the
+absolute sums of C are defined here alone (``gap_constant``, ``norm_bound``,
+``abs_sums``); ``solver.solve`` derives mu and L from the first two and the
+primal-dual steps from the sums.
 
 Construction picks the form of C once, by the operator's shape, and keeps the
 maps B -> B C and A -> A C^T that ``apply`` and ``adjoint`` call after a shape
@@ -75,6 +76,20 @@ class GroupNorm:
         G = V.reshape(-1, self.width)
         norms = np.linalg.norm(G, axis=1, keepdims=True)
         return (G * (1.0 - t / np.maximum(norms, t))).reshape(V.shape)
+
+    def soft_threshold(self, step: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``prox`` of the entrywise norm (width 1) at a fixed step, which may differ per entry: V -> V - clip(V, -t, t).
+
+        ``step`` broadcasts over V, and t = lam * step and -t are built here once, so a call costs
+        the two array operations of the scalar soft threshold; at lam = 0 the map is the identity.
+        """
+        if self.width != 1:
+            raise ValueError(f"a per-entry step needs the entrywise norm, width 1, got width {self.width}")
+        hi = self.lam * np.asarray(step, dtype=float)
+        if not hi.any():
+            return lambda V: V
+        lo = -hi
+        return lambda V: V - V.clip(lo, hi)
 
     def dual_terms(self, B: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, float, np.ndarray, float]:
         """(penalty, penalty - <A, B>, A, penalty), the layout of ``FusionOperator.dual_terms``, at A in the lam-ball.
@@ -166,6 +181,11 @@ class FusionOperator:
         """The shape of the coefficient matrices B the operator maps."""
         return self.n_inputs, self.n_tasks
 
+    @property
+    def task_shape(self) -> tuple[int, int]:
+        """The shape of one value per task laid out as the coefficients: a row, (1, K)."""
+        return 1, self.n_tasks
+
     def apply(self, B: np.ndarray) -> np.ndarray:
         """Gamma(B) = B C, shape (J, width)."""
         B = np.asarray(B, dtype=float)
@@ -205,21 +225,22 @@ class FusionOperator:
 
         return smoothed_gradient
 
-    def dual_step(self, sigma: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        """The primal-dual loop's step on the fusion term for one fixed sigma: (A, B) -> A C^T after A = clamp(A + sigma B C).
+    def dual_step(self, sigma: float | np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The primal-dual loop's step on the fusion term for fixed steps sigma: (A, B) -> A C^T after A = clamp(A + B C sigma).
 
-        A is updated in place. With the dense C, sigma C is built here once and the map is
+        ``sigma`` is one step or one per column of C (shape (width,)), read as diag(sigma).
+        A is updated in place. With the dense C, C diag(sigma) is built here once and the map is
         two BLAS products around one in-place clamp; otherwise it is the two stored maps. Like
         ``gradient_map``, it does not check shapes: the caller owns A and B.
         """
         if self._C is None:
 
             def step(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-                A += sigma * self._forward(B)
+                A += self._forward(B) * sigma
                 return self._backward(A.clip(-1.0, 1.0, out=A))
 
             return step
-        C_sigma, C_T = sigma * self._C, self._C.T
+        C_sigma, C_T = self._C * sigma, self._C.T
 
         def dense_step(A: np.ndarray, B: np.ndarray) -> np.ndarray:
             A += B @ C_sigma
@@ -246,6 +267,18 @@ class FusionOperator:
             A = shrink(G / mu)
         pen, pairing = float(np.abs(G).sum()), float(np.vdot(A, G))
         return pen, pen - pairing, self.adjoint(A), pairing - 0.5 * mu * float(np.vdot(A, A))
+
+    def abs_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """The absolute sums of C: (sum_k |C_ke| per column, sum_e |C_ke| per task), in O(K + |E|) from the edge arrays.
+
+        An edge column holds gam w_e at both ends, so its sum is 2 gam w_e (0 at a zero weight); a task's
+        sum is gam times its summed edge weight, plus lam with the lam columns. The task sums come in
+        ``task_shape``, which broadcasts over the coefficient matrices.
+        """
+        coef = np.abs(self.gamma * self.edge_weight)
+        columns = np.concatenate((np.full(self.width - self.n_edges, self.lam), 2.0 * coef))
+        tasks = np.bincount(np.concatenate((self.edge_m, self.edge_l)), np.concatenate((coef, coef)), self.n_tasks)
+        return columns, (tasks + self.lam).reshape(self.task_shape)
 
     def degrees(self) -> np.ndarray:
         """Weighted degree vector d_k = sum of squared edge weights incident on k."""
@@ -276,3 +309,7 @@ class CovariateFusionOperator(FusionOperator):
     @property
     def coef_shape(self) -> tuple[int, int]:
         return self.n_tasks, self.n_inputs
+
+    @property
+    def task_shape(self) -> tuple[int, int]:
+        return self.n_tasks, 1

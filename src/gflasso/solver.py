@@ -30,13 +30,16 @@ PRIMAL_DUAL_RHO and X^T X is nonsingular, ``solve`` runs the fusion term unsmoot
 through a Condat-Vu primal-dual loop (Condat 2013; Vu 2013; Chambolle & Pock 2011) that
 takes ||B C||_1 through the exact prox of its conjugate, a clamp onto ||A||_inf <= 1:
 
-    1. A = clamp(A + sigma B_bar C)
+    1. A = clamp(A + B_bar C diag(sigma))
     2. B^+ = prox(B - tau (grad loss(B) + A C^T), tau)
     3. B_bar = 2 B^+ - B
 
-from B = B_bar = B^0, the start point (0 by default), and A = clamp(B^0 C / mu), with
-sigma = STEP_RATIO / ||C|| and tau = 0.99 / (lam_max / 2 + sigma ||C||^2), so that
-1/tau - sigma ||C||^2 > lam_max / 2, Condat's condition. Where the loss dominates, this
+from B = B_bar = B^0, the start point (0 by default), and A = clamp(B^0 C / mu), with diagonal
+steps (Pock & Chambolle 2011, "Diagonal preconditioning for first order primal-dual algorithms"):
+sigma_e = STEP_RATIO / sum_k |C_ke| per column of C, and tau_k = 0.99 / (lam_max / 2 + STEP_RATIO
+sum_e |C_ke|) per task, which scales column k of B's step (row k of the fused model's J x 1 column)
+and its soft threshold. Then diag(1/tau) - C diag(sigma) C^T >= lam_max / (2 * 0.99) I, Condat's
+condition in the metric of the steps (``primal_dual_steps``). Where the loss dominates, this
 unaccelerated step ties with the smoothed FISTA loop or loses to it (2x
 the iterations at gamma = 0.01 on J < N data, 4-35x at gamma <= 0.3 on J > N data), so fits
 with rho <= PRIMAL_DUAL_RHO, and every fit on a singular X^T X, keep the smoothed loop.
@@ -74,8 +77,9 @@ from .smoothing import FusionOperator, GroupNorm
 
 CHECK_EVERY = 10
 MU_STAGES = (100.0, 10.0, 1.0)
-# The primal-dual loop's step ratio r: sigma = r / ||C||. r = 10-30 was best on the report grid and the chain.
-STEP_RATIO = 30.0
+# The primal-dual loop's step ratio r: sigma_e = r / sum_k |C_ke|. The report grid took fewest iterations at
+# r = 10-12, the long chain at r = 20-30; of r = 10, 12, 15, 20, 30 only 12 moved no report selection (BENCH_26.json).
+STEP_RATIO = 12.0
 # A fusion fit on a nonsingular X^T X runs the primal-dual loop when rho = ||C||^2 / (mu lam_max) exceeds this
 PRIMAL_DUAL_RHO = 10.0
 
@@ -87,7 +91,8 @@ class SolverConfig:
     ``mu`` (default 1e-4), or mu = accuracy / (2 D), D = J |E| / 2, is read only by fits with a
     fusion term. It sets their gap floor mu * D in both loops, and smooths the fusion term in
     the FISTA loop, the one a fit takes unless X^T X is nonsingular and rho = ||C||^2 / (mu lam_max)
-    > PRIMAL_DUAL_RHO; then the primal-dual loop, with step ratio STEP_RATIO, runs it unsmoothed.
+    > PRIMAL_DUAL_RHO; then the primal-dual loop runs it unsmoothed, with per-edge steps
+    sigma_e = r / sum_k |C_ke| and per-task steps tau_k at step ratio r = STEP_RATIO.
     lam is never smoothed. ``rel_obj_tol`` is the relative duality gap to stop at, floored at mu * D
     in a fit with a fusion term.
     """
@@ -118,7 +123,8 @@ class Solution:
     bound on the optimum, so ``objective_exact - gap`` is that bound (inf for
     the subgradient baseline); ``stop_reason`` is ``gap`` (``converged``) or ``iteration_cap``.
     ``mu_used`` is the configured mu of a fusion fit (0 without a fusion term), and ``lipschitz_used``
-    the final stage's L, or 1/tau for a fit on the primal-dual loop.
+    the final stage's L, or max_k 1/tau_k, the inverse of the shortest per-task step, for a fit on
+    the primal-dual loop.
     """
 
     B_hat: np.ndarray
@@ -245,19 +251,33 @@ def three_sequence_minimize(
     return best_B, max_iters, best
 
 
+def primal_dual_steps(lam_max: float, fusion: FusionOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The primal-dual loop's diagonal steps on ``fusion``'s C: (sigma per column of C, tau per task in ``task_shape``).
+
+    sigma_e = STEP_RATIO / sum_k |C_ke|, 0 on a zero column, and tau_k = 0.99 / (lam_max / 2 + STEP_RATIO
+    sum_e |C_ke|), both from ``abs_sums``. By Pock & Chambolle 2011, Lemma 2 at alpha = 1, C diag(sigma) C^T
+    <= STEP_RATIO diag(sum_e |C_ke|), so diag(1/tau) - C diag(sigma) C^T >= lam_max / (2 * 0.99) I: Condat's
+    condition in the metric of the steps, for a loss whose gradient is lam_max-Lipschitz.
+    """
+    columns, tasks = fusion.abs_sums()
+    sigma = np.divide(STEP_RATIO, columns, out=np.zeros_like(columns), where=columns > 0)
+    return sigma, 0.99 / (0.5 * lam_max + STEP_RATIO * tasks)
+
+
 def primal_dual_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
     check: Callable[[np.ndarray, np.ndarray], tuple[tuple, bool]],
     dual_step: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    B0: np.ndarray, A0: np.ndarray, tau: float, max_iters: int,
-    prox: Callable[[np.ndarray, float], np.ndarray],
+    B0: np.ndarray, A0: np.ndarray, tau: float | np.ndarray, max_iters: int,
+    prox: Callable[[np.ndarray], np.ndarray],
     trace: Callable[[np.ndarray, np.ndarray], None] | None,
 ) -> tuple[np.ndarray, int, tuple]:
     """Run the Condat-Vu primal-dual loop from B = B_bar = ``B0`` and the dual iterate ``A0`` (updated in place).
 
     Per iteration the dual step comes first, so that the extrapolation is on the iterate B:
-    ``dual_step(A, B_bar)`` sets A = clamp(A + sigma B_bar C) and returns A C^T; then
-    B = prox(B - tau (grad(B) + A C^T), tau) and B_bar = 2 B - B_prev. That is Condat's
+    ``dual_step(A, B_bar)`` sets A = clamp(A + B_bar C diag(sigma)) and returns A C^T; then
+    B = prox(B - tau (grad(B) + A C^T)) and B_bar = 2 B - B_prev, with ``tau`` a step, or steps that
+    broadcast over B, and ``prox`` the penalty's proximal map at those steps. That is Condat's
     iteration with the dual index shifted by one. ``check(B, A)`` runs every CHECK_EVERY
     iterations and at the cap and returns (record, whether B ends the run), ``record[0]``
     the exact objective; there is no restart. ``trace(B, g)`` gets the step's gradient g.
@@ -269,7 +289,7 @@ def primal_dual_minimize(
     for t in range(1, max_iters + 1):
         g = grad(B)
         g += dual_step(A, B_bar)
-        B_prev, B = B, prox(B - tau * g, tau)
+        B_prev, B = B, prox(B - tau * g)
         B_bar = B - B_prev
         B_bar += B
         if trace is not None:
@@ -293,8 +313,8 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
     is one (gamma > 0 and an edge). mu (``config.mu``, or accuracy / (2 D), D = J |E| / 2) and the
     step 1/L, L = lam_max(X^T X) + norm_bound()^2 / mu, are derived here alone, once per mu stage;
     an L past the float range is refused. The loop is chosen here once per fit: the primal-dual
-    loop, with steps tau and sigma from lam_max and norm_bound(), if X^T X is nonsingular and
-    norm_bound()^2 > PRIMAL_DUAL_RHO * mu * lam_max, else the smoothed one. Without a fusion term
+    loop, with the steps of ``primal_dual_steps`` from lam_max and the absolute sums of C, if X^T X
+    is nonsingular and norm_bound()^2 > PRIMAL_DUAL_RHO * mu * lam_max, else the smoothed one. Without a fusion term
     mu = 0, L = lam_max(X^T X), and the loop caps its momentum by lam_min(X^T X) (module docstring).
     c is the norm's ``l1_factor``; lam = 0, so c = 0, with a singular X^T X is refused. The data
     enter only through ``m``. ``objective_exact`` is the F of the check
@@ -384,13 +404,12 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
     t_loop = time.perf_counter()
     iters, trace_fn = 0, trace_row if config.record_trace else None
     if primal_dual:
-        # Condat's condition 1/tau - sigma ||C||^2 > lam_max / 2, with sigma = STEP_RATIO / ||C||
-        mu_s, penalty_grad, sigma = mu, None, STEP_RATIO / norm2**0.5
-        tau = 0.99 / (0.5 * m.lam_max + sigma * norm2)
+        mu_s, penalty_grad = mu, None
+        sigma, tau = primal_dual_steps(m.lam_max, fusion)
         A = fusion.aux_optimum(B, mu)
-        B, iters, (_, f) = primal_dual_minimize(grad, check, fusion.dual_step(sigma), B, A, tau, max_iters, norm.prox,
-                                                trace_fn)
-        step_bound = 1.0 / tau
+        B, iters, (_, f) = primal_dual_minimize(grad, check, fusion.dual_step(sigma), B, A, tau, max_iters,
+                                                norm.soft_threshold(tau), trace_fn)
+        step_bound = float(1.0 / tau.min())
     else:
         for mu_s in stages:
             penalty_grad = fusion.gradient_map(mu_s) if mu_s > 0 else None

@@ -13,7 +13,7 @@ from gflasso.cli import build_parser, main
 from gflasso.fileio import default_headers, json_text, read_matrix_csv, sha256_file, write_matrix_csv
 from gflasso.graph import build_correlation_graph
 from gflasso.models import PenaltySpec, fit_lasso, objective_gflasso
-from gflasso.solver import Moments, SolverConfig
+from gflasso.solver import STEP_RATIO, Moments, SolverConfig
 
 from oracles import center_columns
 
@@ -314,6 +314,30 @@ class TestFitCommand:
         assert code == 0
         B, _ = read_matrix_csv(out / "B_hat.csv")
         assert B.shape == (5, 1)
+
+    def test_fused_input_graph_with_a_zero_weight_edge_is_certified(self, tmp_path):
+        # an --input-graph edge with r = 0 is a zero column of C; at gamma = 5 the fit runs the primal-dual loop,
+        # whose 1/tau bound fit.json records, and it stays finite and certified
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((40, 6))
+        y = X @ np.array([1.0, 1.0, 1.0, 0.0, -0.5, -0.5]) + 0.1 * rng.standard_normal(40)
+        write_matrix_csv(tmp_path / "X.csv", X, default_headers("x", 6))
+        write_matrix_csv(tmp_path / "Y.csv", y[:, None], ["y1"])
+        (tmp_path / "edges.csv").write_text("m,l,r\n1,2,0.9\n2,3,0\n3,4,0.5\n4,5,-0.2\n5,6,1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["fit", "--method", "fused", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+                     "--input-graph", str(tmp_path / "edges.csv"), "--lambda", "0.1", "--gamma", "5",
+                     "--out-dir", str(out)])
+        assert code == 0
+        fit = json.loads((out / "fit.json").read_text())
+        Xc = X - X.mean(axis=0)
+        # the largest task sum of |C| is node 5's: gamma (0.2 + 1)
+        bound = (np.linalg.eigvalsh(Xc.T @ Xc).max() / 2 + STEP_RATIO * 5.0 * 1.2) / 0.99
+        assert fit["lipschitz_bound"] == pytest.approx(bound, rel=1e-10)
+        assert fit["converged"] and fit["stop_reason"] == "gap"
+        B, _ = read_matrix_csv(out / "B_hat.csv")
+        assert np.all(np.isfinite(B))
 
     def test_manifest_digests_and_replay(self, data_dir, tmp_path):
         out = tmp_path / "m1"

@@ -229,6 +229,21 @@ class TestGroupNorm:
         assert np.array_equal(out == 0.0, np.abs(V) <= 0.3)
         assert out == pytest.approx(np.sign(V) * np.maximum(np.abs(V) - 0.3, 0.0), rel=1e-15, abs=1e-16)
 
+    @pytest.mark.parametrize("shape", [(1, 4), (7, 1)], ids=["per column", "per row"])
+    def test_soft_threshold_takes_one_step_per_column_or_row(self, shape):
+        # each column (row) of V is thresholded as prox does at its own step
+        V = np.random.default_rng(11).standard_normal((7, 4))
+        step = np.linspace(0.2, 0.8, max(shape)).reshape(shape)
+        out = GroupNorm(0.6, 1).soft_threshold(step)(V)
+        expected = np.broadcast_to(step, V.shape)
+        for idx in np.ndindex(V.shape):
+            assert out[idx] == GroupNorm(0.6, 1).prox(V[idx], expected[idx])
+        assert GroupNorm(0.0, 1).soft_threshold(step)(V) is V
+
+    def test_soft_threshold_of_a_group_norm_is_refused(self):
+        with pytest.raises(ValueError, match="width 1, got width 3"):
+            GroupNorm(0.6, 3).soft_threshold(np.ones((1, 3)))
+
     @pytest.mark.parametrize("width", [1, 3])
     def test_prox_at_lam_zero_is_the_identity(self, width):
         V = np.random.default_rng(9).standard_normal((5, 3))

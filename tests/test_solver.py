@@ -16,6 +16,7 @@ from gflasso.solver import (
     STEP_RATIO,
     Moments,
     SolverConfig,
+    primal_dual_steps,
     solve,
     subgradient_fit,
     three_sequence_minimize,
@@ -145,7 +146,8 @@ class TestLipschitzUpper:
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("form", ["dense", "edge arrays", "covariate"])
     def test_primal_dual_step_meets_condats_condition(self, form, seed):
-        # in every form of C: 1/tau - sigma sigma_max(C)^2 >= lam_max(X^T X) / 2, sigma = STEP_RATIO / norm_bound
+        # in every form of C, against the dense C: sigma_e = r / sum_k |C_ke|, tau_k = 0.99 / (lam_max / 2 + r sum_e
+        # |C_ke|), lipschitz_used = max_k 1/tau_k, and lam_min(diag(1/tau) - C diag(sigma) C^T) > lam_max(X^T X) / 2
         rng = np.random.default_rng(100 + seed)
         j = int(rng.integers(3, 8))
         k = {"dense": int(rng.integers(2, j + 1)), "edge arrays": j + int(rng.integers(1, 5)), "covariate": j}[form]
@@ -163,10 +165,15 @@ class TestLipschitzUpper:
         mu = 10.0 ** rng.uniform(-2, 0) * norm2 / (PRIMAL_DUAL_RHO * m.lam_max)  # rho in (10, 1000)
 
         inv_tau = solve(m, SolverConfig(mu=mu, max_iters=1), op).lipschitz_used
-        sigma = STEP_RATIO / fusion.norm_bound()
-        assert inv_tau == pytest.approx((m.lam_max / 2 + sigma * norm2) / 0.99, rel=1e-12)  # the primal-dual loop
-        sigma_max = np.linalg.svd(dense_fusion_matrix(k, graph.edges, 0.0, gamma), compute_uv=False)[0]
-        assert inv_tau - sigma * sigma_max**2 >= np.linalg.eigvalsh(X.T @ X).max() / 2
+        C = dense_fusion_matrix(k, graph.edges, 0.0, gamma)[:, k:]  # the edge columns: the lam columns are 0
+        task_sums = np.abs(C).sum(axis=1)
+        assert inv_tau == pytest.approx((m.lam_max / 2 + STEP_RATIO * task_sums.max()) / 0.99, rel=1e-12)
+        sigma, tau = primal_dual_steps(m.lam_max, fusion)
+        assert tau.shape == ((k, 1) if form == "covariate" else (1, k))
+        assert np.allclose(sigma, STEP_RATIO / np.abs(C).sum(axis=0), rtol=1e-14, atol=0)
+        assert np.allclose(tau.ravel(), 0.99 / (m.lam_max / 2 + STEP_RATIO * task_sums), rtol=1e-14, atol=0)
+        condat = np.diag(1.0 / tau.ravel()) - C @ np.diag(sigma) @ C.T
+        assert np.linalg.eigvalsh(condat).min() > np.linalg.eigvalsh(X.T @ X).max() / 2
 
     def test_accuracy_mode_derives_mu_and_step_from_the_operator(self):
         X, Y = centered_problem(8, n=15, j=5, k=3)
@@ -513,10 +520,16 @@ def fusion_heavy():
     return Moments.from_data(ds.X, ds.Y), FusionOperator.from_graph(graph, 0.1, 0.1, n_inputs=100)
 
 
+def operator_edges(op):
+    """The (m, l, r) edges, 1-based, that ``op`` was built from."""
+    return [(int(a) + 1, int(b) + 1, float(s * w)) for a, b, w, s in zip(op.edge_m, op.edge_l, op.edge_weight,
+                                                                          op.edge_sign)]
+
+
 def primal_dual_step_bound(m, op):
-    """1/tau of the primal-dual loop on ``op``'s fusion term: (lam_max / 2 + sigma ||C||^2) / 0.99, sigma = r / ||C||."""
-    norm = replace(op, lam=0.0).norm_bound()
-    return (m.lam_max / 2 + STEP_RATIO * norm) / 0.99
+    """max_k 1/tau_k of the primal-dual loop on ``op``'s fusion term: (lam_max / 2 + r max_k sum_e |C_ke|) / 0.99."""
+    C = dense_fusion_matrix(op.n_tasks, operator_edges(op), 0.0, op.gamma)
+    return (m.lam_max / 2 + STEP_RATIO * np.abs(C).sum(axis=1).max()) / 0.99
 
 
 def smoothed_step_bound(m, op, mu):
@@ -599,6 +612,59 @@ class TestPrimalDualCertificate:
     def test_the_two_task_fusion_limit(self):
         m, op = two_task_fusion()
         self.assert_valid(m, op, [*self.CONFIGS, SolverConfig(mu=2e-7, rel_obj_tol=1e-13, max_iters=400000)])
+
+
+class TestPrimalDualSteps:
+    # the primal-dual loop's per-edge steps sigma_e and per-task steps tau_k come from the absolute sums of C alone
+
+    @pytest.mark.parametrize("j", [8, 3], ids=["dense", "edge arrays"])
+    def test_both_forms_of_one_graph_get_the_same_steps(self, j):
+        # the gflasso operator over K tasks and the fused operator over K covariates: one sigma, one tau up to layout
+        graph = TaskGraph(5, ((1, 2, 0.8), (1, 3, -0.6), (2, 4, 0.5), (4, 5, 0.9)))
+        tasks = FusionOperator.from_graph(graph, lam=0.0, gamma=0.7, n_inputs=j)
+        covariates = CovariateFusionOperator.from_graph(graph, lam=0.0, gamma=0.7, n_inputs=1)
+        assert (tasks._C is None) == (j < 5) and covariates._C is None
+        (sigma_t, tau_t), (sigma_c, tau_c) = primal_dual_steps(3.0, tasks), primal_dual_steps(3.0, covariates)
+        assert (tau_t.shape, tau_c.shape) == ((1, 5), (5, 1))
+        assert np.array_equal(sigma_t, sigma_c) and np.array_equal(tau_t.ravel(), tau_c.ravel())
+
+    def test_a_zero_weight_edge_gets_no_dual_step(self):
+        op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.0), (2, 3, -0.5))), lam=0.0, gamma=2.0, n_inputs=4)
+        sigma, tau = primal_dual_steps(3.0, op)
+        assert sigma.tolist() == [0.0, STEP_RATIO / 2.0]
+        assert tau.tolist() == [[0.99 / 1.5, 0.99 / (1.5 + STEP_RATIO), 0.99 / (1.5 + STEP_RATIO)]]
+
+    @pytest.mark.parametrize("model", ["gflasso", "fused"])
+    def test_fits_over_a_zero_weight_edge_stay_finite_and_certified(self, model):
+        # one edge with r = 0 is a zero column of C: the primal-dual fit over it is finite, certified, and its
+        # F - gap lies at or below a tight run's F
+        if model == "gflasso":
+            m, graph = report_split(0)
+            edges = ((graph.edges[0][0], graph.edges[0][1], 0.0), *graph.edges[1:])
+            op = FusionOperator.from_graph(TaskGraph(graph.node_count, edges), 0.0599, 3.59, n_inputs=30)
+        else:
+            m, _ = long_chain(2)
+            edges = tuple((a, b, 0.0 if a == 200 else r) for a, b, r in chain_graph(400).edges)
+            op = CovariateFusionOperator.from_graph(TaskGraph(400, edges), 0.5, 5.0, n_inputs=1)
+        sol = solve(m, SolverConfig(), op)
+        assert sol.lipschitz_used == pytest.approx(primal_dual_step_bound(m, op), rel=1e-12)
+        assert np.all(np.isfinite(sol.B_hat)) and np.isfinite(sol.objective_exact) and sol.converged
+        tight = solve(m, SolverConfig(mu=1e-12, rel_obj_tol=1e-12, max_iters=200000), op)
+        assert sol.objective_exact - sol.gap <= tight.objective_exact + 1e-12 * abs(tight.objective_exact)
+
+    def test_the_largest_gamma_report_points_keep_their_iteration_count(self):
+        # the 9 primal-dual fits of report splits 0-2 at gamma = 3.59 took 1,200 iterations with the scalar steps
+        # sigma = r / ||C||, tau = 0.99 / (lam_max / 2 + r ||C||) at r = 30, and take 740 with the diagonal steps
+        iterations = 0
+        for seed in range(3):
+            m, graph = report_split(seed)
+            for lam in (1e-3, 0.0599, 3.59):
+                op = FusionOperator.from_graph(graph, lam, 3.59, n_inputs=30)
+                sol = solve(m, SolverConfig(), op)
+                assert sol.lipschitz_used == pytest.approx(primal_dual_step_bound(m, op), rel=1e-12)
+                assert sol.converged
+                iterations += sol.iterations
+        assert iterations <= 740
 
 
 def start_problem(kind):
