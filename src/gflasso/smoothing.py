@@ -16,9 +16,9 @@ absolute sums of C are defined here alone (``gap_constant``, ``norm_bound``,
 ``abs_sums``); ``solver.solve`` derives mu and L from the first two and the
 primal-dual steps from the sums.
 
-Construction picks the form of C once, by the operator's shape, and keeps the
-maps B -> B C and A -> A C^T that ``apply`` and ``adjoint`` call after a shape
-check. When K <= J they are BLAS products on the dense K x width C, no larger
+The first use of an operator picks the form of C once, by its shape, and keeps
+the maps B -> B C and A -> A C^T that ``apply`` and ``adjoint`` call after a
+shape check. When K <= J they are BLAS products on the dense K x width C, no larger
 than the J x width auxiliary matrix. When K > J (mostly the 1 x J
 :class:`CovariateFusionOperator`) each is one gather and one ``np.bincount`` over
 flat entries, O(J*K + J*|E|): a row-major J x 1 column has the flat entries of a
@@ -28,6 +28,7 @@ flat entries, O(J*K + J*|E|): a row-major J x 1 column has the flat entries of a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -62,9 +63,14 @@ class GroupNorm:
         """The c of penalty(B) >= c ||B||_1: lam / sqrt(width), by Cauchy-Schwarz on each group."""
         return self.lam / self.width**0.5
 
+    def _norms(self, V: np.ndarray) -> np.ndarray:
+        # the groups' 2-norms as a column, the sum of squares taken directly: np.linalg.norm adds microseconds per call
+        G = V.reshape(-1, self.width)
+        return np.sqrt(np.add.reduce(G * G, axis=1, keepdims=True))
+
     def penalty_exact(self, B: np.ndarray) -> float:
-        norms = B if self.width == 1 else np.linalg.norm(B.reshape(-1, self.width), axis=1)
-        return self.lam * float(np.abs(norms).sum())
+        norms = np.abs(B) if self.width == 1 else self._norms(B)
+        return self.lam * float(norms.sum())
 
     def prox(self, V: np.ndarray, step: float) -> np.ndarray:
         """The proximal map of step * penalty: each group g <- (1 - t / max(||g||, t)) g, with t = lam * step."""
@@ -73,9 +79,21 @@ class GroupNorm:
             return V
         if self.width == 1:  # the soft threshold
             return V - V.clip(-t, t)
-        G = V.reshape(-1, self.width)
-        norms = np.linalg.norm(G, axis=1, keepdims=True)
-        return (G * (1.0 - t / np.maximum(norms, t))).reshape(V.shape)
+        return self.prox_map(np.full(V.shape, step))(V)
+
+    def prox_map(self, step: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """``prox`` at fixed steps, one per group, as a one-argument map; ``step`` has V's shape.
+
+        The thresholds t = lam * step are built here once: at V's full shape for the entrywise norm
+        (``soft_threshold``), one per group otherwise, read off each group's first entry. A call then costs
+        what the scalar ``prox`` does; at lam = 0 the map is the identity.
+        """
+        if self.width == 1:
+            return self.soft_threshold(step)
+        t = self.lam * step.reshape(-1, self.width)[:, :1]
+        if not t.any():
+            return lambda V: V
+        return lambda V: (V.reshape(-1, self.width) * (1.0 - t / np.maximum(self._norms(V), t))).reshape(V.shape)
 
     def soft_threshold(self, step: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """``prox`` of the entrywise norm (width 1) at a fixed step, which may differ per entry: V -> V - clip(V, -t, t).
@@ -98,11 +116,14 @@ class GroupNorm:
         fusion term (mu > 0) at width 1 the support takes lam * sign(B) instead, which leaves no slack.
         """
         pen = self.penalty_exact(B)
-        if mu > 0 and self.width == 1:
-            return pen, 0.0, np.where(B, np.copysign(self.lam, B), -g.clip(-self.lam, self.lam)), pen
-        G = g.reshape(-1, self.width)
-        norms = np.linalg.norm(G, axis=1, keepdims=True)
-        A = (-G * np.divide(self.lam, norms, out=np.ones_like(norms), where=norms > self.lam)).reshape(B.shape)
+        if self.width == 1:
+            A = -g.clip(-self.lam, self.lam)
+            if mu > 0:
+                return pen, 0.0, np.where(B, np.copysign(self.lam, B), A), pen
+        elif self.lam:
+            A = (g.reshape(-1, self.width) * (-self.lam / np.maximum(self._norms(g), self.lam))).reshape(B.shape)
+        else:  # the ball is {0}
+            A = np.zeros_like(g)
         return pen, pen - float(np.vdot(A, B)), A, pen
 
 
@@ -112,7 +133,7 @@ class FusionOperator:
 
     Maps (J, K) coefficient matrices to (J, width): K columns lam * B (none at
     lam = 0), then gam * |r_e| * (B[:, m_e] - sign(r_e) * B[:, l_e]) per edge e.
-    Edges are stored as flat arrays, B C and A C^T as two maps built at construction.
+    Edges are stored as flat arrays, B C and A C^T as two maps built on first use.
     """
 
     lam: float
@@ -129,6 +150,11 @@ class FusionOperator:
             raise ValueError(f"lam and gamma must be finite and non-negative, got lam={self.lam}, gamma={self.gamma}")
         if self.n_inputs < 1 or self.n_tasks < 1:
             raise ValueError("n_inputs and n_tasks must be >= 1")
+
+    @cached_property
+    def _maps(self) -> tuple[np.ndarray | None, Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
+        # (the dense C or None, B -> B C, A -> A C^T), built on first use: solve applies only the lam = 0 copy of
+        # the operator it is given, so the given one builds them only for a recorded trace
         k, n_diag = self.n_tasks, self.width - self.n_edges
         node, edge = np.arange(n_diag), np.arange(n_diag, self.width)
         coef = self.gamma * self.edge_weight
@@ -149,7 +175,11 @@ class FusionOperator:
 
             forward = edge_map(at_coef, at_aux.ravel(), (self.n_inputs, self.width))
             backward = edge_map(at_aux, at_coef.ravel(), self.coef_shape)
-        vars(self).update(_C=C, _forward=forward, _backward=backward)  # past the frozen __setattr__
+        return C, forward, backward
+
+    _C = cached_property(lambda self: self._maps[0])
+    _forward = cached_property(lambda self: self._maps[1])
+    _backward = cached_property(lambda self: self._maps[2])
 
     @classmethod
     def from_graph(cls, graph: TaskGraph, lam: float, gamma: float, n_inputs: int) -> "FusionOperator":

@@ -240,6 +240,31 @@ class TestGroupNorm:
             assert out[idx] == GroupNorm(0.6, 1).prox(V[idx], expected[idx])
         assert GroupNorm(0.0, 1).soft_threshold(step)(V) is V
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_prox_map_takes_one_step_per_group(self, width):
+        # each group of V is shrunk at its row's threshold t_j = lam step_j; the steps come at V's full shape
+        V = np.random.default_rng(13).standard_normal((7, 3))
+        V[2] = 0.0
+        step = np.repeat(np.linspace(0.2, 3.0, 7)[:, None], 3, axis=1)
+        out = GroupNorm(0.6, width).prox_map(step)(V)
+        for j in range(7):
+            for g in range(0, 3, width):
+                v, t = V[j, g:g + width], 0.6 * step[j, 0]
+                nrm = float(np.sqrt(np.sum(v * v)))
+                expected = v * max(0.0, 1.0 - t / nrm) if nrm > 0 else v
+                assert out[j, g:g + width] == pytest.approx(expected, rel=1e-14, abs=1e-15)
+        assert np.array_equal(out[2], np.zeros(3)) and np.isfinite(out).all()
+        assert 0 < np.count_nonzero(out.reshape(-1, width).any(axis=1)) < 7 * 3 // width
+        assert GroupNorm(0.0, width).prox_map(step)(V) is V
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_dual_terms_at_lam_zero_take_the_zero_point(self, width):
+        # the lam-ball is {0}: A = 0 even on a zero row of g, where lam / ||g|| would be 0 / 0
+        g = np.random.default_rng(14).standard_normal((4, 3))
+        g[1] = 0.0
+        pen, slack, A, _ = GroupNorm(0.0, width).dual_terms(np.ones((4, 3)), g, 0.0)
+        assert np.array_equal(A, np.zeros((4, 3))) and (pen, slack) == (0.0, 0.0)
+
     def test_soft_threshold_of_a_group_norm_is_refused(self):
         with pytest.raises(ValueError, match="width 1, got width 3"):
             GroupNorm(0.6, 3).soft_threshold(np.ones((1, 3)))
@@ -287,12 +312,16 @@ class TestGroupNorm:
         assert (pen, slack, stage_pen) == (GroupNorm(1.1, 1).penalty_exact(B), 0.0, pen)
 
     def test_solve_runs_it_unsmoothed_and_matches_the_model(self):
+        # unsmoothed, row j steps by 1 / (L_s d_j): lipschitz_used is max_j L_s d_j, d = diag(X^T X) and
+        # L_s = (1 + 1e-6) lam_max(D^-1/2 X^T X D^-1/2)
         X, Y = make_problem(11)
         Xc, _ = center_columns(X)
         config = SolverConfig(rel_obj_tol=1e-10)
         sol = solve(Moments.from_data(X, Y), config, GroupNorm(0.8, 3))
         assert sol.mu_used == 0.0
-        assert sol.lipschitz_used == largest_eigenvalue(Xc.T @ Xc)
+        d = np.diag(Xc.T @ Xc)
+        L_s = (1.0 + 1e-6) * largest_eigenvalue(Xc.T @ Xc / np.sqrt(np.outer(d, d)))
+        assert sol.lipschitz_used == pytest.approx(L_s * d.max(), rel=1e-12)
         assert np.array_equal(sol.B_hat, fit_group_l1l2(Moments.from_data(X, Y), 0.8, config).solution.B_hat)
 
 

@@ -41,6 +41,18 @@ class TestApply:
         assert np.allclose(op.apply(B), B @ C, atol=1e-12)
 
 
+class TestMapsOnFirstUse:
+    @pytest.mark.parametrize("n_inputs", [5, 2], ids=["dense", "edge arrays"])
+    def test_an_operator_builds_its_maps_when_first_applied(self, n_inputs):
+        op, g = random_operator(np.random.default_rng(2), n_inputs=n_inputs)
+        assert "_maps" not in vars(op)
+        B = np.random.default_rng(3).standard_normal((n_inputs, 4))
+        assert np.allclose(op.apply(B), B @ dense_fusion_matrix(4, g.edges, op.lam, op.gamma), rtol=0.0, atol=1e-12)
+        maps = vars(op)["_maps"]
+        assert op._C is maps[0] and (op._C is None) == (n_inputs < 4)
+        assert op._forward is maps[1] and op._backward is maps[2]
+
+
 class TestAdjoint:
     def test_zero(self):
         op, _ = random_operator(np.random.default_rng(2))

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import re
 from dataclasses import replace
@@ -77,15 +78,22 @@ class TestLargestEigenvalue:
             largest_eigenvalue(M)
 
 
+def jacobi_bound(XtX):
+    """(d, L_s): d = diag(X^T X) and L_s = (1 + 1e-6) lam_max(D^-1/2 X^T X D^-1/2), the unsmoothed loop's metric."""
+    d = np.diag(XtX)
+    return d, (1.0 + 1e-6) * largest_eigenvalue(XtX / np.sqrt(np.outer(d, d)))
+
+
 class TestLipschitzUpper:
     # solve derives L = lam_max(X^T X) + norm_bound^2 / mu; one iteration is enough to read it back
 
-    def test_no_penalty_reduces_to_eigenvalue(self):
+    def test_no_penalty_reduces_to_the_jacobi_bound(self):
+        # without a fusion term row j steps by 1 / (L_s d_j), and lipschitz_used is the largest L_s d_j
         X, Y = centered_problem(1)
         op = empty_operator(4, 2)
-        lm = largest_eigenvalue(X.T @ X)
+        d, L_s = jacobi_bound(X.T @ X)
         sol = solve(Moments.from_data(X, Y), SolverConfig(mu=0.5, max_iters=1), op)
-        assert sol.lipschitz_used == pytest.approx(lm, rel=1e-8)
+        assert sol.lipschitz_used == pytest.approx(L_s * d.max(), rel=1e-12)
 
     def test_arithmetic(self):
         # lam=1, gamma=2, max degree 0.5, mu=0.1, lam_max=4 -> 4 + 2 * 4 * 0.5 / 0.1 = 44; lam is not smoothed
@@ -859,38 +867,131 @@ class TestAcceleratedLoop:
 
 
 class TestStrongConvexity:
-    # solve passes lam_min(X^T X) to the loop only at mu_s = 0: lasso, l1/l2, and gflasso at gamma = 0 or without
-    # edges; every smoothed stage runs the k/(k+3) momentum it ran before
+    # solve passes a modulus to the loop only at mu_s = 0 (lasso, l1/l2, and gflasso at gamma = 0 or without edges),
+    # with per-row steps: lam_min of the scaled Gram D^-1/2 X^T X D^-1/2 and L_s; every smoothed stage runs the
+    # scalar step and the k/(k+3) momentum it ran before
 
     @staticmethod
-    def moduli(monkeypatch, m, penalty, force_zero=False):
+    def loop_calls(monkeypatch, m, penalty, force_zero=False):
+        # the (lipschitz, modulus, step) of each call solve makes to the loop; force_zero runs each at modulus 0
         seen, loop = [], three_sequence_minimize
+        signature = inspect.signature(loop)
 
-        def recording(*args):
-            seen.append(args[7])
-            return loop(*args[:7], 0.0 if force_zero else args[7])
+        def recording(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((bound.arguments["lipschitz"], bound.arguments["modulus"], bound.arguments["step"]))
+            if force_zero:
+                bound.arguments["modulus"] = 0.0
+            return loop(*bound.args, **bound.kwargs)
 
         monkeypatch.setattr("gflasso.solver.three_sequence_minimize", recording)
         return solve(m, SolverConfig(), penalty), seen
 
     @pytest.mark.parametrize("kind", ["lasso", "l1l2", "gamma zero", "edgeless"])
-    def test_unsmoothed_fits_get_lam_min(self, monkeypatch, kind):
+    def test_unsmoothed_fits_get_the_scaled_modulus_and_per_row_steps(self, monkeypatch, kind):
         X, Y = centered_problem(43, n=30, j=6, k=3)
         m = Moments.from_data(X, Y)
         penalty = {"lasso": GroupNorm(0.5, 1), "l1l2": GroupNorm(0.5, 3),
                    "gamma zero": FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8),)), 0.5, 0.0, n_inputs=6),
                    "edgeless": FusionOperator.from_graph(TaskGraph(3), 0.5, 2.0, n_inputs=6)}[kind]
-        sol, seen = self.moduli(monkeypatch, m, penalty)
-        assert sol.converged and seen == [m.lam_min] and m.lam_min > 0
+        sol, seen = self.loop_calls(monkeypatch, m, penalty)
+        d, L_s = jacobi_bound(m.XtX)
+        modulus = float(np.linalg.eigvalsh(m.XtX / np.sqrt(np.outer(d, d)))[0])
+        [(lipschitz, seen_modulus, step)] = seen
+        assert sol.converged and m.lam_min > 0
+        assert lipschitz == pytest.approx(L_s, rel=1e-12) and seen_modulus == pytest.approx(modulus, rel=1e-10)
+        assert step.shape == m.XtY.shape and np.allclose(step, 1.0 / (L_s * d[:, None]), rtol=1e-12, atol=0)
 
     def test_a_smoothed_fit_keeps_its_momentum_bit_for_bit(self, monkeypatch):
         m, graph = report_split(1)
         op = FusionOperator.from_graph(graph, 0.0599, 0.0599, n_inputs=30)
-        sol, seen = self.moduli(monkeypatch, m, op)
-        zero, _ = self.moduli(monkeypatch, m, op, force_zero=True)
+        sol, seen = self.loop_calls(monkeypatch, m, op)
+        zero, _ = self.loop_calls(monkeypatch, m, op, force_zero=True)
         assert sol.lipschitz_used == smoothed_step_bound(m, op, SolverConfig().mu)
-        assert seen == [0.0] * len(seen) and len(seen) >= 2
+        assert [(modulus, step) for _, modulus, step in seen] == [(0.0, None)] * len(seen) and len(seen) >= 2
         assert np.array_equal(sol.B_hat, zero.B_hat) and sol.certificate() == zero.certificate()
+
+
+class TestJacobiMetric:
+    # unsmoothed stages step row j by 1 / (L_s d_j) and cap the momentum at q = modulus / L_s, all from Moments.jacobi
+
+    @staticmethod
+    def moments(kind):
+        if kind == "report split":
+            return report_split(2)[0]
+        X, Y = centered_problem(45, n=8 if kind == "singular" else 30, j=12 if kind == "singular" else 6, k=3)
+        if kind == "zero variance":
+            X[:, 2] = 0.1  # centered, rounding noise of order 1e-17
+        return Moments.from_data(X, Y)
+
+    @pytest.mark.parametrize("kind", ["random", "report split", "singular", "zero variance"])
+    def test_the_metric_bounds_the_gram_and_every_step_is_finite(self, kind):
+        # modulus D <= X^T X <= L_s D; d floored where a column has no variance, so no threshold is infinite
+        m = self.moments(kind)
+        d, L_s, modulus = m.jacobi
+        slack = 1e-12 * m.lam_max if kind == "zero variance" else 0.0
+        assert np.linalg.eigvalsh(L_s * np.diag(d) - m.XtX)[0] > -slack
+        assert np.linalg.eigvalsh(m.XtX - modulus * np.diag(d))[0] >= -1e-12 * m.lam_max
+        assert (modulus > 0) == (kind in ("random", "report split")) and modulus < L_s
+        assert np.all(np.isfinite(1.0 / (L_s * d))) and d.min() > 0
+        for width in (1, m.XtY.shape[1]):
+            sol = solve(m, SolverConfig(), GroupNorm(0.5, width))
+            assert sol.converged and np.all(np.isfinite(sol.B_hat))
+            assert sol.lipschitz_used == L_s * d.max()
+
+    @pytest.mark.parametrize("name", ["lasso", "l1l2"])
+    def test_linear_rate_in_the_jacobi_metric(self, name):
+        # V-FISTA's rate (Beck 2017, Thm 10.42) in the norm ||B||_D^2 = sum_j d_j ||B_j||^2, where the loss is
+        # L_s-smooth and modulus-strongly convex: F(B^t) - F* <= (1 - sqrt(q))^t (F(0) - F* + (modulus / 2)
+        # ||B*||_D^2), q = modulus / L_s, for solve's steps, no restart, from B0 = 0 on 20 random J < N problems
+        worst = 0.0
+        for seed in range(20):
+            _, X, Y, norm = next(p for p in certificate_problems(seed) if p[0] == name)
+            m = Moments.from_data(X, Y)
+            d, L_s, modulus = m.jacobi
+            assert modulus > 0
+            star = solve(m, SolverConfig(rel_obj_tol=1e-13, max_iters=100000), norm)
+            assert star.converged
+            step = np.repeat(1.0 / (L_s * d)[:, None], m.XtY.shape[1], axis=1)
+            f_star, falling, fs = star.objective_exact - star.gap, itertools.count(0, -1), []
+            three_sequence_minimize(
+                lambda W: m.XtX @ W - m.XtY, lambda B: ((next(falling),), False), np.zeros(m.XtY.shape), L_s,
+                300, norm.prox_map(step), lambda B, g: fs.append(m.loss(B, m.XtX @ B - m.XtY) + norm.penalty_exact(B)),
+                modulus, step,
+            )
+            t = np.arange(1, len(fs) + 1)
+            start = 0.5 * m.ynorm2 - f_star + 0.5 * modulus * float(np.vdot(d[:, None] * star.B_hat, star.B_hat))
+            bound = (1.0 - (modulus / L_s) ** 0.5) ** t * start
+            excess = np.array(fs) - f_star - star.gap
+            worst = max(worst, float(np.max(excess / (bound + 1e-13 * abs(f_star)))))
+        assert worst <= 1.0
+
+    def test_the_lasso_and_l1l2_paths_keep_their_iteration_count(self):
+        # the warm-started lam paths 3.59, 0.0599, 1e-3 of report splits 0-2 took 500 (lasso) and 450 (l1/l2)
+        # iterations with the scalar step 1 / lam_max(X^T X), and take 400 and 360 with the per-row steps
+        iterations = {1: 0, 10: 0}
+        for seed in range(3):
+            m, _ = report_split(seed)
+            for width in iterations:
+                start = None
+                for lam in (3.59, 0.0599, 1e-3):
+                    sol = solve(m, SolverConfig(), GroupNorm(lam, width), start)
+                    assert sol.converged
+                    iterations[width] += sol.iterations
+                    start = sol.B_hat
+        assert iterations[1] <= 400 and iterations[10] <= 360
+
+    @pytest.mark.parametrize("gamma", [0.0599, 3.59], ids=["smoothed", "primal-dual"])
+    def test_a_fusion_fit_never_computes_the_scaled_spectrum(self, gamma):
+        # nor builds the maps of the operator it is given: it applies only that operator's lam = 0 copy
+        m, graph = report_split(1)
+        op = FusionOperator.from_graph(graph, 0.0599, gamma, n_inputs=30)
+        sol = solve(m, SolverConfig(), op)
+        assert sol.converged and (sol.lipschitz_used == smoothed_step_bound(m, op, SolverConfig().mu)) == (gamma < 1)
+        assert "jacobi" not in vars(m) and "_maps" not in vars(op)
+        solve(m, SolverConfig(), FusionOperator.from_graph(graph, 0.0599, 0.0, n_inputs=30))
+        assert "jacobi" in vars(m)
 
 
 class TestMoments:
