@@ -127,7 +127,9 @@ def _add_solver_flags(p: argparse.ArgumentParser, max_iters: int, accuracy: bool
                        "the fusion columns alone, overrides --mu, so the gap floor mu * D is eps / 2 in either loop")
     p.add_argument("--tol", type=float, default=SolverConfig.rel_obj_tol,
                    help="stop at duality gap <= max(tol * |objective|, mu * D), with the floor mu * D, D = J |E| / 2, "
-                   "only in fits with a fusion term, smoothed or primal-dual")
+                   "only in fits with a fusion term, smoothed or primal-dual; the gap is checked at iteration 10, "
+                   "then where its rate says it reaches that target (every 10 on the primal-dual loop), "
+                   "and at --max-iters")
     p.add_argument("--max-iters", type=int, default=max_iters)
 
 

@@ -37,8 +37,9 @@ from .graph import TaskGraph
 
 
 def shrink(x):
-    """Entrywise clamp to [-1, 1]; boundary inputs map to the boundary value."""
-    return np.clip(x, -1.0, 1.0)
+    """Entrywise clamp to [-1, 1]; boundary inputs map to the boundary value. A float array is clamped in place."""
+    x = np.asarray(x, dtype=float)
+    return x.clip(-1.0, 1.0, out=x)
 
 
 def _check_mu(mu: float) -> float:
@@ -283,20 +284,23 @@ class FusionOperator:
         G = self.apply(B)
         return float(np.abs(G, out=G).sum())
 
-    def dual_terms(self, B: np.ndarray, g_loss: np.ndarray, mu: float,
-                   A: np.ndarray | None = None) -> tuple[float, float, np.ndarray, float]:
+    def dual_terms(self, B: np.ndarray, g_loss: np.ndarray, mu: float, A: np.ndarray | None = None,
+                   dual_grad: np.ndarray | None = None) -> tuple[float, float, np.ndarray, float]:
         """What the duality-gap certificate needs at a dual point A in the box, by default clamp(B C / mu), from one ``apply``.
 
         Returns (||B C||_1, the slack ||B C||_1 - <A, B C>, the dual gradient A C^T,
         <A, B C> - (mu/2) ||A||_F^2, which is f_mu(B) at the default A). The primal-dual loop
-        passes its dual iterate as A. ``g_loss`` is unused: the default A depends on B alone.
+        passes its dual iterate as A and, as ``dual_grad``, the A C^T its dual step returned, so
+        that no ``adjoint`` runs. ``g_loss`` is unused: the default A depends on B alone.
         """
         mu = _check_mu(mu)
         G = self.apply(B)
         if A is None:
             A = shrink(G / mu)
         pen, pairing = float(np.abs(G).sum()), float(np.vdot(A, G))
-        return pen, pen - pairing, self.adjoint(A), pairing - 0.5 * mu * float(np.vdot(A, A))
+        if dual_grad is None:
+            dual_grad = self.adjoint(A)
+        return pen, pen - pairing, dual_grad, pairing - 0.5 * mu * float(np.vdot(A, A))
 
     def abs_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """The absolute sums of C: (sum_k |C_ke| per column, sum_e |C_ke| per task), in O(K + |E|) from the edge arrays.

@@ -62,11 +62,15 @@ each such (A, U) shows min F >= F(B) - gap, gap = P(B) - <A, B C> - <U, B>
 X^T X is singular (J >= N, collinear columns). A is clamp(B C / mu) (Nesterov 2005) in the
 smoothed loop and the dual iterate A in the primal-dual one, U the groupwise projection of
 -(grad loss(B) + A C^T), with lam * sign(B) on the support in a fit with a fusion term; each
-part's ``dual_terms`` returns its terms. F and the gap run only at checks, every CHECK_EVERY
-iterations and at the cap, in both loops; ``converged`` means gap <= max(rel_obj_tol * |F(B)|,
-mu * D) there (mu = 0 without a fusion term). So mu sets the floor mu * D in both loops but
-smooths only in one. In the smoothed loop a check that did not improve restarts it from the
-current iterate (O'Donoghue & Candes 2015), and a fusion term runs through the stages
+part's ``dual_terms`` returns its terms. F and the gap run only at checks, and always at the cap;
+``converged`` means gap <= max(rel_obj_tol * |F(B)|, mu * D) there (mu = 0 without a fusion term),
+the target a check must reach to stop a fit. So mu sets the floor mu * D in both loops but
+smooths only in one. The primal-dual loop checks every CHECK_EVERY iterations. The FISTA loop checks
+first at CHECK_EVERY; then, while the gap fell between its last two checks, it checks next where
+the gap would reach the target at their log-linear rate, 1 to 2 CHECK_EVERY iterations on, else
+CHECK_EVERY on (``next_check``). A check placed where a fit cannot stop is wasted, and one placed
+late leaves a fit running past its stop. In the smoothed loop a check that did not improve restarts it
+from the current iterate (O'Donoghue & Candes 2015), and a fusion term runs through the stages
 MU_STAGES * mu, each ending at gap <= mu_s * D (Becker, Bobin & Candes 2011, "NESTA"). Either
 loop returns the iterate that stopped it, else the best checked one.
 
@@ -76,6 +80,7 @@ baseline with the slower O(1/eps^2) rate.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -87,7 +92,7 @@ from .errors import DegenerateInputError, NumericError
 from .smoothing import FusionOperator, GroupNorm
 
 CHECK_EVERY = 10
-MU_STAGES = (100.0, 10.0, 1.0)
+MU_STAGES = (30.0, 1.0)
 # The primal-dual loop's step ratio r: sigma_e = r / sum_k |C_ke|. The report grid took fewest iterations at
 # r = 10-12, the long chain at r = 20-30; of r = 10, 12, 15, 20, 30 only 12 moved no report selection (BENCH_26.json).
 STEP_RATIO = 12.0
@@ -105,7 +110,9 @@ class SolverConfig:
     > PRIMAL_DUAL_RHO; then the primal-dual loop runs it unsmoothed, with per-edge steps
     sigma_e = r / sum_k |C_ke| and per-task steps tau_k at step ratio r = STEP_RATIO.
     lam is never smoothed. ``rel_obj_tol`` is the relative duality gap to stop at, floored at mu * D
-    in a fit with a fusion term.
+    in a fit with a fusion term. A fit stops only at a check that certifies that gap; the FISTA loop
+    places its checks by the gap's rate (``next_check``), the primal-dual loop every CHECK_EVERY
+    iterations, and both check at ``max_iters``.
     """
 
     mu: float = 1e-4
@@ -132,7 +139,8 @@ class Solution:
     ``trace`` rows are (exact objective, gradient norm) per iteration when
     tracing was requested. ``gap`` is F(B_hat) minus the best certified lower
     bound on the optimum, so ``objective_exact - gap`` is that bound (inf for
-    the subgradient baseline); ``stop_reason`` is ``gap`` (``converged``) or ``iteration_cap``.
+    the subgradient baseline); ``stop_reason`` is ``gap`` (``converged``) or ``iteration_cap``, and
+    ``checks`` the number of certificate checks the run made (0 for the subgradient baseline).
     ``mu_used`` is the configured mu of a fusion fit (0 without a fusion term), and ``lipschitz_used``
     the final stage's L; for a fit without a fusion term, max_j L_s d_j, the inverse of the shortest
     per-row step (``Moments.jacobi``); and for a fit on the primal-dual loop, max_k 1/tau_k, the inverse
@@ -142,6 +150,7 @@ class Solution:
     B_hat: np.ndarray
     objective_exact: float
     iterations: int
+    checks: int
     gap: float
     stop_reason: str
     lipschitz_used: float
@@ -155,8 +164,8 @@ class Solution:
         return self.stop_reason == "gap"
 
     def certificate(self) -> dict:
-        """How the run stopped, as the artifacts record it: iterations, converged, stop_reason and gap."""
-        return {k: getattr(self, k) for k in ("iterations", "converged", "stop_reason", "gap")}
+        """How the run stopped, as the artifacts record it: iterations, checks, converged, stop_reason and gap."""
+        return {k: getattr(self, k) for k in ("iterations", "checks", "converged", "stop_reason", "gap")}
 
 
 @dataclass(frozen=True)
@@ -164,11 +173,10 @@ class Moments:
     """The sample moments of one data split, built once and shared by every fit on it.
 
     Holds the column means of X and Y and, of the centered data, X^T X,
-    X^T Y, ||Y||_F^2, lam_max(X^T X) and, from the same eigh(X^T X), lam_min
-    (the smallest eigenvalue when X^T X is nonsingular, else 0: the loss's
-    strong convexity modulus) and two views: the null basis N (eigenvalues
-    <= J eps lam_max; J x 0 when nonsingular) and V s^-1/2 over the rest; every
-    later evaluation reads these, free of the sample count. ``jacobi``, the
+    X^T Y, ||Y||_F^2, lam_max(X^T X) and, from the same eigh(X^T X), two
+    views: the null basis N (eigenvalues <= J eps lam_max; J x 0 when
+    nonsingular) and V s^-1/2 over the rest; every later evaluation reads
+    these, free of the sample count. ``jacobi``, the
     metric of the unsmoothed fits' per-row steps, costs one more eigvalsh and
     is computed on first use, so fits with a fusion term never pay for it.
     """
@@ -177,7 +185,6 @@ class Moments:
     XtY: np.ndarray
     ynorm2: float
     lam_max: float
-    lam_min: float
     null_basis: np.ndarray
     inv_factor: np.ndarray
     x_mean: np.ndarray
@@ -199,8 +206,7 @@ class Moments:
         s, V = np.linalg.eigh(XtX)
         r = int(np.count_nonzero(s <= s.size * np.finfo(float).eps * s[-1]))  # s ascends: the null ones first
         V[:, r:] *= s[r:] ** -0.5  # in place: the one J x J array kept besides X^T X
-        lam_min = 0.0 if r else float(s[0])
-        return cls(XtX, X.T @ Y, float(np.vdot(Y, Y)), float(s[-1]), lam_min, V[:, :r], V[:, r:], x_mean, y_mean)
+        return cls(XtX, X.T @ Y, float(np.vdot(Y, Y)), float(s[-1]), V[:, :r], V[:, r:], x_mean, y_mean)
 
     @cached_property
     def jacobi(self) -> tuple[np.ndarray, float, float]:
@@ -213,11 +219,27 @@ class Moments:
         d = np.maximum(np.diag(self.XtX), self.XtX.shape[0] * np.finfo(float).eps * self.lam_max)
         r = d**-0.5
         s = np.linalg.eigvalsh(r[:, None] * self.XtX * r)
-        return d, float(s[-1]) * (1.0 + 1e-6), (max(float(s[0]), 0.0) if self.lam_min else 0.0)
+        return d, float(s[-1]) * (1.0 + 1e-6), (0.0 if self.null_basis.shape[1] else max(float(s[0]), 0.0))
 
     def loss(self, B: np.ndarray, g_loss: np.ndarray) -> float:
         """(1/2) ||Y - X B||_F^2 through the moments, given the loss gradient g_loss = X^T X B - X^T Y at B."""
         return 0.5 * (self.ynorm2 - float(np.vdot(B, self.XtY)) + float(np.vdot(B, g_loss)))
+
+
+def next_check(t: int, record: tuple, last: tuple[int, tuple] | None) -> int:
+    """The iteration of the check after the one at t that returned ``record``; ``last`` is (t, record) of the one before.
+
+    ``record[2:4]``, when present, are a check's gap and stop target. While the gap fell between the last two
+    checks, the next one comes where it would reach the target at their log-linear rate, r = log(gap / gap_prev)
+    / (t - t_prev): ceil(log(target / gap) / r) iterations on, held to [1, 2 CHECK_EVERY]. Otherwise, and for
+    records without a gap, it comes CHECK_EVERY iterations on.
+    """
+    if last is not None and len(record) > 2:
+        (t_prev, prev), (gap, target) = last, record[2:4]
+        if 0 < target < gap < prev[2] < math.inf:
+            rate = math.log(gap / prev[2]) / (t - t_prev)
+            return t + min(max(math.ceil(math.log(target / gap) / rate), 1), 2 * CHECK_EVERY)
+    return t + CHECK_EVERY
 
 
 def three_sequence_minimize(
@@ -243,9 +265,10 @@ def three_sequence_minimize(
     ``modulus`` is a strong convexity modulus of the smooth part in the same metric, or 0: with
     q = modulus / ``lipschitz``, beta = (1 - sqrt(q)) / (1 + sqrt(q)) is V-FISTA's constant
     momentum (Beck 2017, Thm 10.42), and at 0, beta = 1 leaves the k/(k+3) step as it was, bit
-    for bit. ``check(B)`` runs every CHECK_EVERY iterations and at the cap and returns
-    (record, whether B ends the run); ``record[0]`` is the value of the objective the
-    loop minimizes. At a check whose value is not below the best checked one, the loop
+    for bit. ``check(B)`` runs first at iteration CHECK_EVERY, then where ``next_check`` puts the
+    next one, and always at the cap; it returns (record, whether B ends the run), ``record[0]`` the
+    value of the objective the loop minimizes and ``record[2:4]``, if any, the gap and its stop target.
+    At a check whose value is not below the best checked one, the loop
     restarts from the current iterate with no momentum: W = B, k = 0.
     ``trace(B, g)`` gets the unscaled gradient g every iteration and decides nothing.
 
@@ -258,7 +281,7 @@ def three_sequence_minimize(
     root_q = (modulus / lipschitz) ** 0.5
     beta = (1.0 - root_q) / (1.0 + root_q)
     W = best_B = B = B0
-    best, k = (np.inf,), 0
+    best, k, due, last = (np.inf,), 0, CHECK_EVERY, None
     for t in range(1, max_iters + 1):
         g = grad(W)
         if step is None:
@@ -273,7 +296,7 @@ def three_sequence_minimize(
         k += 1
         if trace is not None:
             trace(B, g)
-        if t % CHECK_EVERY and t < max_iters:
+        if t < due and t < max_iters:
             continue
         record, done = check(B)
         if done:
@@ -282,6 +305,7 @@ def three_sequence_minimize(
             best_B, best = B, record
         else:
             W, k = B, 0
+        due, last = next_check(t, record, last), (t, record)
     return best_B, max_iters, best
 
 
@@ -300,7 +324,7 @@ def primal_dual_steps(lam_max: float, fusion: FusionOperator) -> tuple[np.ndarra
 
 def primal_dual_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
-    check: Callable[[np.ndarray, np.ndarray], tuple[tuple, bool]],
+    check: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple[tuple, bool]],
     dual_step: Callable[[np.ndarray, np.ndarray], np.ndarray],
     B0: np.ndarray, A0: np.ndarray, tau: float | np.ndarray, max_iters: int,
     prox: Callable[[np.ndarray], np.ndarray],
@@ -312,7 +336,7 @@ def primal_dual_minimize(
     ``dual_step(A, B_bar)`` sets A = clamp(A + B_bar C diag(sigma)) and returns A C^T; then
     B = prox(B - tau (grad(B) + A C^T)) and B_bar = 2 B - B_prev, with ``tau`` a step, or steps that
     broadcast over B, and ``prox`` the penalty's proximal map at those steps. That is Condat's
-    iteration with the dual index shifted by one. ``check(B, A)`` runs every CHECK_EVERY
+    iteration with the dual index shifted by one. ``check(B, A, A C^T)`` runs every CHECK_EVERY
     iterations and at the cap and returns (record, whether B ends the run), ``record[0]``
     the exact objective; there is no restart. ``trace(B, g)`` gets the step's gradient g.
 
@@ -322,7 +346,8 @@ def primal_dual_minimize(
     A, best_B, best = A0, B0, (np.inf,)
     for t in range(1, max_iters + 1):
         g = grad(B)
-        g += dual_step(A, B_bar)
+        dual_grad = dual_step(A, B_bar)
+        g += dual_grad
         B_prev, B = B, prox(B - tau * g)
         B_bar = B - B_prev
         B_bar += B
@@ -330,7 +355,7 @@ def primal_dual_minimize(
             trace(B, g)
         if t % CHECK_EVERY and t < max_iters:
             continue
-        record, done = check(B, A)
+        record, done = check(B, A, dual_grad)
         if done:
             return B, t, record
         if record[0] < best[0]:
@@ -400,19 +425,25 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
             g += penalty_grad(W)
         return g
 
-    def stops(f: float, mu_s: float) -> bool:
-        # the stop test: F(B) minus the best lower bound so far is within max(tol |F|, mu_s D)
-        return max(f - lower, 0.0) <= max(tol * abs(f), mu_s * D)
+    def gap_target(f: float, mu_s: float) -> tuple[float, float]:
+        # F(B) minus the best lower bound so far, and the target max(tol |F|, mu_s D) that stops a fit within it
+        return max(f - lower, 0.0), max(tol * abs(f), mu_s * D)
 
-    def check(B: np.ndarray, A: np.ndarray | None) -> tuple[tuple[float, float], bool]:
-        # ((objective the loop minimizes, F(B)), whether B ends the stage); the fusion term's dual point is the
-        # primal-dual loop's iterate A, else clamp(B C / mu_s); the norm's terms at g = grad loss(B) + A C^T
-        nonlocal lower
+    def stops(f: float, mu_s: float) -> bool:
+        gap, target = gap_target(f, mu_s)
+        return gap <= target
+
+    def check(B: np.ndarray, A: np.ndarray | None, dual_grad: np.ndarray | None) -> tuple[tuple, bool]:
+        # ((objective the loop minimizes, F(B), gap, target), whether B ends the stage); the fusion term's dual point
+        # is the primal-dual loop's iterate A, whose A C^T its dual step returned, else clamp(B C / mu_s); the
+        # norm's terms at g = grad loss(B) + A C^T
+        nonlocal lower, checks
+        checks += 1
         g = XtX @ B - XtY
         f_loss = m.loss(B, g)
         pen = slack = stage_pen = 0.0
         if fusion is not None:
-            pen, slack, dual_grad, stage_pen = fusion.dual_terms(B, g, mu_s, A)
+            pen, slack, dual_grad, stage_pen = fusion.dual_terms(B, g, mu_s, A, dual_grad)
             g += dual_grad
         norm_pen, norm_slack, U, _ = norm.dual_terms(B, g, mu_s)
         f = f_loss + pen + norm_pen
@@ -425,7 +456,8 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
             # Hoelder on the null-space part of R, with ||B* - B||_1 <= F(B) / c + ||B||_1
             bound -= float(np.abs(N @ (N.T @ R)).max()) * (f / c + float(np.abs(B).sum()))
         lower = max(lower, bound)
-        return (f if A is not None else f_loss + stage_pen + norm_pen, f), stops(f, mu_s)
+        gap, target = gap_target(f, mu_s)
+        return (f if A is not None else f_loss + stage_pen + norm_pen, f, gap, target), gap <= target
 
     trace: list[tuple[float, float]] = []
 
@@ -434,25 +466,25 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
         trace.append((m.loss(B, XtX @ B - XtY) + penalty.penalty_exact(B), float(np.linalg.norm(g))))
 
     t_loop = time.perf_counter()
-    iters, trace_fn, mu_s, penalty_grad = 0, trace_row if config.record_trace else None, mu, None
+    iters, checks, trace_fn, mu_s, penalty_grad = 0, 0, trace_row if config.record_trace else None, mu, None
     if primal_dual:
         sigma, tau = primal_dual_steps(m.lam_max, fusion)
         A = fusion.aux_optimum(B, mu)
-        B, iters, (_, f) = primal_dual_minimize(grad, check, fusion.dual_step(sigma), B, A, tau, max_iters,
-                                                norm.soft_threshold(tau), trace_fn)
+        B, iters, (_, f, *_) = primal_dual_minimize(grad, check, fusion.dual_step(sigma), B, A, tau, max_iters,
+                                                    norm.soft_threshold(tau), trace_fn)
         step_bound = float(1.0 / tau.min())
     elif fusion is None:
         # unsmoothed: row j steps by 1 / (L_s d_j), the momentum capped in the same metric (module docstring)
         d, L_s, modulus = m.jacobi
         step = np.repeat((1.0 / (L_s * d))[:, None], B.shape[1], axis=1)
-        B, iters, (_, f) = three_sequence_minimize(grad, lambda B: check(B, None), B, L_s, max_iters,
-                                                   norm.prox_map(step), trace_fn, modulus, step)
+        B, iters, (_, f, *_) = three_sequence_minimize(grad, lambda B: check(B, None, None), B, L_s, max_iters,
+                                                       norm.prox_map(step), trace_fn, modulus, step)
         step_bound = L_s * float(d.max())
     else:
         for mu_s in stages:
             penalty_grad = fusion.gradient_map(mu_s)
-            B, n, (_, f) = three_sequence_minimize(grad, lambda B: check(B, None), B, m.lam_max + norm2 / mu_s,
-                                                   max_iters - iters, norm.prox, trace_fn)
+            B, n, (_, f, *_) = three_sequence_minimize(grad, lambda B: check(B, None, None), B,
+                                                       m.lam_max + norm2 / mu_s, max_iters - iters, norm.prox, trace_fn)
             iters += n
             if stops(f, mu) or iters == max_iters:
                 break
@@ -464,7 +496,8 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
         B_hat=B,
         objective_exact=f,
         iterations=iters,
-        gap=max(f - lower, 0.0),
+        checks=checks,
+        gap=gap_target(f, mu)[0],
         stop_reason="gap" if converged else "iteration_cap",
         lipschitz_used=step_bound,
         mu_used=mu,
@@ -510,6 +543,7 @@ def subgradient_fit(m: Moments, config: SolverConfig, op: FusionOperator) -> Sol
         B_hat=best_B,
         objective_exact=best_f,
         iterations=config.max_iters,
+        checks=0,
         gap=np.inf,
         stop_reason="iteration_cap",
         lipschitz_used=m.lam_max,

@@ -151,7 +151,7 @@ def test_unused_guard_sees_an_unused_method():
     assert unused_public_names({"m": ast.parse(source)}, []) == ["m.A.dropped"]
 
 
-SETTABLE_VALUES = 104
+SETTABLE_VALUES = 105
 ENVIRONMENT_READS = {"environ", "getenv"}
 
 

@@ -87,10 +87,14 @@ class TestShrink:
         assert shrink(5.0) == 1.0
         assert shrink(-1.2) == -1.0
 
+    def test_a_float_array_is_clamped_in_place(self):
+        M = np.array([[-3.0, 0.5], [1.0, 2.5]])
+        assert shrink(M) is M and M.tolist() == [[-1.0, 0.5], [1.0, 1.0]]
+
     def test_entrywise_equals_scalar_loop(self):
         rng = np.random.default_rng(5)
         M = 3.0 * rng.standard_normal((6, 7))
-        S = shrink(M)
+        S = shrink(M.copy())
         for i in range(6):
             for j in range(7):
                 v = M[i, j]

@@ -17,6 +17,7 @@ from gflasso.solver import (
     STEP_RATIO,
     Moments,
     SolverConfig,
+    next_check,
     primal_dual_steps,
     solve,
     subgradient_fit,
@@ -842,18 +843,19 @@ class TestAcceleratedLoop:
         for seed in range(20):
             _, X, Y, norm = next(p for p in certificate_problems(seed) if p[0] == name)
             m = Moments.from_data(X, Y)
-            assert m.lam_min > 0
+            lam_min = float(np.linalg.eigvalsh(m.XtX)[0])
+            assert lam_min > 0
             star = solve(m, SolverConfig(rel_obj_tol=1e-13, max_iters=100000), norm)
             assert star.converged
             f_star, falling, fs = star.objective_exact - star.gap, itertools.count(0, -1), []
             three_sequence_minimize(
                 lambda W: m.XtX @ W - m.XtY, lambda B: ((next(falling),), False), np.zeros(m.XtY.shape), m.lam_max,
                 300, norm.prox, lambda B, g: fs.append(m.loss(B, m.XtX @ B - m.XtY) + norm.penalty_exact(B)),
-                m.lam_min,
+                lam_min,
             )
             t = np.arange(1, len(fs) + 1)
-            start = 0.5 * m.ynorm2 - f_star + 0.5 * m.lam_min * float(np.vdot(star.B_hat, star.B_hat))
-            bound = (1.0 - (m.lam_min / m.lam_max) ** 0.5) ** t * start
+            start = 0.5 * m.ynorm2 - f_star + 0.5 * lam_min * float(np.vdot(star.B_hat, star.B_hat))
+            bound = (1.0 - (lam_min / m.lam_max) ** 0.5) ** t * start
             excess = np.array(fs) - f_star - star.gap
             worst = max(worst, float(np.max(excess / (bound + 1e-13 * abs(f_star)))))
         assert worst <= 1.0
@@ -864,6 +866,117 @@ class TestAcceleratedLoop:
             with pytest.raises(ValueError, match="modulus"):
                 three_sequence_minimize(grad, lambda B: ((F(B),), False), np.zeros(m.XtY.shape), m.lam_max, 1,
                                         norm.prox, None, modulus)
+
+
+def wide_candidate():
+    """J > N: 50 rows of a J = 200, K = 20 simulation, its rho = 0.3 graph taken on all 80 rows (72 edges)."""
+    ds = simulate_dataset(SimulationSpec(n_samples=80, n_inputs=200, n_outputs=20, group_sizes=(7, 7, 6)))
+    return Moments.from_data(ds.X[:50], ds.Y[:50]), build_correlation_graph(ds.Y, 0.3)
+
+
+def schedule_problem(kind):
+    """(moments, penalty, name of the loop solve runs) of one fit: on a report split, the chain or the wide candidate."""
+    if kind == "wide":
+        m, graph = wide_candidate()
+        return m, FusionOperator.from_graph(graph, 1.0, 1.29, n_inputs=200), "smoothed"
+    if kind == "chain":
+        return (*long_chain(3), "primal-dual")
+    m, graph = report_split(int(kind[-1]))
+    if kind.startswith("lasso"):
+        return m, GroupNorm(0.0599, 1), "accelerated"
+    if kind.startswith("l1l2"):
+        return m, GroupNorm(0.0599, 10), "accelerated"
+    gamma, loop = (3.59, "primal-dual") if kind.startswith("primal-dual") else (0.0599, "smoothed")
+    return m, FusionOperator.from_graph(graph, 0.0599, gamma, n_inputs=30), loop
+
+
+class TestCheckSchedule:
+    # the FISTA loop checks at CHECK_EVERY, then where next_check puts the next check: where the gap would reach its
+    # target at its rate over the last two checks, 1 to 2 CHECK_EVERY iterations on, else CHECK_EVERY on; the
+    # primal-dual loop checks every CHECK_EVERY iterations; both check at the cap, and only a certifying check stops
+
+    @staticmethod
+    def checked_at(records, max_iters):
+        # the iterations at which three_sequence_minimize ran its check, given the records the check returns in turn
+        m, norm, grad, _ = TestAcceleratedLoop.lasso_parts(46, 1)
+        iteration, seen, records = [0], [], iter(records)
+
+        def count(B, g):
+            iteration[0] += 1
+
+        def check(B):
+            seen.append(iteration[0])
+            return next(records), False
+
+        three_sequence_minimize(grad, check, np.zeros(m.XtY.shape), m.lam_max, max_iters, norm.prox, count)
+        return seen
+
+    def test_a_record_without_a_gap_keeps_the_fixed_cadence(self):
+        assert self.checked_at(((-v,) for v in itertools.count()), 57) == [10, 20, 30, 40, 50, 57]
+        assert next_check(20, (-1.0,), (10, (0.0,))) == 20 + CHECK_EVERY
+
+    def test_a_falling_gap_sets_the_next_check_and_the_cap_is_always_checked(self):
+        # gap 1 at 10, 0.1 at 20: a decade per 10 iterations, so the target 2e-3 is due ceil(16.99) = 17 on; the gap
+        # rises at 37, so the next check is 10 on; it falls too slowly at 47 and 67, so 20 on, cut at the cap 70
+        gaps = [1.0, 0.1, 0.5, 0.4, 0.39, 0.38]
+        records = [(-float(i), -float(i), gap, 2e-3) for i, gap in enumerate(gaps)]
+        assert self.checked_at(records, 70) == [10, 20, 37, 47, 67, 70]
+        assert self.checked_at(records, 5) == [5]
+        # a gap just above its target is checked again at the next iteration
+        assert next_check(20, (0.0, 0.0, 0.1, 0.099), (10, (0.0, 0.0, 1.0, 0.099))) == 21
+
+    @pytest.mark.parametrize("kind", ["smoothed 0", "lasso 0", "primal-dual 0"])
+    def test_one_iteration_is_one_check(self, kind):
+        m, penalty, _ = schedule_problem(kind)
+        sol = solve(m, SolverConfig(max_iters=1), penalty)
+        assert sol.certificate() == {"iterations": 1, "checks": 1, "converged": sol.converged,
+                                     "stop_reason": sol.stop_reason, "gap": sol.gap}
+
+    @pytest.mark.parametrize("kind", ["smoothed 0", "smoothed 1", "primal-dual 2", "lasso 1", "l1l2 2", "chain",
+                                      "wide"])
+    def test_a_fit_stops_early_only_on_a_certifying_check(self, kind):
+        # at the default and at capped settings: a fit that ends before its cap is converged, a converged fit's gap
+        # is within its target, and every F - gap lies at or below a long run's F
+        m, penalty, loop = schedule_problem(kind)
+        long = solve(m, SolverConfig(mu=1e-10, rel_obj_tol=1e-12, max_iters=20000 if kind == "wide" else 200000),
+                     penalty)
+        assert long.converged or kind == "wide"
+        eps = 1e-12 * abs(long.objective_exact)
+        for config in (SolverConfig(), SolverConfig(max_iters=13), SolverConfig(max_iters=57),
+                       SolverConfig(mu=1e-6, rel_obj_tol=1e-9, max_iters=5000)):
+            sol = solve(m, config, penalty)
+            assert sol.converged or sol.iterations == config.max_iters, (kind, config)
+            assert 1 <= sol.checks <= sol.iterations
+            if loop == "primal-dual":
+                assert sol.checks == -(-sol.iterations // CHECK_EVERY)
+            if sol.converged:
+                floor = config.mu * replace(penalty, lam=0.0).gap_constant() if loop != "accelerated" else 0.0
+                assert sol.gap <= max(config.rel_obj_tol * abs(sol.objective_exact), floor), (kind, config)
+            assert sol.objective_exact - sol.gap <= long.objective_exact + eps, (kind, config)
+
+    def test_the_warm_lam_paths_of_report_splits_keep_their_counts(self):
+        # the warm-started lam paths 3.59, 0.0599, 1e-3 of report splits 0-2, per model and gflasso gamma:
+        # (iterations, checks) with a check every CHECK_EVERY iterations and the mu ladder (100, 10, 1), before; with
+        # next_check and the ladder (30, 1), after. The gamma = 3.59 paths run the primal-dual loop, whose fixed
+        # cadence is unchanged. With the scalar step 1 / lam_max(X^T X) the lasso and l1/l2 paths took 500 and 450.
+        before = {"lasso": (400, 40), "l1l2": (360, 36), 3.59: (520, 52), 0.0599: (220, 22), 0.001: (260, 26)}
+        after = {"lasso": (363, 34), "l1l2": (345, 33), 3.59: (520, 52), 0.0599: (210, 21), 0.001: (210, 21)}
+        counts = dict.fromkeys(before, (0, 0))
+        for seed in range(3):
+            m, graph = report_split(seed)
+            for key in counts:
+                start = None
+                for lam in (3.59, 0.0599, 1e-3):
+                    if key in ("lasso", "l1l2"):
+                        penalty = GroupNorm(lam, 1 if key == "lasso" else 10)
+                    else:
+                        penalty = FusionOperator.from_graph(graph, lam, key, n_inputs=30)
+                    sol = solve(m, SolverConfig(), penalty, start)
+                    assert sol.converged
+                    counts[key] = (counts[key][0] + sol.iterations, counts[key][1] + sol.checks)
+                    start = sol.B_hat
+        for key, (iterations, checks) in counts.items():
+            assert iterations <= after[key][0] <= before[key][0] and checks <= after[key][1] <= before[key][1], key
 
 
 class TestStrongConvexity:
@@ -899,7 +1012,7 @@ class TestStrongConvexity:
         d, L_s = jacobi_bound(m.XtX)
         modulus = float(np.linalg.eigvalsh(m.XtX / np.sqrt(np.outer(d, d)))[0])
         [(lipschitz, seen_modulus, step)] = seen
-        assert sol.converged and m.lam_min > 0
+        assert sol.converged and np.linalg.eigvalsh(m.XtX)[0] > 0
         assert lipschitz == pytest.approx(L_s, rel=1e-12) and seen_modulus == pytest.approx(modulus, rel=1e-10)
         assert step.shape == m.XtY.shape and np.allclose(step, 1.0 / (L_s * d[:, None]), rtol=1e-12, atol=0)
 
@@ -967,21 +1080,6 @@ class TestJacobiMetric:
             worst = max(worst, float(np.max(excess / (bound + 1e-13 * abs(f_star)))))
         assert worst <= 1.0
 
-    def test_the_lasso_and_l1l2_paths_keep_their_iteration_count(self):
-        # the warm-started lam paths 3.59, 0.0599, 1e-3 of report splits 0-2 took 500 (lasso) and 450 (l1/l2)
-        # iterations with the scalar step 1 / lam_max(X^T X), and take 400 and 360 with the per-row steps
-        iterations = {1: 0, 10: 0}
-        for seed in range(3):
-            m, _ = report_split(seed)
-            for width in iterations:
-                start = None
-                for lam in (3.59, 0.0599, 1e-3):
-                    sol = solve(m, SolverConfig(), GroupNorm(lam, width), start)
-                    assert sol.converged
-                    iterations[width] += sol.iterations
-                    start = sol.B_hat
-        assert iterations[1] <= 400 and iterations[10] <= 360
-
     @pytest.mark.parametrize("gamma", [0.0599, 3.59], ids=["smoothed", "primal-dual"])
     def test_a_fusion_fit_never_computes_the_scaled_spectrum(self, gamma):
         # nor builds the maps of the operator it is given: it applies only that operator's lam = 0 copy
@@ -1016,19 +1114,19 @@ class TestMoments:
         with pytest.raises(ValueError, match="incompatible shapes"):
             Moments.from_data(X, Y)
 
-    def test_lam_min_is_the_smallest_eigenvalue(self):
+    def test_a_nonsingular_gram_has_no_null_basis_and_a_positive_modulus(self):
         X, Y = centered_problem(44, n=30, j=6, k=2)
         m = Moments.from_data(X, Y)
-        assert not m.null_basis.shape[1]
-        assert m.lam_min == pytest.approx(float(np.linalg.eigvalsh(m.XtX)[0]), rel=1e-10)
-        assert 0 < m.lam_min < m.lam_max
+        lam_min = float(np.linalg.eigvalsh(m.XtX)[0])
+        assert not m.null_basis.shape[1] and m.inv_factor.shape == (6, 6)
+        assert 0 < lam_min < m.lam_max and m.jacobi[2] > 0
 
     def test_one_constant_column_leaves_the_gram_singular(self):
         X, Y = centered_problem(41)
         X[:, 0] = 0.1
         m = Moments.from_data(X, Y)
         assert m.null_basis.shape == (4, 1) and m.inv_factor.shape == (4, 3)
-        assert m.lam_min == 0.0
+        assert np.linalg.eigvalsh(m.XtX)[0] <= 4 * np.finfo(float).eps * m.lam_max and m.jacobi[2] == 0.0
         assert solve(m, SolverConfig(), empty_operator(4, 2, lam=0.1)).stop_reason == "gap"
 
 
