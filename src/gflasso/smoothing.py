@@ -3,7 +3,7 @@
 The penalty lam * ||B||_1 + gam * sum_e |r_e| * sum_j |b_jm - sign(r_e) b_jl|
 equals ||B C||_1 for C = (lam * I, gam * H), H the signed incidence matrix of
 the task graph, the paper's :class:`FusionOperator`. ``solver.solve`` reads it
-as :class:`GroupNorm` (lam, 1), whose prox is exact, plus the operator at
+as :class:`GroupNorm` (lam, 1), whose exact prox ``prox_map(step)`` is built once per step, plus the operator at
 lam = 0, the fusion term alone, and smooths only that: ||B C||_1 is a max over
 ||A||_inf <= 1, and subtracting (mu/2) ||A||_F^2 gives a smooth lower bound
 within mu * D, D = J * width / 2 (J |E| / 2 at lam = 0), maximized at
@@ -16,13 +16,13 @@ absolute sums of C are defined here alone (``gap_constant``, ``norm_bound``,
 ``abs_sums``); ``solver.solve`` derives mu and L from the first two and the
 primal-dual steps from the sums.
 
-The first use of an operator picks the form of C once, by its shape, and keeps
-the maps B -> B C and A -> A C^T that ``apply`` and ``adjoint`` call after a
-shape check. When K <= J they are BLAS products on the dense K x width C, no larger
-than the J x width auxiliary matrix. When K > J (mostly the 1 x J
-:class:`CovariateFusionOperator`) each is one gather and one ``np.bincount`` over
-flat entries, O(J*K + J*|E|): a row-major J x 1 column has the flat entries of a
-1 x J row, so neither coefficient layout is transposed.
+The first use of an operator picks the form of C once, by its shape, and one builder makes every map
+from it: B -> B C diag(sigma) / mu and A -> A C^T, at sigma = mu = 1 for ``apply`` and ``adjoint`` (after
+a shape check), at sigma = 1 for ``gradient_map`` and at mu = 1 for ``dual_step``. When K <= J they are
+BLAS products on the dense K x width C, no larger than the J x width auxiliary matrix. When K > J (mostly
+the 1 x J :class:`CovariateFusionOperator`) each is one gather and one ``np.bincount`` over flat entries,
+O(J*K + J*|E|), with sigma / mu folded into the gathered weights: a row-major J x 1 column has the flat
+entries of a 1 x J row, so neither coefficient layout is transposed.
 """
 
 from __future__ import annotations
@@ -73,42 +73,21 @@ class GroupNorm:
         norms = np.abs(B) if self.width == 1 else self._norms(B)
         return self.lam * float(norms.sum())
 
-    def prox(self, V: np.ndarray, step: float) -> np.ndarray:
-        """The proximal map of step * penalty: each group g <- (1 - t / max(||g||, t)) g, with t = lam * step."""
-        t = self.lam * step
-        if t == 0:  # the identity, where the shrink factor would be 0 / 0 on a zero group
-            return V
-        if self.width == 1:  # the soft threshold
-            return V - V.clip(-t, t)
-        return self.prox_map(np.full(V.shape, step))(V)
+    def prox_map(self, step: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The proximal map of step * penalty at fixed steps: each group g <- (1 - t / max(||g||, t)) g, t = lam * step.
 
-    def prox_map(self, step: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """``prox`` at fixed steps, one per group, as a one-argument map; ``step`` has V's shape.
-
-        The thresholds t = lam * step are built here once: at V's full shape for the entrywise norm
-        (``soft_threshold``), one per group otherwise, read off each group's first entry. A call then costs
-        what the scalar ``prox`` does; at lam = 0 the map is the identity.
+        ``step`` is one step or steps of V's shape, read off each group's first entry; at width 1, the soft
+        threshold V -> V - clip(V, -t, t), it may have any shape that broadcasts over V. The thresholds are
+        built here once, and at lam = 0 the map is the identity, where the shrink factor would be 0 / 0.
         """
-        if self.width == 1:
-            return self.soft_threshold(step)
-        t = self.lam * step.reshape(-1, self.width)[:, :1]
+        step = np.asarray(step, dtype=float)  # t per group is sliced before the product: a strided t slows each call
+        t = self.lam * (step.reshape(-1, self.width)[:, :1] if step.ndim and self.width > 1 else step)
         if not t.any():
             return lambda V: V
+        if self.width == 1:
+            lo = -t
+            return lambda V: V - V.clip(lo, t)
         return lambda V: (V.reshape(-1, self.width) * (1.0 - t / np.maximum(self._norms(V), t))).reshape(V.shape)
-
-    def soft_threshold(self, step: float | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """``prox`` of the entrywise norm (width 1) at a fixed step, which may differ per entry: V -> V - clip(V, -t, t).
-
-        ``step`` broadcasts over V, and t = lam * step and -t are built here once, so a call costs
-        the two array operations of the scalar soft threshold; at lam = 0 the map is the identity.
-        """
-        if self.width != 1:
-            raise ValueError(f"a per-entry step needs the entrywise norm, width 1, got width {self.width}")
-        hi = self.lam * np.asarray(step, dtype=float)
-        if not hi.any():
-            return lambda V: V
-        lo = -hi
-        return lambda V: V - V.clip(lo, hi)
 
     def dual_terms(self, B: np.ndarray, g: np.ndarray, mu: float) -> tuple[float, float, np.ndarray, float]:
         """(penalty, penalty - <A, B>, A, penalty), the layout of ``FusionOperator.dual_terms``, at A in the lam-ball.
@@ -134,7 +113,9 @@ class FusionOperator:
 
     Maps (J, K) coefficient matrices to (J, width): K columns lam * B (none at
     lam = 0), then gam * |r_e| * (B[:, m_e] - sign(r_e) * B[:, l_e]) per edge e.
-    Edges are stored as flat arrays, B C and A C^T as two maps built on first use.
+    Edges are stored as flat arrays; the nonzeros of C, its form (``_C``: the dense C, or None for
+    the edge arrays) and the maps of ``apply`` and ``adjoint`` are cached on first use, and ``_maps``
+    alone builds maps from them.
     """
 
     lam: float
@@ -153,34 +134,46 @@ class FusionOperator:
             raise ValueError("n_inputs and n_tasks must be >= 1")
 
     @cached_property
-    def _maps(self) -> tuple[np.ndarray | None, Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]:
-        # (the dense C or None, B -> B C, A -> A C^T), built on first use: solve applies only the lam = 0 copy of
-        # the operator it is given, so the given one builds them only for a recorded trace
-        k, n_diag = self.n_tasks, self.width - self.n_edges
-        node, edge = np.arange(n_diag), np.arange(n_diag, self.width)
-        coef = self.gamma * self.edge_weight
+    def _triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # the nonzeros of C, entry i at (rows[i], cols[i]): lam on the diagonal, then each edge at its m and its l end
-        rows, cols = np.concatenate((node, self.edge_m, self.edge_l)), np.concatenate((node, edge, edge))
-        weight = np.concatenate((np.full(n_diag, self.lam), coef, -self.edge_sign * coef))
-        if k <= self.n_inputs:  # the maps capture arrays and shapes, not self: an operator holds no reference cycle
-            C = np.zeros((k, self.width))
-            C[rows, cols] = weight
-            forward, backward = (lambda B: B @ C), (lambda A: A @ C.T)
-        else:  # flat entry (j, rows[i]) of the coefficients times weight[i] adds to (j, cols[i]) of B C, and back
-            C, rank = None, np.arange(self.n_inputs)[:, None]
-            at_coef, at_aux = k * rank + rows, self.width * rank + cols
+        n_diag = self.width - self.n_edges
+        node, edge, coef = np.arange(n_diag), np.arange(n_diag, self.width), self.gamma * self.edge_weight
+        return (np.concatenate((node, self.edge_m, self.edge_l)), np.concatenate((node, edge, edge)),
+                np.concatenate((np.full(n_diag, self.lam), coef, -self.edge_sign * coef)))
 
-            def edge_map(gather, scatter, shape):
-                size = shape[0] * shape[1]
-                return lambda M: np.bincount(scatter, (np.take(M, gather) * weight).ravel(), size).reshape(shape)
+    @cached_property
+    def _C(self) -> np.ndarray | None:
+        # the form of C, picked on first use by shape: the dense K x width C when K <= J, else None, the edge arrays
+        if self.n_tasks > self.n_inputs:
+            return None
+        rows, cols, weight = self._triplets
+        C = np.zeros((self.n_tasks, self.width))
+        C[rows, cols] = weight
+        return C
 
-            forward = edge_map(at_coef, at_aux.ravel(), (self.n_inputs, self.width))
-            backward = edge_map(at_aux, at_coef.ravel(), self.coef_shape)
-        return C, forward, backward
+    def _maps(self, sigma: float | np.ndarray, mu: float) -> tuple[Callable[[np.ndarray], np.ndarray],
+                                                                    Callable[[np.ndarray], np.ndarray]]:
+        # (B -> B C diag(sigma) / mu, A -> A C^T), sigma one step or one per column of C; the only reader of _C. Dividing
+        # by mu forms C / mu and C sigma as they are written, with no inf * 0 at a subnormal mu. The maps capture
+        # arrays and shapes, not self, so an operator holds no reference cycle, and check no shapes
+        C = self._C
+        if C is not None:
+            C_scaled, C_T = C * sigma / mu, C.T
+            return (lambda B: B @ C_scaled), (lambda A: A @ C_T)
+        # flat entry (j, rows[i]) of the coefficients times weight[i] adds to (j, cols[i]) of B C, and back
+        rows, cols, weight = self._triplets
+        rank = np.arange(self.n_inputs)[:, None]
+        at_coef, at_aux = self.n_tasks * rank + rows, self.width * rank + cols
 
-    _C = cached_property(lambda self: self._maps[0])
-    _forward = cached_property(lambda self: self._maps[1])
-    _backward = cached_property(lambda self: self._maps[2])
+        def edge_map(gather, scatter, w, shape):
+            size = shape[0] * shape[1]
+            return lambda M: np.bincount(scatter, (np.take(M, gather) * w).ravel(), size).reshape(shape)
+
+        scaled = weight * np.broadcast_to(sigma, self.width)[cols] / mu
+        return (edge_map(at_coef, at_aux.ravel(), scaled, (self.n_inputs, self.width)),
+                edge_map(at_aux, at_coef.ravel(), weight, self.coef_shape))
+
+    _unit_maps = cached_property(lambda self: self._maps(1.0, 1.0))
 
     @classmethod
     def from_graph(cls, graph: TaskGraph, lam: float, gamma: float, n_inputs: int) -> "FusionOperator":
@@ -222,14 +215,14 @@ class FusionOperator:
         B = np.asarray(B, dtype=float)
         if B.shape != self.coef_shape:
             raise ValueError(f"coefficient matrix must have shape {self.coef_shape}, got {B.shape}")
-        return self._forward(B)
+        return self._unit_maps[0](B)
 
     def adjoint(self, A: np.ndarray) -> np.ndarray:
         """Gamma*(A) = A C^T, mapping (J, width) back to ``coef_shape``."""
         A = np.asarray(A, dtype=float)
         if A.shape != (self.n_inputs, self.width):
             raise ValueError(f"auxiliary matrix must have shape {(self.n_inputs, self.width)}, got {A.shape}")
-        return self._backward(A)
+        return self._unit_maps[1](A)
 
     def aux_optimum(self, B: np.ndarray, mu: float) -> np.ndarray:
         """Maximizer A* = clamp(B C / mu) of <A, B C> - (mu/2) ||A||_F^2 over ||A||_inf <= 1."""
@@ -240,44 +233,31 @@ class FusionOperator:
     def gradient_map(self, mu: float) -> Callable[[np.ndarray], np.ndarray]:
         """The gradient of f_mu for one fixed mu: the map B -> adjoint(aux_optimum(B, mu)) = clamp(B C / mu) C^T.
 
-        With the dense C the map is two BLAS products around one in-place clamp,
-        with C / mu built here once, and it does not check B's shape: the caller
-        owns it. Otherwise it is ``aux_optimum`` and the adjoint's map.
+        The maps B -> B C / mu and A -> A C^T are built here once, and a call is the two of them around one
+        in-place clamp. It does not check B's shape: the caller owns it.
         """
-        mu = _check_mu(mu)
-        if self._C is None:
-            return lambda B: self._backward(self.aux_optimum(B, mu))
-        C_mu, C_T = self._C / mu, self._C.T
+        forward, backward = self._maps(1.0, _check_mu(mu))
 
         def smoothed_gradient(B: np.ndarray) -> np.ndarray:
-            G = B @ C_mu
-            G.clip(-1.0, 1.0, out=G)
-            return G @ C_T
+            G = forward(B)
+            return backward(G.clip(-1.0, 1.0, out=G))
 
         return smoothed_gradient
 
     def dual_step(self, sigma: float | np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         """The primal-dual loop's step on the fusion term for fixed steps sigma: (A, B) -> A C^T after A = clamp(A + B C sigma).
 
-        ``sigma`` is one step or one per column of C (shape (width,)), read as diag(sigma).
-        A is updated in place. With the dense C, C diag(sigma) is built here once and the map is
-        two BLAS products around one in-place clamp; otherwise it is the two stored maps. Like
-        ``gradient_map``, it does not check shapes: the caller owns A and B.
+        ``sigma`` is one step or one per column of C (shape (width,)), read as diag(sigma). The maps
+        B -> B C diag(sigma) and A -> A C^T are built here once, and a call is the two of them around one
+        in-place clamp; A is updated in place. Like ``gradient_map``, it does not check shapes: the caller owns A and B.
         """
-        if self._C is None:
+        forward, backward = self._maps(sigma, 1.0)
 
-            def step(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-                A += self._forward(B) * sigma
-                return self._backward(A.clip(-1.0, 1.0, out=A))
+        def step(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+            A += forward(B)
+            return backward(A.clip(-1.0, 1.0, out=A))
 
-            return step
-        C_sigma, C_T = self._C * sigma, self._C.T
-
-        def dense_step(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-            A += B @ C_sigma
-            return A.clip(-1.0, 1.0, out=A) @ C_T
-
-        return dense_step
+        return step
 
     def penalty_exact(self, B: np.ndarray) -> float:
         """The non-smooth penalty value ||B C||_1."""

@@ -9,7 +9,7 @@ regression", Algorithm 1), a FISTA step (Beck & Teboulle 2009) with theta_t = 2/
 search points W, iterates B and those weights. Per iteration t, counted from the anchor
 (the start point, or the iterate of the last restart), with W^0 = B^{-1} = anchor:
 
-    1. B^t = prox(W^t - grad(W^t) / L, 1/L)
+    1. B^t = prox_{1/L}(W^t - grad(W^t) / L)
     2. W^{t+1} = B^t + min(t/(t+3), beta) (B^t - B^{t-1})
 
 The cap beta = (1 - sqrt(q)) / (1 + sqrt(q)), q = modulus / L, is the constant momentum of V-FISTA
@@ -246,22 +246,22 @@ def three_sequence_minimize(
     grad: Callable[[np.ndarray], np.ndarray],
     check: Callable[[np.ndarray], tuple[tuple, bool]],
     B0: np.ndarray, lipschitz: float, max_iters: int,
-    prox: Callable[..., np.ndarray] | None,
+    prox: Callable[[np.ndarray], np.ndarray] | None,
     trace: Callable[[np.ndarray, np.ndarray], None] | None,
     modulus: float = 0.0,
-    step: np.ndarray | None = None,
+    step: float | np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, tuple]:
     """Run the accelerated loop from W^0 = ``B0`` for at most ``max_iters`` iterations.
 
     The name is older than the step: the loop once kept three sequences and now runs the
     module docstring's two-sequence FISTA step, the iterates B and the search points W
     with theta_t = 2/(t+2). It keeps the name because tests/test_acceptance.py imports
-    it. B = prox(W - g/L, 1/L), or W - g/L without ``prox(V, s)``, the proximal map of s
-    times a non-smooth penalty; then W = B + min(k/(k+3), beta) (B - B_prev). That is one
-    prox per iteration and, the soft threshold's two included, seven array operations besides
-    ``grad``. With ``step``, per-entry steps of B's shape, 1 / (L d) for a diagonal metric
-    D = diag(d) with X^T X <= L D, the step is B = prox(W - g * step) instead, and ``prox`` is a
-    one-argument map at those steps (``GroupNorm.prox_map``), built once by the caller.
+    it. B = prox(W - g * step), then W = B + min(k/(k+3), beta) (B - B_prev). ``step`` is
+    1/``lipschitz`` by default, or per-entry steps of B's shape, 1 / (L d) for a diagonal metric
+    D = diag(d) with X^T X <= L D. ``prox`` is the proximal map of the non-smooth penalty at
+    those steps, built once by the caller (``GroupNorm.prox_map``), or None for the identity.
+    That is one prox per iteration and, with the soft threshold, seven array operations besides
+    ``grad``: two for W - g * step, the threshold's two and three for the extrapolation.
     ``modulus`` is a strong convexity modulus of the smooth part in the same metric, or 0: with
     q = modulus / ``lipschitz``, beta = (1 - sqrt(q)) / (1 + sqrt(q)) is V-FISTA's constant
     momentum (Beck 2017, Thm 10.42), and at 0, beta = 1 leaves the k/(k+3) step as it was, bit
@@ -280,16 +280,13 @@ def three_sequence_minimize(
         raise ValueError(f"strong convexity modulus must lie in [0, {lipschitz}], got {modulus}")
     root_q = (modulus / lipschitz) ** 0.5
     beta = (1.0 - root_q) / (1.0 + root_q)
+    step = 1.0 / lipschitz if step is None else step
+    prox = (lambda V: V) if prox is None else prox
     W = best_B = B = B0
     best, k, due, last = (np.inf,), 0, CHECK_EVERY, None
     for t in range(1, max_iters + 1):
         g = grad(W)
-        if step is None:
-            B_prev, B = B, W - g / lipschitz
-            if prox is not None:
-                B = prox(B, 1.0 / lipschitz)
-        else:
-            B_prev, B = B, prox(W - g * step)
+        B_prev, B = B, prox(W - g * step)
         W = B - B_prev
         W *= min(k / (k + 3.0), beta)
         W += B
@@ -471,7 +468,7 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
         sigma, tau = primal_dual_steps(m.lam_max, fusion)
         A = fusion.aux_optimum(B, mu)
         B, iters, (_, f, *_) = primal_dual_minimize(grad, check, fusion.dual_step(sigma), B, A, tau, max_iters,
-                                                    norm.soft_threshold(tau), trace_fn)
+                                                    norm.prox_map(tau), trace_fn)
         step_bound = float(1.0 / tau.min())
     elif fusion is None:
         # unsmoothed: row j steps by 1 / (L_s d_j), the momentum capped in the same metric (module docstring)
@@ -483,8 +480,9 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
     else:
         for mu_s in stages:
             penalty_grad = fusion.gradient_map(mu_s)
-            B, n, (_, f, *_) = three_sequence_minimize(grad, lambda B: check(B, None, None), B,
-                                                       m.lam_max + norm2 / mu_s, max_iters - iters, norm.prox, trace_fn)
+            L = m.lam_max + norm2 / mu_s
+            B, n, (_, f, *_) = three_sequence_minimize(grad, lambda B: check(B, None, None), B, L, max_iters - iters,
+                                                       norm.prox_map(1.0 / L), trace_fn)
             iters += n
             if stops(f, mu) or iters == max_iters:
                 break

@@ -1,6 +1,7 @@
 """Layout guards: no module of the package but fileio.py opens or writes files,
-no module but evaluate.py calls a model's fit, no public name of the package
-is there only for the tests, and the number of settable values is pinned."""
+no module but evaluate.py calls a model's fit, only the fusion operator's map
+builder reads its form of C, no public name of the package is there only for
+the tests, and the number of settable values is pinned."""
 
 import argparse
 import ast
@@ -102,6 +103,31 @@ def test_only_evaluate_calls_the_model_fits():
 
 def test_fit_guard_sees_the_calls_in_evaluate():
     assert {name for _, name in model_fit_calls(PACKAGE / "evaluate.py")} == MODEL_FITS
+
+
+def attribute_reads(source: str, attr: str) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function, or "<module>") of each read of the attribute ``attr`` in a module."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == attr and isinstance(child.ctx, ast.Load):
+                found.append((child.lineno, scope))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_only_the_map_builder_reads_the_form_of_c():
+    # FusionOperator._C is the dense C or None, the edge arrays; _maps alone chooses between them
+    readers = attribute_reads((PACKAGE / "smoothing.py").read_text(), "_C")
+    assert readers and {scope for _, scope in readers} == {"_maps"}
+
+
+def test_form_guard_sees_a_read_outside_the_builder():
+    source = "class A:\n    def _maps(self):\n        return self._C\n    def step(self):\n        return lambda: self._C\n"
+    assert attribute_reads(source, "_C") == [(3, "_maps"), (5, "step")]
 
 
 def public_definitions(tree: ast.Module) -> list[tuple[str, str]]:

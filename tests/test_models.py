@@ -206,18 +206,19 @@ class TestFitGroupL1L2:
 
 class TestGroupNorm:
     def test_prox_zero_row_stays_zero(self):
-        out = GroupNorm(0.5, 2).prox(np.array([[0.0, 0.0], [3.0, 4.0]]), 1.0)
+        out = GroupNorm(0.5, 2).prox_map(1.0)(np.array([[0.0, 0.0], [3.0, 4.0]]))
         assert np.array_equal(out[0], [0.0, 0.0])
 
     def test_prox_row_inside_the_ball_maps_to_zero(self):
         # ||v|| = 5 <= lam * step = 2 * 2.5
-        out = GroupNorm(2.0, 2).prox(np.array([[3.0, 4.0], [-3.0, 4.0]]), 2.5)
+        out = GroupNorm(2.0, 2).prox_map(2.5)(np.array([[3.0, 4.0], [-3.0, 4.0]]))
         assert np.array_equal(out, np.zeros((2, 2)))
 
     def test_prox_shrinks_other_rows_toward_zero(self):
         V = np.random.default_rng(5).standard_normal((6, 3)) * 3.0
         lam, step = 0.7, 0.4
-        out = GroupNorm(lam, 3).prox(V, step)
+        out = GroupNorm(lam, 3).prox_map(step)(V)
+        assert np.array_equal(out, GroupNorm(lam, 3).prox_map(np.full(V.shape, step))(V))
         for v, o in zip(V, out):
             nrm = np.linalg.norm(v)
             assert nrm > lam * step
@@ -225,20 +226,20 @@ class TestGroupNorm:
 
     def test_width_one_prox_is_the_soft_threshold(self):
         V = np.random.default_rng(8).standard_normal((7, 4))
-        out = GroupNorm(0.6, 1).prox(V, 0.5)
+        out = GroupNorm(0.6, 1).prox_map(0.5)(V)
         assert np.array_equal(out == 0.0, np.abs(V) <= 0.3)
         assert out == pytest.approx(np.sign(V) * np.maximum(np.abs(V) - 0.3, 0.0), rel=1e-15, abs=1e-16)
 
     @pytest.mark.parametrize("shape", [(1, 4), (7, 1)], ids=["per column", "per row"])
     def test_soft_threshold_takes_one_step_per_column_or_row(self, shape):
-        # each column (row) of V is thresholded as prox does at its own step
+        # each column (row) of V is thresholded as the scalar-step map does at its own step
         V = np.random.default_rng(11).standard_normal((7, 4))
         step = np.linspace(0.2, 0.8, max(shape)).reshape(shape)
-        out = GroupNorm(0.6, 1).soft_threshold(step)(V)
+        out = GroupNorm(0.6, 1).prox_map(step)(V)
         expected = np.broadcast_to(step, V.shape)
         for idx in np.ndindex(V.shape):
-            assert out[idx] == GroupNorm(0.6, 1).prox(V[idx], expected[idx])
-        assert GroupNorm(0.0, 1).soft_threshold(step)(V) is V
+            assert out[idx] == GroupNorm(0.6, 1).prox_map(expected[idx])(V[idx])
+        assert GroupNorm(0.0, 1).prox_map(step)(V) is V
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_prox_map_takes_one_step_per_group(self, width):
@@ -265,15 +266,11 @@ class TestGroupNorm:
         pen, slack, A, _ = GroupNorm(0.0, width).dual_terms(np.ones((4, 3)), g, 0.0)
         assert np.array_equal(A, np.zeros((4, 3))) and (pen, slack) == (0.0, 0.0)
 
-    def test_soft_threshold_of_a_group_norm_is_refused(self):
-        with pytest.raises(ValueError, match="width 1, got width 3"):
-            GroupNorm(0.6, 3).soft_threshold(np.ones((1, 3)))
-
     @pytest.mark.parametrize("width", [1, 3])
     def test_prox_at_lam_zero_is_the_identity(self, width):
         V = np.random.default_rng(9).standard_normal((5, 3))
         V[1] = 0.0
-        assert np.array_equal(GroupNorm(0.0, width).prox(V, 0.5), V)
+        assert GroupNorm(0.0, width).prox_map(0.5)(V) is V
 
     def test_penalty_exact_sums_row_norms(self):
         B = np.random.default_rng(6).standard_normal((5, 3))

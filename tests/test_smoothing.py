@@ -41,16 +41,54 @@ class TestApply:
         assert np.allclose(op.apply(B), B @ C, atol=1e-12)
 
 
+LAYOUT = {"_triplets", "_C", "_unit_maps"}  # what an operator caches on first use
+
+
 class TestMapsOnFirstUse:
     @pytest.mark.parametrize("n_inputs", [5, 2], ids=["dense", "edge arrays"])
     def test_an_operator_builds_its_maps_when_first_applied(self, n_inputs):
         op, g = random_operator(np.random.default_rng(2), n_inputs=n_inputs)
-        assert "_maps" not in vars(op)
-        B = np.random.default_rng(3).standard_normal((n_inputs, 4))
-        assert np.allclose(op.apply(B), B @ dense_fusion_matrix(4, g.edges, op.lam, op.gamma), rtol=0.0, atol=1e-12)
-        maps = vars(op)["_maps"]
-        assert op._C is maps[0] and (op._C is None) == (n_inputs < 4)
-        assert op._forward is maps[1] and op._backward is maps[2]
+        assert not LAYOUT & vars(op).keys()
+        rng = np.random.default_rng(3)
+        B, A = rng.standard_normal((n_inputs, 4)), rng.standard_normal((n_inputs, op.width))
+        C = dense_fusion_matrix(4, g.edges, op.lam, op.gamma)
+        assert np.allclose(op.apply(B), B @ C, rtol=0.0, atol=1e-12)
+        assert LAYOUT <= vars(op).keys() and (op._C is None) == (n_inputs < 4)
+        # the one builder: B -> B C diag(sigma) / mu and A -> A C^T
+        sigma = np.linspace(0.0, 2.0, op.width)
+        forward, backward = op._maps(sigma, 0.3)
+        assert np.allclose(forward(B), B @ C * sigma / 0.3, rtol=0.0, atol=1e-12)
+        assert np.allclose(backward(A), A @ C.T, rtol=0.0, atol=1e-12)
+        if op._C is not None:  # it divides by mu: C / mu and C sigma as they would be formed directly
+            assert np.array_equal(op._maps(1.0, 0.3)[0](B), B @ (op._C / 0.3))
+            assert np.array_equal(op._maps(sigma, 1.0)[0](B), B @ (op._C * sigma))
+
+
+class TestStoredMaps:
+    # once built, the smoothed gradient and the dual step run on the stored arrays: no operator method per call
+    @pytest.mark.parametrize("form", ["K > J", "covariate"])
+    def test_a_map_call_makes_no_operator_call(self, form, monkeypatch):
+        rng = np.random.default_rng(21)
+        graph = random_graph(rng, 7)
+        if form == "K > J":
+            op = FusionOperator.from_graph(graph, lam=0.0, gamma=1.3, n_inputs=3)
+        else:
+            op = CovariateFusionOperator.from_graph(graph, lam=0.0, gamma=1.3, n_inputs=1)
+        assert op._C is None and op.n_edges > 0
+        smoothed_gradient, dual_step = op.gradient_map(0.05), op.dual_step(np.linspace(0.0, 1.0, op.width))
+        calls = []
+        for name in ("apply", "adjoint", "aux_optimum"):
+            def counted(self, *args, method=getattr(FusionOperator, name), name=name):
+                calls.append(name)
+                return method(self, *args)
+
+            monkeypatch.setattr(FusionOperator, name, counted)
+        B = rng.standard_normal(op.coef_shape)
+        smoothed_gradient(B)
+        dual_step(np.zeros((op.n_inputs, op.width)), B)
+        assert calls == []
+        op.aux_optimum(B, 0.05)  # the counters see the calls of the method form
+        assert calls == ["aux_optimum", "apply"]
 
 
 class TestAdjoint:
@@ -355,14 +393,17 @@ class TestBothRepresentations:
             assert np.linalg.norm(op.gradient_map(mu)(B) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_dual_step_matches_oracle(self, label, J, K, edge_prob, lam, gamma):
-        # A <- clamp(A + sigma B C) in place, and A C^T returned, for a step that clamps some entries
+        # A <- clamp(A + B C diag(sigma)) in place, and A C^T returned, for steps that clamp some entries: one sigma,
+        # and one per column of C with 0 on the first, as solve gives a zero-weight edge
         rng, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)
-        A = rng.uniform(-1.0, 1.0, (J, C.shape[1]))
         B = rng.standard_normal((J, K))
-        expected = np.clip(A + 0.7 * (B @ C), -1.0, 1.0)
-        AC = op.dual_step(0.7)(A, B)
-        assert np.allclose(A, expected, rtol=0.0, atol=1e-12)
-        assert np.allclose(AC, expected @ C.T, rtol=0.0, atol=1e-12)
+        for sigma in (0.7, np.linspace(0.0, 1.4, C.shape[1])):
+            A = rng.uniform(-1.0, 1.0, (J, C.shape[1]))
+            A0, expected = A.copy(), np.clip(A + (B @ C) * sigma, -1.0, 1.0)
+            AC = op.dual_step(sigma)(A, B)
+            assert np.allclose(A, expected, rtol=0.0, atol=1e-12)
+            assert np.allclose(AC, expected @ C.T, rtol=0.0, atol=1e-12)
+        assert np.array_equal(A[:, :1], A0[:, :1])
 
     def test_dual_terms_at_a_given_dual_point(self, label, J, K, edge_prob, lam, gamma):
         rng, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)

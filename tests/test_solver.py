@@ -787,17 +787,18 @@ class TestAcceleratedLoop:
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_one_prox_per_iteration_at_step_one_over_l(self, width):
+        # the step defaults to 1/L: the first prox gets W^0 - g(W^0) / L from W^0 = 0
         m, norm, grad, F = self.lasso_parts(40, width)
-        steps = []
+        inputs, prox_at = [], norm.prox_map(1.0 / m.lam_max)
 
-        def prox(V, s):
-            steps.append(s)
-            return norm.prox(V, s)
+        def prox(V):
+            inputs.append(V.copy())
+            return prox_at(V)
 
-        _, iters, _ = three_sequence_minimize(grad, lambda B: ((F(B),), False), np.zeros(m.XtY.shape),
-                                              m.lam_max, 37, prox, None)
-        assert iters == 37
-        assert steps == [1.0 / m.lam_max] * 37
+        B0 = np.zeros(m.XtY.shape)
+        _, iters, _ = three_sequence_minimize(grad, lambda B: ((F(B),), False), B0, m.lam_max, 37, prox, None)
+        assert iters == len(inputs) == 37
+        assert np.array_equal(inputs[0], B0 - grad(B0) * (1.0 / m.lam_max))
 
     def test_a_check_that_does_not_improve_restarts_from_the_checked_iterate(self):
         # the first check sets the best value; the second equals it, so the loop restarts from B^20 with no momentum
@@ -809,7 +810,8 @@ class TestAcceleratedLoop:
             return grad(W)
 
         three_sequence_minimize(grad_at, lambda B: ((1.0,), False), np.zeros(m.XtY.shape), m.lam_max,
-                                2 * CHECK_EVERY + 2, norm.prox, lambda B, g: iterates.append(B.copy()))
+                                2 * CHECK_EVERY + 2, norm.prox_map(1.0 / m.lam_max),
+                                lambda B, g: iterates.append(B.copy()))
         first, second = CHECK_EVERY, 2 * CHECK_EVERY  # 1-based iterations of the two checks
         assert not np.array_equal(points[first], iterates[first - 1])  # improved: the momentum carries on
         assert np.array_equal(points[second], iterates[second - 1])
@@ -827,7 +829,8 @@ class TestAcceleratedLoop:
             f_star, falling, fs = star.objective_exact - star.gap, itertools.count(0, -1), []
             three_sequence_minimize(
                 lambda W: m.XtX @ W - m.XtY, lambda B: ((next(falling),), False), np.zeros(m.XtY.shape), m.lam_max,
-                300, norm.prox, lambda B, g: fs.append(m.loss(B, m.XtX @ B - m.XtY) + norm.penalty_exact(B)),
+                300, norm.prox_map(1.0 / m.lam_max),
+                lambda B, g: fs.append(m.loss(B, m.XtX @ B - m.XtY) + norm.penalty_exact(B)),
             )
             t = np.arange(1, len(fs) + 1)
             bound = 2.0 * m.lam_max * float(np.vdot(star.B_hat, star.B_hat)) / (t + 1.0) ** 2
@@ -850,8 +853,8 @@ class TestAcceleratedLoop:
             f_star, falling, fs = star.objective_exact - star.gap, itertools.count(0, -1), []
             three_sequence_minimize(
                 lambda W: m.XtX @ W - m.XtY, lambda B: ((next(falling),), False), np.zeros(m.XtY.shape), m.lam_max,
-                300, norm.prox, lambda B, g: fs.append(m.loss(B, m.XtX @ B - m.XtY) + norm.penalty_exact(B)),
-                lam_min,
+                300, norm.prox_map(1.0 / m.lam_max),
+                lambda B, g: fs.append(m.loss(B, m.XtX @ B - m.XtY) + norm.penalty_exact(B)), lam_min,
             )
             t = np.arange(1, len(fs) + 1)
             start = 0.5 * m.ynorm2 - f_star + 0.5 * lam_min * float(np.vdot(star.B_hat, star.B_hat))
@@ -865,7 +868,7 @@ class TestAcceleratedLoop:
         for modulus in (-1e-3, 1.001 * m.lam_max):
             with pytest.raises(ValueError, match="modulus"):
                 three_sequence_minimize(grad, lambda B: ((F(B),), False), np.zeros(m.XtY.shape), m.lam_max, 1,
-                                        norm.prox, None, modulus)
+                                        norm.prox_map(1.0 / m.lam_max), None, modulus)
 
 
 def wide_candidate():
@@ -908,7 +911,8 @@ class TestCheckSchedule:
             seen.append(iteration[0])
             return next(records), False
 
-        three_sequence_minimize(grad, check, np.zeros(m.XtY.shape), m.lam_max, max_iters, norm.prox, count)
+        three_sequence_minimize(grad, check, np.zeros(m.XtY.shape), m.lam_max, max_iters,
+                                norm.prox_map(1.0 / m.lam_max), count)
         return seen
 
     def test_a_record_without_a_gap_keeps_the_fixed_cadence(self):
@@ -1087,7 +1091,7 @@ class TestJacobiMetric:
         op = FusionOperator.from_graph(graph, 0.0599, gamma, n_inputs=30)
         sol = solve(m, SolverConfig(), op)
         assert sol.converged and (sol.lipschitz_used == smoothed_step_bound(m, op, SolverConfig().mu)) == (gamma < 1)
-        assert "jacobi" not in vars(m) and "_maps" not in vars(op)
+        assert "jacobi" not in vars(m) and not {"_triplets", "_C", "_unit_maps"} & vars(op).keys()
         solve(m, SolverConfig(), FusionOperator.from_graph(graph, 0.0599, 0.0, n_inputs=30))
         assert "jacobi" in vars(m)
 
