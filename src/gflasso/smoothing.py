@@ -11,10 +11,11 @@ A = clamp(B C / mu). ``gradient_map(mu)`` builds its gradient A C^T once per mu
 for the solver's smoothed loop, and the same A is the dual point of the duality-gap
 certificate (``dual_terms``). The solver's primal-dual loop leaves the term
 unsmoothed and keeps A as an iterate, advanced by ``dual_step(sigma)``; its
-certificate passes that A to ``dual_terms``. D, the norm bound of B -> B C and the
-absolute sums of C are defined here alone (``gap_constant``, ``norm_bound``,
-``abs_sums``); ``solver.solve`` derives mu and L from the first two and the
-primal-dual steps from the sums.
+certificate passes that A to ``dual_terms``. D, two bounds on the norm of B -> B C and the
+absolute sums of C are defined here alone (``gap_constant``; ``norm_bound``, the degree bound,
+and ``squared_norm``, from the spectrum of C and never above the degree bound's square;
+``abs_sums``). ``solver.solve`` derives mu from D, rho and the loop choice from the degree bound,
+the smoothed stages' L from ``squared_norm`` and the primal-dual steps from the sums.
 
 The first use of an operator picks the form of C once, by its shape, and one builder makes every map
 from it: B -> B C diag(sigma) / mu and A -> A C^T, at sigma = mu = 1 for ``apply`` and ``adjoint`` (after
@@ -141,15 +142,17 @@ class FusionOperator:
         return (np.concatenate((node, self.edge_m, self.edge_l)), np.concatenate((node, edge, edge)),
                 np.concatenate((np.full(n_diag, self.lam), coef, -self.edge_sign * coef)))
 
-    @cached_property
-    def _C(self) -> np.ndarray | None:
-        # the form of C, picked on first use by shape: the dense K x width C when K <= J, else None, the edge arrays
-        if self.n_tasks > self.n_inputs:
-            return None
+    def _dense(self) -> np.ndarray:
+        # the dense K x width C, built from the nonzeros alone, so both forms of one graph get the same entries
         rows, cols, weight = self._triplets
         C = np.zeros((self.n_tasks, self.width))
         C[rows, cols] = weight
         return C
+
+    @cached_property
+    def _C(self) -> np.ndarray | None:
+        # the form of C, picked on first use by shape: the dense K x width C when K <= J, else None, the edge arrays
+        return None if self.n_tasks > self.n_inputs else self._dense()
 
     def _maps(self, sigma: float | np.ndarray, mu: float) -> tuple[Callable[[np.ndarray], np.ndarray],
                                                                     Callable[[np.ndarray], np.ndarray]]:
@@ -307,6 +310,24 @@ class FusionOperator:
         max_d = float(self.degrees().max())
         with np.errstate(over="ignore"):
             return float(np.sqrt(np.float64(self.lam) ** 2 + 2.0 * np.float64(self.gamma) ** 2 * max_d))
+
+    @cached_property
+    def squared_norm(self) -> float:
+        """An upper bound on sigma_max(C)^2 from the spectrum: min(norm_bound()^2, (1 + 1e-6) lam_max(G)), on first use.
+
+        G is the Gram of the dense C on its smaller side, C C^T (K x K) or C^T C (width x width), whose
+        largest eigenvalue the factor 1 + 1e-6 lifts past the eigensolver's rounding, the margin of
+        ``Moments.jacobi``; the value is never above the degree bound's square. The dense C is built here
+        from the nonzeros in either form of C, so the two forms of one graph get the same bits. inf past
+        the float range, like ``norm_bound``.
+        """
+        with np.errstate(over="ignore"):
+            bound2 = np.float64(self.norm_bound()) ** 2
+            if not (self.width and bound2 < np.inf):
+                return float(bound2)
+            C = self._dense()
+            G = C @ C.T if self.n_tasks <= self.width else C.T @ C
+            return float(min(bound2, np.linalg.eigvalsh(G)[-1] * (1.0 + 1e-6)))
 
     def gap_constant(self) -> float:
         """Smoothing gap constant D = J * width / 2: J (K + |E|) / 2, or J |E| / 2 at lam = 0.

@@ -34,8 +34,11 @@ Every penalty is an exact group norm plus at most one fusion term, SPG's split. 
 ||B C||_1, C = gam H, enters grad through its smooth surrogate f_mu, whose gradient the
 operator's ``gradient_map`` builds once per mu stage.
 
-Smoothing raises the step bound to L = lam_max + ||C||^2 / mu, by the factor 1 + rho,
-rho = ||C||^2 / (mu lam_max), with ||C|| the operator's ``norm_bound``. When rho exceeds
+Smoothing raises the step bound to L = lam_max + ||C||^2 / mu, SPG's L, by the factor 1 + rho,
+rho = ||C||^2 / (mu lam_max). The smoothed stages step by the operator's ``squared_norm``, an upper
+bound on sigma_max(C)^2 from one eigvalsh per fit, never above the degree bound ``norm_bound``^2
+(1.85 times it on the 300-edge graphs of the fit_fusion_heavy benchmark). rho and the loop choice read
+the degree bound, which costs no spectrum, so a fit on the primal-dual loop computes none. When rho exceeds
 PRIMAL_DUAL_RHO and X^T X is nonsingular, ``solve`` runs the fusion term unsmoothed instead,
 through a Condat-Vu primal-dual loop (Condat 2013; Vu 2013; Chambolle & Pock 2011) that
 takes ||B C||_1 through the exact prox of its conjugate, a clamp onto ||A||_inf <= 1:
@@ -367,10 +370,11 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
     ``penalty`` is a :class:`GroupNorm`, run through its exact prox, or a :class:`FusionOperator`
     ||B C||_1, read as GroupNorm(lam, 1) plus its fusion term, the operator at lam = 0, when there
     is one (gamma > 0 and an edge). mu (``config.mu``, or accuracy / (2 D), D = J |E| / 2) and the
-    step 1/L, L = lam_max(X^T X) + norm_bound()^2 / mu, are derived here alone, once per mu stage;
-    an L past the float range is refused. The loop is chosen here once per fit: the primal-dual
-    loop, with the steps of ``primal_dual_steps`` from lam_max and the absolute sums of C, if X^T X
-    is nonsingular and norm_bound()^2 > PRIMAL_DUAL_RHO * mu * lam_max, else the smoothed one. Without a fusion term
+    smoothed loop's step 1/L, L = lam_max(X^T X) + squared_norm / mu, are derived here alone, once
+    per mu stage; a degree-bound L, lam_max + norm_bound()^2 / mu, past the float range is refused.
+    The loop is chosen here once per fit from the degree bound: the primal-dual loop, with the steps
+    of ``primal_dual_steps`` from lam_max and the absolute sums of C, if X^T X is nonsingular and
+    norm_bound()^2 > PRIMAL_DUAL_RHO * mu * lam_max, else the smoothed one. Without a fusion term
     mu = 0, and the loop steps row j by 1 / (L_s d_j) and caps its momentum in that metric, all from
     ``m.jacobi`` (module docstring).
     c is the norm's ``l1_factor``; lam = 0, so c = 0, with a singular X^T X is refused. The data
@@ -466,6 +470,7 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
     iters, checks, trace_fn, mu_s, penalty_grad = 0, 0, trace_row if config.record_trace else None, mu, None
     if primal_dual:
         sigma, tau = primal_dual_steps(m.lam_max, fusion)
+        tau = np.broadcast_to(tau, B.shape).copy()  # B's shape: tau * g and the threshold then broadcast nothing
         A = fusion.aux_optimum(B, mu)
         B, iters, (_, f, *_) = primal_dual_minimize(grad, check, fusion.dual_step(sigma), B, A, tau, max_iters,
                                                     norm.prox_map(tau), trace_fn)
@@ -478,6 +483,8 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
                                                        norm.prox_map(step), trace_fn, modulus, step)
         step_bound = L_s * float(d.max())
     else:
+        # the step of the spectral norm, not of the degree bound that rho and the loop choice read
+        norm2 = fusion.squared_norm
         for mu_s in stages:
             penalty_grad = fusion.gradient_map(mu_s)
             L = m.lam_max + norm2 / mu_s

@@ -3,6 +3,7 @@ import pytest
 
 from gflasso.graph import TaskGraph
 from gflasso.smoothing import CovariateFusionOperator, FusionOperator, shrink
+from gflasso.solver import Moments, SolverConfig, solve
 
 from oracles import dense_fusion_matrix
 
@@ -316,6 +317,45 @@ class TestConstants:
             sigma_max = float(np.linalg.svd(C, compute_uv=False)[0]) if C.size else 0.0
             assert sigma_max <= op.norm_bound() + 1e-9
 
+    def test_squared_norm_arithmetic(self):
+        # the fusion term of gamma = 2, edges (1, 2, 0.5), (2, 3, -0.5): C^T C = [[2, -1], [-1, 2]], so sigma_max^2 = 3
+        # against the degree bound 2 * 4 * 0.5 = 4
+        op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5))), lam=0.0, gamma=2.0, n_inputs=2)
+        C = dense_fusion_matrix(3, ((1, 2, 0.5), (2, 3, -0.5)), 0.0, 2.0)[:, 3:]
+        assert np.array_equal(C.T @ C, [[2.0, -1.0], [-1.0, 2.0]])
+        assert op.norm_bound() ** 2 == pytest.approx(4.0, rel=1e-15)
+        assert op.squared_norm == pytest.approx(3.0 * (1.0 + 1e-6), rel=1e-14)
+        # no edges at lam = 0: C has no columns, and its norm is 0
+        assert FusionOperator.from_graph(TaskGraph(3), lam=0.0, gamma=2.0, n_inputs=2).squared_norm == 0.0
+
+    @pytest.mark.parametrize("j", [6, 2], ids=["dense", "edge arrays"])
+    def test_squared_norm_has_the_same_bits_in_both_forms(self, j):
+        # a K <= J gflasso operator keeps the dense C, its 1 x K covariate twin the edge arrays: one norm, to the bit
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            g = random_graph(rng, 5, edge_prob=0.6)
+            for lam in (0.0, 0.7):
+                tasks = FusionOperator.from_graph(g, lam=lam, gamma=1.3, n_inputs=j)
+                covariates = CovariateFusionOperator.from_graph(g, lam=lam, gamma=1.3, n_inputs=1)
+                assert (tasks._C is None) == (j < 5) and covariates._C is None
+                assert tasks.squared_norm == covariates.squared_norm
+
+    def test_squared_norm_stays_finite_near_the_float_range(self):
+        # gamma = 2^511: 2 gamma^2 = 2^1023 is just inside the float range, and solve accepts the fit at mu = 1, where
+        # the degree bound's L = 8 + 2^1022; the spectral norm's L = 8 + 3 (1 + 1e-6) 2^1020 is finite too. The
+        # collinear X keeps the fit on the smoothed loop
+        g, gamma = TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5))), 2.0**511
+        op = FusionOperator.from_graph(g, lam=1.0, gamma=gamma, n_inputs=2)
+        fusion = FusionOperator.from_graph(g, lam=0.0, gamma=gamma, n_inputs=2)
+        assert fusion.norm_bound() ** 2 == 2.0**1022
+        assert fusion.squared_norm == pytest.approx(3.0 * (1.0 + 1e-6) * 2.0**1020, rel=1e-12)
+        assert FusionOperator.from_graph(g, lam=0.0, gamma=2.0**512, n_inputs=2).squared_norm == np.inf  # like the bound
+        X = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0], [-1.0, -1.0]])  # centered, X^T X = 4 ones((2, 2))
+        m = Moments.from_data(X, np.arange(12.0).reshape(4, 3))
+        assert m.lam_max == 8.0 and m.null_basis.shape[1] == 1
+        sol = solve(m, SolverConfig(mu=1.0, max_iters=1), op)
+        assert sol.lipschitz_used == 8.0 + fusion.squared_norm < 8.0 + fusion.norm_bound() ** 2 < np.inf
+
     def test_bound_tightness_probe(self):
         # the bound is usually close but equality need not be attained on
         # arbitrary graphs; record the worst observed ratio stays sane
@@ -416,6 +456,18 @@ class TestBothRepresentations:
         assert np.allclose(dual_grad, A @ C.T, rtol=0.0, atol=1e-12)
         assert value == pytest.approx(np.vdot(A, G) - 0.15 * np.vdot(A, A), rel=1e-12)
         assert slack >= 0.0  # any A in the box pairs to at most ||B C||_1
+
+    def test_squared_norm_lies_between_the_spectrum_and_the_bound(self, label, J, K, edge_prob, lam, gamma):
+        # sigma_max(C)^2 from an SVD of the oracle's C <= squared_norm <= norm_bound()^2, on this case's graph and on
+        # more random graphs of its form
+        rng, g, op, C = self._setup(label, J, K, edge_prob, lam, gamma)
+        for _ in range(10):
+            sigma_max = float(np.linalg.svd(C, compute_uv=False)[0]) if C.size else 0.0
+            assert sigma_max**2 * (1.0 - 1e-12) <= op.squared_norm <= op.norm_bound() ** 2
+            g = random_graph(rng, K, edge_prob)
+            op = FusionOperator.from_graph(g, lam=lam, gamma=gamma, n_inputs=J)
+            C = dense_fusion_matrix(K, g.edges, lam, gamma)
+            C = C if lam > 0 else C[:, K:]
 
     def test_shape_is_checked(self, label, J, K, edge_prob, lam, gamma):
         _, _, op, C = self._setup(label, J, K, edge_prob, lam, gamma)

@@ -86,7 +86,8 @@ def jacobi_bound(XtX):
 
 
 class TestLipschitzUpper:
-    # solve derives L = lam_max(X^T X) + norm_bound^2 / mu; one iteration is enough to read it back
+    # solve derives L = lam_max(X^T X) + ||C||^2 / mu from the fusion term's squared_norm on the smoothed loop; one
+    # iteration is enough to read it back
 
     def test_no_penalty_reduces_to_the_jacobi_bound(self):
         # without a fusion term row j steps by 1 / (L_s d_j), and lipschitz_used is the largest L_s d_j
@@ -97,12 +98,13 @@ class TestLipschitzUpper:
         assert sol.lipschitz_used == pytest.approx(L_s * d.max(), rel=1e-12)
 
     def test_arithmetic(self):
-        # lam=1, gamma=2, max degree 0.5, mu=0.1, lam_max=4 -> 4 + 2 * 4 * 0.5 / 0.1 = 44; lam is not smoothed
+        # lam=1, gamma=2, mu=0.1, lam_max=4; lam is not smoothed. The fusion term's C^T C = [[2, -1], [-1, 2]] has
+        # sigma_max^2 = 3 against the degree bound 2 * 4 * 0.5 = 4, so L = 4 + 3 (1 + 1e-6) / 0.1, not 44
         g = TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5)))
         op = FusionOperator.from_graph(g, lam=1.0, gamma=2.0, n_inputs=2)
         X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0], [-1.0, 0.0]])  # centered, X^T X = diag(4, 2)
         sol = solve(Moments.from_data(X, np.ones((4, 3))), SolverConfig(mu=0.1, max_iters=1), op)
-        assert sol.lipschitz_used == pytest.approx(44.0)
+        assert sol.lipschitz_used == pytest.approx(4.0 + 3.0 * (1.0 + 1e-6) / 0.1, rel=1e-12)
 
     def test_gradient_lipschitz_inequality(self):
         rng = np.random.default_rng(2)
@@ -193,7 +195,7 @@ class TestLipschitzUpper:
         sol = solve(Moments.from_data(X, Y), SolverConfig(accuracy=eps, max_iters=1), op)
         assert fusion.gap_constant() == fusion_gap_constant(op) == 5.0
         assert sol.mu_used == eps / (2 * fusion.gap_constant())
-        assert sol.lipschitz_used == largest_eigenvalue(X.T @ X) + fusion.norm_bound() ** 2 / sol.mu_used
+        assert sol.lipschitz_used == largest_eigenvalue(X.T @ X) + fusion.squared_norm / sol.mu_used
 
 
 class TestSmoothObjectiveGradient:
@@ -542,12 +544,14 @@ def primal_dual_step_bound(m, op):
 
 
 def smoothed_step_bound(m, op, mu):
-    return m.lam_max + replace(op, lam=0.0).norm_bound() ** 2 / mu
+    """The smoothed loop's last-stage L on ``op``'s fusion term: lam_max + ||C||^2 / mu, the norm from its spectrum."""
+    return m.lam_max + replace(op, lam=0.0).squared_norm / mu
 
 
 class TestLoopChoice:
     # solve runs the primal-dual loop only on a nonsingular X^T X at rho = ||C||^2 / (mu lam_max) > PRIMAL_DUAL_RHO;
-    # lipschitz_used tells the loops apart: lam_max + ||C||^2 / mu on the smoothed loop, 1/tau on the primal-dual one
+    # the loop reads the degree bound's rho, and lipschitz_used tells the loops apart: lam_max + ||C||^2 / mu with the
+    # spectral norm on the smoothed loop, 1/tau on the primal-dual one
 
     @staticmethod
     def step_bound(m, op, config=SolverConfig()):
@@ -557,6 +561,10 @@ class TestLoopChoice:
         m, op = fusion_heavy()
         assert op.n_edges == 300 and not m.null_basis.shape[1]
         assert self.step_bound(m, op) == smoothed_step_bound(m, op, SolverConfig().mu)
+        # the degree bound 2 gamma^2 max_k d_k is 1.85 sigma_max(C)^2 here: its step took 40 iterations, the
+        # spectral norm's takes 30
+        sol = solve(m, SolverConfig(), op)
+        assert sol.converged and sol.iterations <= 35
 
     def test_a_singular_gram_stays_smoothed(self):
         X, Y = centered_problem(32, n=20, j=30, k=3)
@@ -578,6 +586,21 @@ class TestLoopChoice:
     def test_a_long_chain_takes_the_primal_dual_loop(self):
         m, op = long_chain(0)
         assert self.step_bound(m, op) == pytest.approx(primal_dual_step_bound(m, op), rel=1e-12)
+
+    def test_only_the_smoothed_loop_reads_the_spectral_norm(self, monkeypatch):
+        # the primal-dual and unsmoothed fits step without ||C||, so they never pay its eigvalsh
+        def refuse(op):
+            raise AssertionError("squared_norm read")
+
+        m, graph = report_split(0)
+        fits = [(m, FusionOperator.from_graph(graph, 0.0599, 3.59, n_inputs=30)), long_chain(0),
+                (m, FusionOperator.from_graph(graph, 0.0599, 0.0, n_inputs=30)), (m, GroupNorm(0.0599, 1))]
+        with monkeypatch.context() as patch:
+            patch.setattr(FusionOperator, "squared_norm", property(refuse))
+            for moments, penalty in fits:
+                assert solve(moments, SolverConfig(), penalty).converged
+            with pytest.raises(AssertionError, match="squared_norm read"):
+                solve(m, SolverConfig(), FusionOperator.from_graph(graph, 0.0599, 0.0599, n_inputs=30))
 
     def test_the_loop_switches_where_rho_passes_the_threshold(self):
         # rho just below PRIMAL_DUAL_RHO stays smoothed, just above it switches
