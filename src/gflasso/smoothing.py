@@ -13,9 +13,10 @@ certificate (``dual_terms``). The solver's primal-dual loop leaves the term
 unsmoothed and keeps A as an iterate, advanced by ``dual_step(sigma)``; its
 certificate passes that A to ``dual_terms``. D, two bounds on the norm of B -> B C and the
 absolute sums of C are defined here alone (``gap_constant``; ``norm_bound``, the degree bound,
-and ``squared_norm``, from the spectrum of C and never above the degree bound's square;
-``abs_sums``). ``solver.solve`` derives mu from D, rho and the loop choice from the degree bound,
-the smoothed stages' L from ``squared_norm`` and the primal-dual steps from the sums.
+and ``squared_norm``, from the spectrum of the K x K Gram C C^T when K <= J, else the degree
+bound's square, never above it; ``abs_sums``). ``solver.solve`` derives mu from D, rho and the
+loop choice from the degree bound, the smoothed stages' L from ``squared_norm`` and the
+primal-dual steps from the sums.
 
 The first use of an operator picks the form of C once, by its shape, and one builder makes every map
 from it: B -> B C diag(sigma) / mu and A -> A C^T, at sigma = mu = 1 for ``apply`` and ``adjoint`` (after
@@ -142,17 +143,15 @@ class FusionOperator:
         return (np.concatenate((node, self.edge_m, self.edge_l)), np.concatenate((node, edge, edge)),
                 np.concatenate((np.full(n_diag, self.lam), coef, -self.edge_sign * coef)))
 
-    def _dense(self) -> np.ndarray:
-        # the dense K x width C, built from the nonzeros alone, so both forms of one graph get the same entries
+    @cached_property
+    def _C(self) -> np.ndarray | None:
+        # the form of C, picked on first use by shape: the dense K x width C when K <= J, else None, the edge arrays
+        if self.n_tasks > self.n_inputs:
+            return None
         rows, cols, weight = self._triplets
         C = np.zeros((self.n_tasks, self.width))
         C[rows, cols] = weight
         return C
-
-    @cached_property
-    def _C(self) -> np.ndarray | None:
-        # the form of C, picked on first use by shape: the dense K x width C when K <= J, else None, the edge arrays
-        return None if self.n_tasks > self.n_inputs else self._dense()
 
     def _maps(self, sigma: float | np.ndarray, mu: float) -> tuple[Callable[[np.ndarray], np.ndarray],
                                                                     Callable[[np.ndarray], np.ndarray]]:
@@ -313,20 +312,27 @@ class FusionOperator:
 
     @cached_property
     def squared_norm(self) -> float:
-        """An upper bound on sigma_max(C)^2 from the spectrum: min(norm_bound()^2, (1 + 1e-6) lam_max(G)), on first use.
+        """An upper bound on sigma_max(C)^2: min(norm_bound()^2, (1 + 1e-6) lam_max(C C^T)) when K <= J, on first use.
 
-        G is the Gram of the dense C on its smaller side, C C^T (K x K) or C^T C (width x width), whose
-        largest eigenvalue the factor 1 + 1e-6 lifts past the eigensolver's rounding, the margin of
-        ``Moments.jacobi``; the value is never above the degree bound's square. The dense C is built here
-        from the nonzeros in either form of C, so the two forms of one graph get the same bits. inf past
-        the float range, like ``norm_bound``.
+        The K x K Gram C C^T, lam^2 I plus gam^2 w_e^2 (e_m - s_e e_l)(e_m - s_e e_l)^T per edge, is
+        scattered from the edge arrays, so no dense C is built, and it is taken only when it is no
+        larger than the J x K coefficients; its largest eigenvalue the factor 1 + 1e-6 lifts past the
+        eigensolver's rounding, the margin of ``Moments.jacobi``. When K > J, as on every
+        :class:`CovariateFusionOperator` with an edge, the value is the degree bound's square. It is
+        never above that square, and inf past the float range, like ``norm_bound``.
         """
         with np.errstate(over="ignore"):
             bound2 = np.float64(self.norm_bound()) ** 2
-            if not (self.width and bound2 < np.inf):
+            K = self.n_tasks
+            if not (self.n_edges and bound2 < np.inf and K <= self.n_inputs):
                 return float(bound2)
-            C = self._dense()
-            G = C @ C.T if self.n_tasks <= self.width else C.T @ C
+            coef = self.gamma * self.edge_weight
+            c2 = coef * coef
+            cross = -self.edge_sign * c2
+            m, l = self.edge_m, self.edge_l
+            G = np.bincount(np.concatenate((m * (K + 1), l * (K + 1), m * K + l, l * K + m)),
+                            np.concatenate((c2, c2, cross, cross)), K * K).reshape(K, K)
+            G.flat[:: K + 1] += np.float64(self.lam) ** 2
             return float(min(bound2, np.linalg.eigvalsh(G)[-1] * (1.0 + 1e-6)))
 
     def gap_constant(self) -> float:

@@ -36,9 +36,11 @@ operator's ``gradient_map`` builds once per mu stage.
 
 Smoothing raises the step bound to L = lam_max + ||C||^2 / mu, SPG's L, by the factor 1 + rho,
 rho = ||C||^2 / (mu lam_max). The smoothed stages step by the operator's ``squared_norm``, an upper
-bound on sigma_max(C)^2 from one eigvalsh per fit, never above the degree bound ``norm_bound``^2
-(1.85 times it on the 300-edge graphs of the fit_fusion_heavy benchmark). rho and the loop choice read
-the degree bound, which costs no spectrum, so a fit on the primal-dual loop computes none. When rho exceeds
+bound on sigma_max(C)^2 never above the degree bound ``norm_bound``^2: one eigvalsh of the K x K
+Gram C C^T per fit when K <= J (the bound is 1.85 times it on the 300-edge graphs of the
+fit_fusion_heavy benchmark), else the bound itself, so a fused fit over J covariates computes no
+spectrum. rho and the loop choice read the degree bound, which costs no spectrum, so a fit on the
+primal-dual loop computes none. When rho exceeds
 PRIMAL_DUAL_RHO and X^T X is nonsingular, ``solve`` runs the fusion term unsmoothed instead,
 through a Condat-Vu primal-dual loop (Condat 2013; Vu 2013; Chambolle & Pock 2011) that
 takes ||B C||_1 through the exact prox of its conjugate, a clamp onto ||A||_inf <= 1:
@@ -394,7 +396,7 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
         raise ValueError(f"the start point must have the coefficient shape {XtY.shape}, got {B.shape}")
     if not np.all(np.isfinite(B)):
         raise ValueError("the start point has non-finite entries")
-    norm, fusion, mu, D, norm2 = penalty, None, 0.0, 0.0, 0.0
+    norm, fusion, mu, D, bound2 = penalty, None, 0.0, 0.0, 0.0
     if isinstance(penalty, FusionOperator):
         if penalty.coef_shape != XtY.shape:
             raise ValueError(f"the penalty operator has coefficient shape {penalty.coef_shape}, the data {XtY.shape}")
@@ -407,8 +409,8 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
         if not mu > 0:
             raise ValueError(f"accuracy {config.accuracy} is too small: mu = accuracy / (2 D) underflows to {mu}")
         with np.errstate(over="ignore"):  # inf past the float range, refused below
-            norm2 = float(np.float64(fusion.norm_bound()) ** 2)
-        if not m.lam_max + norm2 / mu < np.inf:
+            bound2 = float(np.float64(fusion.norm_bound()) ** 2)
+        if not m.lam_max + bound2 / mu < np.inf:
             raise ValueError(f"the step bound L = lam_max + ||C||^2 / mu overflows at gamma={fusion.gamma}, mu={mu}"
                              + ("" if config.accuracy is None else f", accuracy={config.accuracy}"))
         stages = [k * mu for k in MU_STAGES]
@@ -416,7 +418,7 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
     if N.shape[1] and not c > 0:
         raise DegenerateInputError("lambda = 0 on a singular X^T X (J >= N or collinear columns) cannot be certified")
     # rho = ||C||^2 / (mu lam_max): smoothing would raise the step bound L by the factor 1 + rho
-    primal_dual = fusion is not None and not N.shape[1] and norm2 > PRIMAL_DUAL_RHO * mu * m.lam_max
+    primal_dual = fusion is not None and not N.shape[1] and bound2 > PRIMAL_DUAL_RHO * mu * m.lam_max
 
     # check reads mu_s, the mu of the stage the loop below runs, and grad that stage's penalty_grad
     def grad(W: np.ndarray) -> np.ndarray:
@@ -483,17 +485,16 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
                                                        norm.prox_map(step), trace_fn, modulus, step)
         step_bound = L_s * float(d.max())
     else:
-        # the step of the spectral norm, not of the degree bound that rho and the loop choice read
-        norm2 = fusion.squared_norm
+        # the step of squared_norm, not of the degree bound that rho and the loop choice read
         for mu_s in stages:
             penalty_grad = fusion.gradient_map(mu_s)
-            L = m.lam_max + norm2 / mu_s
+            L = m.lam_max + fusion.squared_norm / mu_s
             B, n, (_, f, *_) = three_sequence_minimize(grad, lambda B: check(B, None, None), B, L, max_iters - iters,
                                                        norm.prox_map(1.0 / L), trace_fn)
             iters += n
             if stops(f, mu) or iters == max_iters:
                 break
-        step_bound = m.lam_max + norm2 / stages[-1]
+        step_bound = m.lam_max + fusion.squared_norm / stages[-1]
     converged = stops(f, mu)
     t_end = time.perf_counter()
 

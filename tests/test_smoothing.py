@@ -319,42 +319,52 @@ class TestConstants:
 
     def test_squared_norm_arithmetic(self):
         # the fusion term of gamma = 2, edges (1, 2, 0.5), (2, 3, -0.5): C^T C = [[2, -1], [-1, 2]], so sigma_max^2 = 3
-        # against the degree bound 2 * 4 * 0.5 = 4
-        op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5))), lam=0.0, gamma=2.0, n_inputs=2)
-        C = dense_fusion_matrix(3, ((1, 2, 0.5), (2, 3, -0.5)), 0.0, 2.0)[:, 3:]
+        # against the degree bound 2 * 4 * 0.5 = 4, taken at J >= K = 3; at J = 2 the value is the bound's square
+        g = TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5)))
+        C = dense_fusion_matrix(3, g.edges, 0.0, 2.0)[:, 3:]
         assert np.array_equal(C.T @ C, [[2.0, -1.0], [-1.0, 2.0]])
+        op = FusionOperator.from_graph(g, lam=0.0, gamma=2.0, n_inputs=3)
         assert op.norm_bound() ** 2 == pytest.approx(4.0, rel=1e-15)
         assert op.squared_norm == pytest.approx(3.0 * (1.0 + 1e-6), rel=1e-14)
+        narrow = FusionOperator.from_graph(g, lam=0.0, gamma=2.0, n_inputs=2)
+        assert narrow.squared_norm == narrow.norm_bound() ** 2
         # no edges at lam = 0: C has no columns, and its norm is 0
-        assert FusionOperator.from_graph(TaskGraph(3), lam=0.0, gamma=2.0, n_inputs=2).squared_norm == 0.0
+        assert FusionOperator.from_graph(TaskGraph(3), lam=0.0, gamma=2.0, n_inputs=3).squared_norm == 0.0
 
-    @pytest.mark.parametrize("j", [6, 2], ids=["dense", "edge arrays"])
-    def test_squared_norm_has_the_same_bits_in_both_forms(self, j):
-        # a K <= J gflasso operator keeps the dense C, its 1 x K covariate twin the edge arrays: one norm, to the bit
+    def test_squared_norm_takes_the_spectrum_only_when_k_is_at_most_j(self):
+        # the K x K Gram C C^T is formed only where it is no larger than the J x K coefficients: at K <= J the value is
+        # the lifted sigma_max(C)^2 (capped by the bound), at K > J, and on every covariate operator, the bound's square
         rng = np.random.default_rng(24)
         for _ in range(20):
             g = random_graph(rng, 5, edge_prob=0.6)
             for lam in (0.0, 0.7):
-                tasks = FusionOperator.from_graph(g, lam=lam, gamma=1.3, n_inputs=j)
+                C = dense_fusion_matrix(5, g.edges, lam, 1.3)
+                C = C if lam > 0 else C[:, 5:]
+                sigma_max = float(np.linalg.svd(C, compute_uv=False)[0]) if C.size else 0.0
+                for j in (5, 6):
+                    op = FusionOperator.from_graph(g, lam=lam, gamma=1.3, n_inputs=j)
+                    expected = min(op.norm_bound() ** 2, sigma_max**2 * (1.0 + 1e-6))
+                    assert op.squared_norm == pytest.approx(expected, rel=1e-12, abs=1e-300)
+                wide = FusionOperator.from_graph(g, lam=lam, gamma=1.3, n_inputs=4)
                 covariates = CovariateFusionOperator.from_graph(g, lam=lam, gamma=1.3, n_inputs=1)
-                assert (tasks._C is None) == (j < 5) and covariates._C is None
-                assert tasks.squared_norm == covariates.squared_norm
+                for op in (wide, covariates):
+                    assert op.squared_norm == op.norm_bound() ** 2
 
     def test_squared_norm_stays_finite_near_the_float_range(self):
         # gamma = 2^511: 2 gamma^2 = 2^1023 is just inside the float range, and solve accepts the fit at mu = 1, where
-        # the degree bound's L = 8 + 2^1022; the spectral norm's L = 8 + 3 (1 + 1e-6) 2^1020 is finite too. The
+        # the degree bound's L = 12 + 2^1022; the spectral norm's L = 12 + 3 (1 + 1e-6) 2^1020 is finite too. The
         # collinear X keeps the fit on the smoothed loop
         g, gamma = TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5))), 2.0**511
-        op = FusionOperator.from_graph(g, lam=1.0, gamma=gamma, n_inputs=2)
-        fusion = FusionOperator.from_graph(g, lam=0.0, gamma=gamma, n_inputs=2)
+        op = FusionOperator.from_graph(g, lam=1.0, gamma=gamma, n_inputs=3)
+        fusion = FusionOperator.from_graph(g, lam=0.0, gamma=gamma, n_inputs=3)
         assert fusion.norm_bound() ** 2 == 2.0**1022
         assert fusion.squared_norm == pytest.approx(3.0 * (1.0 + 1e-6) * 2.0**1020, rel=1e-12)
-        assert FusionOperator.from_graph(g, lam=0.0, gamma=2.0**512, n_inputs=2).squared_norm == np.inf  # like the bound
-        X = np.array([[1.0, 1.0], [1.0, 1.0], [-1.0, -1.0], [-1.0, -1.0]])  # centered, X^T X = 4 ones((2, 2))
+        assert FusionOperator.from_graph(g, lam=0.0, gamma=2.0**512, n_inputs=3).squared_norm == np.inf  # like the bound
+        X = np.repeat([[1.0], [1.0], [-1.0], [-1.0]], 3, axis=1)  # centered, X^T X = 4 ones((3, 3))
         m = Moments.from_data(X, np.arange(12.0).reshape(4, 3))
-        assert m.lam_max == 8.0 and m.null_basis.shape[1] == 1
+        assert m.lam_max == pytest.approx(12.0, rel=1e-15) and m.null_basis.shape[1] == 2
         sol = solve(m, SolverConfig(mu=1.0, max_iters=1), op)
-        assert sol.lipschitz_used == 8.0 + fusion.squared_norm < 8.0 + fusion.norm_bound() ** 2 < np.inf
+        assert sol.lipschitz_used == m.lam_max + fusion.squared_norm < m.lam_max + fusion.norm_bound() ** 2 < np.inf
 
     def test_bound_tightness_probe(self):
         # the bound is usually close but equality need not be attained on
@@ -459,11 +469,13 @@ class TestBothRepresentations:
 
     def test_squared_norm_lies_between_the_spectrum_and_the_bound(self, label, J, K, edge_prob, lam, gamma):
         # sigma_max(C)^2 from an SVD of the oracle's C <= squared_norm <= norm_bound()^2, on this case's graph and on
-        # more random graphs of its form
+        # more random graphs of its form, with the bound itself when K > J
         rng, g, op, C = self._setup(label, J, K, edge_prob, lam, gamma)
         for _ in range(10):
             sigma_max = float(np.linalg.svd(C, compute_uv=False)[0]) if C.size else 0.0
             assert sigma_max**2 * (1.0 - 1e-12) <= op.squared_norm <= op.norm_bound() ** 2
+            if K > J:  # no spectrum where the K x K Gram would outgrow the J x K coefficients
+                assert op.squared_norm == op.norm_bound() ** 2
             g = random_graph(rng, K, edge_prob)
             op = FusionOperator.from_graph(g, lam=lam, gamma=gamma, n_inputs=J)
             C = dense_fusion_matrix(K, g.edges, lam, gamma)

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -98,13 +99,15 @@ class TestLipschitzUpper:
         assert sol.lipschitz_used == pytest.approx(L_s * d.max(), rel=1e-12)
 
     def test_arithmetic(self):
-        # lam=1, gamma=2, mu=0.1, lam_max=4; lam is not smoothed. The fusion term's C^T C = [[2, -1], [-1, 2]] has
-        # sigma_max^2 = 3 against the degree bound 2 * 4 * 0.5 = 4, so L = 4 + 3 (1 + 1e-6) / 0.1, not 44
+        # lam=1, gamma=2, mu=0.1, lam_max=4; lam is not smoothed. The fusion term's C C^T = [[1, -1, 0], [-1, 2, 1],
+        # [0, 1, 1]] has sigma_max^2 = 3 against the degree bound 2 * 4 * 0.5 = 4: at J = 3 >= K the step takes it,
+        # L = 4 + 3 (1 + 1e-6) / 0.1; at J = 2 < K it takes the bound, L = 4 + 4 / 0.1 = 44
         g = TaskGraph(3, ((1, 2, 0.5), (2, 3, -0.5)))
-        op = FusionOperator.from_graph(g, lam=1.0, gamma=2.0, n_inputs=2)
-        X = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0], [-1.0, 0.0]])  # centered, X^T X = diag(4, 2)
-        sol = solve(Moments.from_data(X, np.ones((4, 3))), SolverConfig(mu=0.1, max_iters=1), op)
-        assert sol.lipschitz_used == pytest.approx(4.0 + 3.0 * (1.0 + 1e-6) / 0.1, rel=1e-12)
+        X = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 0.0, 1.0], [-1.0, 0.0, -1.0]])  # X^T X = diag(4, 2, 2)
+        for j, expected in ((3, 4.0 + 3.0 * (1.0 + 1e-6) / 0.1), (2, 44.0)):
+            op = FusionOperator.from_graph(g, lam=1.0, gamma=2.0, n_inputs=j)
+            sol = solve(Moments.from_data(X[:, :j], np.ones((4, 3))), SolverConfig(mu=0.1, max_iters=1), op)
+            assert sol.lipschitz_used == pytest.approx(expected, rel=1e-12)
 
     def test_gradient_lipschitz_inequality(self):
         rng = np.random.default_rng(2)
@@ -572,6 +575,27 @@ class TestLoopChoice:
         op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.8),)), lam=0.5, gamma=5.0, n_inputs=30)
         assert m.null_basis.shape[1] and replace(op, lam=0.0).norm_bound() ** 2 > 1e3 * 1e-4 * m.lam_max
         assert self.step_bound(m, op) == smoothed_step_bound(m, op, 1e-4)
+
+    def test_a_wide_fused_chain_steps_by_the_degree_bound_and_builds_no_dense_c(self):
+        # J >> N keeps a fused fit on the smoothed loop. Its 1 x J operator has K = J > 1, so squared_norm is the degree
+        # bound's square, about tight on a chain, and the fit forms neither the J x |E| dense C nor the J x J Gram
+        # C C^T: its traced peak stays far below either one
+        rng = np.random.default_rng(33)
+        n, j = 30, 600
+        X = rng.standard_normal((n, j))
+        m = Moments.from_data(X, (X[:, :40].sum(axis=1) + rng.standard_normal(n))[:, None])
+        op = CovariateFusionOperator.from_graph(chain_graph(j), 0.5, 5.0, n_inputs=1)
+        assert m.null_basis.shape[1] and m.inv_factor.size  # both computed before the trace starts
+        tracemalloc.start()
+        try:
+            sol = solve(m, SolverConfig(max_iters=50), op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fusion = replace(op, lam=0.0)
+        assert fusion.squared_norm == fusion.norm_bound() ** 2
+        assert sol.lipschitz_used == smoothed_step_bound(m, op, SolverConfig().mu)
+        assert peak < 8 * j * (j - 1) / 4  # a quarter of the dense C alone
 
     def test_a_small_gamma_stays_smoothed(self):
         m, graph = report_split(0)
