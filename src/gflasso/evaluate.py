@@ -316,20 +316,13 @@ BENCH_AXES = ("J", "N", "K", "rho")
 
 def _bench_spec(n_samples: int, n_inputs: int, n_outputs: int, seed: int) -> SimulationSpec:
     # near-equal output blocks; trims the support pattern for small K
+    if n_outputs < 1:
+        raise ValueError(f"the number of outputs K must be >= 1, got {n_outputs}")
     n_groups = min(3, n_outputs)
     base, extra = divmod(n_outputs, n_groups)
     sizes = tuple(base + (1 if i < extra else 0) for i in range(n_groups))
-    inputs_per_group = (3, 4, 4)[:n_groups]
-    return SimulationSpec(
-        n_samples=n_samples,
-        n_inputs=n_inputs,
-        n_outputs=n_outputs,
-        signal=0.8,
-        noise_sd=1.0,
-        seed=seed,
-        group_sizes=sizes,
-        inputs_per_group=inputs_per_group,
-    )
+    return SimulationSpec(n_samples=n_samples, n_inputs=n_inputs, n_outputs=n_outputs, seed=seed,
+                          group_sizes=sizes, inputs_per_group=(3, 4, 4)[:n_groups])
 
 
 def run_benchmark(

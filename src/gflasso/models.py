@@ -112,7 +112,7 @@ def _fit(kind: str, data: Moments, graph: TaskGraph | None, spec: PenaltySpec, c
 def fit_gflasso(data: Moments, graph: TaskGraph, spec: PenaltySpec, config: SolverConfig,
                 start: np.ndarray | None = None) -> FitResult:
     """Fit the graph-fused multi-task model over the given task graph."""
-    penalty = FusionOperator.from_graph(graph, spec.lam, spec.gamma, data.XtX.shape[0])
+    penalty = FusionOperator.from_graph(graph, spec.lam, spec.gamma, data.XtY.shape[0])
     return _fit("gflasso", data, graph, spec, config, penalty, start)
 
 

@@ -54,7 +54,8 @@ class SimulationSpec:
 
     def __post_init__(self) -> None:
         if min(self.n_samples, self.n_inputs, self.n_outputs) < 1:
-            raise ValueError("n_samples, n_inputs, n_outputs must be >= 1")
+            raise ValueError(f"n_samples, n_inputs, n_outputs must be >= 1, got {self.n_samples}, {self.n_inputs}, "
+                             f"{self.n_outputs}")
         if not 0 < self.signal < np.inf:
             raise ValueError(f"signal must be positive and finite, got {self.signal}")
         if not 0 <= self.noise_sd < np.inf:

@@ -14,9 +14,10 @@ unsmoothed and keeps A as an iterate, advanced by ``dual_step(sigma)``; its
 certificate passes that A to ``dual_terms``. D, two bounds on the norm of B -> B C and the
 absolute sums of C are defined here alone (``gap_constant``; ``norm_bound``, the degree bound,
 and ``squared_norm``, from the spectrum of the K x K Gram C C^T when K <= J, else the degree
-bound's square, never above it; ``abs_sums``). ``solver.solve`` derives mu from D, rho and the
-loop choice from the degree bound, the smoothed stages' L from ``squared_norm`` and the
-primal-dual steps from the sums.
+bound's square, never above it; ``abs_sums``, its task sums spread over ``coef_shape``, the one
+statement of where a task sits in B). ``solver.solve`` derives mu from D, rho and the loop choice
+from the degree bound, the smoothed stages' L from ``squared_norm`` and the primal-dual steps,
+already in B's shape, from the sums.
 
 The first use of an operator picks the form of C once, by its shape, and one builder makes every map
 from it: B -> B C diag(sigma) / mu and A -> A C^T, at sigma = mu = 1 for ``apply`` and ``adjoint`` (after
@@ -207,11 +208,6 @@ class FusionOperator:
         """The shape of the coefficient matrices B the operator maps."""
         return self.n_inputs, self.n_tasks
 
-    @property
-    def task_shape(self) -> tuple[int, int]:
-        """The shape of one value per task laid out as the coefficients: a row, (1, K)."""
-        return 1, self.n_tasks
-
     def apply(self, B: np.ndarray) -> np.ndarray:
         """Gamma(B) = B C, shape (J, width)."""
         B = np.asarray(B, dtype=float)
@@ -228,9 +224,7 @@ class FusionOperator:
 
     def aux_optimum(self, B: np.ndarray, mu: float) -> np.ndarray:
         """Maximizer A* = clamp(B C / mu) of <A, B C> - (mu/2) ||A||_F^2 over ||A||_inf <= 1."""
-        G = self.apply(B)
-        G /= _check_mu(mu)
-        return G.clip(-1.0, 1.0, out=G)
+        return shrink(self.apply(B) / _check_mu(mu))
 
     def gradient_map(self, mu: float) -> Callable[[np.ndarray], np.ndarray]:
         """The gradient of f_mu for one fixed mu: the map B -> adjoint(aux_optimum(B, mu)) = clamp(B C / mu) C^T.
@@ -285,16 +279,16 @@ class FusionOperator:
         return pen, pen - pairing, dual_grad, pairing - 0.5 * mu * float(np.vdot(A, A))
 
     def abs_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """The absolute sums of C: (sum_k |C_ke| per column, sum_e |C_ke| per task), in O(K + |E|) from the edge arrays.
+        """The absolute sums of C: (sum_k |C_ke| per column, sum_e |C_ke| per task), from the edge arrays.
 
         An edge column holds gam w_e at both ends, so its sum is 2 gam w_e (0 at a zero weight); a task's
-        sum is gam times its summed edge weight, plus lam with the lam columns. The task sums come in
-        ``task_shape``, which broadcasts over the coefficient matrices.
+        sum is gam times its summed edge weight, plus lam with the lam columns. The task sums come spread
+        over ``coef_shape``, each entry holding its task's sum, so a step built from them has B's shape.
         """
         coef = np.abs(self.gamma * self.edge_weight)
         columns = np.concatenate((np.full(self.width - self.n_edges, self.lam), 2.0 * coef))
         tasks = np.bincount(np.concatenate((self.edge_m, self.edge_l)), np.concatenate((coef, coef)), self.n_tasks)
-        return columns, (tasks + self.lam).reshape(self.task_shape)
+        return columns, np.tile(tasks + self.lam, self.n_inputs).reshape(self.coef_shape)
 
     def degrees(self) -> np.ndarray:
         """Weighted degree vector d_k = sum of squared edge weights incident on k."""
@@ -350,7 +344,3 @@ class CovariateFusionOperator(FusionOperator):
     @property
     def coef_shape(self) -> tuple[int, int]:
         return self.n_tasks, self.n_inputs
-
-    @property
-    def task_shape(self) -> tuple[int, int]:
-        return self.n_tasks, 1

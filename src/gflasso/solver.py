@@ -2,7 +2,8 @@
 
 :func:`solve` minimizes F(B) = (1/2) ||Y - X B||_F^2 + P(B) on centered data
 that it sees only as the moments X^T X and X^T Y (:class:`Moments`, built once
-per data split), so the per-iteration cost is independent of the sample count.
+per data split), so the per-iteration cost is independent of the sample count. It reads X^T X
+and its eigh views only through ``Moments``' members, so a new form of the Gram changes that class alone.
 Its main loop is the accelerated step of smoothing proximal gradient (SPG; Chen, Lin, Kim,
 Carbonell & Xing 2012, "Smoothing proximal gradient method for general structured sparse
 regression", Algorithm 1), a FISTA step (Beck & Teboulle 2009) with theta_t = 2/(t+2):
@@ -181,9 +182,9 @@ class Moments:
     X^T Y, ||Y||_F^2, lam_max(X^T X) and, from the same eigh(X^T X), two
     views: the null basis N (eigenvalues <= J eps lam_max; J x 0 when
     nonsingular) and V s^-1/2 over the rest; every later evaluation reads
-    these, free of the sample count. ``jacobi``, the
-    metric of the unsmoothed fits' per-row steps, costs one more eigvalsh and
-    is computed on first use, so fits with a fusion term never pay for it.
+    these, free of the sample count, and only through ``gradient``, ``gap_terms``,
+    ``singular`` and ``jacobi``, the metric of the unsmoothed fits' per-row steps,
+    which costs one more eigvalsh on first use, so fits with a fusion term never pay for it.
     """
 
     XtX: np.ndarray
@@ -224,7 +225,23 @@ class Moments:
         d = np.maximum(np.diag(self.XtX), self.XtX.shape[0] * np.finfo(float).eps * self.lam_max)
         r = d**-0.5
         s = np.linalg.eigvalsh(r[:, None] * self.XtX * r)
-        return d, float(s[-1]) * (1.0 + 1e-6), (0.0 if self.null_basis.shape[1] else max(float(s[0]), 0.0))
+        return d, float(s[-1]) * (1.0 + 1e-6), (0.0 if self.singular else max(float(s[0]), 0.0))
+
+    @property
+    def singular(self) -> bool:
+        """Whether X^T X is singular (J >= N or collinear columns): N has a column."""
+        return bool(self.null_basis.shape[1])
+
+    def gradient(self, B: np.ndarray) -> np.ndarray:
+        """The loss gradient X^T X B - X^T Y at B, a new array."""
+        g = self.XtX @ B
+        g -= self.XtY
+        return g
+
+    def gap_terms(self, R: np.ndarray) -> tuple[float, float]:
+        """The gap's terms in the dual residual R: (1/2) ||(V s^-1/2)^T R||^2, ||N N^T R||_inf (0.0 if nonsingular)."""
+        P, N = self.inv_factor.T @ R, self.null_basis
+        return 0.5 * float(np.vdot(P, P)), float(np.abs(N @ (N.T @ R)).max()) if self.singular else 0.0
 
     def loss(self, B: np.ndarray, g_loss: np.ndarray) -> float:
         """(1/2) ||Y - X B||_F^2 through the moments, given the loss gradient g_loss = X^T X B - X^T Y at B."""
@@ -312,12 +329,12 @@ def three_sequence_minimize(
 
 
 def primal_dual_steps(lam_max: float, fusion: FusionOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The primal-dual loop's diagonal steps on ``fusion``'s C: (sigma per column of C, tau per task in ``task_shape``).
+    """The primal-dual loop's diagonal steps on ``fusion``'s C: (sigma per column of C, tau in ``coef_shape``).
 
     sigma_e = STEP_RATIO / sum_k |C_ke|, 0 on a zero column, and tau_k = 0.99 / (lam_max / 2 + STEP_RATIO
-    sum_e |C_ke|), both from ``abs_sums``. By Pock & Chambolle 2011, Lemma 2 at alpha = 1, C diag(sigma) C^T
-    <= STEP_RATIO diag(sum_e |C_ke|), so diag(1/tau) - C diag(sigma) C^T >= lam_max / (2 * 0.99) I: Condat's
-    condition in the metric of the steps, for a loss whose gradient is lam_max-Lipschitz.
+    sum_e |C_ke|) at each entry of task k in B, both from ``abs_sums``. By Pock & Chambolle 2011, Lemma 2 at
+    alpha = 1, C diag(sigma) C^T <= STEP_RATIO diag(sum_e |C_ke|), so diag(1/tau) - C diag(sigma) C^T >= lam_max
+    / (2 * 0.99) I: Condat's condition in the metric of the steps, for a loss whose gradient is lam_max-Lipschitz.
     """
     columns, tasks = fusion.abs_sums()
     sigma = np.divide(STEP_RATIO, columns, out=np.zeros_like(columns), where=columns > 0)
@@ -380,7 +397,8 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
     mu = 0, and the loop steps row j by 1 / (L_s d_j) and caps its momentum in that metric, all from
     ``m.jacobi`` (module docstring).
     c is the norm's ``l1_factor``; lam = 0, so c = 0, with a singular X^T X is refused. The data
-    enter only through ``m``. ``objective_exact`` is the F of the check
+    enter only through ``m``; the smoothed stages add their ``gradient_map`` to ``m.gradient``, which
+    the other loops take as it is. ``objective_exact`` is the F of the check
     that accepted B_hat, so ``objective_exact - gap`` is the certified lower bound itself.
 
     Both loops begin at ``start``, a coefficient matrix of X^T Y's shape with finite entries
@@ -390,16 +408,16 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
     Only the iterate carries over: every certificate is computed afresh from this fit's checks.
     """
     t_start = time.perf_counter()
-    XtX, XtY = m.XtX, m.XtY
-    B = np.zeros(XtY.shape) if start is None else np.array(start, dtype=float, order="C")
-    if B.shape != XtY.shape:
-        raise ValueError(f"the start point must have the coefficient shape {XtY.shape}, got {B.shape}")
+    shape = m.XtY.shape
+    B = np.zeros(shape) if start is None else np.array(start, dtype=float, order="C")
+    if B.shape != shape:
+        raise ValueError(f"the start point must have the coefficient shape {shape}, got {B.shape}")
     if not np.all(np.isfinite(B)):
         raise ValueError("the start point has non-finite entries")
     norm, fusion, mu, D, bound2 = penalty, None, 0.0, 0.0, 0.0
     if isinstance(penalty, FusionOperator):
-        if penalty.coef_shape != XtY.shape:
-            raise ValueError(f"the penalty operator has coefficient shape {penalty.coef_shape}, the data {XtY.shape}")
+        if penalty.coef_shape != shape:
+            raise ValueError(f"the penalty operator has coefficient shape {penalty.coef_shape}, the data {shape}")
         norm = GroupNorm(penalty.lam, 1)
         if penalty.gamma > 0 and penalty.n_edges:
             fusion = replace(penalty, lam=0.0)
@@ -414,19 +432,11 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
             raise ValueError(f"the step bound L = lam_max + ||C||^2 / mu overflows at gamma={fusion.gamma}, mu={mu}"
                              + ("" if config.accuracy is None else f", accuracy={config.accuracy}"))
         stages = [k * mu for k in MU_STAGES]
-    c, tol, max_iters, lower, N = float(norm.l1_factor), config.rel_obj_tol, config.max_iters, -np.inf, m.null_basis
-    if N.shape[1] and not c > 0:
+    c, tol, max_iters, lower = float(norm.l1_factor), config.rel_obj_tol, config.max_iters, -np.inf
+    if m.singular and not c > 0:
         raise DegenerateInputError("lambda = 0 on a singular X^T X (J >= N or collinear columns) cannot be certified")
     # rho = ||C||^2 / (mu lam_max): smoothing would raise the step bound L by the factor 1 + rho
-    primal_dual = fusion is not None and not N.shape[1] and bound2 > PRIMAL_DUAL_RHO * mu * m.lam_max
-
-    # check reads mu_s, the mu of the stage the loop below runs, and grad that stage's penalty_grad
-    def grad(W: np.ndarray) -> np.ndarray:
-        g = XtX @ W
-        g -= XtY
-        if penalty_grad is not None:
-            g += penalty_grad(W)
-        return g
+    primal_dual = fusion is not None and not m.singular and bound2 > PRIMAL_DUAL_RHO * mu * m.lam_max
 
     def gap_target(f: float, mu_s: float) -> tuple[float, float]:
         # F(B) minus the best lower bound so far, and the target max(tol |F|, mu_s D) that stops a fit within it
@@ -442,7 +452,7 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
         # norm's terms at g = grad loss(B) + A C^T
         nonlocal lower, checks
         checks += 1
-        g = XtX @ B - XtY
+        g = m.gradient(B)
         f_loss = m.loss(B, g)
         pen = slack = stage_pen = 0.0
         if fusion is not None:
@@ -452,12 +462,11 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
         f = f_loss + pen + norm_pen
         if not np.isfinite(f):
             raise NumericError("objective became non-finite")
-        R = g + U
-        P = m.inv_factor.T @ R
-        bound = f - slack - norm_slack - 0.5 * float(np.vdot(P, P))
-        if N.shape[1]:
+        range_term, null_term = m.gap_terms(g + U)
+        bound = f - slack - norm_slack - range_term
+        if m.singular:
             # Hoelder on the null-space part of R, with ||B* - B||_1 <= F(B) / c + ||B||_1
-            bound -= float(np.abs(N @ (N.T @ R)).max()) * (f / c + float(np.abs(B).sum()))
+            bound -= null_term * (f / c + float(np.abs(B).sum()))
         lower = max(lower, bound)
         gap, target = gap_target(f, mu_s)
         return (f if A is not None else f_loss + stage_pen + norm_pen, f, gap, target), gap <= target
@@ -466,26 +475,30 @@ def solve(m: Moments, config: SolverConfig, penalty: FusionOperator | GroupNorm,
 
     def trace_row(B: np.ndarray, g: np.ndarray) -> None:
         # the exact objective every iteration, for the trace only: checks alone decide
-        trace.append((m.loss(B, XtX @ B - XtY) + penalty.penalty_exact(B), float(np.linalg.norm(g))))
+        trace.append((m.loss(B, m.gradient(B)) + penalty.penalty_exact(B), float(np.linalg.norm(g))))
 
     t_loop = time.perf_counter()
-    iters, checks, trace_fn, mu_s, penalty_grad = 0, 0, trace_row if config.record_trace else None, mu, None
+    iters, checks, trace_fn, mu_s = 0, 0, trace_row if config.record_trace else None, mu
     if primal_dual:
         sigma, tau = primal_dual_steps(m.lam_max, fusion)
-        tau = np.broadcast_to(tau, B.shape).copy()  # B's shape: tau * g and the threshold then broadcast nothing
         A = fusion.aux_optimum(B, mu)
-        B, iters, (_, f, *_) = primal_dual_minimize(grad, check, fusion.dual_step(sigma), B, A, tau, max_iters,
+        B, iters, (_, f, *_) = primal_dual_minimize(m.gradient, check, fusion.dual_step(sigma), B, A, tau, max_iters,
                                                     norm.prox_map(tau), trace_fn)
         step_bound = float(1.0 / tau.min())
     elif fusion is None:
         # unsmoothed: row j steps by 1 / (L_s d_j), the momentum capped in the same metric (module docstring)
         d, L_s, modulus = m.jacobi
         step = np.repeat((1.0 / (L_s * d))[:, None], B.shape[1], axis=1)
-        B, iters, (_, f, *_) = three_sequence_minimize(grad, lambda B: check(B, None, None), B, L_s, max_iters,
+        B, iters, (_, f, *_) = three_sequence_minimize(m.gradient, lambda B: check(B, None, None), B, L_s, max_iters,
                                                        norm.prox_map(step), trace_fn, modulus, step)
         step_bound = L_s * float(d.max())
     else:
-        # the step of squared_norm, not of the degree bound that rho and the loop choice read
+        # the step of squared_norm, not of the degree bound rho reads; check and grad read the stage's mu_s and map
+        def grad(W: np.ndarray) -> np.ndarray:
+            g = m.gradient(W)
+            g += penalty_grad(W)
+            return g
+
         for mu_s in stages:
             penalty_grad = fusion.gradient_map(mu_s)
             L = m.lam_max + fusion.squared_norm / mu_s
@@ -525,17 +538,16 @@ def subgradient_fit(m: Moments, config: SolverConfig, op: FusionOperator) -> Sol
     Of ``config`` it reads only ``max_iters`` and ``record_trace``.
     """
     t_start = time.perf_counter()
-    XtX, XtY = m.XtX, m.XtY
     c = 1.0 / m.lam_max if m.lam_max > 0 else 1.0
-    B = best_B = np.zeros(XtY.shape)
-    g_loss, G = XtX @ B - XtY, op.apply(B)
+    B = best_B = np.zeros(m.XtY.shape)
+    g_loss, G = m.gradient(B), op.apply(B)
     best_f = m.loss(B, g_loss) + float(np.abs(G).sum())
     trace: list[tuple[float, float]] | None = [] if config.record_trace else None
     t_loop = time.perf_counter()
     for t in range(config.max_iters):
         g = g_loss + op.adjoint(np.sign(G))
         B = B - c / np.sqrt(t + 1.0) * g
-        g_loss, G = XtX @ B - XtY, op.apply(B)
+        g_loss, G = m.gradient(B), op.apply(B)
         f_t = m.loss(B, g_loss) + float(np.abs(G).sum())
         if not np.isfinite(f_t):
             raise NumericError(f"objective became non-finite at iteration {t}")

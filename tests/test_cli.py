@@ -447,12 +447,20 @@ class TestBenchCommand:
             ("--values", "", "at least one axis value"),
             ("--methods", ",", "got ''"),
             ("--values", "30.7", "axis J takes integer values, got 30.7"),
+            ("--values", "0", "n_samples, n_inputs, n_outputs must be >= 1, got 200, 0, 20"),
         ],
     )
     def test_empty_sweep_exits_2_without_csv(self, tmp_path, capsys, flag, value, message):
         args = ["bench", "--axis", "J", "--values", "30", "--out-dir", str(tmp_path), "--max-iters", "5"]
         assert main([*args, flag, value]) == 2
         assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flags", [["--axis", "K", "--values", "0"],
+                                       ["--n-outputs", "0", "--axis", "J", "--values", "30"]], ids=["K axis", "fixed K"])
+    def test_no_outputs_exits_2_naming_the_value(self, tmp_path, capsys, flags):
+        assert main(["bench", *flags, "--out-dir", str(tmp_path), "--max-iters", "5"]) == 2
+        assert "the number of outputs K must be >= 1, got 0" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_rho_axis_and_header(self, tmp_path):

@@ -1,7 +1,8 @@
 """Layout guards: no module of the package but fileio.py opens or writes files,
 no module but evaluate.py calls a model's fit, only the fusion operator's map
-builder reads its form of C, no public name of the package is there only for
-the tests, and the number of settable values is pinned."""
+builder reads its form of C, only Moments reads X^T X and its eigh views, no
+public name of the package is there only for the tests, and the number of
+settable values is pinned."""
 
 import argparse
 import ast
@@ -105,15 +106,19 @@ def test_fit_guard_sees_the_calls_in_evaluate():
     assert {name for _, name in model_fit_calls(PACKAGE / "evaluate.py")} == MODEL_FITS
 
 
-def attribute_reads(source: str, attr: str) -> list[tuple[int, str]]:
-    """(line, innermost enclosing function, or "<module>") of each read of the attribute ``attr`` in a module."""
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def attribute_reads(source: str, attr: str, scopes: tuple[type, ...] = FUNCTIONS) -> list[tuple[int, str]]:
+    """(line, innermost enclosing definition of a kind in ``scopes``, or "<module>") of each read of the attribute
+    ``attr`` in a module; the definitions are functions by default."""
     found = []
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Attribute) and child.attr == attr and isinstance(child.ctx, ast.Load):
                 found.append((child.lineno, scope))
-            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+            visit(child, child.name if isinstance(child, scopes) else scope)
 
     visit(ast.parse(source), "<module>")
     return sorted(found)
@@ -128,6 +133,28 @@ def test_only_the_map_builder_reads_the_form_of_c():
 def test_form_guard_sees_a_read_outside_the_builder():
     source = "class A:\n    def _maps(self):\n        return self._C\n    def step(self):\n        return lambda: self._C\n"
     assert attribute_reads(source, "_C") == [(3, "_maps"), (5, "step")]
+
+
+GRAM_VIEWS = ("XtX", "inv_factor", "null_basis")
+
+
+def gram_reads(source: str) -> list[tuple[int, str, str]]:
+    """(line, attribute, innermost enclosing class, or "<module>") of each read of X^T X or its eigh views."""
+    return sorted((line, attr, scope) for attr in GRAM_VIEWS
+                  for line, scope in attribute_reads(source, attr, (ast.ClassDef,)))
+
+
+def test_only_moments_reads_the_gram():
+    # the form of X^T X (dense, with its eigh views) is Moments' alone: a factored form then changes one class
+    readers = {p.name: gram_reads(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {(name, scope) for name, reads in readers.items() for _, _, scope in reads} == {("solver.py", "Moments")}
+
+
+def test_gram_guard_sees_a_read_outside_moments():
+    source = ("class Moments:\n    def gradient(self, B):\n        return self.XtX @ B\n"
+              "def solve(m):\n    return m.null_basis, lambda: m.inv_factor\n")
+    expected = [(3, "XtX", "Moments"), (5, "inv_factor", "<module>"), (5, "null_basis", "<module>")]
+    assert gram_reads(source) == expected
 
 
 def public_definitions(tree: ast.Module) -> list[tuple[str, str]]:

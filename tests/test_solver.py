@@ -183,10 +183,14 @@ class TestLipschitzUpper:
         task_sums = np.abs(C).sum(axis=1)
         assert inv_tau == pytest.approx((m.lam_max / 2 + STEP_RATIO * task_sums.max()) / 0.99, rel=1e-12)
         sigma, tau = primal_dual_steps(m.lam_max, fusion)
-        assert tau.shape == ((k, 1) if form == "covariate" else (1, k))
+        # tau comes in B's shape, (j, k) or the fused column's (k, 1), with task k's step at each of its entries
+        assert tau.shape == fusion.coef_shape == ((k, 1) if form == "covariate" else (j, k))
+        rows = tau.reshape(-1, k)
+        task_tau = rows[0]
+        assert (rows == task_tau).all()
         assert np.allclose(sigma, STEP_RATIO / np.abs(C).sum(axis=0), rtol=1e-14, atol=0)
-        assert np.allclose(tau.ravel(), 0.99 / (m.lam_max / 2 + STEP_RATIO * task_sums), rtol=1e-14, atol=0)
-        condat = np.diag(1.0 / tau.ravel()) - C @ np.diag(sigma) @ C.T
+        assert np.allclose(task_tau, 0.99 / (m.lam_max / 2 + STEP_RATIO * task_sums), rtol=1e-14, atol=0)
+        condat = np.diag(1.0 / task_tau) - C @ np.diag(sigma) @ C.T
         assert np.linalg.eigvalsh(condat).min() > np.linalg.eigvalsh(X.T @ X).max() / 2
 
     def test_accuracy_mode_derives_mu_and_step_from_the_operator(self):
@@ -675,20 +679,21 @@ class TestPrimalDualSteps:
 
     @pytest.mark.parametrize("j", [8, 3], ids=["dense", "edge arrays"])
     def test_both_forms_of_one_graph_get_the_same_steps(self, j):
-        # the gflasso operator over K tasks and the fused operator over K covariates: one sigma, one tau up to layout
+        # the gflasso operator over K tasks and the fused operator over K covariates: one sigma, one tau up to layout,
+        # each in its coefficients' shape with every row of the J x K one the fused column's per-task steps
         graph = TaskGraph(5, ((1, 2, 0.8), (1, 3, -0.6), (2, 4, 0.5), (4, 5, 0.9)))
         tasks = FusionOperator.from_graph(graph, lam=0.0, gamma=0.7, n_inputs=j)
         covariates = CovariateFusionOperator.from_graph(graph, lam=0.0, gamma=0.7, n_inputs=1)
         assert (tasks._C is None) == (j < 5) and covariates._C is None
         (sigma_t, tau_t), (sigma_c, tau_c) = primal_dual_steps(3.0, tasks), primal_dual_steps(3.0, covariates)
-        assert (tau_t.shape, tau_c.shape) == ((1, 5), (5, 1))
-        assert np.array_equal(sigma_t, sigma_c) and np.array_equal(tau_t.ravel(), tau_c.ravel())
+        assert (tau_t.shape, tau_c.shape) == ((j, 5), (5, 1))
+        assert np.array_equal(sigma_t, sigma_c) and np.array_equal(tau_t, np.broadcast_to(tau_c.T, (j, 5)))
 
     def test_a_zero_weight_edge_gets_no_dual_step(self):
         op = FusionOperator.from_graph(TaskGraph(3, ((1, 2, 0.0), (2, 3, -0.5))), lam=0.0, gamma=2.0, n_inputs=4)
         sigma, tau = primal_dual_steps(3.0, op)
         assert sigma.tolist() == [0.0, STEP_RATIO / 2.0]
-        assert tau.tolist() == [[0.99 / 1.5, 0.99 / (1.5 + STEP_RATIO), 0.99 / (1.5 + STEP_RATIO)]]
+        assert tau.tolist() == [[0.99 / 1.5, 0.99 / (1.5 + STEP_RATIO), 0.99 / (1.5 + STEP_RATIO)]] * 4
 
     @pytest.mark.parametrize("model", ["gflasso", "fused"])
     def test_fits_over_a_zero_weight_edge_stay_finite_and_certified(self, model):
@@ -1179,6 +1184,29 @@ class TestMoments:
         assert m.null_basis.shape == (4, 1) and m.inv_factor.shape == (4, 3)
         assert np.linalg.eigvalsh(m.XtX)[0] <= 4 * np.finfo(float).eps * m.lam_max and m.jacobi[2] == 0.0
         assert solve(m, SolverConfig(), empty_operator(4, 2, lam=0.1)).stop_reason == "gap"
+
+    def test_the_gradient_is_the_gram_product_in_a_new_array(self):
+        X, Y = centered_problem(45, n=15, j=5, k=3)
+        m, B = Moments.from_data(X, Y), np.random.default_rng(45).standard_normal((5, 3))
+        g = m.gradient(B)
+        assert np.array_equal(g, m.XtX @ B - m.XtY) and g is not m.gradient(B)
+        assert not np.shares_memory(g, m.XtY) and not np.shares_memory(g, B)
+
+    def test_a_nonsingular_gram_has_no_null_term(self):
+        X, Y = centered_problem(44, n=30, j=6, k=2)
+        m, R = Moments.from_data(X, Y), np.random.default_rng(44).standard_normal((6, 2))
+        P = m.inv_factor.T @ R
+        assert not m.singular and m.gap_terms(R) == (0.5 * float(np.vdot(P, P)), 0.0)
+
+    def test_a_singular_gram_has_the_null_term_of_its_basis(self):
+        # one constant column: the terms are the inline expressions the certificate used before they moved here
+        X, Y = centered_problem(41)
+        X[:, 0] = 0.1
+        m, R = Moments.from_data(X, Y), np.random.default_rng(41).standard_normal((4, 2))
+        P, N = m.inv_factor.T @ R, m.null_basis
+        range_term, null_term = m.gap_terms(R)
+        assert m.singular and range_term == 0.5 * float(np.vdot(P, P)) and range_term > 0
+        assert null_term == float(np.abs(N @ (N.T @ R)).max()) and null_term > 0
 
 
 class TestSubgradientFit:
